@@ -33,14 +33,16 @@ from .affine import (
 from .codes import (
     MAX_ENUMERATION,
     build_code,
+    codeword_blocks,
     codeword_count,
     distension,
     rank_closed_form,
     write_codewords,
 )
 from .hamming import MAX_POINTS, build_hamming_pair, stacked_parity
-from .linalg import FieldContext, ParseError, write_matrix
+from .linalg import FieldContext, write_matrix
 from .verify import (
+    MAX_CERT_CODE,
     MAX_SPACE_CELLS,
     VerifyReport,
     audit_rank_basis,
@@ -50,7 +52,6 @@ from .verify import (
     rank_by_elimination,
     translation_certificate,
 )
-from .codes import codeword_blocks
 
 CHECK_ORDER = (
     "perfect",
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--checks", default=None, help="comma list of checks to run")
     p_verify.add_argument("--max-space-cells", type=int, default=MAX_SPACE_CELLS)
     p_verify.add_argument("--max-codewords", type=int, default=MAX_ENUMERATION)
-    p_verify.add_argument("--max-cert-codewords", type=int, default=1 << 12)
+    p_verify.add_argument("--max-cert-codewords", type=int, default=MAX_CERT_CODE)
     p_verify.set_defaults(func=cmd_verify)
 
     p_series = sub.add_parser("series", help="distension/rank table for repeated shear blocks")
@@ -319,10 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

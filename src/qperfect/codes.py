@@ -24,14 +24,13 @@ from .hamming import (
     HammingPair,
     all_vectors,
     field_powers,
-    index_to_vec,
-    vec_to_index,
 )
 from .linalg import (
     DTYPE,
     DimensionMismatch,
     FieldContext,
     ParseError,
+    _eliminate,
     _inverse_table,
     nullspace_basis,
     rank,
@@ -46,6 +45,7 @@ __all__ = [
     "codeword_blocks",
     "codeword_count",
     "contains",
+    "contains_rows",
     "distension",
     "distension_oracle",
     "enumerate_codewords",
@@ -192,21 +192,28 @@ def rank_closed_form(code: CodeHandle) -> int:
     return code.length - code.r - 1 + distension(code.hp, code.perm)
 
 
-def contains(code: CodeHandle, z) -> bool:
-    """Membership by syndromes: split z = (x|y), read the Hamming syndrome a
-    of x, and demand that y lie in the extended coset with label perm(a)."""
-    zz = code.ctx.vector(z)
-    if zz.shape[0] != code.length:
+def contains_rows(code: CodeHandle, words) -> np.ndarray:
+    """Membership of every row of words, as a boolean array.
+
+    Split each row z = (x|y), read the Hamming syndrome a of x, and demand
+    that y lie in the extended coset with label perm(a): H' y = -(0|perm(a)).
+    """
+    zz = code.ctx.matrix(words)
+    if zz.shape[1] != code.length:
         raise DimensionMismatch(f"codeword must have length {code.length}")
-    x = zz[: code.hp.n]
-    y = zz[code.hp.n :]
-    a = code.hp.h_hamming @ x % code.q
-    ta = int(code.perm.images[vec_to_index(code.q, a)])
-    target = np.concatenate(
-        [np.zeros(1, dtype=DTYPE), index_to_vec(code.q, code.r, ta)]
-    )
-    lhs = code.hp.h_extended @ y % code.q
-    return bool(np.array_equal(lhs, (-target) % code.q))
+    q, n = code.q, code.hp.n
+    powers = field_powers(q, code.r)
+    a = zz[:, :n] @ code.hp.h_hamming.T % q
+    ta = code.perm.images[a @ powers]
+    target = np.zeros((zz.shape[0], code.r + 1), dtype=DTYPE)
+    target[:, 1:] = ta[:, None] // powers % q
+    lhs = zz[:, n:] @ code.hp.h_extended.T % q
+    return np.all(lhs == (-target) % q, axis=1)
+
+
+def contains(code: CodeHandle, z) -> bool:
+    """Membership of one word: the one-row case of contains_rows."""
+    return bool(contains_rows(code, code.ctx.vector(z)[None, :])[0])
 
 
 def codeword_blocks(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Iterator[np.ndarray]:
@@ -269,8 +276,15 @@ def rank_basis(code: CodeHandle) -> RankBasis:
 
     coset_rows: (x_a | e_0 - e_perm(a)) for every a != 0;
     hamming_rows: (z | 0) for the Hamming kernel basis z;
-    completion_rows: (0 | v) for extended-kernel basis vectors v that extend
-    the intersection with the permuted copy, scanned in kernel-basis order.
+    completion_rows: (0 | v) for the extended-kernel basis vectors v that a
+    greedy scan in kernel-basis order adds to the intersection with the
+    permuted copy.  One elimination finds them, in coordinates over the
+    kernel basis (its rows are independent, so coordinates keep every
+    linear dependence): the intersection's coordinates span the kernel of
+    the permuted check applied to the basis, and v's are a unit vector.
+    In [intersection^T | identity] a column takes a pivot exactly when it
+    is independent of every column before it, so the independent
+    intersection takes the first pivots and each later pivot is a kept v.
     """
     q = code.q
     n = code.hp.n
@@ -287,20 +301,13 @@ def rank_basis(code: CodeHandle) -> RankBasis:
     hamming_rows = np.zeros((code.hamming_basis.shape[0], N), dtype=DTYPE)
     hamming_rows[:, :n] = code.hamming_basis
 
-    inter = intersection_basis(code.hp, code.perm)
     dbasis = code.extended_basis
-    kept = []
-    base_rank = rank(code.ctx, inter)
-    acc = inter
-    for v in dbasis:
-        cand = np.vstack([acc, v[None, :]])
-        if rank(code.ctx, cand) > base_rank:
-            kept.append(v)
-            acc = cand
-            base_rank += 1
-    completion = np.zeros((len(kept), N), dtype=DTYPE)
-    if kept:
-        completion[:, n:] = np.array(kept, dtype=DTYPE)
+    inter = nullspace_basis(code.ctx, code.permuted_check_matrix @ dbasis.T % q)
+    columns = np.hstack([inter.T, np.eye(dbasis.shape[0], dtype=DTYPE)])
+    pivots = np.array(_eliminate(columns, q, reduced=False), dtype=np.intp)
+    kept = pivots[pivots >= inter.shape[0]] - inter.shape[0]
+    completion = np.zeros((kept.size, N), dtype=DTYPE)
+    completion[:, n:] = dbasis[kept]
     return RankBasis(coset, hamming_rows, completion)
 
 

@@ -21,7 +21,7 @@ from .codes import (
     CodeHandle,
     codeword_blocks,
     codeword_count,
-    contains,
+    contains_rows,
     distension,
     rank_basis,
     rank_closed_form,
@@ -178,7 +178,7 @@ def audit_rank_basis(
     stacked = rb.stacked
     total = rb.count
     independent = rank(code.ctx, stacked) == total
-    non_members = sum(0 if contains(code, row) else 1 for row in stacked)
+    non_members = int((~contains_rows(code, stacked)).sum())
     expected = rank_closed_form(code)
     details = {
         "vectors": total,

@@ -299,3 +299,20 @@ def test_criterion_9_rank_oracle_sweep():
             code = build_code(build_hamming_pair(ctx, r), tau)
             streamed = rank_by_elimination(ctx, codeword_blocks(code))
             assert streamed == rank_closed_form(code)
+
+
+def test_criterion_10_basis_audit_at_scale():
+    # the rank basis audit decides the rank claim far past enumeration:
+    # N = 1093 with distension 6, and q**r = 343 points
+    with criterion("criterion 10, basis audit at scale", 20.0):
+        for q, r, tau, vectors in (
+            (3, 6, lambda ctx: series_perm(ctx, 6, 3), 1092),
+            (7, 3, lambda ctx: identity_perm(ctx, 3), 396),
+        ):
+            ctx = FieldContext(q)
+            code = build_code(build_hamming_pair(ctx, r), tau(ctx))
+            rep = audit_rank_basis(code)
+            assert rep.result == "pass"
+            assert rep.details["enumeration"] == "skipped"
+            assert rep.details["vectors"] == rep.details["expected"] == vectors
+            assert rep.details["independent"] and rep.details["non_members"] == 0

@@ -11,13 +11,16 @@ from qperfect.affine import (
     identity_perm,
     linear_perm,
     perm_inverse,
+    series_perm,
     shear_swap_perm,
 )
 from qperfect.codes import (
     build_code,
     canonical_coset_reps,
+    codeword_blocks,
     codeword_count,
     contains,
+    contains_rows,
     distension,
     distension_oracle,
     enumerate_codewords,
@@ -193,20 +196,26 @@ def test_contains_frozen_examples():
         contains(code, [0] * 12)
 
 
+def membership_rule(code, z):
+    """Oracle: the syndrome rule for one word, written out independently of
+    contains() and contains_rows()."""
+    q, r, n = code.q, code.r, code.hp.n
+    x = np.array(z[:n])
+    y = np.array(z[n:])
+    a = code.hp.h_hamming @ x % q
+    ta = index_to_vec(q, r, int(code.perm.images[vec_to_index(q, a)]))
+    want = (-np.concatenate([[0], ta])) % q
+    return np.array_equal(code.hp.h_extended @ y % q, want)
+
+
 def brute_force_words(code):
     """Oracle: test every vector of the ambient space against the syndrome
-    rule, written out independently of contains()."""
-    q, r, n = code.q, code.r, code.hp.n
-    words = set()
-    for z in itertools.product(range(q), repeat=code.length):
-        x = np.array(z[:n])
-        y = np.array(z[n:])
-        a = code.hp.h_hamming @ x % q
-        ta = index_to_vec(q, r, int(code.perm.images[vec_to_index(q, a)]))
-        want = (-np.concatenate([[0], ta])) % q
-        if np.array_equal(code.hp.h_extended @ y % q, want):
-            words.add(z)
-    return words
+    rule."""
+    return {
+        z
+        for z in itertools.product(range(code.q), repeat=code.length)
+        if membership_rule(code, z)
+    }
 
 
 @pytest.mark.parametrize("q,r", [(2, 2), (3, 1)])
@@ -223,6 +232,36 @@ def test_enumeration_matches_brute_force(q, r):
     assert all(contains(code, w) for w in got)
     # deterministic order
     assert got == [tuple(w) for w in enumerate_codewords(code)]
+
+
+@pytest.mark.parametrize(
+    "q,r,source",
+    [(3, 2, "shear"), (2, 2, "swap"), (5, 1, "random"), (3, 2, "random")],
+)
+def test_contains_rows_matches_membership_rule(q, r, source):
+    hp = make(q, r)
+    rng = np.random.default_rng(11)
+    if source == "shear":
+        tau = shear_swap_perm(hp.ctx)
+    elif source == "swap":
+        tau = linear_perm(hp.ctx, [[0, 1], [1, 0]])
+    else:
+        tau = random_zero_fixing_perm(hp.ctx, r, rng)
+    code = build_code(hp, tau)
+    everything = np.vstack(list(codeword_blocks(code)))
+    words = everything[rng.integers(0, len(everything), size=40)]
+    flipped = words.copy()
+    cols = rng.integers(0, code.length, size=len(flipped))
+    flipped[np.arange(len(flipped)), cols] += 1 + rng.integers(0, q - 1, size=len(flipped))
+    noise = rng.integers(0, q, size=(40, code.length))
+    rows = np.vstack([words, flipped % q, noise, rank_basis(code).stacked])
+    got = contains_rows(code, rows)
+    want = [membership_rule(code, tuple(z)) for z in rows]
+    assert got.tolist() == want
+    assert [contains(code, z) for z in rows] == want
+    assert got[: len(words)].all() and not got[len(words) : 2 * len(words)].any()
+    with pytest.raises(DimensionMismatch):
+        contains_rows(code, rows[:, 1:])
 
 
 def test_enumeration_guard():
@@ -276,6 +315,64 @@ def test_rank_basis_identity_perm_has_no_completion():
     assert basis.completion_rows.shape[0] == 0
     assert basis.count == 10
     assert rank(code.ctx, basis.stacked) == 10
+
+
+def greedy_completion(code):
+    """Oracle: the completion as a scan over the extended-kernel basis, one
+    rank per vector, keeping each vector that raises the rank of the stack
+    grown from the intersection."""
+    inter = intersection_basis(code.hp, code.perm)
+    kept = []
+    acc = inter
+    base_rank = rank(code.ctx, inter)
+    for v in nullspace_basis(code.ctx, code.hp.h_extended):
+        cand = np.vstack([acc, v[None, :]])
+        if rank(code.ctx, cand) > base_rank:
+            kept.append(v)
+            acc = cand
+            base_rank += 1
+    completion = np.zeros((len(kept), code.length), dtype=np.int64)
+    if kept:
+        completion[:, code.hp.n :] = np.array(kept)
+    return completion
+
+
+def completion_perm(ctx, r, name):
+    if name == "identity":
+        return identity_perm(ctx, r)
+    if name == "shear":
+        return shear_swap_perm(ctx)
+    if name.startswith("series"):
+        return series_perm(ctx, r, int(name[len("series") :]))
+    return random_zero_fixing_perm(ctx, r, np.random.default_rng(int(name[len("random") :])))
+
+
+COMPLETION_CASES = (
+    [(q, r, "identity") for q, r in ((2, 1), (2, 3), (3, 1), (3, 2), (5, 2), (7, 1))]
+    + [(q, 2, "shear") for q in (3, 5, 7)]
+    + [
+        (q, r, f"series{i}")
+        for q, r in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3))
+        for i in range(1, r // 2 + 1)
+    ]
+    + [
+        (q, r, f"random{1000 * q + 10 * r + k}")
+        for q, rs in ((2, (1, 2, 3, 4)), (3, (1, 2, 3)), (5, (1, 2)), (7, (1, 2)))
+        for r in rs
+        for k in range(3)
+    ]
+)
+
+
+@pytest.mark.parametrize("q,r,name", COMPLETION_CASES)
+def test_rank_basis_completion_matches_greedy_scan(q, r, name):
+    hp = make(q, r)
+    code = build_code(hp, completion_perm(hp.ctx, r, name))
+    completion = rank_basis(code).completion_rows
+    want = greedy_completion(code)
+    assert completion.dtype == want.dtype
+    assert np.array_equal(completion, want)
+    assert completion.shape[0] == distension(hp, code.perm)
 
 
 # -- codeword files ---------------------------------------------------------

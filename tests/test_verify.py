@@ -1,11 +1,13 @@
 """Independent verification: perfection, rank streams, audits, certificates."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qperfect import verify
 from qperfect.affine import PermTable, identity_perm, shear_swap_perm
 from qperfect.codes import build_code, codeword_blocks, codeword_count
 from qperfect.hamming import build_hamming_pair
@@ -146,6 +148,40 @@ def test_audit_rank_basis_enumeration_skip():
     assert rep.result == "pass"
     assert rep.details["enumeration"] == "skipped"
     assert "enumerated_rank" not in rep.details
+
+
+def corrupt_completion(code, rows, how):
+    rows = rows.copy()
+    if how == "flip":
+        n = code.hp.n  # first symbol of the extended part
+        rows[0, n] = (rows[0, n] + 1) % code.q
+    elif how == "copy":
+        rows[1] = rows[0]
+    else:
+        rows = rows[:-1]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "how,broken",
+    [
+        ("flip", lambda d: d["non_members"] >= 1),
+        ("copy", lambda d: not d["independent"] and d["non_members"] == 0),
+        ("drop", lambda d: d["vectors"] != d["expected"] and d["independent"]),
+    ],
+)
+def test_audit_rank_basis_rejects_corrupted_basis(monkeypatch, how, broken):
+    ctx = FieldContext(3)
+    code = build_code(build_hamming_pair(ctx, 2), shear_swap_perm(ctx))
+    good = verify.rank_basis(code)
+    assert good.completion_rows.shape[0] == 2
+    bad = dataclasses.replace(
+        good, completion_rows=corrupt_completion(code, good.completion_rows, how)
+    )
+    monkeypatch.setattr(verify, "rank_basis", lambda c: bad)
+    rep = audit_rank_basis(code, max_words=100)
+    assert rep.result == "fail"
+    assert broken(rep.details)
 
 
 # -- additivity ---------------------------------------------------------------
