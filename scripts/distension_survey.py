@@ -6,7 +6,6 @@ Usage: python scripts/distension_survey.py [--q Q] [--r R] [--samples N] [--seed
 
 import argparse
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,14 +13,6 @@ from qperfect.affine import PermTable, identity_perm, linear_perm, shear_swap_pe
 from qperfect.codes import distension
 from qperfect.hamming import build_hamming_pair
 from qperfect.linalg import FieldContext
-
-
-@dataclass(frozen=True)
-class SurveyConfig:
-    q: int = 3
-    r: int = 2
-    samples: int = 500
-    seed: int = 0
 
 
 def random_zero_fixing(ctx, r, rng):
@@ -41,12 +32,11 @@ def random_invertible(ctx, r, rng):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--q", type=int, default=SurveyConfig.q)
-    parser.add_argument("--r", type=int, default=SurveyConfig.r)
-    parser.add_argument("--samples", type=int, default=SurveyConfig.samples)
-    parser.add_argument("--seed", type=int, default=SurveyConfig.seed)
-    args = parser.parse_args()
-    cfg = SurveyConfig(args.q, args.r, args.samples, args.seed)
+    parser.add_argument("--q", type=int, default=3)
+    parser.add_argument("--r", type=int, default=2)
+    parser.add_argument("--samples", type=int, default=500)
+    parser.add_argument("--seed", type=int, default=0)
+    cfg = parser.parse_args()
 
     ctx = FieldContext(cfg.q)
     hp = build_hamming_pair(ctx, cfg.r)

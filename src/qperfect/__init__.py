@@ -6,21 +6,15 @@ from .linalg import (
     ParseError,
     is_invertible,
     mat_inv,
-    mat_mul,
-    mat_vec,
     nullspace_basis,
     rank,
-    solve,
 )
 from .hamming import (
     HammingPair,
     all_vectors,
     build_hamming_pair,
-    extended_coset_leader,
-    hamming_coset_rep,
     index_to_vec,
     stacked_parity,
-    syndrome,
     vec_to_index,
 )
 from .affine import (
@@ -54,7 +48,6 @@ from .codes import (
     contains_rows,
     distension,
     distension_oracle,
-    enumerate_codewords,
     intersection_basis,
     permuted_check,
     rank_basis,

@@ -254,13 +254,17 @@ def iterate_perms(t1: PermTable, t2: PermTable) -> PermTable:
     return PermTable(t1.ctx, t1.r + t2.r, images)
 
 
-def series_perm(ctx: FieldContext, r: int, copies: int) -> PermTable:
-    """copies shear-swap blocks followed by the identity on r - 2*copies
-    coordinates; copies = 0 gives the identity permutation on GF(q)**r."""
+def _check_series_args(r: int, copies: int) -> None:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if not 0 <= copies <= r // 2:
         raise ValueError(f"copies must lie in [0, {r // 2}], got {copies}")
+
+
+def series_perm(ctx: FieldContext, r: int, copies: int) -> PermTable:
+    """copies shear-swap blocks followed by the identity on r - 2*copies
+    coordinates; copies = 0 gives the identity permutation on GF(q)**r."""
+    _check_series_args(r, copies)
     if copies == 0:
         return identity_perm(ctx, r)
     perm = shear_swap_perm(ctx)
@@ -274,10 +278,7 @@ def series_perm(ctx: FieldContext, r: int, copies: int) -> PermTable:
 def series_group(ctx: FieldContext, r: int, copies: int) -> RegularSubgroup:
     """The regular subgroup whose exponent-swap automorphisms induce
     series_perm(ctx, r, copies): shear blocks times a translation tail."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if not 0 <= copies <= r // 2:
-        raise ValueError(f"copies must lie in [0, {r // 2}], got {copies}")
+    _check_series_args(r, copies)
     if copies == 0:
         return translation_group(ctx, r)
     G = shear_group(ctx)

@@ -14,12 +14,9 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .affine import (
     PermTable,
     RegularSubgroup,
-    VERIFY_GUARD,
     identity_perm,
     read_perm,
     series_group,
@@ -27,40 +24,18 @@ from .affine import (
     shear_group,
     shear_swap_perm,
     translation_group,
-    verify_automorphism,
-    verify_regular_subgroup,
 )
 from .codes import (
     MAX_ENUMERATION,
     build_code,
-    codeword_blocks,
     codeword_count,
     distension,
     rank_closed_form,
     write_codewords,
 )
-from .hamming import MAX_POINTS, build_hamming_pair, stacked_parity
+from .hamming import build_hamming_pair, stacked_parity
 from .linalg import FieldContext, write_matrix
-from .verify import (
-    MAX_CERT_CODE,
-    MAX_SPACE_CELLS,
-    VerifyReport,
-    audit_rank_basis,
-    check_additivity,
-    check_perfect,
-    check_propelinear_certificate,
-    rank_by_elimination,
-    translation_certificate,
-)
-
-CHECK_ORDER = (
-    "perfect",
-    "rank_equivalence",
-    "basis_audit",
-    "additivity",
-    "group_premises",
-    "certificate",
-)
+from .verify import CHECKS, MAX_CERT_CODE, MAX_SPACE_CELLS, VerifyRun
 
 
 class UsageError(Exception):
@@ -105,10 +80,6 @@ def _resolve_perm(
     return perm, None
 
 
-def _is_identity(perm: PermTable) -> bool:
-    return bool(np.array_equal(perm.images, np.arange(perm.size)))
-
-
 def cmd_matrices(args) -> int:
     ctx = _field(args.q)
     hp = build_hamming_pair(ctx, args.r)
@@ -147,101 +118,24 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _series_split(ctx: FieldContext, r: int, copies: int):
-    """A left/right decomposition of the series permutation for the
-    additivity check, or None when there is nothing to split."""
-    if copies >= 1 and r > 2 * copies:
-        left_r, left_copies = 2 * copies, copies
-        right_r, right_copies = r - 2 * copies, 0
-    elif copies >= 2 and r == 2 * copies:
-        left_r, left_copies = 2 * (copies - 1), copies - 1
-        right_r, right_copies = 2, 1
-    else:
-        return None
-    return (
-        build_hamming_pair(ctx, left_r),
-        series_perm(ctx, left_r, left_copies),
-        build_hamming_pair(ctx, right_r),
-        series_perm(ctx, right_r, right_copies),
-    )
-
-
 def cmd_verify(args) -> int:
     ctx = _field(args.q)
     hp = build_hamming_pair(ctx, args.r)
     perm, group = _resolve_perm(ctx, args.r, args.tau, args.i)
-    code = build_code(hp, perm)
-    label = args.tau
-    wanted = CHECK_ORDER if args.checks is None else tuple(args.checks.split(","))
-    unknown = [c for c in wanted if c not in CHECK_ORDER]
+    run = VerifyRun(
+        build_code(hp, perm),
+        args.tau,
+        group,
+        args.i if args.tau == "builtin:series" else None,
+        args.max_space_cells,
+        args.max_codewords,
+        args.max_cert_codewords,
+    )
+    wanted = CHECKS if args.checks is None else args.checks.split(",")
+    unknown = [c for c in wanted if c not in CHECKS]
     if unknown:
         raise UsageError(f"unknown checks: {', '.join(unknown)}")
-    reports: list[VerifyReport] = []
-    params = {"q": args.q, "r": args.r, "tau": label}
-
-    for name in CHECK_ORDER:
-        if name not in wanted:
-            continue
-        if name == "perfect":
-            reports.append(check_perfect(code, max_cells=args.max_space_cells, label=label))
-        elif name == "rank_equivalence":
-            count = codeword_count(code)
-            if count > args.max_codewords:
-                details = {"reason": "enumeration budget exceeded", "codewords": count}
-                reports.append(VerifyReport(name, params, "skipped", details))
-            else:
-                streamed = rank_by_elimination(ctx, codeword_blocks(code, args.max_codewords))
-                closed = rank_closed_form(code)
-                details = {"enumerated_rank": streamed, "closed_form": closed}
-                result = "pass" if streamed == closed else "fail"
-                reports.append(VerifyReport(name, params, result, details))
-        elif name == "basis_audit":
-            reports.append(audit_rank_basis(code, max_words=args.max_codewords, label=label))
-        elif name == "additivity":
-            split = None
-            if args.tau == "builtin:series" and args.i is not None:
-                split = _series_split(ctx, args.r, args.i)
-            if split is None:
-                details = {"reason": "no blockwise decomposition for this permutation"}
-                reports.append(VerifyReport(name, params, "skipped", details))
-            else:
-                hp1, p1, hp2, p2 = split
-                reports.append(check_additivity(hp1, p1, hp2, p2, hp, label=label))
-        elif name == "group_premises":
-            if group is None:
-                details = {"reason": "no construction data for an external permutation"}
-                reports.append(VerifyReport(name, params, "skipped", details))
-            elif group.size > VERIFY_GUARD:
-                details = {"reason": "verification guard exceeded", "size": group.size}
-                reports.append(VerifyReport(name, params, "skipped", details))
-            else:
-                sub = verify_regular_subgroup(group)
-                aut = verify_automorphism(group, perm)
-                details = {
-                    "regular_subgroup": sub.ok,
-                    "automorphism": aut.ok,
-                    "diagnostic": sub.detail or aut.detail,
-                }
-                result = "pass" if sub.ok and aut.ok else "fail"
-                reports.append(VerifyReport(name, params, result, details))
-        elif name == "certificate":
-            if not _is_identity(perm):
-                details = {"reason": "no builtin certificate for a non-identity permutation"}
-                reports.append(VerifyReport(name, params, "skipped", details))
-            elif codeword_count(code) > args.max_cert_codewords:
-                details = {
-                    "reason": "code too large for certificate checking",
-                    "codewords": codeword_count(code),
-                }
-                reports.append(VerifyReport(name, params, "skipped", details))
-            else:
-                cert = translation_certificate(code)
-                reports.append(
-                    check_propelinear_certificate(
-                        code, cert, max_code=args.max_cert_codewords, label=label
-                    )
-                )
-
+    reports = [check(run) for name, check in CHECKS.items() if name in wanted]
     for report in reports:
         print(report.to_json())
     return 1 if any(r.result == "fail" for r in reports) else 0

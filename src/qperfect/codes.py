@@ -48,7 +48,6 @@ __all__ = [
     "contains_rows",
     "distension",
     "distension_oracle",
-    "enumerate_codewords",
     "intersection_basis",
     "lex_messages",
     "permuted_check",
@@ -244,12 +243,6 @@ def codeword_blocks(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Itera
             [np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))]
         )
         yield block
-
-
-def enumerate_codewords(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Iterator[np.ndarray]:
-    """All codewords, one vector at a time, in the codeword_blocks order."""
-    for block in codeword_blocks(code, max_words):
-        yield from block
 
 
 @dataclass(frozen=True)

@@ -24,19 +24,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DTYPE, DimensionMismatch, FieldContext, mat_vec
+from .linalg import DTYPE, FieldContext
 
 __all__ = [
     "MAX_POINTS",
     "HammingPair",
     "all_vectors",
     "build_hamming_pair",
-    "extended_coset_leader",
     "field_powers",
-    "hamming_coset_rep",
     "index_to_vec",
     "stacked_parity",
-    "syndrome",
     "vec_to_index",
 ]
 
@@ -122,42 +119,3 @@ def stacked_parity(hp: HammingPair) -> np.ndarray:
     bottom = np.hstack([hp.h_hamming, hp.h_columns])
     return np.vstack([top, bottom])
 
-
-def syndrome(ctx: FieldContext, h, x) -> np.ndarray:
-    return mat_vec(ctx, h, x)
-
-
-def hamming_coset_rep(hp: HammingPair, a) -> np.ndarray:
-    """Canonical weight-<=1 word of length n with Hamming syndrome a.
-
-    For a != 0 this is lam * e_j where lam is the first nonzero coordinate
-    of a and j is the h_hamming column equal to a / lam; for a = 0 it is 0.
-    """
-    aa = hp.ctx.vector(a)
-    if aa.shape[0] != hp.r:
-        raise DimensionMismatch(f"syndrome must have length {hp.r}")
-    x = np.zeros(hp.n, dtype=DTYPE)
-    nz = np.flatnonzero(aa)
-    if nz.size == 0:
-        return x
-    lam = int(aa[nz[0]])
-    target = vec_to_index(hp.q, (aa * hp.ctx.inv(lam)) % hp.q)
-    j = int(np.searchsorted(hp.hamming_col_index, target))
-    x[j] = lam
-    return x
-
-
-def extended_coset_leader(hp: HammingPair, a) -> np.ndarray:
-    """The word e_0 - e_idx(a) of length q**r (zero word for a = 0).
-
-    Its coordinate sum is 0 and its h_extended syndrome is -(0|a).
-    """
-    aa = hp.ctx.vector(a)
-    if aa.shape[0] != hp.r:
-        raise DimensionMismatch(f"label must have length {hp.r}")
-    y = np.zeros(hp.points, dtype=DTYPE)
-    k = vec_to_index(hp.q, aa)
-    if k != 0:
-        y[0] = 1
-        y[k] = hp.q - 1
-    return y

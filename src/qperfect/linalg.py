@@ -23,13 +23,10 @@ __all__ = [
     "is_invertible",
     "is_prime",
     "mat_inv",
-    "mat_mul",
-    "mat_vec",
     "nullspace_basis",
     "rank",
     "read_matrix",
     "rref",
-    "solve",
     "write_matrix",
 ]
 
@@ -169,26 +166,6 @@ def rref(ctx: FieldContext, m) -> tuple[np.ndarray, tuple[int, ...]]:
     return work, tuple(pivots)
 
 
-def solve(ctx: FieldContext, m, b) -> Optional[np.ndarray]:
-    """One solution x of m x = b, or None if the system is inconsistent.
-
-    Deterministic: free variables are set to 0 in reduced echelon order.
-    """
-    mm = ctx.matrix(m)
-    bb = ctx.vector(b)
-    if bb.shape[0] != mm.shape[0]:
-        raise DimensionMismatch(f"matrix has {mm.shape[0]} rows, vector has {bb.shape[0]}")
-    aug = np.hstack([mm, bb[:, None]])
-    pivots = _eliminate(aug, ctx.q, reduced=True)
-    n = mm.shape[1]
-    if pivots and pivots[-1] == n:
-        return None  # pivot in the constant column
-    x = np.zeros(n, dtype=DTYPE)
-    for i, c in enumerate(pivots):
-        x[c] = aug[i, n]
-    return x
-
-
 def nullspace_basis(ctx: FieldContext, m) -> np.ndarray:
     """Basis of the right kernel of m, one row per free column.
 
@@ -205,22 +182,6 @@ def nullspace_basis(ctx: FieldContext, m) -> np.ndarray:
         for i, c in enumerate(pivots):
             basis[k, c] = (-red[i, f]) % ctx.q
     return basis
-
-
-def mat_mul(ctx: FieldContext, a, b) -> np.ndarray:
-    aa = ctx.matrix(a)
-    bb = ctx.matrix(b)
-    if aa.shape[1] != bb.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {aa.shape} by {bb.shape}")
-    return aa @ bb % ctx.q
-
-
-def mat_vec(ctx: FieldContext, m, v) -> np.ndarray:
-    mm = ctx.matrix(m)
-    vv = ctx.vector(v)
-    if mm.shape[1] != vv.shape[0]:
-        raise DimensionMismatch(f"cannot apply {mm.shape} to a vector of length {vv.shape[0]}")
-    return mm @ vv % ctx.q
 
 
 def mat_inv(ctx: FieldContext, m) -> Optional[np.ndarray]:

@@ -5,6 +5,9 @@ Every check returns a VerifyReport that serializes to one JSON line:
 "skipped" | "probabilistic", "details": {...}}.  Checks never throw on a
 mathematical failure, only on contract violations (bad shapes, budgets are
 reported as skipped).
+
+CHECKS lists the checks of `qperfect verify` in their output order; each
+entry takes a VerifyRun and holds that check's skip rules and budgets.
 """
 
 from __future__ import annotations
@@ -15,7 +18,15 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .affine import PermTable, iterate_perms
+from .affine import (
+    VERIFY_GUARD,
+    PermTable,
+    RegularSubgroup,
+    iterate_perms,
+    series_perm,
+    verify_automorphism,
+    verify_regular_subgroup,
+)
 from .codes import (
     MAX_ENUMERATION,
     CodeHandle,
@@ -26,22 +37,25 @@ from .codes import (
     rank_basis,
     rank_closed_form,
 )
-from .hamming import HammingPair
+from .hamming import HammingPair, build_hamming_pair
 from .linalg import DTYPE, DimensionMismatch, FieldContext, _eliminate, rank
 
 __all__ = [
+    "CHECKS",
     "MAX_CERT_CODE",
     "MAX_FULL_TRIPLES",
     "MAX_SPACE_CELLS",
     "Isometry",
     "PropelinearCertificate",
     "VerifyReport",
+    "VerifyRun",
     "apply_isometry",
     "apply_isometry_rows",
     "audit_rank_basis",
     "check_additivity",
     "check_perfect",
     "check_propelinear_certificate",
+    "check_rank_equivalence",
     "covering_occupancy",
     "identity_isometry",
     "rank_by_elimination",
@@ -76,6 +90,26 @@ class VerifyReport:
 
 def _params(code: CodeHandle, label: str) -> dict:
     return {"q": code.q, "r": code.r, "tau": label}
+
+
+def _skipped(check: str, params: dict, reason: str, **details) -> VerifyReport:
+    return VerifyReport(check, params, "skipped", {"reason": reason, **details})
+
+
+@dataclass(frozen=True)
+class VerifyRun:
+    """Everything the registered checks read: the code, its --tau label,
+    the regular subgroup of a builtin permutation (None for a permutation
+    file), the shear copies of builtin:series (None otherwise) and the
+    three budgets."""
+
+    code: CodeHandle
+    label: str = "custom"
+    group: Optional[RegularSubgroup] = None
+    copies: Optional[int] = None
+    max_space_cells: int = MAX_SPACE_CELLS
+    max_codewords: int = MAX_ENUMERATION
+    max_cert_codewords: int = MAX_CERT_CODE
 
 
 # -- perfection by exhaustive covering -----------------------------------
@@ -113,8 +147,7 @@ def check_perfect(
     params = _params(code, label)
     cells = q**N
     if cells > max_cells:
-        details = {"reason": "state budget exceeded", "cells": cells, "budget": max_cells}
-        return VerifyReport("perfect", params, "skipped", details)
+        return _skipped("perfect", params, "state budget exceeded", cells=cells, budget=max_cells)
     size = codeword_count(code)
     ball = 1 + N * (q - 1)
     packing = size * ball == cells
@@ -166,6 +199,20 @@ def rank_by_elimination(ctx: FieldContext, words: Iterable, chunk: int = 4096) -
             crunch()
     crunch()
     return 0 if basis is None else int(basis.shape[0])
+
+
+def check_rank_equivalence(run: VerifyRun) -> VerifyReport:
+    """The rank of the enumerated code, by streamed elimination, equals the
+    closed form N - r - 1 + distension."""
+    code = run.code
+    params = _params(code, run.label)
+    count = codeword_count(code)
+    if count > run.max_codewords:
+        return _skipped("rank_equivalence", params, "enumeration budget exceeded", codewords=count)
+    streamed = rank_by_elimination(code.ctx, codeword_blocks(code, run.max_codewords))
+    closed = rank_closed_form(code)
+    details = {"enumerated_rank": streamed, "closed_form": closed}
+    return VerifyReport("rank_equivalence", params, "pass" if streamed == closed else "fail", details)
 
 
 def audit_rank_basis(
@@ -221,6 +268,49 @@ def check_additivity(
     return VerifyReport(
         "additivity", params, "pass" if both == left + right else "fail", details
     )
+
+
+def _series_split(ctx: FieldContext, r: int, copies: int):
+    """A left/right decomposition of the series permutation for the
+    additivity check, or None when there is nothing to split."""
+    if copies >= 1 and r > 2 * copies:
+        left_r, left_copies = 2 * copies, copies
+        right_r, right_copies = r - 2 * copies, 0
+    elif copies >= 2 and r == 2 * copies:
+        left_r, left_copies = 2 * (copies - 1), copies - 1
+        right_r, right_copies = 2, 1
+    else:
+        return None
+    return (
+        build_hamming_pair(ctx, left_r),
+        series_perm(ctx, left_r, left_copies),
+        build_hamming_pair(ctx, right_r),
+        series_perm(ctx, right_r, right_copies),
+    )
+
+
+def _run_additivity(run: VerifyRun) -> VerifyReport:
+    code = run.code
+    split = None if run.copies is None else _series_split(code.ctx, code.r, run.copies)
+    if split is None:
+        reason = "no blockwise decomposition for this permutation"
+        return _skipped("additivity", _params(code, run.label), reason)
+    return check_additivity(*split, code.hp, label=run.label)
+
+
+def _run_group_premises(run: VerifyRun) -> VerifyReport:
+    """The builtin's subgroup is regular and induces the permutation through
+    one of its automorphisms; both checks are exhaustive over pairs."""
+    params = _params(run.code, run.label)
+    group = run.group
+    if group is None:
+        return _skipped("group_premises", params, "no construction data for an external permutation")
+    if group.size > VERIFY_GUARD:
+        return _skipped("group_premises", params, "verification guard exceeded", size=group.size)
+    sub = verify_regular_subgroup(group)
+    aut = verify_automorphism(group, run.code.perm)
+    details = {"regular_subgroup": sub.ok, "automorphism": aut.ok, "diagnostic": sub.detail or aut.detail}
+    return VerifyReport("group_premises", params, "pass" if sub.ok and aut.ok else "fail", details)
 
 
 # -- isometries and propelinear certificates ------------------------------
@@ -324,8 +414,9 @@ def check_propelinear_certificate(
     params = _params(code, label)
     size = codeword_count(code)
     if size > max_code:
-        details = {"reason": "code too large for certificate checking", "codewords": size, "budget": max_code}
-        return VerifyReport("certificate", params, "skipped", details)
+        return _skipped(
+            "certificate", params, "code too large for certificate checking", codewords=size, budget=max_code
+        )
 
     powers = q ** np.arange(N, dtype=DTYPE)
     code_enc = np.sort(
@@ -382,3 +473,31 @@ def check_propelinear_certificate(
 
     details = {"codewords": M, "closure_mode": mode, "closure_triples": int(triples)}
     return VerifyReport("certificate", params, result, details)
+
+
+def _run_certificate(run: VerifyRun) -> VerifyReport:
+    """The translation certificate of a linear (identity-glued) code.  The
+    size budget is tested before the certificate is built, because building
+    it enumerates the code."""
+    code = run.code
+    params = _params(code, run.label)
+    if not np.array_equal(code.perm.images, np.arange(code.perm.size)):
+        return _skipped("certificate", params, "no builtin certificate for a non-identity permutation")
+    count = codeword_count(code)
+    if count > run.max_cert_codewords:
+        return _skipped("certificate", params, "code too large for certificate checking", codewords=count)
+    cert = translation_certificate(code)
+    return check_propelinear_certificate(code, cert, max_code=run.max_cert_codewords, label=run.label)
+
+
+# The public checks are looked up by name at call time, so a wrapper that
+# replaces one of them on this module (a tracer, a test's monkeypatch) is
+# the one that runs.
+CHECKS = {
+    "perfect": lambda run: check_perfect(run.code, max_cells=run.max_space_cells, label=run.label),
+    "rank_equivalence": lambda run: check_rank_equivalence(run),
+    "basis_audit": lambda run: audit_rank_basis(run.code, max_words=run.max_codewords, label=run.label),
+    "additivity": _run_additivity,
+    "group_premises": _run_group_premises,
+    "certificate": _run_certificate,
+}

@@ -1,0 +1,44 @@
+"""Per-syndrome coset builders, kept as oracles for the vectorised tables in
+qperfect.codes (canonical_coset_reps, and the extended leaders that
+codeword_blocks writes inline)."""
+
+import numpy as np
+
+from qperfect.hamming import HammingPair, vec_to_index
+from qperfect.linalg import DTYPE, DimensionMismatch
+
+
+def hamming_coset_rep(hp: HammingPair, a) -> np.ndarray:
+    """Canonical weight-<=1 word of length n with Hamming syndrome a.
+
+    For a != 0 this is lam * e_j where lam is the first nonzero coordinate
+    of a and j is the h_hamming column equal to a / lam; for a = 0 it is 0.
+    """
+    aa = hp.ctx.vector(a)
+    if aa.shape[0] != hp.r:
+        raise DimensionMismatch(f"syndrome must have length {hp.r}")
+    x = np.zeros(hp.n, dtype=DTYPE)
+    nz = np.flatnonzero(aa)
+    if nz.size == 0:
+        return x
+    lam = int(aa[nz[0]])
+    target = vec_to_index(hp.q, (aa * hp.ctx.inv(lam)) % hp.q)
+    j = int(np.searchsorted(hp.hamming_col_index, target))
+    x[j] = lam
+    return x
+
+
+def extended_coset_leader(hp: HammingPair, a) -> np.ndarray:
+    """The word e_0 - e_idx(a) of length q**r (zero word for a = 0).
+
+    Its coordinate sum is 0 and its h_extended syndrome is -(0|a).
+    """
+    aa = hp.ctx.vector(a)
+    if aa.shape[0] != hp.r:
+        raise DimensionMismatch(f"label must have length {hp.r}")
+    y = np.zeros(hp.points, dtype=DTYPE)
+    k = vec_to_index(hp.q, aa)
+    if k != 0:
+        y[0] = 1
+        y[k] = hp.q - 1
+    return y

@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -8,9 +9,11 @@ import sys
 import numpy as np
 import pytest
 
+from qperfect import verify
 from qperfect.affine import shear_swap_perm, write_perm
-from qperfect.cli import CHECK_ORDER, main
+from qperfect.cli import main
 from qperfect.linalg import FieldContext, read_matrix
+from qperfect.verify import CHECKS
 
 
 def run(capsys, argv):
@@ -88,7 +91,7 @@ def test_verify_shear_six_reports(capsys):
     code, out, _ = run(capsys, ["verify", "--q", "3", "--r", "2", "--tau", "builtin:shear"])
     assert code == 0
     reports = json_lines(out)
-    assert [r["check"] for r in reports] == list(CHECK_ORDER)
+    assert [r["check"] for r in reports] == list(CHECKS)
     by_name = {r["check"]: r for r in reports}
     assert by_name["perfect"]["result"] == "pass"
     assert by_name["rank_equivalence"]["result"] == "pass"
@@ -163,6 +166,48 @@ def test_verify_file_tau_skips_construction_checks(tmp_path, capsys):
     assert by_name["group_premises"]["result"] == "skipped"
     assert by_name["certificate"]["result"] == "skipped"
     assert all(r["params"]["tau"] == str(path) for r in json_lines(out))
+
+
+# sha256 of the whole stdout of `qperfect verify <args>`.  Together these
+# reach every skip reason in CHECKS, a pass of each check, and the additivity
+# split on both sides of r = 2i.  tau.txt holds the shear-swap permutation.
+VERIFY_STDOUT_SHA256 = [
+    ("--q 3 --r 2 --tau builtin:shear",
+     "d0e689f5fc1d1a31ad8c0479da508657f7f4cd28731935890383fef16bcf2c5f"),
+    ("--q 7 --r 1",  # certificate: code too large
+     "8eddef441d6c394a376f89c776080ba79575792840634ce58b260d95d6899cd7"),
+    ("--q 5 --r 2 --tau builtin:shear --checks perfect,rank_equivalence",  # both budgets
+     "8fb395453993025b45edd369ceaf1783e54305b059b868eb47d86fefd31dbdab"),
+    ("--q 3 --r 2 --tau tau.txt",  # group premises: external permutation
+     "799b0722759b8cfdb8610b46df78a3f5b2d0ff1b975e4a5f8e00911d360dadca"),
+    ("--q 2 --r 11 --checks group_premises,additivity",  # group premises: guard
+     "cd756a7288617da9a440b66eedf5d86c1e45308c81c33737614a410db4838027"),
+    ("--q 3 --r 4 --tau builtin:series --i 1 --checks additivity",
+     "5817f9e30d9e4b125bfff46d0cd97b7468e149d0ac24543f073ca28352e33b61"),
+    ("--q 3 --r 4 --tau builtin:series --i 2 --checks additivity",
+     "008d7a826f8337d29adf05da4258385500508cb9a2b3c7f436ec42f04a4bfc8a"),
+    ("--q 2 --r 2",  # certificate pass
+     "d918bbd97f8b6fc2427eba57c098e0b426b3748c343a59d8c997ddd625f5d5c1"),
+]
+
+
+@pytest.mark.parametrize("args,digest", VERIFY_STDOUT_SHA256, ids=[a for a, _ in VERIFY_STDOUT_SHA256])
+def test_verify_golden_stdout(tmp_path, monkeypatch, capsys, args, digest):
+    monkeypatch.chdir(tmp_path)
+    write_perm("tau.txt", shear_swap_perm(FieldContext(3)))
+    code, out, _ = run(capsys, ["verify", *args.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_verify_failed_check_exits_one(monkeypatch, capsys):
+    true_rank = verify.rank_closed_form
+    monkeypatch.setattr(verify, "rank_closed_form", lambda code: true_rank(code) + 1)
+    code, out, _ = run(capsys, ["verify", "--q", "2", "--r", "2", "--checks", "rank_equivalence"])
+    assert code == 1
+    (report,) = json_lines(out)
+    assert report["result"] == "fail"
+    assert report["details"] == {"enumerated_rank": 4, "closed_form": 5}
 
 
 # -- series ---------------------------------------------------------------------

@@ -23,7 +23,6 @@ from qperfect.codes import (
     contains_rows,
     distension,
     distension_oracle,
-    enumerate_codewords,
     intersection_basis,
     lex_messages,
     permuted_check,
@@ -34,6 +33,8 @@ from qperfect.codes import (
 )
 from qperfect.hamming import build_hamming_pair, index_to_vec, vec_to_index
 from qperfect.linalg import DimensionMismatch, FieldContext, ParseError, nullspace_basis, rank
+
+from hamming_oracles import hamming_coset_rep
 
 
 def make(q, r):
@@ -148,8 +149,6 @@ def test_distension_bounds_and_inverse_symmetry(q, r, seed):
 
 
 def test_canonical_reps_match_per_row_builder():
-    from qperfect.hamming import hamming_coset_rep
-
     hp = make(3, 2)
     table = canonical_coset_reps(hp)
     for a in range(hp.points):
@@ -178,8 +177,8 @@ def test_rep_override_leaves_word_set_unchanged():
     rng = np.random.default_rng(7)
     shifts = rng.integers(0, 2, size=(hp.points, kernel.shape[0])) @ kernel % 2
     other = build_code(hp, tau, reps=(code.rep_table + shifts) % 2)
-    words = {tuple(w) for w in enumerate_codewords(code)}
-    assert words == {tuple(w) for w in enumerate_codewords(other)}
+    words = {tuple(w) for block in codeword_blocks(code) for w in block}
+    assert words == {tuple(w) for block in codeword_blocks(other) for w in block}
 
 
 # -- membership and enumeration --------------------------------------------
@@ -226,12 +225,12 @@ def test_enumeration_matches_brute_force(q, r):
     else:
         tau = PermTable(hp.ctx, r, np.array([0, 2, 1]))
     code = build_code(hp, tau)
-    got = [tuple(w) for w in enumerate_codewords(code)]
+    got = [tuple(w) for block in codeword_blocks(code) for w in block]
     assert len(got) == len(set(got)) == codeword_count(code)
     assert set(got) == brute_force_words(code)
     assert all(contains(code, w) for w in got)
     # deterministic order
-    assert got == [tuple(w) for w in enumerate_codewords(code)]
+    assert got == [tuple(w) for block in codeword_blocks(code) for w in block]
 
 
 @pytest.mark.parametrize(
@@ -268,7 +267,7 @@ def test_enumeration_guard():
     hp = make(3, 2)
     code = build_code(hp, shear_swap_perm(hp.ctx))
     with pytest.raises(ValueError):
-        list(enumerate_codewords(code, max_words=100))
+        list(codeword_blocks(code, max_words=100))
 
 
 # -- counts and rank -------------------------------------------------------
@@ -387,7 +386,7 @@ def test_codeword_file_round_trip(tmp_path):
     ctx, r, N, source, words = read_codewords(path)
     assert (ctx.q, r, N, source) == (2, 2, 7, "builtin:identity")
     assert words.shape == (16, 7)
-    assert [tuple(w) for w in words] == [tuple(w) for w in enumerate_codewords(code)]
+    assert np.array_equal(words, np.vstack(list(codeword_blocks(code))))
     first = path.read_text().splitlines()
     assert first[0] == "# 2 2 7 tau=builtin:identity"
     assert first[1] == "0000000"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qperfect import verify
-from qperfect.affine import PermTable, identity_perm, shear_swap_perm
+from qperfect.affine import PermTable, identity_perm, series_group, series_perm, shear_swap_perm
 from qperfect.codes import build_code, codeword_blocks, codeword_count
 from qperfect.hamming import build_hamming_pair
 from qperfect.linalg import DimensionMismatch, FieldContext, rank
@@ -22,6 +22,7 @@ from qperfect.verify import (
     check_additivity,
     check_perfect,
     check_propelinear_certificate,
+    check_rank_equivalence,
     covering_occupancy,
     identity_isometry,
     rank_by_elimination,
@@ -215,6 +216,34 @@ def test_check_additivity_dimension_mismatch():
     tau = shear_swap_perm(ctx)
     with pytest.raises(DimensionMismatch):
         check_additivity(hp2, tau, hp2, tau, build_hamming_pair(ctx, 3))
+
+
+# -- the check registry -----------------------------------------------------
+
+
+def test_rank_equivalence_passes_and_skips():
+    run = verify.VerifyRun(small_code(2, 2))
+    rep = check_rank_equivalence(run)
+    assert rep.result == "pass"
+    assert rep.details == {"enumerated_rank": 4, "closed_form": 4}
+    rep = check_rank_equivalence(dataclasses.replace(run, max_codewords=15))
+    assert rep.result == "skipped"
+    assert rep.details == {"reason": "enumeration budget exceeded", "codewords": 16}
+
+
+def test_checks_registry_on_a_library_run():
+    ctx = FieldContext(3)
+    code = build_code(build_hamming_pair(ctx, 4), series_perm(ctx, 4, 2))
+    run = verify.VerifyRun(code, "series", series_group(ctx, 4, 2), copies=2)
+    results = {name: check(run).result for name, check in verify.CHECKS.items()}
+    assert results == {
+        "perfect": "skipped",
+        "rank_equivalence": "skipped",
+        "basis_audit": "pass",
+        "additivity": "pass",
+        "group_premises": "pass",
+        "certificate": "skipped",
+    }
 
 
 # -- isometries ----------------------------------------------------------------
