@@ -37,6 +37,7 @@ from .linalg import (
 )
 
 __all__ = [
+    "MAX_BLOCK_ROWS",
     "MAX_ENUMERATION",
     "CodeHandle",
     "RankBasis",
@@ -58,6 +59,7 @@ __all__ = [
 ]
 
 MAX_ENUMERATION = 1 << 28  # enumeration guard on the codeword count
+MAX_BLOCK_ROWS = 1 << 16  # largest block codeword_blocks yields
 
 
 def lex_messages(q: int, k: int) -> np.ndarray:
@@ -216,11 +218,13 @@ def contains(code: CodeHandle, z) -> bool:
 
 
 def codeword_blocks(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Iterator[np.ndarray]:
-    """The code as one 2-D block per coset label a (in index order).
+    """The code as 2-D blocks of at most MAX_BLOCK_ROWS rows, coset label a
+    by coset label (in index order).
 
-    Within a block the Hamming-component message is the outer loop and the
+    Within a label the Hamming-component message is the outer loop and the
     extended-component message the inner one, each lexicographic, so the
-    overall row order is reproducible.
+    overall row order is reproducible.  A label with more rows than the cap
+    is split along that order.
     """
     count = codeword_count(code)
     if count > max_words:
@@ -231,6 +235,11 @@ def codeword_blocks(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Itera
     reps = code.rep_table
     images = code.perm.images
     points = code.hp.points
+    # Blocks take `outer` Hamming messages with every extended one, or,
+    # when the extended ones alone exceed the cap, one Hamming message with
+    # `span` of them.
+    outer = max(1, MAX_BLOCK_ROWS // len(dwords))
+    span = min(len(dwords), MAX_BLOCK_ROWS)
     for a_idx in range(points):
         ya = np.zeros(points, dtype=DTYPE)
         ta = int(images[a_idx])
@@ -239,10 +248,11 @@ def codeword_blocks(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Itera
             ya[ta] = q - 1
         left = (reps[a_idx] + cwords) % q
         right = (ya + dwords) % q
-        block = np.hstack(
-            [np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))]
-        )
-        yield block
+        for i in range(0, len(left), outer):
+            part = left[i : i + outer]
+            for j in range(0, len(right), span):
+                piece = right[j : j + span]
+                yield np.hstack([np.repeat(part, len(piece), axis=0), np.tile(piece, (len(part), 1))])
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,9 @@ __all__ = [
 MAX_SPACE_CELLS = 1 << 26  # occupancy array budget for the covering check
 MAX_CERT_CODE = 1 << 12  # largest code a certificate check will enumerate
 MAX_FULL_TRIPLES = 1 << 24  # closure is checked on all triples below this
+COUNT_SLICE = 1 << 20  # occupancy cells compared per step when counting overlaps
+CERT_CHUNK = 1 << 15  # image encodings held at once by the code-stability law
+CLOSURE_SLICE = 1024  # closure triples evaluated per batched step
 
 
 @dataclass(frozen=True)
@@ -125,16 +128,22 @@ def covering_occupancy(q: int, N: int, blocks: Iterable[np.ndarray]) -> tuple[in
     cells = q**N
     occ = np.zeros(cells, dtype=np.uint8)
     powers = q ** np.arange(N, dtype=DTYPE)
+    deltas = np.arange(1, q, dtype=DTYPE)
+    # A Python int operand sends np.add.at down its casting slow path,
+    # over 10x slower per index than an operand of the array's dtype.
+    one = np.uint8(1)
     for block in blocks:
         idx = block @ powers
-        np.add.at(occ, idx, 1)
+        np.add.at(occ, idx, one)
         for k in range(N):
-            col = block[:, k]
-            base = idx - col * powers[k]
-            for delta in range(1, q):
-                np.add.at(occ, base + (col + delta) % q * powers[k], 1)
-    overlapped = int((occ > 1).sum())
-    uncovered = int((occ == 0).sum())
+            col = block[:, k, None]
+            base = idx[:, None] - col * powers[k]
+            np.add.at(occ, (base + (col + deltas) % q * powers[k]).ravel(), one)
+    uncovered = cells - int(np.count_nonzero(occ))
+    overlapped = sum(
+        int(np.count_nonzero(occ[start : start + COUNT_SLICE] > 1))
+        for start in range(0, cells, COUNT_SLICE)
+    )
     return overlapped, uncovered
 
 
@@ -171,25 +180,32 @@ def check_perfect(
 def rank_by_elimination(ctx: FieldContext, words: Iterable, chunk: int = 4096) -> int:
     """Rank of a streamed set of vectors (1-D items or 2-D blocks).
 
-    Rows accumulate in chunks; after each chunk only an echelon basis is
-    kept, so memory stays at O(chunk x length) regardless of the stream.
+    Rows accumulate in chunks.  Only a reduced echelon basis is kept, so
+    memory stays at O(chunk x length) regardless of the stream.  Each chunk
+    is reduced against the basis with one product; the rows left nonzero
+    are new, and only then is the basis eliminated again.
     """
+    q = ctx.q
     basis: Optional[np.ndarray] = None
+    pivots: list[int] = []
     buf: list[np.ndarray] = []
     buffered = 0
 
     def crunch() -> None:
-        nonlocal basis, buf, buffered
+        nonlocal basis, pivots, buf, buffered
         if not buf:
             return
-        rows = np.vstack(buf)
-        if basis is not None:
-            rows = np.vstack([basis, rows])
-        work = rows % ctx.q
-        pivots = _eliminate(work, ctx.q, reduced=False)
-        basis = work[: len(pivots)].copy()
+        rows = np.vstack(buf) % q
         buf = []
         buffered = 0
+        if basis is not None:
+            rows = (rows - rows[:, pivots] @ basis) % q
+            rows = rows[rows.any(axis=1)]
+            if not rows.shape[0]:
+                return
+            rows = np.vstack([basis, rows])
+        pivots = _eliminate(rows, q, reduced=True)
+        basis = rows[: len(pivots)].copy()
 
     for item in words:
         arr = np.atleast_2d(np.asarray(item, dtype=DTYPE))
@@ -198,7 +214,7 @@ def rank_by_elimination(ctx: FieldContext, words: Iterable, chunk: int = 4096) -
         if buffered >= chunk:
             crunch()
     crunch()
-    return 0 if basis is None else int(basis.shape[0])
+    return len(pivots)
 
 
 def check_rank_equivalence(run: VerifyRun) -> VerifyReport:
@@ -394,6 +410,15 @@ def translation_certificate(code: CodeHandle, max_words: int = MAX_ENUMERATION) 
     return PropelinearCertificate(words, isos)
 
 
+def _apply_batch(sigma: np.ndarray, pis: np.ndarray, which: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Row j is apply_isometry of isometry which[j] to words[j], for the
+    isometries stacked as sigma (M, N) and pis (M, N, q)."""
+    targets = sigma[which]
+    out = np.empty_like(words)
+    out[np.arange(len(which))[:, None], targets] = pis[which[:, None], targets, words]
+    return out
+
+
 def check_propelinear_certificate(
     code: CodeHandle,
     cert: PropelinearCertificate,
@@ -409,6 +434,11 @@ def check_propelinear_certificate(
     phi_x(phi_y(w)) = phi_{phi_x(y)}(w) on codewords.  Closure is exhaustive
     up to the triple budget and sampled (result "probabilistic") beyond it.
     No search is attempted: a missing or wrong certificate is just rejected.
+
+    Each law runs in batches on the isometries stacked as sigma (M, N) and
+    pis (M, N, q).  A failure names the first isometry, or the first
+    closure triple in (x, y, w) order or in the order the samples were
+    drawn, as a loop over them would.
     """
     q, N = code.q, code.length
     params = _params(code, label)
@@ -426,50 +456,73 @@ def check_propelinear_certificate(
     if cert.words.shape != (M, N):
         raise ValueError(f"certificate domain must be the {M} codewords")
     cenc = cert.words @ powers
-    if not np.array_equal(np.sort(cenc), code_enc):
+    order = np.argsort(cenc)
+    if not np.array_equal(cenc[order], code_enc):
         raise ValueError("certificate domain is not the code")
-    lookup = {int(e): i for i, e in enumerate(cenc)}
+    if any(phi.pis.shape != (N, q) for phi in cert.isometries):
+        raise DimensionMismatch(f"every isometry must act on length-{N} words over {q} symbols")
+    sigma = np.stack([phi.sigma for phi in cert.isometries])
+    pis = np.stack([phi.pis for phi in cert.isometries])
 
     def failure(law: str, **where) -> VerifyReport:
         details = {"codewords": M, "law": law, **where}
         return VerifyReport("certificate", params, "fail", details)
 
-    zero = np.zeros(N, dtype=DTYPE)
-    for i in range(M):
-        if not np.array_equal(apply_isometry(cert.isometries[i], zero), cert.words[i]):
-            return failure("zero_image", index=i)
-    for i in range(M):
-        image_enc = apply_isometry_rows(cert.isometries[i], cert.words) @ powers
-        if not np.array_equal(np.sort(image_enc), code_enc):
-            return failure("code_stability", index=i)
+    # phi_i(0) has symbol pis_i[t][0] at every target t.
+    bad = np.flatnonzero((pis[:, :, 0] != cert.words).any(axis=1))
+    if bad.size:
+        return failure("zero_image", index=int(bad[0]))
+
+    # enc(phi_i(v)) = sum_k table[i, k*q + v[k]], where that entry is
+    # pis_i[sigma_i[k]][v[k]] * q**sigma_i[k].
+    moved = np.take_along_axis(pis, sigma[:, :, None], axis=1)
+    table = (moved * powers[sigma][:, :, None]).reshape(M, N * q)
+    cols = cert.words + q * np.arange(N, dtype=DTYPE)
+    step = max(1, CERT_CHUNK // M)
+    for start in range(0, M, step):
+        part = table[start : start + step]
+        image_enc = part[:, cols[:, 0]]
+        for k in range(1, N):
+            image_enc += part[:, cols[:, k]]
+        image_enc.sort(axis=1)
+        bad = np.flatnonzero((image_enc != code_enc).any(axis=1))
+        if bad.size:
+            return failure("code_stability", index=start + int(bad[0]))
+
+    def first_closure_failure(triples: np.ndarray):
+        """The first (x, y, w) row of triples with phi_x(phi_y(w)) !=
+        phi_{phi_x(y)}(w), or None.  Code stability holds by now, so every
+        phi_x(y) is found among the codewords."""
+        for start in range(0, len(triples), CLOSURE_SLICE):
+            x, y, w = triples[start : start + CLOSURE_SLICE].T
+            words = cert.words[w]
+            xy_enc = _apply_batch(sigma, pis, x, cert.words[y]) @ powers
+            xy = order[np.searchsorted(code_enc, xy_enc)]
+            lhs = _apply_batch(sigma, pis, x, _apply_batch(sigma, pis, y, words))
+            rhs = _apply_batch(sigma, pis, xy, words)
+            bad = np.flatnonzero((lhs != rhs).any(axis=1))
+            if bad.size:
+                return triples[start + int(bad[0])]
+        return None
 
     if M**3 <= max_full_triples:
         mode, triples = "full", M**3
+        labels = np.arange(M, dtype=DTYPE)
         for ix in range(M):
-            phix = cert.isometries[ix]
-            xy_enc = apply_isometry_rows(phix, cert.words) @ powers
-            for iy in range(M):
-                phiy = cert.isometries[iy]
-                lhs = apply_isometry_rows(phix, apply_isometry_rows(phiy, cert.words))
-                rhs = apply_isometry_rows(cert.isometries[lookup[int(xy_enc[iy])]], cert.words)
-                same = np.all(lhs == rhs, axis=1)
-                if not same.all():
-                    iw = int(np.flatnonzero(~same)[0])
-                    return failure("closure", x=ix, y=iy, w=iw)
+            found = first_closure_failure(
+                np.column_stack([np.full(M * M, ix), np.repeat(labels, M), np.tile(labels, M)])
+            )
+            if found is not None:
+                break
         result = "pass"
     else:
         mode, triples = "sampled", samples
         rng = np.random.default_rng(seed)
-        picks = rng.integers(0, M, size=(samples, 3))
-        for ix, iy, iw in picks:
-            phix, phiy = cert.isometries[ix], cert.isometries[iy]
-            w = cert.words[iw]
-            lhs = apply_isometry(phix, apply_isometry(phiy, w))
-            xy = lookup[int(apply_isometry(phix, cert.words[iy]) @ powers)]
-            rhs = apply_isometry(cert.isometries[xy], w)
-            if not np.array_equal(lhs, rhs):
-                return failure("closure", x=int(ix), y=int(iy), w=int(iw))
+        found = first_closure_failure(rng.integers(0, M, size=(samples, 3)))
         result = "probabilistic"
+    if found is not None:
+        ix, iy, iw = (int(v) for v in found)
+        return failure("closure", x=ix, y=iy, w=iw)
 
     details = {"codewords": M, "closure_mode": mode, "closure_triples": int(triples)}
     return VerifyReport("certificate", params, result, details)

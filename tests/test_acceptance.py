@@ -37,10 +37,12 @@ from qperfect.linalg import FieldContext, nullspace_basis
 from qperfect.verify import (
     Isometry,
     PropelinearCertificate,
+    VerifyRun,
     audit_rank_basis,
     check_additivity,
     check_perfect,
     check_propelinear_certificate,
+    check_rank_equivalence,
     identity_isometry,
     rank_by_elimination,
     translation_certificate,
@@ -312,3 +314,27 @@ def test_criterion_10_basis_audit_at_scale():
             assert rep.details["enumeration"] == "skipped"
             assert rep.details["vectors"] == rep.details["expected"] == vectors
             assert rep.details["independent"] and rep.details["non_members"] == 0
+
+
+def test_criterion_11_enumerate_checks():
+    # the checks that enumerate the code run in whole-array numpy: the
+    # covering of 7**8 cells, the sampled certificate of 2048 codewords and
+    # the streamed rank of 59049 ternary codewords
+    with criterion("criterion 11, enumerate-scale checks", 1.5):
+        ctx7 = FieldContext(7)
+        code = build_code(build_hamming_pair(ctx7, 1), identity_perm(ctx7, 1))
+        rep = check_perfect(code)
+        assert rep.result == "pass"
+        assert rep.details["cells"] == 7**8 and rep.details["codewords"] == 7**6
+
+        ctx2 = FieldContext(2)
+        code = build_code(build_hamming_pair(ctx2, 3), identity_perm(ctx2, 3))
+        rep = check_propelinear_certificate(code, translation_certificate(code))
+        assert rep.result == "probabilistic"
+        assert rep.details == {"codewords": 2048, "closure_mode": "sampled", "closure_triples": 5000}
+
+        ctx3 = FieldContext(3)
+        code = build_code(build_hamming_pair(ctx3, 2), shear_swap_perm(ctx3))
+        rep = check_rank_equivalence(VerifyRun(code))
+        assert rep.result == "pass"
+        assert rep.details == {"enumerated_rank": 12, "closed_form": 12}

@@ -169,8 +169,9 @@ def test_verify_file_tau_skips_construction_checks(tmp_path, capsys):
 
 
 # sha256 of the whole stdout of `qperfect verify <args>`.  Together these
-# reach every skip reason in CHECKS, a pass of each check, and the additivity
-# split on both sides of r = 2i.  tau.txt holds the shear-swap permutation.
+# reach every skip reason in CHECKS, a pass of each check, the certificate's
+# full and sampled closure, and the additivity split on both sides of r = 2i.
+# tau.txt holds the shear-swap permutation.
 VERIFY_STDOUT_SHA256 = [
     ("--q 3 --r 2 --tau builtin:shear",
      "d0e689f5fc1d1a31ad8c0479da508657f7f4cd28731935890383fef16bcf2c5f"),
@@ -188,6 +189,10 @@ VERIFY_STDOUT_SHA256 = [
      "008d7a826f8337d29adf05da4258385500508cb9a2b3c7f436ec42f04a4bfc8a"),
     ("--q 2 --r 2",  # certificate pass
      "d918bbd97f8b6fc2427eba57c098e0b426b3748c343a59d8c997ddd625f5d5c1"),
+    ("--q 2 --r 3",  # certificate: sampled closure
+     "7e7d0b4890a7c376f2acef3dc9833c68cd04b58b7ba868ba76dbf1acaf62b5b2"),
+    ("--q 5 --r 1",  # certificate: sampled closure
+     "6d0eafd057f4b7c000b784f6d115e96f8c60a7fc20cfd284667077f5a45426de"),
 ]
 
 

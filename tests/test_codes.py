@@ -14,6 +14,7 @@ from qperfect.affine import (
     series_perm,
     shear_swap_perm,
 )
+from qperfect import codes
 from qperfect.codes import (
     build_code,
     canonical_coset_reps,
@@ -268,6 +269,20 @@ def test_enumeration_guard():
     code = build_code(hp, shear_swap_perm(hp.ctx))
     with pytest.raises(ValueError):
         list(codeword_blocks(code, max_words=100))
+
+
+@pytest.mark.parametrize("cap", [7, 100, 729, 5000])
+def test_codeword_blocks_respect_the_row_cap(monkeypatch, cap):
+    # at (3,2) a coset label has 9 Hamming by 729 extended messages, so the
+    # caps split inside one Hamming message, at exactly one, and across six
+    hp = make(3, 2)
+    code = build_code(hp, shear_swap_perm(hp.ctx))
+    whole = list(codeword_blocks(code))
+    assert max(len(b) for b in whole) == 9 * 729
+    monkeypatch.setattr(codes, "MAX_BLOCK_ROWS", cap)
+    capped = list(codeword_blocks(code))
+    assert max(len(b) for b in capped) <= cap
+    assert np.array_equal(np.vstack(capped), np.vstack(whole))
 
 
 # -- counts and rank -------------------------------------------------------

@@ -1,7 +1,9 @@
 """Independent verification: perfection, rank streams, audits, certificates."""
 
 import dataclasses
+import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from qperfect import verify
 from qperfect.affine import PermTable, identity_perm, series_group, series_perm, shear_swap_perm
 from qperfect.codes import build_code, codeword_blocks, codeword_count
 from qperfect.hamming import build_hamming_pair
-from qperfect.linalg import DimensionMismatch, FieldContext, rank
+from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, rank
 from qperfect.verify import (
     Isometry,
     PropelinearCertificate,
@@ -74,6 +76,43 @@ def test_covering_occupancy_flags_duplicate_word():
     assert overlapped > 0 and uncovered > 0
 
 
+def covering_counts_oracle(q, N, words):
+    """(overlapped, uncovered) cells from a Counter over each word's
+    radius-1 ball."""
+    marks = Counter()
+    for word in words:
+        marks[tuple(word)] += 1
+        for k in range(N):
+            for delta in range(1, q):
+                moved = list(word)
+                moved[k] = (moved[k] + delta) % q
+                marks[tuple(moved)] += 1
+    return sum(1 for c in marks.values() if c > 1), q**N - len(marks)
+
+
+def move_word(blocks, q):
+    blocks[0][0, 0] = (blocks[0][0, 0] + 1) % q
+
+
+def duplicate_word(blocks, q):
+    blocks[0][1] = blocks[0][0]
+
+
+@pytest.mark.parametrize("count_slice", [None, 7])
+@pytest.mark.parametrize("mutate", [move_word, duplicate_word])
+@pytest.mark.parametrize("q,r", [(2, 2), (3, 1)])
+def test_covering_occupancy_exact_counts(monkeypatch, q, r, mutate, count_slice):
+    # 7 divides neither 2**7 nor 3**4 cells, so the last slice is short
+    if count_slice is not None:
+        monkeypatch.setattr(verify, "COUNT_SLICE", count_slice)
+    code = small_code(q, r)
+    blocks = [b.copy() for b in codeword_blocks(code)]
+    mutate(blocks, q)
+    want = covering_counts_oracle(q, code.length, np.vstack(blocks))
+    assert want[0] > 0 and want[1] > 0
+    assert covering_occupancy(q, code.length, blocks) == want
+
+
 @pytest.mark.parametrize(
     "q,r,tau_builder",
     [
@@ -126,6 +165,53 @@ def test_rank_by_elimination_matches_dense_rank(q, rows, cols, chunk, seed):
     ctx = FieldContext(q)
     mat = np.random.default_rng(seed).integers(0, q, size=(rows, cols))
     assert rank_by_elimination(ctx, list(mat), chunk=chunk) == rank(ctx, mat)
+
+
+def low_rank_stream(rng, q, rows, cols, generators):
+    """rows random combinations of a few random generators, as 1-D items
+    and 2-D blocks mixed."""
+    gens = rng.integers(0, q, size=(generators, cols))
+    mat = rng.integers(0, q, size=(rows, generators)) @ gens % q
+    cuts = np.sort(rng.integers(0, rows + 1, size=4))
+    items = []
+    for k, part in enumerate(np.split(mat, cuts)):
+        items.extend(list(part) if k % 2 else [part])
+    return items, mat
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_rank_by_elimination_matches_rank_on_seeded_streams(q, chunk):
+    ctx = FieldContext(q)
+    rng = np.random.default_rng(1000 * q + chunk)
+    for rows, cols, generators in [(40, 9, 4), (60, 12, 12), (25, 6, 1), (9, 5, 9)]:
+        items, mat = low_rank_stream(rng, q, rows, cols, generators)
+        assert rank_by_elimination(ctx, items, chunk=chunk) == rank(ctx, mat)
+        assert rank_by_elimination(ctx, list(mat), chunk=chunk) == rank(ctx, mat)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_rank_by_elimination_edge_streams(chunk):
+    ctx = FieldContext(5)
+    assert rank_by_elimination(ctx, iter([]), chunk=chunk) == 0
+    assert rank_by_elimination(ctx, [np.zeros(6, dtype=DTYPE)] * 10, chunk=chunk) == 0
+    assert rank_by_elimination(ctx, [np.zeros((4, 6), dtype=DTYPE)], chunk=chunk) == 0
+    # entries outside [0, q) are reduced first
+    assert rank_by_elimination(ctx, [[5, -5, 10], [1, 0, 0]], chunk=chunk) == 1
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+def test_rank_by_elimination_rank_grows_in_a_late_chunk(chunk):
+    # after 20 rows in the span of two vectors, the basis is non-empty and
+    # every chunk reduces to zero, until the last row adds a third direction
+    ctx = FieldContext(3)
+    rng = np.random.default_rng(7)
+    span = np.array([[1, 2, 0, 0, 1], [0, 1, 1, 0, 2]])
+    early = rng.integers(0, 3, size=(20, 2)) @ span % 3
+    late = np.array([0, 0, 0, 1, 0])
+    items = list(early) + [late]
+    assert rank_by_elimination(ctx, items, chunk=chunk) == 3
+    assert rank_by_elimination(ctx, items[:-1], chunk=chunk) == 2
 
 
 # -- rank basis audit --------------------------------------------------------
@@ -369,14 +455,17 @@ def test_certificate_rejects_mutated_symbol_table():
 def code_coordinate_automorphism(code):
     """Helper: a nonidentity coordinate permutation stabilizing the code,
     found by scanning transposition products (test scaffolding only)."""
-    import itertools
-
     words = np.vstack(list(codeword_blocks(code)))
-    word_set = {tuple(w) for w in words}
+    powers = code.q ** np.arange(code.length)
+    members = set((words @ powers).tolist())
+    probe = words[:: max(1, len(words) // 16)]  # rejects most candidates cheaply
     for p in itertools.permutations(range(code.length)):
         if p == tuple(range(code.length)):
             continue
-        if {tuple(row[list(p)]) for row in words} == word_set:
+        p = list(p)
+        if all(e in members for e in (probe[:, p] @ powers).tolist()) and members.issuperset(
+            (words[:, p] @ powers).tolist()
+        ):
             return np.array(p)
     raise AssertionError("no coordinate automorphism found")
 
@@ -425,3 +514,121 @@ def test_certificate_domain_must_match():
         check_propelinear_certificate(code, PropelinearCertificate(words, cert.isometries))
     with pytest.raises(DimensionMismatch):
         PropelinearCertificate(cert.words, cert.isometries[:-1])
+    # a ternary symbol table on a binary code
+    isos = list(cert.isometries)
+    isos[0] = identity_isometry(FieldContext(3), code.length)
+    with pytest.raises(DimensionMismatch):
+        check_propelinear_certificate(code, PropelinearCertificate(cert.words, isos))
+
+
+def loop_certificate_check(
+    code, cert, max_code=verify.MAX_CERT_CODE, max_full_triples=verify.MAX_FULL_TRIPLES, samples=5000, seed=0, label="custom"
+):
+    """Oracle: the certificate check as a loop over isometries and triples,
+    one isometry application per step, with a dict from encodings to
+    labels."""
+    q, N = code.q, code.length
+    params = {"q": code.q, "r": code.r, "tau": label}
+    size = codeword_count(code)
+    if size > max_code:
+        details = {"reason": "code too large for certificate checking", "codewords": size, "budget": max_code}
+        return VerifyReport("certificate", params, "skipped", details)
+
+    powers = q ** np.arange(N, dtype=DTYPE)
+    code_enc = np.sort(np.concatenate([block @ powers for block in codeword_blocks(code)]))
+    M = code_enc.shape[0]
+    if cert.words.shape != (M, N):
+        raise ValueError(f"certificate domain must be the {M} codewords")
+    cenc = cert.words @ powers
+    if not np.array_equal(np.sort(cenc), code_enc):
+        raise ValueError("certificate domain is not the code")
+    lookup = {int(e): i for i, e in enumerate(cenc)}
+
+    def failure(law, **where):
+        return VerifyReport("certificate", params, "fail", {"codewords": M, "law": law, **where})
+
+    zero = np.zeros(N, dtype=DTYPE)
+    for i in range(M):
+        if not np.array_equal(apply_isometry(cert.isometries[i], zero), cert.words[i]):
+            return failure("zero_image", index=i)
+    for i in range(M):
+        image_enc = apply_isometry_rows(cert.isometries[i], cert.words) @ powers
+        if not np.array_equal(np.sort(image_enc), code_enc):
+            return failure("code_stability", index=i)
+
+    if M**3 <= max_full_triples:
+        mode, triples = "full", M**3
+        for ix in range(M):
+            phix = cert.isometries[ix]
+            xy_enc = apply_isometry_rows(phix, cert.words) @ powers
+            for iy in range(M):
+                phiy = cert.isometries[iy]
+                lhs = apply_isometry_rows(phix, apply_isometry_rows(phiy, cert.words))
+                rhs = apply_isometry_rows(cert.isometries[lookup[int(xy_enc[iy])]], cert.words)
+                same = np.all(lhs == rhs, axis=1)
+                if not same.all():
+                    iw = int(np.flatnonzero(~same)[0])
+                    return failure("closure", x=ix, y=iy, w=iw)
+        result = "pass"
+    else:
+        mode, triples = "sampled", samples
+        rng = np.random.default_rng(seed)
+        picks = rng.integers(0, M, size=(samples, 3))
+        for ix, iy, iw in picks:
+            phix, phiy = cert.isometries[ix], cert.isometries[iy]
+            w = cert.words[iw]
+            lhs = apply_isometry(phix, apply_isometry(phiy, w))
+            xy = lookup[int(apply_isometry(phix, cert.words[iy]) @ powers)]
+            rhs = apply_isometry(cert.isometries[xy], w)
+            if not np.array_equal(lhs, rhs):
+                return failure("closure", x=int(ix), y=int(iy), w=int(iw))
+        result = "probabilistic"
+
+    details = {"codewords": M, "closure_mode": mode, "closure_triples": int(triples)}
+    return VerifyReport("certificate", params, result, details)
+
+
+def nonzero_label(cert, rng):
+    return int(rng.choice(np.flatnonzero(cert.words.any(axis=1))))
+
+
+def mutate_certificate(code, cert, how, rng):
+    """A translation certificate with one seeded mutation."""
+    isos = list(cert.isometries)
+    if how == "identity":
+        isos[nonzero_label(cert, rng)] = identity_isometry(code.ctx, code.length)
+    elif how == "swap_labels":
+        i, j = rng.choice(len(isos), size=2, replace=False)
+        isos[i], isos[j] = isos[j], isos[i]
+    elif how == "transpose_sigma":
+        # at two labels, so the report must pick the first of two failures
+        for i in rng.choice(np.flatnonzero(cert.words.any(axis=1)), size=2, replace=False):
+            a, b = rng.choice(code.length, size=2, replace=False)
+            sigma = isos[i].sigma.copy()
+            sigma[[a, b]] = sigma[[b, a]]
+            isos[i] = Isometry(sigma, isos[i].pis)
+    elif how == "swap_symbols":
+        i = nonzero_label(cert, rng)
+        k = int(rng.integers(code.length))
+        # past q = 2, leave symbol 0 in place so the zero image survives
+        s, t = rng.choice(np.arange(code.q > 2, code.q), size=2, replace=False)
+        pis = isos[i].pis.copy()
+        pis[k, [s, t]] = pis[k, [t, s]]
+        isos[i] = Isometry(isos[i].sigma, pis)
+    elif how == "closure":
+        return closure_broken_certificate(code)
+    return PropelinearCertificate(cert.words, isos)
+
+
+@pytest.mark.parametrize("how", ["none", "identity", "swap_labels", "transpose_sigma", "swap_symbols", "closure"])
+@pytest.mark.parametrize("q,r,mode", [(2, 2, "full"), (3, 1, "full"), (2, 3, "sampled"), (5, 1, "sampled")])
+def test_certificate_check_matches_loop_oracle(q, r, mode, how):
+    code = small_code(q, r)
+    cert = translation_certificate(code)
+    for seed in (0, 1):
+        bad = mutate_certificate(code, cert, how, np.random.default_rng(seed))
+        got = check_propelinear_certificate(code, bad, seed=seed, label="t")
+        want = loop_certificate_check(code, bad, seed=seed, label="t")
+        assert got == want
+        assert got.details.get("closure_mode", mode) == mode
+        assert (got.result == "fail") == (how != "none")
