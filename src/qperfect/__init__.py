@@ -18,16 +18,11 @@ from .hamming import (
     vec_to_index,
 )
 from .affine import (
-    AffineElement,
     CheckResult,
     PermTable,
     RegularSubgroup,
-    apply_element,
-    compose,
     direct_product,
-    identity_element,
     identity_perm,
-    inverse_element,
     iterate_perms,
     linear_perm,
     perm_inverse,
@@ -54,17 +49,14 @@ from .codes import (
     rank_closed_form,
 )
 from .verify import (
-    Isometry,
     PropelinearCertificate,
     VerifyReport,
-    apply_isometry,
     audit_rank_basis,
     check_additivity,
     check_perfect,
     check_propelinear_certificate,
     rank_by_elimination,
     translation_certificate,
-    translation_isometry,
 )
 
 __version__ = "0.1.0"

@@ -14,29 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamming import all_vectors, field_powers, index_to_vec, vec_to_index
-from .linalg import (
-    DTYPE,
-    DimensionMismatch,
-    FieldContext,
-    ParseError,
-    is_invertible,
-    mat_inv,
-)
+from .hamming import all_vectors, field_powers
+from .linalg import DTYPE, DimensionMismatch, FieldContext, ParseError, is_invertible
 
 __all__ = [
     "VERIFY_GUARD",
-    "AffineElement",
     "CheckResult",
     "PermTable",
     "RegularSubgroup",
-    "apply_element",
-    "compose",
     "direct_product",
-    "group_element",
-    "identity_element",
     "identity_perm",
-    "inverse_element",
     "iterate_perms",
     "linear_perm",
     "perm_inverse",
@@ -65,50 +52,6 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass(frozen=True)
-class AffineElement:
-    ctx: FieldContext
-    a: np.ndarray
-    M: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.ctx.vector(self.a))
-        object.__setattr__(self, "M", self.ctx.matrix(self.M))
-        r = self.a.shape[0]
-        if self.M.shape != (r, r):
-            raise DimensionMismatch(f"matrix part must be {r}x{r}, got {self.M.shape}")
-        if not is_invertible(self.ctx, self.M):
-            raise ValueError("matrix part must be invertible")
-
-    @property
-    def r(self) -> int:
-        return self.a.shape[0]
-
-
-def identity_element(ctx: FieldContext, r: int) -> AffineElement:
-    return AffineElement(ctx, np.zeros(r, dtype=DTYPE), np.eye(r, dtype=DTYPE))
-
-
-def compose(g: AffineElement, h: AffineElement) -> AffineElement:
-    if g.ctx != h.ctx or g.r != h.r:
-        raise DimensionMismatch("elements live in different affine groups")
-    q = g.ctx.q
-    return AffineElement(g.ctx, (g.a + g.M @ h.a) % q, g.M @ h.M % q)
-
-
-def apply_element(g: AffineElement, b) -> np.ndarray:
-    bb = g.ctx.vector(b)
-    if bb.shape[0] != g.r:
-        raise DimensionMismatch(f"point must have length {g.r}")
-    return (g.a + g.M @ bb) % g.ctx.q
-
-
-def inverse_element(g: AffineElement) -> AffineElement:
-    minv = mat_inv(g.ctx, g.M)
-    assert minv is not None  # invertibility is a constructor invariant
-    return AffineElement(g.ctx, (-(minv @ g.a)) % g.ctx.q, minv)
 
 
 @dataclass(frozen=True)
@@ -176,11 +119,6 @@ class RegularSubgroup:
     @property
     def size(self) -> int:
         return self.matrices.shape[0]
-
-
-def group_element(G: RegularSubgroup, idx: int) -> AffineElement:
-    a = index_to_vec(G.ctx.q, G.r, idx)
-    return AffineElement(G.ctx, a, G.matrices[idx])
 
 
 def translation_group(ctx: FieldContext, r: int) -> RegularSubgroup:

@@ -54,6 +54,8 @@ def _resolve_perm(
 ) -> tuple[PermTable, Optional[RegularSubgroup]]:
     """Map a --tau argument to a permutation and, for builtins, the regular
     subgroup whose automorphism induces it (None for file permutations)."""
+    if copies is not None and source != "builtin:series":
+        raise UsageError("--i applies only to builtin:series")
     if source == "builtin:identity":
         return identity_perm(ctx, r), translation_group(ctx, r)
     if source == "builtin:shear":
@@ -126,7 +128,7 @@ def cmd_verify(args) -> int:
         build_code(hp, perm),
         args.tau,
         group,
-        args.i if args.tau == "builtin:series" else None,
+        args.i,
         args.max_space_cells,
         args.max_codewords,
         args.max_cert_codewords,

@@ -75,27 +75,6 @@ class FieldContext:
         if not is_prime(self.q):
             raise ValueError(f"modulus must be prime, got {self.q}")
 
-    # -- scalar arithmetic --------------------------------------------
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.q
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.q
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.q
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.q
-
-    def inv(self, x: int) -> int:
-        if x % self.q == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(x, self.q - 2, self.q)
-
-    # -- array construction -------------------------------------------
-
     def reduce(self, values) -> np.ndarray:
         """Reduce arbitrary integer data mod q; negative literals wrap."""
         return np.asarray(values, dtype=DTYPE) % self.q
@@ -111,12 +90,6 @@ class FieldContext:
         if m.ndim != 2:
             raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
         return m
-
-    def identity(self, n: int) -> np.ndarray:
-        return np.eye(n, dtype=DTYPE)
-
-    def zeros(self, *shape: int) -> np.ndarray:
-        return np.zeros(shape, dtype=DTYPE)
 
 
 def _eliminate(a: np.ndarray, q: int, reduced: bool) -> list[int]:

@@ -45,22 +45,17 @@ __all__ = [
     "MAX_CERT_CODE",
     "MAX_FULL_TRIPLES",
     "MAX_SPACE_CELLS",
-    "Isometry",
     "PropelinearCertificate",
     "VerifyReport",
     "VerifyRun",
-    "apply_isometry",
-    "apply_isometry_rows",
     "audit_rank_basis",
     "check_additivity",
     "check_perfect",
     "check_propelinear_certificate",
     "check_rank_equivalence",
     "covering_occupancy",
-    "identity_isometry",
     "rank_by_elimination",
     "translation_certificate",
-    "translation_isometry",
 ]
 
 MAX_SPACE_CELLS = 1 << 26  # occupancy array budget for the covering check
@@ -329,90 +324,48 @@ def _run_group_premises(run: VerifyRun) -> VerifyReport:
     return VerifyReport("group_premises", params, "pass" if sub.ok and aut.ok else "fail", details)
 
 
-# -- isometries and propelinear certificates ------------------------------
-
-
-@dataclass(frozen=True)
-class Isometry:
-    """A coordinate permutation plus one symbol substitution per coordinate:
-    the image w of v has w[sigma[k]] = pis[sigma[k]][v[k]]."""
-
-    sigma: np.ndarray
-    pis: np.ndarray
-
-    def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=DTYPE)
-        pis = np.asarray(self.pis, dtype=DTYPE)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "pis", pis)
-        N = sigma.shape[0]
-        if pis.ndim != 2 or pis.shape[0] != N:
-            raise DimensionMismatch("need one symbol table per coordinate")
-        if not np.array_equal(np.sort(sigma), np.arange(N, dtype=DTYPE)):
-            raise ValueError("sigma is not a permutation of the coordinates")
-        q = pis.shape[1]
-        if not np.array_equal(np.sort(pis, axis=1), np.tile(np.arange(q, dtype=DTYPE), (N, 1))):
-            raise ValueError("every symbol table must permute 0..q-1")
-
-
-def identity_isometry(ctx: FieldContext, N: int) -> Isometry:
-    return Isometry(np.arange(N, dtype=DTYPE), np.tile(np.arange(ctx.q, dtype=DTYPE), (N, 1)))
-
-
-def translation_isometry(ctx: FieldContext, x) -> Isometry:
-    """The isometry v -> v + x (identity coordinate permutation)."""
-    xx = ctx.vector(x)
-    N = xx.shape[0]
-    pis = (np.arange(ctx.q, dtype=DTYPE)[None, :] + xx[:, None]) % ctx.q
-    return Isometry(np.arange(N, dtype=DTYPE), pis)
-
-
-def apply_isometry(phi: Isometry, v) -> np.ndarray:
-    vv = np.asarray(v, dtype=DTYPE)
-    N, q = phi.pis.shape
-    if vv.shape != (N,):
-        raise DimensionMismatch(f"word must have length {N}")
-    if ((vv < 0) | (vv >= q)).any():
-        raise ValueError(f"symbols must lie in [0, {q - 1}]")
-    w = np.empty(N, dtype=DTYPE)
-    w[phi.sigma] = phi.pis[phi.sigma, vv]
-    return w
-
-
-def apply_isometry_rows(phi: Isometry, words: np.ndarray) -> np.ndarray:
-    """apply_isometry for every row of a 2-D array at once."""
-    N = phi.sigma.shape[0]
-    tables = phi.pis[phi.sigma]  # row k: symbol table used at target sigma[k]
-    cols = tables[np.arange(N)[:, None], words.T]  # [k, m] = pis[sigma[k]][words[m, k]]
-    out = np.empty_like(words)
-    out[:, phi.sigma] = cols.T
-    return out
+# -- propelinear certificates ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class PropelinearCertificate:
-    """One isometry per codeword, claimed to form a regular group action."""
+    """One isometry per codeword, claimed to form a regular group action,
+    stacked as tables: isometry i is labelled by words[i] (M, N) and maps v
+    to the w with w[sigma[i, k]] = pis[i, sigma[i, k], v[k]], for sigma
+    (M, N) and pis (M, N, q).  The tables are validated when the
+    certificate is built."""
 
     words: np.ndarray
-    isometries: tuple
+    sigma: np.ndarray
+    pis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "isometries", tuple(self.isometries))
-        if len(self.isometries) != self.words.shape[0]:
-            raise DimensionMismatch("need exactly one isometry per codeword")
+        words, sigma, pis = (np.asarray(a, dtype=DTYPE) for a in (self.words, self.sigma, self.pis))
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "pis", pis)
+        if words.ndim != 2 or sigma.shape != words.shape or pis.ndim != 3 or pis.shape[:2] != words.shape:
+            raise DimensionMismatch("need one coordinate permutation and N symbol tables per codeword")
+        N, q = pis.shape[1:]
+        if not (np.sort(sigma, axis=1) == np.arange(N, dtype=DTYPE)).all():
+            raise ValueError("every sigma row must permute the coordinates")
+        if not (np.sort(pis, axis=2) == np.arange(q, dtype=DTYPE)).all():
+            raise ValueError("every symbol table must permute 0..q-1")
 
 
 def translation_certificate(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> PropelinearCertificate:
     """The certificate {v -> v + x : x in code}; a valid regular action
     whenever the code is linear (e.g. the identity gluing permutation)."""
     words = np.vstack(list(codeword_blocks(code, max_words)))
-    isos = tuple(translation_isometry(code.ctx, w) for w in words)
-    return PropelinearCertificate(words, isos)
+    M, N = words.shape
+    sigma = np.tile(np.arange(N, dtype=DTYPE), (M, 1))
+    pis = (words[:, :, None] + np.arange(code.q, dtype=DTYPE)) % code.q
+    return PropelinearCertificate(words, sigma, pis)
 
 
 def _apply_batch(sigma: np.ndarray, pis: np.ndarray, which: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Row j is apply_isometry of isometry which[j] to words[j], for the
-    isometries stacked as sigma (M, N) and pis (M, N, q)."""
+    """Row j is the image of words[j] under isometry which[j] of the
+    certificate tables sigma (M, N) and pis (M, N, q)."""
     targets = sigma[which]
     out = np.empty_like(words)
     out[np.arange(len(which))[:, None], targets] = pis[which[:, None], targets, words]
@@ -435,8 +388,8 @@ def check_propelinear_certificate(
     up to the triple budget and sampled (result "probabilistic") beyond it.
     No search is attempted: a missing or wrong certificate is just rejected.
 
-    Each law runs in batches on the isometries stacked as sigma (M, N) and
-    pis (M, N, q).  A failure names the first isometry, or the first
+    Each law runs in batches on the certificate's sigma (M, N) and pis
+    (M, N, q) tables.  A failure names the first isometry, or the first
     closure triple in (x, y, w) order or in the order the samples were
     drawn, as a loop over them would.
     """
@@ -459,10 +412,9 @@ def check_propelinear_certificate(
     order = np.argsort(cenc)
     if not np.array_equal(cenc[order], code_enc):
         raise ValueError("certificate domain is not the code")
-    if any(phi.pis.shape != (N, q) for phi in cert.isometries):
-        raise DimensionMismatch(f"every isometry must act on length-{N} words over {q} symbols")
-    sigma = np.stack([phi.sigma for phi in cert.isometries])
-    pis = np.stack([phi.pis for phi in cert.isometries])
+    if cert.pis.shape[2] != q:
+        raise DimensionMismatch(f"every isometry must act on words over {q} symbols")
+    sigma, pis = cert.sigma, cert.pis
 
     def failure(law: str, **where) -> VerifyReport:
         details = {"codewords": M, "law": law, **where}

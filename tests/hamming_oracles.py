@@ -22,7 +22,7 @@ def hamming_coset_rep(hp: HammingPair, a) -> np.ndarray:
     if nz.size == 0:
         return x
     lam = int(aa[nz[0]])
-    target = vec_to_index(hp.q, (aa * hp.ctx.inv(lam)) % hp.q)
+    target = vec_to_index(hp.q, (aa * pow(lam, hp.q - 2, hp.q)) % hp.q)
     j = int(np.searchsorted(hp.hamming_col_index, target))
     x[j] = lam
     return x

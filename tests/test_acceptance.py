@@ -35,7 +35,6 @@ from qperfect.codes import (
 from qperfect.hamming import build_hamming_pair, index_to_vec, stacked_parity
 from qperfect.linalg import FieldContext, nullspace_basis
 from qperfect.verify import (
-    Isometry,
     PropelinearCertificate,
     VerifyRun,
     audit_rank_basis,
@@ -43,7 +42,6 @@ from qperfect.verify import (
     check_perfect,
     check_propelinear_certificate,
     check_rank_equivalence,
-    identity_isometry,
     rank_by_elimination,
     translation_certificate,
 )
@@ -217,28 +215,28 @@ def test_criterion_8_propelinear_certificates():
             assert rep.details["closure_triples"] == codeword_count(code) ** 3
 
             # mutation: identity isometry at a nonzero word
-            isos = list(cert.isometries)
-            isos[1] = identity_isometry(ctx, code.length)
+            sigma, pis = cert.sigma.copy(), cert.pis.copy()
+            sigma[1] = np.arange(code.length)
+            pis[1] = np.arange(q)
             rep = check_propelinear_certificate(
-                code, PropelinearCertificate(cert.words, isos)
+                code, PropelinearCertificate(cert.words, sigma, pis)
             )
             assert rep.result == "fail" and rep.details["law"] == "zero_image"
 
             # mutation: two labels swapped
-            isos = list(cert.isometries)
-            isos[1], isos[2] = isos[2], isos[1]
+            sigma, pis = cert.sigma.copy(), cert.pis.copy()
+            sigma[[1, 2]] = sigma[[2, 1]]
+            pis[[1, 2]] = pis[[2, 1]]
             rep = check_propelinear_certificate(
-                code, PropelinearCertificate(cert.words, isos)
+                code, PropelinearCertificate(cert.words, sigma, pis)
             )
             assert rep.result == "fail" and rep.details["law"] == "zero_image"
 
             # mutation: a coordinate transposition inside one isometry
-            isos = list(cert.isometries)
-            sigma = np.arange(code.length)
-            sigma[[0, 1]] = sigma[[1, 0]]
-            isos[2] = Isometry(sigma, isos[2].pis)
+            sigma = cert.sigma.copy()
+            sigma[2, [0, 1]] = sigma[2, [1, 0]]
             rep = check_propelinear_certificate(
-                code, PropelinearCertificate(cert.words, isos)
+                code, PropelinearCertificate(cert.words, sigma, cert.pis)
             )
             assert rep.result == "fail" and rep.details["law"] == "code_stability"
 
@@ -247,7 +245,7 @@ def test_criterion_8_propelinear_certificates():
             words[1, 0] = (words[1, 0] + 1) % q
             with pytest.raises(ValueError):
                 check_propelinear_certificate(
-                    code, PropelinearCertificate(words, cert.isometries)
+                    code, PropelinearCertificate(words, cert.sigma, cert.pis)
                 )
 
         # mutation specific to q=3: twist one symbol table, zero image intact
@@ -256,11 +254,9 @@ def test_criterion_8_propelinear_certificates():
         cert = translation_certificate(code)
         i = next(k for k in range(len(cert.words)) if cert.words[k].any())
         j = int(np.flatnonzero(cert.words[i])[0])
-        pis = cert.isometries[i].pis.copy()
-        pis[j, [1, 2]] = pis[j, [2, 1]]
-        isos = list(cert.isometries)
-        isos[i] = Isometry(cert.isometries[i].sigma, pis)
-        rep = check_propelinear_certificate(code, PropelinearCertificate(cert.words, isos))
+        pis = cert.pis.copy()
+        pis[i, j, [1, 2]] = pis[i, j, [2, 1]]
+        rep = check_propelinear_certificate(code, PropelinearCertificate(cert.words, cert.sigma, pis))
         assert rep.result == "fail" and rep.details["law"] == "code_stability"
 
 

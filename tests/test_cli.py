@@ -248,6 +248,9 @@ def test_series_needs_odd_characteristic(capsys):
         (["verify", "--q", "2", "--r", "2", "--tau", "builtin:shear"], "q >= 3"),
         (["verify", "--q", "4", "--r", "2"], "prime"),
         (["build", "--q", "3", "--r", "2", "--tau", "/nonexistent/tau.txt", "--out", "/tmp/x"], ""),
+        (["build", "--q", "3", "--r", "2", "--tau", "builtin:shear", "--i", "5", "--out", "/tmp/x"],
+         "--i applies only to builtin:series"),
+        (["verify", "--q", "3", "--r", "2", "--i", "1"], "--i applies only to builtin:series"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv, fragment):

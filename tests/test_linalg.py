@@ -10,6 +10,7 @@ from qperfect.linalg import (
     DimensionMismatch,
     FieldContext,
     ParseError,
+    _inverse_table,
     is_invertible,
     is_prime,
     mat_inv,
@@ -53,38 +54,16 @@ def test_is_prime_small_values():
 
 
 @pytest.mark.parametrize("q", PRIMES)
-def test_field_axioms_exhaustive(q):
-    ctx = FieldContext(q)
-    els = range(q)
-    for x in els:
-        assert ctx.add(x, ctx.neg(x)) == 0
-        for y in els:
-            assert ctx.add(x, y) == ctx.add(y, x)
-            assert ctx.mul(x, y) == ctx.mul(y, x)
-            assert ctx.sub(x, y) == ctx.add(x, ctx.neg(y))
-            for z in els:
-                assert ctx.add(ctx.add(x, y), z) == ctx.add(x, ctx.add(y, z))
-                assert ctx.mul(ctx.mul(x, y), z) == ctx.mul(x, ctx.mul(y, z))
-                assert ctx.mul(x, ctx.add(y, z)) == ctx.add(ctx.mul(x, y), ctx.mul(x, z))
-
-
-@pytest.mark.parametrize("q", PRIMES)
 def test_inverses_match_scan(q):
-    ctx = FieldContext(q)
+    table = _inverse_table(q)
     for x in range(1, q):
         by_scan = next(y for y in range(1, q) if x * y % q == 1)
-        assert ctx.inv(x) == by_scan
-        assert ctx.mul(x, ctx.inv(x)) == 1
+        assert table[x] == by_scan
 
 
 def test_inverse_frozen_values():
-    assert FieldContext(3).inv(2) == 2
-    assert FieldContext(7).inv(3) == 5  # 3 * 5 = 15 = 2*7 + 1
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        FieldContext(5).inv(0)
+    assert _inverse_table(3)[2] == 2
+    assert _inverse_table(7)[3] == 5  # 3 * 5 = 15 = 2*7 + 1
 
 
 def test_reduce_canonicalizes_negatives():
@@ -152,7 +131,7 @@ def test_nullspace_frozen_examples():
     assert basis.tolist() == [[2, 1, 0], [2, 0, 1]]
     ctx2 = FieldContext(2)
     assert nullspace_basis(ctx2, [[1, 1]]).tolist() == [[1, 1]]
-    assert nullspace_basis(ctx3, ctx3.identity(2)).shape == (0, 2)
+    assert nullspace_basis(ctx3, np.eye(2, dtype=np.int64)).shape == (0, 2)
     # empty matrix constrains nothing
     assert nullspace_basis(ctx3, np.zeros((0, 3), dtype=int)).tolist() == [
         [1, 0, 0],
@@ -166,8 +145,8 @@ def test_invertibility():
     assert not is_invertible(ctx, [[1, 2], [2, 1]])  # second row = 2 * first
     m = ctx.matrix([[1, 2], [0, 1]])
     minv = mat_inv(ctx, m)
-    assert np.array_equal(m @ minv % 3, ctx.identity(2))
-    assert np.array_equal(minv @ m % 3, ctx.identity(2))
+    assert np.array_equal(m @ minv % 3, np.eye(2, dtype=np.int64))
+    assert np.array_equal(minv @ m % 3, np.eye(2, dtype=np.int64))
     with pytest.raises(DimensionMismatch):
         mat_inv(ctx, [[1, 2, 0], [0, 1, 1]])
 
@@ -187,7 +166,7 @@ def test_mat_inv_round_trip(data):
     if minv is None:
         assert rank(ctx, m) < n
     else:
-        assert np.array_equal(m @ minv % q, ctx.identity(n))
+        assert np.array_equal(m @ minv % q, np.eye(n, dtype=np.int64))
 
 
 def test_rref_pivots_are_first_nonzero_columns():

@@ -1,9 +1,12 @@
 """Every exported name resolves, so a stale export fails here rather than at
-`from qperfect.<module> import *`."""
+`from qperfect.<module> import *`, and so does every name the benchmark's
+tracer wraps."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import qperfect
@@ -31,3 +34,20 @@ def test_package_reexports_are_module_exports():
                 if alias.name not in getattr(module, "__all__", ()) or not hasattr(qperfect, alias.name)
             ]
     assert not stray
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
+    # perfbench/tracing.py getattrs these names on the modules when a traced
+    # run installs it; a rename in src/ would fail there, mid-benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look themselves up here
+    spec.loader.exec_module(tracing)
+    wanted = list(tracing.WRAPPED) + [("codes", "codeword_blocks"), ("cli", "main"), ("affine", "PermTable")]
+    missing = [
+        f"{module}.{name}"
+        for module, name in wanted
+        if not hasattr(importlib.import_module(f"qperfect.{module}"), name)
+    ]
+    assert not missing

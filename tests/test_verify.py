@@ -15,21 +15,16 @@ from qperfect.codes import build_code, codeword_blocks, codeword_count
 from qperfect.hamming import build_hamming_pair
 from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, rank
 from qperfect.verify import (
-    Isometry,
     PropelinearCertificate,
     VerifyReport,
-    apply_isometry,
-    apply_isometry_rows,
     audit_rank_basis,
     check_additivity,
     check_perfect,
     check_propelinear_certificate,
     check_rank_equivalence,
     covering_occupancy,
-    identity_isometry,
     rank_by_elimination,
     translation_certificate,
-    translation_isometry,
 )
 
 
@@ -335,29 +330,55 @@ def test_checks_registry_on_a_library_run():
 # -- isometries ----------------------------------------------------------------
 
 
+def apply_one(sigma, pis, v):
+    """Oracle: the image of v (one word, or one word per row) under the single
+    isometry given by one row of a certificate's tables,
+    w[sigma[k]] = pis[sigma[k]][v[k]]."""
+    w = np.empty_like(v)
+    w[..., sigma] = pis[sigma, v]
+    return w
+
+
 def test_isometry_validation():
-    with pytest.raises(ValueError):
-        Isometry(np.array([0, 0, 1]), np.tile(np.arange(2), (3, 1)))
-    with pytest.raises(ValueError):
-        Isometry(np.array([0, 1]), np.array([[0, 1], [1, 1]]))
+    # every table is validated when the certificate is built, so each of
+    # these raises before any law runs
+    code = small_code(2, 2)
+    cert = translation_certificate(code)
+    sigma = cert.sigma.copy()
+    sigma[3, 1] = sigma[3, 0]
+    with pytest.raises(ValueError, match="sigma"):
+        check_propelinear_certificate(code, PropelinearCertificate(cert.words, sigma, cert.pis))
+    pis = cert.pis.copy()
+    pis[3, 1, 1] = pis[3, 1, 0]
+    with pytest.raises(ValueError, match="symbol table"):
+        check_propelinear_certificate(code, PropelinearCertificate(cert.words, cert.sigma, pis))
     with pytest.raises(DimensionMismatch):
-        Isometry(np.array([0, 1]), np.array([[0, 1]]))
+        check_propelinear_certificate(code, PropelinearCertificate(cert.words, cert.sigma[:-1], cert.pis[:-1]))
+    with pytest.raises(DimensionMismatch):
+        PropelinearCertificate(cert.words, cert.sigma, cert.pis[:, :-1])
 
 
 def test_apply_isometry_frozen_example():
-    phi = Isometry(np.array([1, 2, 0]), np.array([[0, 1], [1, 0], [0, 1]]))
-    assert apply_isometry(phi, [1, 0, 1]).tolist() == [1, 0, 0]
-    with pytest.raises(DimensionMismatch):
-        apply_isometry(phi, [1, 0])
-    with pytest.raises(ValueError):
-        apply_isometry(phi, [2, 0, 0])
+    sigma = np.array([[1, 2, 0]])
+    pis = np.array([[[0, 1], [1, 0], [0, 1]]])
+    which = np.array([0])
+    assert verify._apply_batch(sigma, pis, which, np.array([[1, 0, 1]])).tolist() == [[1, 0, 0]]
 
 
 def test_translation_isometry_adds():
-    ctx = FieldContext(3)
-    phi = translation_isometry(ctx, [1, 2, 0])
-    assert apply_isometry(phi, [2, 2, 1]).tolist() == [0, 1, 1]
-    assert apply_isometry(identity_isometry(ctx, 3), [2, 2, 1]).tolist() == [2, 2, 1]
+    # row i of the translation certificate maps v to v + words[i]; the row
+    # of the zero word is the identity
+    code = small_code(3, 1)
+    cert = translation_certificate(code)
+    M = len(cert.words)
+    v = np.random.default_rng(0).integers(0, 3, size=(M, code.length))
+    images = verify._apply_batch(cert.sigma, cert.pis, np.arange(M), v)
+    assert np.array_equal(images, (v + cert.words) % 3)
+    i = next(k for k in range(M) if cert.words[k].tolist() == [1, 2, 0, 1])
+    assert apply_one(cert.sigma[i], cert.pis[i], np.array([2, 2, 1, 0])).tolist() == [0, 1, 1, 1]
+    zero = int(np.flatnonzero(~cert.words.any(axis=1))[0])
+    assert np.array_equal(cert.sigma[zero], np.arange(code.length))
+    assert np.array_equal(cert.pis[zero], np.tile(np.arange(3), (code.length, 1)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -368,19 +389,17 @@ def test_translation_isometry_adds():
 )
 def test_isometries_preserve_hamming_distance(q, N, seed):
     rng = np.random.default_rng(seed)
-    sigma = rng.permutation(N)
-    pis = np.vstack([rng.permutation(q) for _ in range(N)])
-    phi = Isometry(sigma, pis)
-    u = rng.integers(0, q, size=N)
-    v = rng.integers(0, q, size=N)
-    du = apply_isometry(phi, u)
-    dv = apply_isometry(phi, v)
-    assert (du != dv).sum() == (u != v).sum()
-    # the rowwise variant agrees with the pointwise one
-    rows = rng.integers(0, q, size=(5, N))
-    batched = apply_isometry_rows(phi, rows)
-    for k in range(5):
-        assert np.array_equal(batched[k], apply_isometry(phi, rows[k]))
+    sigma = np.vstack([rng.permutation(N) for _ in range(3)])
+    pis = np.stack([np.vstack([rng.permutation(q) for _ in range(N)]) for _ in range(3)])
+    which = rng.integers(0, 3, size=5)
+    u = rng.integers(0, q, size=(5, N))
+    v = rng.integers(0, q, size=(5, N))
+    du = verify._apply_batch(sigma, pis, which, u)
+    dv = verify._apply_batch(sigma, pis, which, v)
+    assert np.array_equal((du != dv).sum(axis=1), (u != v).sum(axis=1))
+    # the batched apply agrees with one isometry at a time
+    for j in range(5):
+        assert np.array_equal(du[j], apply_one(sigma[which[j]], pis[which[j]], u[j]))
 
 
 # -- propelinear certificates ---------------------------------------------------
@@ -407,10 +426,11 @@ def test_certificate_skip_gate():
 def test_certificate_rejects_identity_isometry_at_nonzero_word():
     code = small_code(2, 2)
     cert = translation_certificate(code)
-    isos = list(cert.isometries)
+    sigma, pis = cert.sigma.copy(), cert.pis.copy()
     assert cert.words[1].any()
-    isos[1] = identity_isometry(code.ctx, code.length)
-    rep = check_propelinear_certificate(code, PropelinearCertificate(cert.words, isos))
+    sigma[1] = np.arange(code.length)
+    pis[1] = np.arange(code.q)
+    rep = check_propelinear_certificate(code, PropelinearCertificate(cert.words, sigma, pis))
     assert rep.result == "fail" and rep.details["law"] == "zero_image"
     assert rep.details["index"] == 1
 
@@ -418,9 +438,10 @@ def test_certificate_rejects_identity_isometry_at_nonzero_word():
 def test_certificate_rejects_swapped_labels():
     code = small_code(2, 2)
     cert = translation_certificate(code)
-    isos = list(cert.isometries)
-    isos[1], isos[2] = isos[2], isos[1]
-    rep = check_propelinear_certificate(code, PropelinearCertificate(cert.words, isos))
+    sigma, pis = cert.sigma.copy(), cert.pis.copy()
+    sigma[[1, 2]] = sigma[[2, 1]]
+    pis[[1, 2]] = pis[[2, 1]]
+    rep = check_propelinear_certificate(code, PropelinearCertificate(cert.words, sigma, pis))
     assert rep.result == "fail" and rep.details["law"] == "zero_image"
 
 
@@ -428,11 +449,9 @@ def test_certificate_rejects_coordinate_swap():
     # a transposed sigma keeps the zero image but moves the code
     code = small_code(2, 2)
     cert = translation_certificate(code)
-    isos = list(cert.isometries)
-    sigma = np.arange(7)
-    sigma[[0, 1]] = sigma[[1, 0]]
-    isos[2] = Isometry(sigma, isos[2].pis)
-    rep = check_propelinear_certificate(code, PropelinearCertificate(cert.words, isos))
+    sigma = cert.sigma.copy()
+    sigma[2, [0, 1]] = sigma[2, [1, 0]]
+    rep = check_propelinear_certificate(code, PropelinearCertificate(cert.words, sigma, cert.pis))
     assert rep.result == "fail" and rep.details["law"] == "code_stability"
     assert rep.details["index"] == 2
 
@@ -444,11 +463,9 @@ def test_certificate_rejects_mutated_symbol_table():
     cert = translation_certificate(code)
     i = next(k for k in range(len(cert.words)) if cert.words[k].any())
     j = int(np.flatnonzero(cert.words[i])[0])
-    pis = cert.isometries[i].pis.copy()
-    pis[j, [1, 2]] = pis[j, [2, 1]]
-    isos = list(cert.isometries)
-    isos[i] = Isometry(cert.isometries[i].sigma, pis)
-    rep = check_propelinear_certificate(code, PropelinearCertificate(cert.words, isos))
+    pis = cert.pis.copy()
+    pis[i, j, [1, 2]] = pis[i, j, [2, 1]]
+    rep = check_propelinear_certificate(code, PropelinearCertificate(cert.words, cert.sigma, pis))
     assert rep.result == "fail" and rep.details["law"] == "code_stability"
 
 
@@ -476,11 +493,9 @@ def closure_broken_certificate(code):
     cert = translation_certificate(code)
     auto = code_coordinate_automorphism(code)
     i = next(k for k in range(len(cert.words)) if cert.words[k].any())
-    sigma = np.empty(code.length, dtype=int)
-    sigma[auto] = np.arange(code.length)
-    isos = list(cert.isometries)
-    isos[i] = Isometry(sigma, isos[i].pis)
-    return PropelinearCertificate(cert.words, isos)
+    sigma = cert.sigma.copy()
+    sigma[i, auto] = np.arange(code.length)
+    return PropelinearCertificate(cert.words, sigma, cert.pis)
 
 
 def test_certificate_rejects_broken_closure():
@@ -510,23 +525,22 @@ def test_certificate_domain_must_match():
     cert = translation_certificate(code)
     words = cert.words.copy()
     words[1, 0] ^= 1
-    with pytest.raises(ValueError):
-        check_propelinear_certificate(code, PropelinearCertificate(words, cert.isometries))
+    with pytest.raises(ValueError, match="not the code"):
+        check_propelinear_certificate(code, PropelinearCertificate(words, cert.sigma, cert.pis))
+    with pytest.raises(ValueError, match="16 codewords"):
+        check_propelinear_certificate(code, PropelinearCertificate(cert.words[:-1], cert.sigma[:-1], cert.pis[:-1]))
+    # ternary symbol tables on a binary code
+    ternary = (cert.words[:, :, None] + np.arange(3)) % 3
     with pytest.raises(DimensionMismatch):
-        PropelinearCertificate(cert.words, cert.isometries[:-1])
-    # a ternary symbol table on a binary code
-    isos = list(cert.isometries)
-    isos[0] = identity_isometry(FieldContext(3), code.length)
-    with pytest.raises(DimensionMismatch):
-        check_propelinear_certificate(code, PropelinearCertificate(cert.words, isos))
+        check_propelinear_certificate(code, PropelinearCertificate(cert.words, cert.sigma, ternary))
 
 
 def loop_certificate_check(
     code, cert, max_code=verify.MAX_CERT_CODE, max_full_triples=verify.MAX_FULL_TRIPLES, samples=5000, seed=0, label="custom"
 ):
     """Oracle: the certificate check as a loop over isometries and triples,
-    one isometry application per step, with a dict from encodings to
-    labels."""
+    one isometry (one row of sigma and pis) applied per step, with a dict
+    from encodings to labels."""
     q, N = code.q, code.length
     params = {"q": code.q, "r": code.r, "tau": label}
     size = codeword_count(code)
@@ -547,24 +561,25 @@ def loop_certificate_check(
     def failure(law, **where):
         return VerifyReport("certificate", params, "fail", {"codewords": M, "law": law, **where})
 
+    def phi(i, v):
+        return apply_one(cert.sigma[i], cert.pis[i], v)
+
     zero = np.zeros(N, dtype=DTYPE)
     for i in range(M):
-        if not np.array_equal(apply_isometry(cert.isometries[i], zero), cert.words[i]):
+        if not np.array_equal(phi(i, zero), cert.words[i]):
             return failure("zero_image", index=i)
     for i in range(M):
-        image_enc = apply_isometry_rows(cert.isometries[i], cert.words) @ powers
+        image_enc = phi(i, cert.words) @ powers
         if not np.array_equal(np.sort(image_enc), code_enc):
             return failure("code_stability", index=i)
 
     if M**3 <= max_full_triples:
         mode, triples = "full", M**3
         for ix in range(M):
-            phix = cert.isometries[ix]
-            xy_enc = apply_isometry_rows(phix, cert.words) @ powers
+            xy_enc = phi(ix, cert.words) @ powers
             for iy in range(M):
-                phiy = cert.isometries[iy]
-                lhs = apply_isometry_rows(phix, apply_isometry_rows(phiy, cert.words))
-                rhs = apply_isometry_rows(cert.isometries[lookup[int(xy_enc[iy])]], cert.words)
+                lhs = phi(ix, phi(iy, cert.words))
+                rhs = phi(lookup[int(xy_enc[iy])], cert.words)
                 same = np.all(lhs == rhs, axis=1)
                 if not same.all():
                     iw = int(np.flatnonzero(~same)[0])
@@ -575,11 +590,10 @@ def loop_certificate_check(
         rng = np.random.default_rng(seed)
         picks = rng.integers(0, M, size=(samples, 3))
         for ix, iy, iw in picks:
-            phix, phiy = cert.isometries[ix], cert.isometries[iy]
             w = cert.words[iw]
-            lhs = apply_isometry(phix, apply_isometry(phiy, w))
-            xy = lookup[int(apply_isometry(phix, cert.words[iy]) @ powers)]
-            rhs = apply_isometry(cert.isometries[xy], w)
+            lhs = phi(ix, phi(iy, w))
+            xy = lookup[int(phi(ix, cert.words[iy]) @ powers)]
+            rhs = phi(xy, w)
             if not np.array_equal(lhs, rhs):
                 return failure("closure", x=int(ix), y=int(iy), w=int(iw))
         result = "probabilistic"
@@ -594,30 +608,29 @@ def nonzero_label(cert, rng):
 
 def mutate_certificate(code, cert, how, rng):
     """A translation certificate with one seeded mutation."""
-    isos = list(cert.isometries)
+    sigma, pis = cert.sigma.copy(), cert.pis.copy()
     if how == "identity":
-        isos[nonzero_label(cert, rng)] = identity_isometry(code.ctx, code.length)
+        i = nonzero_label(cert, rng)
+        sigma[i] = np.arange(code.length)
+        pis[i] = np.arange(code.q)
     elif how == "swap_labels":
-        i, j = rng.choice(len(isos), size=2, replace=False)
-        isos[i], isos[j] = isos[j], isos[i]
+        i, j = rng.choice(len(cert.words), size=2, replace=False)
+        sigma[[i, j]] = sigma[[j, i]]
+        pis[[i, j]] = pis[[j, i]]
     elif how == "transpose_sigma":
         # at two labels, so the report must pick the first of two failures
         for i in rng.choice(np.flatnonzero(cert.words.any(axis=1)), size=2, replace=False):
             a, b = rng.choice(code.length, size=2, replace=False)
-            sigma = isos[i].sigma.copy()
-            sigma[[a, b]] = sigma[[b, a]]
-            isos[i] = Isometry(sigma, isos[i].pis)
+            sigma[i, [a, b]] = sigma[i, [b, a]]
     elif how == "swap_symbols":
         i = nonzero_label(cert, rng)
         k = int(rng.integers(code.length))
         # past q = 2, leave symbol 0 in place so the zero image survives
         s, t = rng.choice(np.arange(code.q > 2, code.q), size=2, replace=False)
-        pis = isos[i].pis.copy()
-        pis[k, [s, t]] = pis[k, [t, s]]
-        isos[i] = Isometry(isos[i].sigma, pis)
+        pis[i, k, [s, t]] = pis[i, k, [t, s]]
     elif how == "closure":
         return closure_broken_certificate(code)
-    return PropelinearCertificate(cert.words, isos)
+    return PropelinearCertificate(cert.words, sigma, pis)
 
 
 @pytest.mark.parametrize("how", ["none", "identity", "swap_labels", "transpose_sigma", "swap_symbols", "closure"])
