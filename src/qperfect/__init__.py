@@ -5,7 +5,6 @@ from .linalg import (
     FieldContext,
     ParseError,
     is_invertible,
-    mat_inv,
     nullspace_basis,
     rank,
 )

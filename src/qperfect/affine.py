@@ -28,7 +28,6 @@ __all__ = [
     "linear_perm",
     "perm_inverse",
     "read_perm",
-    "read_subgroup",
     "series_group",
     "series_perm",
     "shear_group",
@@ -37,7 +36,6 @@ __all__ = [
     "verify_automorphism",
     "verify_regular_subgroup",
     "write_perm",
-    "write_subgroup",
 ]
 
 VERIFY_GUARD = 1 << 10  # exhaustive pair checks stop at q**r of this size
@@ -279,12 +277,18 @@ def verify_automorphism(G: RegularSubgroup, perm: PermTable) -> CheckResult:
 
 # -- text formats -------------------------------------------------------
 #
-# PermTable:        line 1 "q r", line 2 the q**r image indices.
-# RegularSubgroup:  line 1 "q r", then q**r lines, line k holding the r*r
-#                   entries of the matrix at index k in row-major order.
+# PermTable: line 1 "q r", line 2 the q**r image indices.
 
 
-def _read_header(raw: list[str]) -> tuple[FieldContext, int]:
+def write_perm(path, perm: PermTable) -> None:
+    with open(path, "w") as fh:
+        fh.write(f"{perm.ctx.q} {perm.r}\n")
+        fh.write(" ".join(str(int(i)) for i in perm.images) + "\n")
+
+
+def read_perm(path) -> PermTable:
+    with open(path) as fh:
+        raw = fh.read().splitlines()
     if not raw:
         raise ParseError("empty file", 1)
     head = raw[0].split()
@@ -300,19 +304,6 @@ def _read_header(raw: list[str]) -> tuple[FieldContext, int]:
         raise ParseError(str(exc), 1) from None
     if r < 1:
         raise ParseError(f"r must be >= 1, got {r}", 1)
-    return ctx, r
-
-
-def write_perm(path, perm: PermTable) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{perm.ctx.q} {perm.r}\n")
-        fh.write(" ".join(str(int(i)) for i in perm.images) + "\n")
-
-
-def read_perm(path) -> PermTable:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    ctx, r = _read_header(raw)
     if len(raw) < 2:
         raise ParseError("missing image line", 2)
     toks = raw[1].split()
@@ -329,32 +320,3 @@ def read_perm(path) -> PermTable:
         return PermTable(ctx, r, np.array(images, dtype=DTYPE))
     except ValueError as exc:
         raise ParseError(str(exc), 2) from None
-
-
-def write_subgroup(path, G: RegularSubgroup) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{G.ctx.q} {G.r}\n")
-        for mat in G.matrices:
-            fh.write(" ".join(str(int(x)) for x in mat.ravel()) + "\n")
-
-
-def read_subgroup(path) -> RegularSubgroup:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    ctx, r = _read_header(raw)
-    size = ctx.q**r
-    if len(raw) < 1 + size:
-        raise ParseError(f"expected {size} matrix lines", len(raw) + 1)
-    mats = np.zeros((size, r, r), dtype=DTYPE)
-    for k in range(size):
-        toks = raw[1 + k].split()
-        if len(toks) != r * r:
-            raise ParseError(f"expected {r * r} entries", 2 + k)
-        try:
-            vals = [int(t) for t in toks]
-        except ValueError:
-            raise ParseError("entries must be integers", 2 + k) from None
-        if any(not 0 <= v < ctx.q for v in vals):
-            raise ParseError(f"entries must lie in [0, {ctx.q - 1}]", 2 + k)
-        mats[k] = np.array(vals, dtype=DTYPE).reshape(r, r)
-    return RegularSubgroup(ctx, r, mats)

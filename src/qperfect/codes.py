@@ -90,7 +90,7 @@ def intersection_basis(hp: HammingPair, perm: PermTable) -> np.ndarray:
     """Basis (rows) of the intersection of the extended component with its
     permuted copy, found by cutting the kernel of h_extended with the
     permuted check."""
-    dbasis = nullspace_basis(hp.ctx, hp.h_extended)
+    dbasis = hp.extended_basis
     moved = permuted_check(hp, perm)
     coeff = nullspace_basis(hp.ctx, moved @ dbasis.T % hp.q)
     return coeff @ dbasis % hp.q
@@ -99,9 +99,9 @@ def intersection_basis(hp: HammingPair, perm: PermTable) -> np.ndarray:
 def distension_oracle(hp: HammingPair, perm: PermTable) -> int:
     """Distension straight from the definition: dim of the extended
     component minus dim of its intersection with the permuted copy.
-    Independent of the stacked-rank route in distension()."""
-    dbasis = nullspace_basis(hp.ctx, hp.h_extended)
-    return dbasis.shape[0] - intersection_basis(hp, perm).shape[0]
+    Independent of the stacked-rank route in distension(); only the fixed
+    kernel of h_extended is shared with the parity kit."""
+    return hp.extended_basis.shape[0] - intersection_basis(hp, perm).shape[0]
 
 
 def canonical_coset_reps(hp: HammingPair) -> np.ndarray:
@@ -167,13 +167,13 @@ class CodeHandle:
     def rep_table(self) -> np.ndarray:
         return self.reps if self.reps is not None else canonical_coset_reps(self.hp)
 
-    @cached_property
+    @property
     def hamming_basis(self) -> np.ndarray:
-        return nullspace_basis(self.ctx, self.hp.h_hamming)
+        return self.hp.hamming_basis
 
-    @cached_property
+    @property
     def extended_basis(self) -> np.ndarray:
-        return nullspace_basis(self.ctx, self.hp.h_extended)
+        return self.hp.extended_basis
 
     @cached_property
     def permuted_check_matrix(self) -> np.ndarray:

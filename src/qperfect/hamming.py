@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DTYPE, FieldContext
+from .linalg import DTYPE, FieldContext, nullspace_basis
 
 __all__ = [
     "MAX_POINTS",
@@ -92,6 +92,20 @@ class HammingPair:
     def hamming_col_index(self) -> np.ndarray:
         """Position index of each h_hamming column; strictly increasing."""
         return field_powers(self.q, self.r) @ self.h_hamming
+
+    @cached_property
+    def hamming_basis(self) -> np.ndarray:
+        """Kernel basis of h_hamming; read-only, as every code on the kit shares it."""
+        basis = nullspace_basis(self.ctx, self.h_hamming)
+        basis.setflags(write=False)
+        return basis
+
+    @cached_property
+    def extended_basis(self) -> np.ndarray:
+        """Kernel basis of h_extended; read-only, as every code on the kit shares it."""
+        basis = nullspace_basis(self.ctx, self.h_extended)
+        basis.setflags(write=False)
+        return basis
 
 
 def build_hamming_pair(ctx: FieldContext, r: int) -> HammingPair:

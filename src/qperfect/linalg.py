@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "ParseError",
     "is_invertible",
     "is_prime",
-    "mat_inv",
     "nullspace_basis",
     "rank",
     "read_matrix",
@@ -157,21 +155,12 @@ def nullspace_basis(ctx: FieldContext, m) -> np.ndarray:
     return basis
 
 
-def mat_inv(ctx: FieldContext, m) -> Optional[np.ndarray]:
-    """Inverse matrix, or None if m is singular."""
-    mm = ctx.matrix(m)
-    n = mm.shape[0]
-    if mm.shape[1] != n:
-        raise DimensionMismatch(f"matrix must be square, got {mm.shape}")
-    aug = np.hstack([mm, np.eye(n, dtype=DTYPE)])
-    pivots = _eliminate(aug, ctx.q, reduced=True)
-    if list(pivots) != list(range(n)):
-        return None
-    return aug[:, n:].copy()
-
-
 def is_invertible(ctx: FieldContext, m) -> bool:
-    return mat_inv(ctx, m) is not None
+    """Whether the square matrix m has full rank; DimensionMismatch if it is not square."""
+    mm = ctx.matrix(m)
+    if mm.shape[0] != mm.shape[1]:
+        raise DimensionMismatch(f"matrix must be square, got {mm.shape}")
+    return len(_eliminate(mm, ctx.q, reduced=False)) == mm.shape[0]
 
 
 # -- matrix text format ------------------------------------------------

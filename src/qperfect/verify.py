@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -108,6 +109,15 @@ class VerifyRun:
     max_space_cells: int = MAX_SPACE_CELLS
     max_codewords: int = MAX_ENUMERATION
     max_cert_codewords: int = MAX_CERT_CODE
+
+    @cached_property
+    def enumerated_rank(self) -> Optional[int]:
+        """Rank of the enumerated code by streamed elimination, or None past
+        the enumeration budget.  Both rank checks read it, so a run streams
+        the code at most once."""
+        if codeword_count(self.code) > self.max_codewords:
+            return None
+        return rank_by_elimination(self.code.ctx, codeword_blocks(self.code, self.max_codewords))
 
 
 # -- perfection by exhaustive covering -----------------------------------
@@ -217,21 +227,21 @@ def check_rank_equivalence(run: VerifyRun) -> VerifyReport:
     closed form N - r - 1 + distension."""
     code = run.code
     params = _params(code, run.label)
-    count = codeword_count(code)
-    if count > run.max_codewords:
+    streamed = run.enumerated_rank
+    if streamed is None:
+        count = codeword_count(code)
         return _skipped("rank_equivalence", params, "enumeration budget exceeded", codewords=count)
-    streamed = rank_by_elimination(code.ctx, codeword_blocks(code, run.max_codewords))
     closed = rank_closed_form(code)
     details = {"enumerated_rank": streamed, "closed_form": closed}
     return VerifyReport("rank_equivalence", params, "pass" if streamed == closed else "fail", details)
 
 
-def audit_rank_basis(
-    code: CodeHandle, max_words: int = MAX_ENUMERATION, label: str = "custom"
-) -> VerifyReport:
+def audit_rank_basis(run: VerifyRun) -> VerifyReport:
     """Audit the explicit rank basis: the vectors are independent, they all
     lie in the code, and their number matches the closed form.  Where the
-    code is small enough to enumerate, also confirm they span it."""
+    code is small enough to enumerate, also confirm they span it, against
+    the run's enumerated rank."""
+    code = run.code
     rb = rank_basis(code)
     stacked = rb.stacked
     total = rb.count
@@ -248,14 +258,12 @@ def audit_rank_basis(
         "completion_rows": int(rb.completion_rows.shape[0]),
     }
     ok = independent and non_members == 0 and total == expected
-    if codeword_count(code) <= max_words:
-        full = rank_by_elimination(code.ctx, codeword_blocks(code, max_words))
-        details["enumeration"] = "checked"
+    full = run.enumerated_rank
+    details["enumeration"] = "skipped" if full is None else "checked"
+    if full is not None:
         details["enumerated_rank"] = full
         ok = ok and full == total
-    else:
-        details["enumeration"] = "skipped"
-    return VerifyReport("basis_audit", _params(code, label), "pass" if ok else "fail", details)
+    return VerifyReport("basis_audit", _params(code, run.label), "pass" if ok else "fail", details)
 
 
 def check_additivity(
@@ -353,7 +361,7 @@ class PropelinearCertificate:
             raise ValueError("every symbol table must permute 0..q-1")
 
 
-def translation_certificate(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> PropelinearCertificate:
+def translation_certificate(code: CodeHandle, max_words: int = MAX_CERT_CODE) -> PropelinearCertificate:
     """The certificate {v -> v + x : x in code}; a valid regular action
     whenever the code is linear (e.g. the identity gluing permutation)."""
     words = np.vstack(list(codeword_blocks(code, max_words)))
@@ -491,7 +499,7 @@ def _run_certificate(run: VerifyRun) -> VerifyReport:
     count = codeword_count(code)
     if count > run.max_cert_codewords:
         return _skipped("certificate", params, "code too large for certificate checking", codewords=count)
-    cert = translation_certificate(code)
+    cert = translation_certificate(code, max_words=run.max_cert_codewords)
     return check_propelinear_certificate(code, cert, max_code=run.max_cert_codewords, label=run.label)
 
 
@@ -501,7 +509,7 @@ def _run_certificate(run: VerifyRun) -> VerifyReport:
 CHECKS = {
     "perfect": lambda run: check_perfect(run.code, max_cells=run.max_space_cells, label=run.label),
     "rank_equivalence": lambda run: check_rank_equivalence(run),
-    "basis_audit": lambda run: audit_rank_basis(run.code, max_words=run.max_codewords, label=run.label),
+    "basis_audit": lambda run: audit_rank_basis(run),
     "additivity": _run_additivity,
     "group_premises": _run_group_premises,
     "certificate": _run_certificate,

@@ -4,8 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 Every expected number is frozen here; time budgets are asserted.
 """
 
+import importlib.util
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,6 @@ import pytest
 from qperfect.affine import (
     PermTable,
     identity_perm,
-    linear_perm,
     series_perm,
     shear_group,
     shear_swap_perm,
@@ -47,6 +49,11 @@ from qperfect.verify import (
 )
 
 from hamming_oracles import extended_coset_leader
+
+SURVEY_PATH = Path(__file__).resolve().parents[1] / "scripts" / "distension_survey.py"
+_spec = importlib.util.spec_from_file_location("distension_survey", SURVEY_PATH)
+survey = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(survey)
 
 
 @contextmanager
@@ -141,7 +148,7 @@ def test_criterion_5_series_ranks():
         for copies, want in expected.items():
             code = build_code(hp, series_perm(ctx, 4, copies))
             assert rank_closed_form(code) == want
-            rep = audit_rank_basis(code, label=f"series:{copies}")
+            rep = audit_rank_basis(VerifyRun(code, label=f"series:{copies}"))
             assert rep.result == "pass"
             assert rep.details["vectors"] == want
             assert rep.details["enumeration"] == "skipped"
@@ -260,15 +267,6 @@ def test_criterion_8_propelinear_certificates():
         assert rep.result == "fail" and rep.details["law"] == "code_stability"
 
 
-def random_invertible(ctx, r, rng):
-    while True:
-        m = rng.integers(0, ctx.q, size=(r, r))
-        try:
-            return linear_perm(ctx, m)
-        except ValueError:
-            continue
-
-
 def test_criterion_9_rank_oracle_sweep():
     # streamed elimination over the enumerated words always agrees with the
     # closed form, across the builtins and 20 random linear permutations
@@ -285,7 +283,7 @@ def test_criterion_9_rank_oracle_sweep():
             ctx = FieldContext(q)
             group = translation_group(ctx, r)
             for _ in range(count):
-                cases.append((ctx, r, random_invertible(ctx, r, rng), group))
+                cases.append((ctx, r, survey.random_invertible(ctx, r, rng), group))
         assert len(cases) == 24
 
         for ctx, r, tau, group in cases:
@@ -305,7 +303,7 @@ def test_criterion_10_basis_audit_at_scale():
         ):
             ctx = FieldContext(q)
             code = build_code(build_hamming_pair(ctx, r), tau(ctx))
-            rep = audit_rank_basis(code)
+            rep = audit_rank_basis(VerifyRun(code))
             assert rep.result == "pass"
             assert rep.details["enumeration"] == "skipped"
             assert rep.details["vectors"] == rep.details["expected"] == vectors
@@ -334,3 +332,12 @@ def test_criterion_11_enumerate_checks():
         rep = check_rank_equivalence(VerifyRun(code))
         assert rep.result == "pass"
         assert rep.details == {"enumerated_rank": 12, "closed_form": 12}
+
+
+def test_distension_survey_script(monkeypatch, capsys):
+    argv = ["distension_survey.py", "--q", "3", "--r", "2", "--samples", "50", "--seed", "0"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert survey.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "identity: 0" in lines
+    assert "shear-swap: 2" in lines

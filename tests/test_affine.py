@@ -12,7 +12,6 @@ from qperfect.affine import (
     linear_perm,
     perm_inverse,
     read_perm,
-    read_subgroup,
     series_group,
     series_perm,
     shear_group,
@@ -21,7 +20,6 @@ from qperfect.affine import (
     verify_automorphism,
     verify_regular_subgroup,
     write_perm,
-    write_subgroup,
 )
 from qperfect.hamming import vec_to_index
 from qperfect.linalg import FieldContext, ParseError
@@ -259,23 +257,3 @@ def test_perm_parse_errors(tmp_path):
     path.write_text("3 1\n0 5 1\n")
     with pytest.raises(ParseError, match="line 2"):
         read_perm(path)  # index out of range
-
-
-def test_subgroup_text_round_trip(tmp_path):
-    ctx = FieldContext(3)
-    G = shear_group(ctx)
-    path = tmp_path / "group.txt"
-    write_subgroup(path, G)
-    back = read_subgroup(path)
-    assert back.ctx == ctx and back.r == 2
-    assert np.array_equal(back.matrices, G.matrices)
-
-
-def test_subgroup_parse_errors(tmp_path):
-    path = tmp_path / "group.txt"
-    path.write_text("3 1\n1\n1\n")
-    with pytest.raises(ParseError, match="line 4"):
-        read_subgroup(path)  # missing third matrix
-    path.write_text("3 1\n1\n1 1\n1\n")
-    with pytest.raises(ParseError, match="line 3"):
-        read_subgroup(path)  # wrong entry count

@@ -14,7 +14,7 @@ from qperfect.affine import (
     series_perm,
     shear_swap_perm,
 )
-from qperfect import codes
+from qperfect import codes, hamming
 from qperfect.codes import (
     build_code,
     canonical_coset_reps,
@@ -144,6 +144,30 @@ def test_distension_bounds_and_inverse_symmetry(q, r, seed):
     assert 0 <= l <= r
     assert l == distension_oracle(hp, tau)
     assert l == distension(hp, perm_inverse(tau))
+
+
+def test_component_kernels_belong_to_the_kit(monkeypatch):
+    # the kit computes each kernel once; codes and the oracle read it, and
+    # the oracle still cuts that kernel once per permutation
+    calls = []
+    counted = lambda ctx, m: calls.append(m.shape) or nullspace_basis(ctx, m)
+    monkeypatch.setattr(hamming, "nullspace_basis", counted)
+    monkeypatch.setattr(codes, "nullspace_basis", counted)
+    hp = make(3, 2)
+    assert np.array_equal(hp.hamming_basis, nullspace_basis(hp.ctx, hp.h_hamming))
+    assert np.array_equal(hp.extended_basis, nullspace_basis(hp.ctx, hp.h_extended))
+    assert not hp.extended_basis.flags.writeable
+    calls.clear()  # the kit is warm
+
+    perms = [identity_perm(hp.ctx, 2), shear_swap_perm(hp.ctx)]
+    assert [distension_oracle(hp, tau) for tau in perms] == [0, 2]
+    assert len(calls) == len(perms)
+    for tau in perms:
+        code = build_code(hp, tau)
+        assert code.extended_basis is hp.extended_basis
+        assert code.hamming_basis is hp.hamming_basis
+    rank_basis(code)
+    assert len(calls) == len(perms) + 1  # rank_basis cuts the kernel once
 
 
 # -- coset representatives -------------------------------------------------

@@ -13,7 +13,6 @@ from qperfect.linalg import (
     _inverse_table,
     is_invertible,
     is_prime,
-    mat_inv,
     nullspace_basis,
     rank,
     read_matrix,
@@ -143,30 +142,23 @@ def test_nullspace_frozen_examples():
 def test_invertibility():
     ctx = FieldContext(3)
     assert not is_invertible(ctx, [[1, 2], [2, 1]])  # second row = 2 * first
-    m = ctx.matrix([[1, 2], [0, 1]])
-    minv = mat_inv(ctx, m)
-    assert np.array_equal(m @ minv % 3, np.eye(2, dtype=np.int64))
-    assert np.array_equal(minv @ m % 3, np.eye(2, dtype=np.int64))
+    assert is_invertible(ctx, [[1, 2], [0, 1]])
     with pytest.raises(DimensionMismatch):
-        mat_inv(ctx, [[1, 2, 0], [0, 1, 1]])
+        is_invertible(ctx, [[1, 2, 0], [0, 1, 1]])
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_mat_inv_round_trip(data):
+def test_is_invertible_matches_determinant(data):
     q = data.draw(st.sampled_from([2, 3, 5]))
     n = data.draw(st.integers(1, 3))
     entries = data.draw(
         st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
                  min_size=n, max_size=n)
     )
-    ctx = FieldContext(q)
-    m = ctx.matrix(entries)
-    minv = mat_inv(ctx, m)
-    if minv is None:
-        assert rank(ctx, m) < n
-    else:
-        assert np.array_equal(m @ minv % q, np.eye(n, dtype=np.int64))
+    # |det| <= 3! * 4**3 here, so the float determinant rounds exactly
+    det = round(np.linalg.det(np.array(entries, dtype=float)))
+    assert is_invertible(FieldContext(q), entries) == (det % q != 0)
 
 
 def test_rref_pivots_are_first_nonzero_columns():

@@ -1,6 +1,6 @@
 """Every exported name resolves, so a stale export fails here rather than at
 `from qperfect.<module> import *`, and so does every name the benchmark's
-tracer wraps."""
+tracer wraps or its workloads read."""
 
 import ast
 import importlib
@@ -10,6 +10,10 @@ import sys
 from pathlib import Path
 
 import qperfect
+from qperfect.affine import shear_swap_perm
+from qperfect.codes import build_code
+from qperfect.hamming import build_hamming_pair
+from qperfect.linalg import FieldContext
 
 MODULES = [info.name for info in pkgutil.iter_modules(qperfect.__path__)]
 
@@ -51,3 +55,12 @@ def test_benchmark_tracer_names_resolve(monkeypatch):
         if not hasattr(importlib.import_module(f"qperfect.{module}"), name)
     ]
     assert not missing
+
+
+def test_benchmark_code_tables_resolve():
+    # perfbench/workloads.py::construct warms these CodeHandle attributes
+    # during set-up
+    ctx = FieldContext(3)
+    code = build_code(build_hamming_pair(ctx, 2), shear_swap_perm(ctx))
+    for table in ("rep_table", "hamming_basis", "extended_basis", "permuted_check_matrix"):
+        assert getattr(code, table).ndim == 2, table

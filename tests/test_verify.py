@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qperfect import verify
+from qperfect import cli, verify
 from qperfect.affine import PermTable, identity_perm, series_group, series_perm, shear_swap_perm
 from qperfect.codes import build_code, codeword_blocks, codeword_count
 from qperfect.hamming import build_hamming_pair
@@ -215,7 +215,7 @@ def test_rank_by_elimination_rank_grows_in_a_late_chunk(chunk):
 def test_audit_rank_basis_with_enumeration():
     ctx = FieldContext(3)
     code = build_code(build_hamming_pair(ctx, 2), shear_swap_perm(ctx))
-    rep = audit_rank_basis(code, label="shear")
+    rep = audit_rank_basis(verify.VerifyRun(code, "shear"))
     assert rep.result == "pass"
     assert rep.details["enumeration"] == "checked"
     assert rep.details["vectors"] == rep.details["expected"] == 12
@@ -226,10 +226,31 @@ def test_audit_rank_basis_with_enumeration():
 def test_audit_rank_basis_enumeration_skip():
     ctx = FieldContext(3)
     code = build_code(build_hamming_pair(ctx, 2), shear_swap_perm(ctx))
-    rep = audit_rank_basis(code, max_words=100)
+    rep = audit_rank_basis(verify.VerifyRun(code, max_codewords=100))
     assert rep.result == "pass"
     assert rep.details["enumeration"] == "skipped"
     assert "enumerated_rank" not in rep.details
+
+
+def test_enumerated_rank_is_shared(monkeypatch, capsys):
+    # rank_equivalence and basis_audit read one streamed elimination per run
+    calls = []
+    streamed = verify.rank_by_elimination
+    monkeypatch.setattr(verify, "rank_by_elimination", lambda *a, **k: calls.append(a) or streamed(*a, **k))
+    argv = ["verify", "--q", "3", "--r", "2", "--tau", "builtin:shear"]
+    assert cli.main(argv) == 0
+    reports = {rep["check"]: rep for rep in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert len(calls) == 1
+    assert reports["rank_equivalence"]["details"]["enumerated_rank"] == 12
+    assert reports["basis_audit"]["details"]["enumerated_rank"] == 12
+
+    calls.clear()
+    assert cli.main(argv + ["--checks", "basis_audit"]) == 0
+    (report,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert len(calls) == 1
+    assert report["result"] == "pass"
+    assert report["details"]["enumeration"] == "checked"
+    assert report["details"]["enumerated_rank"] == 12
 
 
 def corrupt_completion(code, rows, how):
@@ -261,7 +282,7 @@ def test_audit_rank_basis_rejects_corrupted_basis(monkeypatch, how, broken):
         good, completion_rows=corrupt_completion(code, good.completion_rows, how)
     )
     monkeypatch.setattr(verify, "rank_basis", lambda c: bad)
-    rep = audit_rank_basis(code, max_words=100)
+    rep = audit_rank_basis(verify.VerifyRun(code, max_codewords=100))
     assert rep.result == "fail"
     assert broken(rep.details)
 
@@ -413,6 +434,27 @@ def test_translation_certificate_full_pass(q, r):
     assert rep.result == "pass"
     assert rep.details["closure_mode"] == "full"
     assert rep.details["closure_triples"] == codeword_count(code) ** 3
+
+
+def test_translation_certificate_budget():
+    # (3,2) identity has 59,049 codewords, over MAX_CERT_CODE: the default
+    # budget refuses it before any table is allocated
+    with pytest.raises(ValueError, match="enumeration guard"):
+        translation_certificate(small_code(3, 2))
+
+
+def test_certificate_entry_builds_within_the_run_budget(monkeypatch):
+    budgets = []
+    build = verify.translation_certificate
+
+    def spy(code, max_words):
+        budgets.append(max_words)
+        return build(code, max_words)
+
+    monkeypatch.setattr(verify, "translation_certificate", spy)
+    run = verify.VerifyRun(small_code(2, 2), max_cert_codewords=5000)
+    assert verify.CHECKS["certificate"](run).result == "pass"
+    assert budgets == [5000]
 
 
 def test_certificate_skip_gate():
