@@ -12,9 +12,7 @@ from .hamming import (
     HammingPair,
     all_vectors,
     build_hamming_pair,
-    index_to_vec,
     stacked_parity,
-    vec_to_index,
 )
 from .affine import (
     CheckResult,
@@ -42,7 +40,6 @@ from .codes import (
     contains_rows,
     distension,
     distension_oracle,
-    intersection_basis,
     permuted_check,
     rank_basis,
     rank_closed_form,

@@ -35,7 +35,6 @@ __all__ = [
     "translation_group",
     "verify_automorphism",
     "verify_regular_subgroup",
-    "write_perm",
 ]
 
 VERIFY_GUARD = 1 << 10  # exhaustive pair checks stop at q**r of this size
@@ -275,15 +274,9 @@ def verify_automorphism(G: RegularSubgroup, perm: PermTable) -> CheckResult:
     return CheckResult(True)
 
 
-# -- text formats -------------------------------------------------------
+# -- permutation file format ----------------------------------------------
 #
-# PermTable: line 1 "q r", line 2 the q**r image indices.
-
-
-def write_perm(path, perm: PermTable) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{perm.ctx.q} {perm.r}\n")
-        fh.write(" ".join(str(int(i)) for i in perm.images) + "\n")
+# line 1 "q r", line 2 the q**r image indices.
 
 
 def read_perm(path) -> PermTable:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .linalg import (
     DTYPE,
     DimensionMismatch,
     FieldContext,
-    ParseError,
     _eliminate,
     _inverse_table,
     nullspace_basis,
@@ -49,12 +48,11 @@ __all__ = [
     "contains_rows",
     "distension",
     "distension_oracle",
-    "intersection_basis",
+    "intersection_coordinates",
     "lex_messages",
     "permuted_check",
     "rank_basis",
     "rank_closed_form",
-    "read_codewords",
     "write_codewords",
 ]
 
@@ -86,14 +84,11 @@ def distension(hp: HammingPair, perm: PermTable) -> int:
     return rank(hp.ctx, stacked) - (hp.r + 1)
 
 
-def intersection_basis(hp: HammingPair, perm: PermTable) -> np.ndarray:
-    """Basis (rows) of the intersection of the extended component with its
-    permuted copy, found by cutting the kernel of h_extended with the
-    permuted check."""
-    dbasis = hp.extended_basis
-    moved = permuted_check(hp, perm)
-    coeff = nullspace_basis(hp.ctx, moved @ dbasis.T % hp.q)
-    return coeff @ dbasis % hp.q
+def intersection_coordinates(hp: HammingPair, moved: np.ndarray) -> np.ndarray:
+    """Basis of the intersection of the extended component with the permuted
+    copy whose parity check is moved, as coordinate rows over
+    hp.extended_basis: the kernel of moved applied to that basis."""
+    return nullspace_basis(hp.ctx, moved @ hp.extended_basis.T % hp.q)
 
 
 def distension_oracle(hp: HammingPair, perm: PermTable) -> int:
@@ -101,12 +96,13 @@ def distension_oracle(hp: HammingPair, perm: PermTable) -> int:
     component minus dim of its intersection with the permuted copy.
     Independent of the stacked-rank route in distension(); only the fixed
     kernel of h_extended is shared with the parity kit."""
-    return hp.extended_basis.shape[0] - intersection_basis(hp, perm).shape[0]
+    inter = intersection_coordinates(hp, permuted_check(hp, perm))
+    return hp.extended_basis.shape[0] - inter.shape[0]
 
 
 def canonical_coset_reps(hp: HammingPair) -> np.ndarray:
-    """Row a is the canonical weight-<=1 Hamming coset representative with
-    syndrome index_to_vec(a); row 0 is the zero word."""
+    """Row a is the canonical weight-<=1 Hamming coset representative whose
+    syndrome has index a; row 0 is the zero word."""
     q = hp.q
     size = hp.points
     vecs = all_vectors(q, hp.r)
@@ -124,27 +120,15 @@ def canonical_coset_reps(hp: HammingPair) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CodeHandle:
-    """A constructed code: parity kit, gluing permutation, and coset
-    representatives (canonical unless overridden; the word set does not
-    depend on the choice)."""
+    """A constructed code: parity kit and gluing permutation, with the
+    tables derived from them computed on first use."""
 
     hp: HammingPair
     perm: PermTable
-    reps: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.perm.ctx != self.hp.ctx or self.perm.r != self.hp.r:
             raise DimensionMismatch("permutation does not match the parity kit")
-        if self.reps is not None:
-            reps = self.hp.ctx.matrix(self.reps)
-            object.__setattr__(self, "reps", reps)
-            if reps.shape != (self.hp.points, self.hp.n):
-                raise DimensionMismatch(
-                    f"representative table must be {(self.hp.points, self.hp.n)}"
-                )
-            syndromes = reps @ self.hp.h_hamming.T % self.q
-            if not np.array_equal(syndromes, all_vectors(self.q, self.hp.r)):
-                raise ValueError("row a of the representative table must have syndrome a")
 
     @property
     def ctx(self) -> FieldContext:
@@ -165,7 +149,7 @@ class CodeHandle:
 
     @cached_property
     def rep_table(self) -> np.ndarray:
-        return self.reps if self.reps is not None else canonical_coset_reps(self.hp)
+        return canonical_coset_reps(self.hp)
 
     @property
     def hamming_basis(self) -> np.ndarray:
@@ -180,8 +164,8 @@ class CodeHandle:
         return permuted_check(self.hp, self.perm)
 
 
-def build_code(hp: HammingPair, perm: PermTable, reps: Optional[np.ndarray] = None) -> CodeHandle:
-    return CodeHandle(hp, perm, reps)
+def build_code(hp: HammingPair, perm: PermTable) -> CodeHandle:
+    return CodeHandle(hp, perm)
 
 
 def codeword_count(code: CodeHandle) -> int:
@@ -305,7 +289,7 @@ def rank_basis(code: CodeHandle) -> RankBasis:
     hamming_rows[:, :n] = code.hamming_basis
 
     dbasis = code.extended_basis
-    inter = nullspace_basis(code.ctx, code.permuted_check_matrix @ dbasis.T % q)
+    inter = intersection_coordinates(code.hp, code.permuted_check_matrix)
     columns = np.hstack([inter.T, np.eye(dbasis.shape[0], dtype=DTYPE)])
     pivots = np.array(_eliminate(columns, q, reduced=False), dtype=np.intp)
     kept = pivots[pivots >= inter.shape[0]] - inter.shape[0]
@@ -324,40 +308,11 @@ def write_codewords(path, code: CodeHandle, source: str, max_words: int = MAX_EN
     if code.q > 9:
         raise ValueError("digit-per-symbol codeword files need q <= 9")
     total = 0
-    with open(path, "w") as fh:
-        fh.write(f"# {code.q} {code.r} {code.length} tau={source}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# {code.q} {code.r} {code.length} tau={source}\n".encode())
         for block in codeword_blocks(code, max_words):
-            chars = (block + ord("0")).astype(np.uint8)
-            lines = [row.tobytes().decode("ascii") for row in chars]
-            fh.write("\n".join(lines) + "\n")
-            total += len(lines)
+            chars = np.full((block.shape[0], code.length + 1), ord("\n"), dtype=np.uint8)
+            chars[:, :-1] = block + ord("0")
+            fh.write(chars.tobytes())
+            total += block.shape[0]
     return total
-
-
-def read_codewords(path) -> tuple[FieldContext, int, int, str, np.ndarray]:
-    """Returns (ctx, r, N, source, words)."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw or not raw[0].startswith("# "):
-        raise ParseError("expected header '# q r N tau=<source>'", 1)
-    toks = raw[0][2:].split()
-    if len(toks) != 4 or not toks[3].startswith("tau="):
-        raise ParseError("expected header '# q r N tau=<source>'", 1)
-    try:
-        q, r, N = int(toks[0]), int(toks[1]), int(toks[2])
-    except ValueError:
-        raise ParseError("header fields must be integers", 1) from None
-    try:
-        ctx = FieldContext(q)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1) from None
-    source = toks[3][len("tau=") :]
-    words = np.zeros((len(raw) - 1, N), dtype=DTYPE)
-    for i, line in enumerate(raw[1:]):
-        if len(line) != N or not line.isdigit():
-            raise ParseError(f"expected {N} digits", 2 + i)
-        row = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
-        if (row >= q).any():
-            raise ParseError(f"digits must lie in [0, {q - 1}]", 2 + i)
-        words[i] = row
-    return ctx, r, N, source, words

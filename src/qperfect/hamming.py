@@ -32,9 +32,7 @@ __all__ = [
     "all_vectors",
     "build_hamming_pair",
     "field_powers",
-    "index_to_vec",
     "stacked_parity",
-    "vec_to_index",
 ]
 
 MAX_POINTS = 1 << 20  # largest q**r this module will materialize
@@ -42,18 +40,6 @@ MAX_POINTS = 1 << 20  # largest q**r this module will materialize
 
 def field_powers(q: int, r: int) -> np.ndarray:
     return q ** np.arange(r, dtype=DTYPE)
-
-
-def vec_to_index(q: int, a) -> int:
-    """Little-endian position index of a vector in GF(q)**r."""
-    aa = np.asarray(a, dtype=DTYPE) % q
-    return int(aa @ field_powers(q, aa.shape[0]))
-
-
-def index_to_vec(q: int, r: int, idx: int) -> np.ndarray:
-    if not 0 <= idx < q**r:
-        raise ValueError(f"index {idx} out of range for q={q}, r={r}")
-    return (idx // field_powers(q, r)) % q
 
 
 def all_vectors(q: int, r: int) -> np.ndarray:

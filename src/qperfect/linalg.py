@@ -23,7 +23,6 @@ __all__ = [
     "is_prime",
     "nullspace_basis",
     "rank",
-    "read_matrix",
     "rref",
     "write_matrix",
 ]
@@ -145,13 +144,10 @@ def nullspace_basis(ctx: FieldContext, m) -> np.ndarray:
     """
     red, pivots = rref(ctx, m)
     n = red.shape[1]
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    basis = np.zeros((len(free), n), dtype=DTYPE)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, c in enumerate(pivots):
-            basis[k, c] = (-red[i, f]) % ctx.q
+    free = np.setdiff1d(np.arange(n), pivots)
+    basis = np.zeros((free.size, n), dtype=DTYPE)
+    basis[np.arange(free.size), free] = 1
+    basis[:, list(pivots)] = (-red[: len(pivots), free].T) % ctx.q
     return basis
 
 
@@ -175,36 +171,3 @@ def write_matrix(path, ctx: FieldContext, m) -> None:
     lines.extend(" ".join(str(int(x)) for x in row) for row in mm)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_matrix(path) -> tuple[FieldContext, np.ndarray]:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise ParseError("empty file", 1)
-    head = raw[0].split()
-    if len(head) != 3:
-        raise ParseError("expected header 'q rows cols'", 1)
-    try:
-        q, rows, cols = (int(t) for t in head)
-    except ValueError:
-        raise ParseError("header fields must be integers", 1) from None
-    try:
-        ctx = FieldContext(q)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1) from None
-    if len(raw) < 1 + rows:
-        raise ParseError(f"expected {rows} matrix rows", len(raw) + 1)
-    data = np.zeros((rows, cols), dtype=DTYPE)
-    for i in range(rows):
-        toks = raw[1 + i].split()
-        if len(toks) != cols:
-            raise ParseError(f"expected {cols} entries", 2 + i)
-        try:
-            vals = [int(t) for t in toks]
-        except ValueError:
-            raise ParseError("entries must be integers", 2 + i) from None
-        if any(not 0 <= v < q for v in vals):
-            raise ParseError(f"entries must lie in [0, {q - 1}]", 2 + i)
-        data[i] = vals
-    return ctx, data

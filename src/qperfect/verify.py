@@ -43,6 +43,7 @@ from .linalg import DTYPE, DimensionMismatch, FieldContext, _eliminate, rank
 
 __all__ = [
     "CHECKS",
+    "MAX_BASIS_CELLS",
     "MAX_CERT_CODE",
     "MAX_FULL_TRIPLES",
     "MAX_SPACE_CELLS",
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 MAX_SPACE_CELLS = 1 << 26  # occupancy array budget for the covering check
+MAX_BASIS_CELLS = 1 << 24  # rank x N budget for the basis audit's stack
 MAX_CERT_CODE = 1 << 12  # largest code a certificate check will enumerate
 MAX_FULL_TRIPLES = 1 << 24  # closure is checked on all triples below this
 COUNT_SLICE = 1 << 20  # occupancy cells compared per step when counting overlaps
@@ -240,14 +242,19 @@ def audit_rank_basis(run: VerifyRun) -> VerifyReport:
     """Audit the explicit rank basis: the vectors are independent, they all
     lie in the code, and their number matches the closed form.  Where the
     code is small enough to enumerate, also confirm they span it, against
-    the run's enumerated rank."""
+    the run's enumerated rank.  The stack holds rank x N cells, so the audit
+    is skipped above MAX_BASIS_CELLS before the basis is built."""
     code = run.code
+    params = _params(code, run.label)
+    expected = rank_closed_form(code)
+    cells = expected * code.length
+    if cells > MAX_BASIS_CELLS:
+        return _skipped("basis_audit", params, "basis budget exceeded", cells=cells, budget=MAX_BASIS_CELLS)
     rb = rank_basis(code)
     stacked = rb.stacked
     total = rb.count
     independent = rank(code.ctx, stacked) == total
     non_members = int((~contains_rows(code, stacked)).sum())
-    expected = rank_closed_form(code)
     details = {
         "vectors": total,
         "expected": expected,
@@ -263,7 +270,7 @@ def audit_rank_basis(run: VerifyRun) -> VerifyReport:
     if full is not None:
         details["enumerated_rank"] = full
         ok = ok and full == total
-    return VerifyReport("basis_audit", _params(code, run.label), "pass" if ok else "fail", details)
+    return VerifyReport("basis_audit", params, "pass" if ok else "fail", details)
 
 
 def check_additivity(
@@ -396,29 +403,33 @@ def check_propelinear_certificate(
     up to the triple budget and sampled (result "probabilistic") beyond it.
     No search is attempted: a missing or wrong certificate is just rejected.
 
-    Each law runs in batches on the certificate's sigma (M, N) and pis
-    (M, N, q) tables.  A failure names the first isometry, or the first
-    closure triple in (x, y, w) order or in the order the samples were
-    drawn, as a loop over them would.
+    The domain is proven from the certificate's own words, without
+    enumerating the code: M of them, each over 0..q-1, distinct, and all in
+    the code.  Each law runs in batches on the certificate's sigma (M, N)
+    and pis (M, N, q) tables.  A failure names the first isometry, or the
+    first closure triple in (x, y, w) order or in the order the samples
+    were drawn, as a loop over them would.
     """
     q, N = code.q, code.length
     params = _params(code, label)
-    size = codeword_count(code)
-    if size > max_code:
+    M = codeword_count(code)
+    if M > max_code:
         return _skipped(
-            "certificate", params, "code too large for certificate checking", codewords=size, budget=max_code
+            "certificate", params, "code too large for certificate checking", codewords=M, budget=max_code
         )
 
-    powers = q ** np.arange(N, dtype=DTYPE)
-    code_enc = np.sort(
-        np.concatenate([block @ powers for block in codeword_blocks(code)])
-    )
-    M = code_enc.shape[0]
+    # M distinct words that all lie in a code of size M are the whole code.
     if cert.words.shape != (M, N):
         raise ValueError(f"certificate domain must be the {M} codewords")
+    if ((cert.words < 0) | (cert.words >= q)).any():
+        raise ValueError(f"certificate words must have symbols in 0..{q - 1}")
+    powers = q ** np.arange(N, dtype=DTYPE)
     cenc = cert.words @ powers
     order = np.argsort(cenc)
-    if not np.array_equal(cenc[order], code_enc):
+    code_enc = cenc[order]
+    if (code_enc[1:] == code_enc[:-1]).any():
+        raise ValueError("certificate domain repeats a codeword")
+    if not contains_rows(code, cert.words).all():
         raise ValueError("certificate domain is not the code")
     if cert.pis.shape[2] != q:
         raise DimensionMismatch(f"every isometry must act on words over {q} symbols")

@@ -1,11 +1,32 @@
-"""Per-syndrome coset builders, kept as oracles for the vectorised tables in
+"""Test-side helpers: point indexing, the permutation file writer, and
+per-syndrome coset builders kept as oracles for the vectorised tables in
 qperfect.codes (canonical_coset_reps, and the extended leaders that
 codeword_blocks writes inline)."""
 
 import numpy as np
 
-from qperfect.hamming import HammingPair, vec_to_index
+from qperfect.affine import PermTable
+from qperfect.hamming import HammingPair, field_powers
 from qperfect.linalg import DTYPE, DimensionMismatch
+
+
+def vec_to_index(q: int, a) -> int:
+    """Little-endian position index of a vector in GF(q)**r."""
+    aa = np.asarray(a, dtype=DTYPE) % q
+    return int(aa @ field_powers(q, aa.shape[0]))
+
+
+def index_to_vec(q: int, r: int, idx: int) -> np.ndarray:
+    if not 0 <= idx < q**r:
+        raise ValueError(f"index {idx} out of range for q={q}, r={r}")
+    return (idx // field_powers(q, r)) % q
+
+
+def write_perm(path, perm: PermTable) -> None:
+    """The permutation file that qperfect.affine.read_perm parses."""
+    with open(path, "w") as fh:
+        fh.write(f"{perm.ctx.q} {perm.r}\n")
+        fh.write(" ".join(str(int(i)) for i in perm.images) + "\n")
 
 
 def hamming_coset_rep(hp: HammingPair, a) -> np.ndarray:

@@ -34,7 +34,7 @@ from qperfect.codes import (
     permuted_check,
     rank_closed_form,
 )
-from qperfect.hamming import build_hamming_pair, index_to_vec, stacked_parity
+from qperfect.hamming import build_hamming_pair, stacked_parity
 from qperfect.linalg import FieldContext, nullspace_basis
 from qperfect.verify import (
     PropelinearCertificate,
@@ -48,7 +48,7 @@ from qperfect.verify import (
     translation_certificate,
 )
 
-from hamming_oracles import extended_coset_leader
+from hamming_oracles import extended_coset_leader, index_to_vec
 
 SURVEY_PATH = Path(__file__).resolve().parents[1] / "scripts" / "distension_survey.py"
 _spec = importlib.util.spec_from_file_location("distension_survey", SURVEY_PATH)

@@ -19,10 +19,10 @@ from qperfect.affine import (
     translation_group,
     verify_automorphism,
     verify_regular_subgroup,
-    write_perm,
 )
-from qperfect.hamming import vec_to_index
 from qperfect.linalg import FieldContext, ParseError
+
+from hamming_oracles import vec_to_index, write_perm
 
 
 def test_perm_table_validation():

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from qperfect import verify
-from qperfect.affine import shear_swap_perm, write_perm
+from qperfect.affine import shear_swap_perm
 from qperfect.cli import main
-from qperfect.linalg import FieldContext, read_matrix
+from qperfect.linalg import FieldContext
 from qperfect.verify import CHECKS
+
+from hamming_oracles import write_perm
 
 
 def run(capsys, argv):
@@ -36,13 +38,11 @@ def test_matrices_golden_bytes(tmp_path, capsys):
     assert (tmp_path / "extended_check.txt").read_text() == (
         "2 3 4\n1 1 1 1\n0 1 0 1\n0 0 1 1\n"
     )
-    ctx, cols = read_matrix(tmp_path / "columns_check.txt")
-    assert ctx == FieldContext(2) and cols.shape == (2, 4)
-    ctx, stacked = read_matrix(tmp_path / "stacked_check.txt")
-    assert stacked.shape == (3, 7)
-    # every column nonzero and distinct: the length-7 ambient check
-    encoded = {tuple(c) for c in stacked.T}
-    assert len(encoded) == 7 and (0, 0, 0) not in encoded
+    assert (tmp_path / "columns_check.txt").read_text() == "2 2 4\n0 1 0 1\n0 0 1 1\n"
+    # the seven nonzero columns of GF(2)**3: the length-7 ambient check
+    assert (tmp_path / "stacked_check.txt").read_text() == (
+        "2 3 7\n0 0 0 1 1 1 1\n1 0 1 0 1 0 1\n0 1 1 0 0 1 1\n"
+    )
 
 
 # -- build --------------------------------------------------------------------
@@ -82,6 +82,27 @@ def test_build_outputs_are_deterministic(tmp_path, capsys):
     words = (dirs[0] / "codewords.txt").read_text().splitlines()
     assert words[0] == "# 2 2 7 tau=builtin:identity"
     assert len(words) == 17
+
+
+# sha256 of the files `qperfect build <args>` writes.
+BUILD_SHA256 = [
+    ("--q 2 --r 2", {
+        "codewords.txt": "ca590f2878d2f7dfcb1d69f407e3f15cd9023c8a751e385a9430fcfc0dd7485b",
+        "summary.json": "d28d0cd8e9cfe3b8b8063ac5bd6641dd46786f79ff9150096ae89732deae44b3",
+    }),
+    ("--q 3 --r 2 --tau builtin:shear", {
+        "codewords.txt": "1e7d68c2268403e728b8aa6a4a95856a1499ac20883f1e25e2b976cdd82519b9",
+        "summary.json": "920671ff6091e0646b642a44270fe33ed289a122ad95c3de0c5dc11521a67a2e",
+    }),
+]
+
+
+@pytest.mark.parametrize("args,digests", BUILD_SHA256, ids=[a for a, _ in BUILD_SHA256])
+def test_build_golden_files(tmp_path, capsys, args, digests):
+    code, _, _ = run(capsys, ["build", *args.split(), "--out", str(tmp_path)])
+    assert code == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 # -- verify --------------------------------------------------------------------

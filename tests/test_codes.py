@@ -24,18 +24,17 @@ from qperfect.codes import (
     contains_rows,
     distension,
     distension_oracle,
-    intersection_basis,
+    intersection_coordinates,
     lex_messages,
     permuted_check,
     rank_basis,
     rank_closed_form,
-    read_codewords,
     write_codewords,
 )
-from qperfect.hamming import build_hamming_pair, index_to_vec, vec_to_index
-from qperfect.linalg import DimensionMismatch, FieldContext, ParseError, nullspace_basis, rank
+from qperfect.hamming import build_hamming_pair
+from qperfect.linalg import DimensionMismatch, FieldContext, nullspace_basis, rank
 
-from hamming_oracles import hamming_coset_rep
+from hamming_oracles import hamming_coset_rep, index_to_vec, vec_to_index
 
 
 def make(q, r):
@@ -46,6 +45,12 @@ def random_zero_fixing_perm(ctx, r, rng):
     size = ctx.q**r
     images = np.concatenate([[0], 1 + rng.permutation(size - 1)])
     return PermTable(ctx, r, images)
+
+
+def intersection_basis(hp, perm):
+    """Oracle: the intersection of the extended component with its permuted
+    copy, as the kernel of both checks stacked."""
+    return nullspace_basis(hp.ctx, np.vstack([hp.h_extended, permuted_check(hp, perm)]))
 
 
 def kernel_words(ctx, check):
@@ -133,6 +138,9 @@ def test_distension_by_set_intersection_oracle():
     inter = intersection_basis(hp, tau)
     assert inter.shape[0] == 4
     assert all(tuple(w) in shared for w in inter)
+    coords = intersection_coordinates(hp, permuted_check(hp, tau))
+    assert coords.shape[0] == 4
+    assert all(tuple(w) in shared for w in coords @ hp.extended_basis % 3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -179,31 +187,6 @@ def test_canonical_reps_match_per_row_builder():
     for a in range(hp.points):
         assert np.array_equal(table[a], hamming_coset_rep(hp, index_to_vec(3, 2, a)))
     assert not table[0].any()
-
-
-def test_rep_override_rejects_wrong_syndromes():
-    hp = make(3, 2)
-    tau = shear_swap_perm(hp.ctx)
-    reps = canonical_coset_reps(hp)
-    bad = reps.copy()
-    bad[[1, 2]] = bad[[2, 1]]  # rows no longer carry their own syndrome
-    with pytest.raises(ValueError):
-        build_code(hp, tau, reps=bad)
-    with pytest.raises(DimensionMismatch):
-        build_code(hp, tau, reps=reps[:, :2])
-
-
-def test_rep_override_leaves_word_set_unchanged():
-    hp = make(2, 2)
-    tau = identity_perm(hp.ctx, 2)
-    code = build_code(hp, tau)
-    # shift each representative by a Hamming codeword: same cosets
-    kernel = nullspace_basis(hp.ctx, hp.h_hamming)
-    rng = np.random.default_rng(7)
-    shifts = rng.integers(0, 2, size=(hp.points, kernel.shape[0])) @ kernel % 2
-    other = build_code(hp, tau, reps=(code.rep_table + shifts) % 2)
-    words = {tuple(w) for block in codeword_blocks(code) for w in block}
-    assert words == {tuple(w) for block in codeword_blocks(other) for w in block}
 
 
 # -- membership and enumeration --------------------------------------------
@@ -411,6 +394,11 @@ def test_rank_basis_completion_matches_greedy_scan(q, r, name):
     assert completion.dtype == want.dtype
     assert np.array_equal(completion, want)
     assert completion.shape[0] == distension(hp, code.perm)
+    # the coordinates rank_basis eliminates span the oracle's intersection
+    inter = intersection_coordinates(hp, permuted_check(hp, code.perm)) @ hp.extended_basis % q
+    oracle = intersection_basis(hp, code.perm)
+    assert rank(hp.ctx, inter) == inter.shape[0] == oracle.shape[0]
+    assert rank(hp.ctx, np.vstack([inter, oracle])) == oracle.shape[0]
 
 
 # -- codeword files ---------------------------------------------------------
@@ -422,37 +410,9 @@ def test_codeword_file_round_trip(tmp_path):
     path = tmp_path / "words.txt"
     total = write_codewords(path, code, source="builtin:identity")
     assert total == 16
-    ctx, r, N, source, words = read_codewords(path)
-    assert (ctx.q, r, N, source) == (2, 2, 7, "builtin:identity")
-    assert words.shape == (16, 7)
-    assert np.array_equal(words, np.vstack(list(codeword_blocks(code))))
-    first = path.read_text().splitlines()
-    assert first[0] == "# 2 2 7 tau=builtin:identity"
-    assert first[1] == "0000000"
-
-
-def test_codeword_file_parse_errors(tmp_path):
-    path = tmp_path / "words.txt"
-
-    path.write_text("2 2 7 tau=x\n0000000\n")
-    with pytest.raises(ParseError, match="line 1"):
-        read_codewords(path)  # missing comment marker
-
-    path.write_text("# 2 2 7\n0000000\n")
-    with pytest.raises(ParseError, match="line 1"):
-        read_codewords(path)  # missing tau field
-
-    path.write_text("# 2 2 7 tau=x\n000\n")
-    with pytest.raises(ParseError, match="line 2"):
-        read_codewords(path)  # wrong width
-
-    path.write_text("# 2 2 7 tau=x\n0000000\n0000002\n")
-    with pytest.raises(ParseError, match="line 3"):
-        read_codewords(path)  # digit out of range
-
-    path.write_text("# 4 2 7 tau=x\n0000000\n")
-    with pytest.raises(ParseError, match="line 1"):
-        read_codewords(path)  # not a prime field
+    rows = ["".join(map(str, w)) for w in np.vstack(list(codeword_blocks(code)))]
+    assert path.read_bytes() == "\n".join(["# 2 2 7 tau=builtin:identity", *rows, ""]).encode()
+    assert rows[0] == "0000000"
 
 
 def test_codeword_file_rejects_wide_alphabets(tmp_path):

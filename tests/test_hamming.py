@@ -10,13 +10,11 @@ from qperfect.hamming import (
     HammingPair,
     all_vectors,
     build_hamming_pair,
-    index_to_vec,
     stacked_parity,
-    vec_to_index,
 )
 from qperfect.linalg import DimensionMismatch, FieldContext, rank
 
-from hamming_oracles import extended_coset_leader, hamming_coset_rep
+from hamming_oracles import extended_coset_leader, hamming_coset_rep, index_to_vec, vec_to_index
 
 SMALL = [(2, 2), (2, 3), (3, 2), (5, 2)]
 

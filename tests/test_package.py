@@ -1,6 +1,7 @@
 """Every exported name resolves, so a stale export fails here rather than at
 `from qperfect.<module> import *`, and so does every name the benchmark's
-tracer wraps or its workloads read."""
+tracer wraps or its workloads read.  Every exported name also has a caller
+outside the tests."""
 
 import ast
 import importlib
@@ -64,3 +65,39 @@ def test_benchmark_code_tables_resolve():
     code = build_code(build_hamming_pair(ctx, 2), shear_swap_perm(ctx))
     for table in ("rep_table", "hamming_basis", "extended_basis", "permuted_check_matrix"):
         assert getattr(code, table).ndim == 2, table
+
+
+def referenced_names(path):
+    """Names a file refers to: loaded names, attributes, and string
+    constants (a tracer's table names its targets as strings), leaving out
+    the strings of its __all__."""
+    tree = ast.parse(path.read_text())
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported |= {id(n) for n in ast.walk(node.value)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in exported:
+            names.add(node.value)
+    return names
+
+
+def test_every_export_has_a_caller():
+    # an exported name that only tests use is a test oracle or dead code;
+    # definitions, __all__ entries and the package re-exports do not count
+    root = Path(__file__).resolve().parents[1]
+    package = Path(qperfect.__file__)
+    files = [path for folder in ("src/qperfect", "scripts", "perfbench") for path in (root / folder).glob("*.py")]
+    used = set().union(*(referenced_names(path) for path in files if path != package))
+    unused = [
+        f"{name}.{export}"
+        for name in MODULES
+        for export in getattr(importlib.import_module(f"qperfect.{name}"), "__all__", ())
+        if export not in used
+    ]
+    assert not unused

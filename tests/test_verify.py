@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import time
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from qperfect import cli, verify
 from qperfect.affine import PermTable, identity_perm, series_group, series_perm, shear_swap_perm
-from qperfect.codes import build_code, codeword_blocks, codeword_count
+from qperfect.codes import build_code, codeword_blocks, codeword_count, rank_basis
 from qperfect.hamming import build_hamming_pair
 from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, rank
 from qperfect.verify import (
@@ -230,6 +231,33 @@ def test_audit_rank_basis_enumeration_skip():
     assert rep.result == "pass"
     assert rep.details["enumeration"] == "skipped"
     assert "enumerated_rank" not in rep.details
+
+
+def test_audit_rank_basis_cells_budget(monkeypatch):
+    # (3,2) shear: rank 12, N = 13, so the stack holds 156 cells
+    ctx = FieldContext(3)
+    run = verify.VerifyRun(build_code(build_hamming_pair(ctx, 2), shear_swap_perm(ctx)), "shear")
+    built = []
+    monkeypatch.setattr(verify, "rank_basis", lambda c: built.append(c) or rank_basis(c))
+    monkeypatch.setattr(verify, "MAX_BASIS_CELLS", 155)
+    rep = audit_rank_basis(run)
+    assert rep.result == "skipped" and not built
+    assert rep.details == {"reason": "basis budget exceeded", "cells": 156, "budget": 155}
+    monkeypatch.setattr(verify, "MAX_BASIS_CELLS", 156)
+    assert audit_rank_basis(run).result == "pass" and len(built) == 1
+
+
+def test_audit_rank_basis_skips_past_the_budget(monkeypatch, capsys):
+    # (2,12): rank 8178 x N 8191 is past 2**24 cells, and the skip comes
+    # before any basis row is built (a stack of that size would take GiBs)
+    monkeypatch.setattr(verify, "rank_basis", lambda c: pytest.fail("the basis was built"))
+    start = time.perf_counter()
+    assert cli.main(["verify", "--q", "2", "--r", "12", "--checks", "basis_audit"]) == 0
+    elapsed = time.perf_counter() - start
+    (report,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert report["result"] == "skipped"
+    assert report["details"]["cells"] == 8178 * 8191
+    assert elapsed < 2.0
 
 
 def test_enumerated_rank_is_shared(monkeypatch, capsys):
@@ -571,10 +599,33 @@ def test_certificate_domain_must_match():
         check_propelinear_certificate(code, PropelinearCertificate(words, cert.sigma, cert.pis))
     with pytest.raises(ValueError, match="16 codewords"):
         check_propelinear_certificate(code, PropelinearCertificate(cert.words[:-1], cert.sigma[:-1], cert.pis[:-1]))
+    # a codeword twice, in place of another: M words, all in the code
+    words = cert.words.copy()
+    words[2] = words[1]
+    with pytest.raises(ValueError, match="repeats a codeword"):
+        check_propelinear_certificate(code, PropelinearCertificate(words, cert.sigma, cert.pis))
+    # a symbol equal to q: still a codeword mod q, so only the range test sees it
+    words = cert.words.copy()
+    k = int(np.flatnonzero(words[1] == 0)[0])
+    words[1, k] = code.q
+    with pytest.raises(ValueError, match="symbols in 0..1"):
+        check_propelinear_certificate(code, PropelinearCertificate(words, cert.sigma, cert.pis))
     # ternary symbol tables on a binary code
     ternary = (cert.words[:, :, None] + np.arange(3)) % 3
     with pytest.raises(DimensionMismatch):
         check_propelinear_certificate(code, PropelinearCertificate(cert.words, cert.sigma, ternary))
+
+
+def test_certificate_run_walks_the_code_once(monkeypatch, capsys):
+    # the translation certificate enumerates the code; the checker proves
+    # its domain from the certificate's words
+    calls = []
+    blocks = verify.codeword_blocks
+    monkeypatch.setattr(verify, "codeword_blocks", lambda *a, **k: calls.append(a) or blocks(*a, **k))
+    assert cli.main(["verify", "--q", "2", "--r", "3", "--checks", "certificate"]) == 0
+    (report,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert report["result"] == "probabilistic"
+    assert len(calls) == 1
 
 
 def loop_certificate_check(
