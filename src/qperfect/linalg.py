@@ -93,7 +93,8 @@ def _eliminate(a: np.ndarray, q: int, reduced: bool) -> list[int]:
     """In-place Gaussian elimination, pivoting on the first nonzero entry of
     each column.  Returns the pivot columns; afterwards rows 0..len(pivots)-1
     hold the echelon rows and every later row is zero.  With reduced=True the
-    result is the reduced row echelon form with unit pivots.
+    result is the reduced row echelon form with unit pivots.  Row updates
+    start at the pivot column: the pivot row is zero to its left.
     """
     m, n = a.shape
     inv_table = _inverse_table(q)
@@ -110,7 +111,7 @@ def _eliminate(a: np.ndarray, q: int, reduced: bool) -> list[int]:
             a[[row, p]] = a[[p, row]]
         piv = int(a[row, col])
         if piv != 1:
-            a[row] = a[row] * inv_table[piv] % q
+            a[row, col:] = a[row, col:] * inv_table[piv] % q
         if reduced:
             coeffs = a[:, col].copy()
             coeffs[row] = 0
@@ -118,7 +119,7 @@ def _eliminate(a: np.ndarray, q: int, reduced: bool) -> list[int]:
         else:
             targets = row + 1 + np.flatnonzero(a[row + 1 :, col])
         if targets.size:
-            a[targets] = (a[targets] - np.outer(a[targets, col], a[row])) % q
+            a[targets, col:] = (a[targets, col:] - np.outer(a[targets, col], a[row, col:])) % q
         pivots.append(col)
         row += 1
     return pivots

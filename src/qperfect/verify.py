@@ -326,7 +326,8 @@ def _run_additivity(run: VerifyRun) -> VerifyReport:
 
 def _run_group_premises(run: VerifyRun) -> VerifyReport:
     """The builtin's subgroup is regular and induces the permutation through
-    one of its automorphisms; both checks are exhaustive over pairs."""
+    one of its automorphisms; both checks run on a generating set of the
+    subgroup and decide the same as a check over all pairs."""
     params = _params(run.code, run.label)
     group = run.group
     if group is None:

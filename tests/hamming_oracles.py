@@ -1,13 +1,14 @@
-"""Test-side helpers: point indexing, the permutation file writer, and
+"""Test-side helpers: point indexing, the permutation file writer,
 per-syndrome coset builders kept as oracles for the vectorised tables in
 qperfect.codes (canonical_coset_reps, and the extended leaders that
-codeword_blocks writes inline)."""
+codeword_blocks writes inline), and the exhaustive pair checks kept as
+oracles for the generator route of the group premises in qperfect.affine."""
 
 import numpy as np
 
-from qperfect.affine import PermTable
-from qperfect.hamming import HammingPair, field_powers
-from qperfect.linalg import DTYPE, DimensionMismatch
+from qperfect.affine import CheckResult, PermTable, RegularSubgroup
+from qperfect.hamming import HammingPair, all_vectors, field_powers
+from qperfect.linalg import DTYPE, DimensionMismatch, is_invertible
 
 
 def vec_to_index(q: int, a) -> int:
@@ -63,3 +64,43 @@ def extended_coset_leader(hp: HammingPair, a) -> np.ndarray:
         y[0] = 1
         y[k] = hp.q - 1
     return y
+
+
+def exhaustive_regular_subgroup(G: RegularSubgroup) -> CheckResult:
+    """Regular-subgroup check over all pairs: M_0 = I, every matrix
+    invertible, and M_{a + M_a b} = M_a M_b for every a and b."""
+    q = G.ctx.q
+    if not np.array_equal(G.matrices[0], np.eye(G.r, dtype=DTYPE)):
+        return CheckResult(False, "matrix at index 0 is not the identity")
+    for ia in range(G.size):
+        if not is_invertible(G.ctx, G.matrices[ia]):
+            return CheckResult(False, f"matrix at index {ia} is singular")
+    vecs = all_vectors(q, G.r)
+    powers = field_powers(q, G.r)
+    for ia in range(G.size):
+        Ma = G.matrices[ia]
+        lhs = G.matrices[((vecs[ia] + vecs @ Ma.T) % q) @ powers]
+        rhs = np.matmul(Ma, G.matrices) % q
+        same = np.all(lhs == rhs, axis=(1, 2))
+        if not same.all():
+            ib = int(np.flatnonzero(~same)[0])
+            return CheckResult(False, f"closure fails at a=index {ia}, b=index {ib}")
+    return CheckResult(True)
+
+
+def exhaustive_automorphism(G: RegularSubgroup, perm: PermTable) -> CheckResult:
+    """Automorphism law over all pairs:
+    perm(a + M_a b) = perm(a) + M_{perm(a)} perm(b) for every a and b."""
+    q = G.ctx.q
+    vecs = all_vectors(q, G.r)
+    powers = field_powers(q, G.r)
+    timg = perm.images
+    tvecs = vecs[timg]
+    for ia in range(G.size):
+        ta = int(timg[ia])
+        lhs = timg[((vecs[ia] + vecs @ G.matrices[ia].T) % q) @ powers]
+        rhs = ((vecs[ta] + tvecs @ G.matrices[ta].T) % q) @ powers
+        if not np.array_equal(lhs, rhs):
+            ib = int(np.flatnonzero(lhs != rhs)[0])
+            return CheckResult(False, f"automorphism law fails at a=index {ia}, b=index {ib}")
+    return CheckResult(True)

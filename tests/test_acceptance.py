@@ -14,8 +14,11 @@ import numpy as np
 import pytest
 
 from qperfect.affine import (
+    VERIFY_GUARD,
     PermTable,
+    RegularSubgroup,
     identity_perm,
+    series_group,
     series_perm,
     shear_group,
     shear_swap_perm,
@@ -332,6 +335,22 @@ def test_criterion_11_enumerate_checks():
         rep = check_rank_equivalence(VerifyRun(code))
         assert rep.result == "pass"
         assert rep.details == {"enumerated_rank": 12, "closed_form": 12}
+
+
+def test_criterion_12_group_premises_at_the_guard():
+    # the group premises are decided on a generating set, so the largest
+    # tables under the guard take milliseconds; a corrupted matrix at the
+    # last index, which is no generator, still fails
+    with criterion("criterion 12, group premises at the guard", 0.5):
+        for q, r, copies in ((2, 10, 0), (3, 6, 3)):
+            ctx = FieldContext(q)
+            group, tau = series_group(ctx, r, copies), series_perm(ctx, r, copies)
+            assert q**r <= VERIFY_GUARD
+            assert verify_regular_subgroup(group).ok
+            assert verify_automorphism(group, tau).ok
+            mats = group.matrices.copy()
+            mats[-1] = (mats[-1] + np.eye(r, dtype=mats.dtype)) % q
+            assert not verify_regular_subgroup(RegularSubgroup(ctx, r, mats)).ok
 
 
 def test_distension_survey_script(monkeypatch, capsys):

@@ -1,11 +1,15 @@
 """Regular subgroups, induced permutations, their text formats."""
 
+import re
+
 import numpy as np
 import pytest
 
 from qperfect.affine import (
+    CheckResult,
     PermTable,
     RegularSubgroup,
+    _generators,
     direct_product,
     identity_perm,
     iterate_perms,
@@ -20,9 +24,15 @@ from qperfect.affine import (
     verify_automorphism,
     verify_regular_subgroup,
 )
-from qperfect.linalg import FieldContext, ParseError
+from qperfect.hamming import all_vectors, field_powers
+from qperfect.linalg import FieldContext, ParseError, is_invertible
 
-from hamming_oracles import vec_to_index, write_perm
+from hamming_oracles import (
+    exhaustive_automorphism,
+    exhaustive_regular_subgroup,
+    vec_to_index,
+    write_perm,
+)
 
 
 def test_perm_table_validation():
@@ -222,6 +232,141 @@ def test_verification_guard():
         verify_regular_subgroup(G)
     with pytest.raises(ValueError):
         verify_automorphism(G, identity_perm(ctx, 11))
+
+
+def test_first_candidate_failures_return_results():
+    # M_1 is the first candidate generator; M_0 != I leaves no candidate at all
+    ctx = FieldContext(3)
+    G = shear_group(ctx)
+    tau = shear_swap_perm(ctx)
+    mats = G.matrices.copy()
+    mats[1] = [[1, 1], [1, 1]]
+    singular = RegularSubgroup(ctx, 2, mats)
+    assert verify_regular_subgroup(singular).detail == "matrix at index 1 is singular"
+    assert isinstance(verify_automorphism(singular, tau), CheckResult)
+    mats = G.matrices.copy()
+    mats[0] = [[2, 0], [0, 1]]
+    moved = RegularSubgroup(ctx, 2, mats)
+    assert verify_regular_subgroup(moved).detail == "matrix at index 0 is not the identity"
+    assert isinstance(verify_automorphism(moved, tau), CheckResult)
+
+
+def test_generating_set_is_small():
+    # each generator multiplies the reached subgroup by at least q
+    ctx = FieldContext(3)
+    gens, rows, detail = _generators(series_group(ctx, 4, 2))
+    assert detail == "" and 1 <= len(gens) <= 4 and len(rows) == len(gens)
+    gens, _, _ = _generators(translation_group(FieldContext(2), 8))
+    assert gens == [1 << k for k in range(8)]
+
+
+# -- the generator route against the exhaustive oracles -------------------------
+
+
+def _point(G, a, b):
+    """idx(a + M_a b) for point indices a and b."""
+    vecs = all_vectors(G.ctx.q, G.r)
+    return int((vecs[a] + G.matrices[a] @ vecs[b]) % G.ctx.q @ field_powers(G.ctx.q, G.r))
+
+
+def _pair(detail):
+    return (int(x) for x in re.search(r"a=index (\d+), b=index (\d+)", detail).groups())
+
+
+def _assert_subgroup_detail_breaks(G, detail):
+    q = G.ctx.q
+    if detail == "matrix at index 0 is not the identity":
+        assert not np.array_equal(G.matrices[0], np.eye(G.r))
+    elif "singular" in detail:
+        ia = int(re.search(r"index (\d+)", detail).group(1))
+        assert not is_invertible(G.ctx, G.matrices[ia])
+    else:
+        ia, ib = _pair(detail)
+        product = G.matrices[ia] @ G.matrices[ib] % q
+        assert not np.array_equal(G.matrices[_point(G, ia, ib)], product)
+
+
+def _assert_automorphism_detail_breaks(G, perm, detail):
+    ia, ib = _pair(detail)
+    ta, tb = int(perm.images[ia]), int(perm.images[ib])
+    assert perm.images[_point(G, ia, ib)] != _point(G, ta, tb)
+
+
+def _cross_check(G, perm):
+    sub, aut = verify_regular_subgroup(G), verify_automorphism(G, perm)
+    assert sub.ok == exhaustive_regular_subgroup(G).ok
+    if sub.ok:  # the automorphism verdict is exact on a group
+        assert aut.ok == exhaustive_automorphism(G, perm).ok
+    if not sub.ok:
+        _assert_subgroup_detail_breaks(G, sub.detail)
+    if not aut.ok:
+        _assert_automorphism_detail_breaks(G, perm, aut.detail)
+    return sub.ok and aut.ok
+
+
+def _instances():
+    for q in (3, 5, 7):
+        ctx = FieldContext(q)
+        yield f"shear-q{q}", shear_group(ctx), shear_swap_perm(ctx)
+    ctx = FieldContext(3)
+    for r, i in ((4, 0), (4, 1), (4, 2), (5, 2)):
+        yield f"series-q3r{r}i{i}", series_group(ctx, r, i), series_perm(ctx, r, i)
+    for q, r in ((5, 3), (2, 8)):
+        ctx = FieldContext(q)
+        yield f"identity-q{q}r{r}", translation_group(ctx, r), identity_perm(ctx, r)
+
+
+INSTANCES = list(_instances())
+
+
+@pytest.mark.parametrize("G,perm", [(G, p) for _, G, p in INSTANCES], ids=[n for n, _, _ in INSTANCES])
+def test_generator_route_matches_exhaustive(G, perm):
+    assert _cross_check(G, perm)
+
+
+def test_automorphism_law_is_tested_on_every_generator():
+    # (x, y) -> (x, pi(y)) with pi not additive commutes with the first
+    # generator, the translation by (1, 0), and breaks the law at (0, 1)
+    ctx = FieldContext(5)
+    G = translation_group(ctx, 2)
+    tau = iterate_perms(identity_perm(ctx, 1), PermTable(ctx, 1, np.array([0, 2, 1, 3, 4])))
+    assert _generators(G)[0] == [1, 5]
+    assert not _cross_check(G, tau)
+    assert verify_automorphism(G, tau).detail.startswith("automorphism law fails at a=index 5,")
+
+
+def _mutate(kind, G, perm, rng):
+    q, size = G.ctx.q, G.size
+    mats, images = G.matrices.copy(), perm.images.copy()
+    if kind == "entry":
+        a, i, j = int(rng.integers(size)), *(int(x) for x in rng.integers(G.r, size=2))
+        mats[a, i, j] = (mats[a, i, j] + rng.integers(1, q)) % q
+    elif kind == "swap":
+        a, b = rng.choice(size, size=2, replace=False)
+        mats[[a, b]] = mats[[b, a]]
+    elif kind == "singular":
+        others = np.setdiff1d(np.arange(1, size), _generators(G)[0])
+        a = int(rng.choice(others))
+        mats[a] = rng.integers(0, q, size=(G.r, G.r))
+        mats[a, :, int(rng.integers(G.r))] = 0
+    else:
+        a, b = rng.choice(np.arange(1, size), size=2, replace=False)
+        images[[a, b]] = images[[b, a]]
+    return RegularSubgroup(G.ctx, G.r, mats), PermTable(perm.ctx, perm.r, images)
+
+
+MUTATION_BASES = [inst for inst in INSTANCES if inst[0] in ("shear-q5", "series-q3r4i1", "series-q3r4i2")]
+
+
+@pytest.mark.parametrize("kind", ["entry", "swap", "singular", "tau"])
+@pytest.mark.parametrize("G,perm", [(G, p) for _, G, p in MUTATION_BASES], ids=[n for n, _, _ in MUTATION_BASES])
+def test_generator_route_matches_exhaustive_on_mutations(G, perm, kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    rejected = 0
+    for _ in range(12):
+        rejected += not _cross_check(*_mutate(kind, G, perm, rng))
+    if kind in ("entry", "singular"):
+        assert rejected == 12  # a changed matrix always breaks the premises
 
 
 def test_perm_text_round_trip(tmp_path):

@@ -214,6 +214,10 @@ VERIFY_STDOUT_SHA256 = [
      "7e7d0b4890a7c376f2acef3dc9833c68cd04b58b7ba868ba76dbf1acaf62b5b2"),
     ("--q 5 --r 1",  # certificate: sampled closure
      "6d0eafd057f4b7c000b784f6d115e96f8c60a7fc20cfd284667077f5a45426de"),
+    ("--q 3 --r 6 --tau builtin:series --i 3 --checks group_premises",  # group premises at scale
+     "10c478ba3ea4775572eed694da99183f043003598b89be566a71682b4638a2c2"),
+    ("--q 2 --r 10 --checks group_premises",  # group premises: largest table under the guard
+     "2ca292da5abb0f2e1866d065e1820570b20f29aca2537362138f12a12ca6f30f"),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qperfect.linalg import (
     DimensionMismatch,
     FieldContext,
+    _eliminate,
     _inverse_table,
     is_invertible,
     is_prime,
@@ -202,3 +203,51 @@ def test_matrix_text_round_trip(tmp_path):
     path = tmp_path / "m.txt"
     write_matrix(path, ctx, m)
     assert path.read_bytes() == b"3 2 3\n1 0 2\n2 2 0\n"
+
+
+def full_width_eliminate(a, q, reduced):
+    """_eliminate with every row update over the whole row, kept as the
+    oracle for the updates that start at the pivot column."""
+    m, n = a.shape
+    inv_table = _inverse_table(q)
+    row = 0
+    pivots = []
+    for col in range(n):
+        if row == m:
+            break
+        nz = np.flatnonzero(a[row:, col])
+        if nz.size == 0:
+            continue
+        p = row + int(nz[0])
+        if p != row:
+            a[[row, p]] = a[[p, row]]
+        piv = int(a[row, col])
+        if piv != 1:
+            a[row] = a[row] * inv_table[piv] % q
+        if reduced:
+            coeffs = a[:, col].copy()
+            coeffs[row] = 0
+            targets = np.flatnonzero(coeffs)
+        else:
+            targets = row + 1 + np.flatnonzero(a[row + 1 :, col])
+        if targets.size:
+            a[targets] = (a[targets] - np.outer(a[targets, col], a[row])) % q
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_eliminate_matches_full_width_rows(q, reduced):
+    # rank-deficient products with zero columns, so pivots skip columns
+    rng = np.random.default_rng(q)
+    for _ in range(25):
+        m, n = (int(x) for x in rng.integers(1, 12, size=2))
+        k = int(rng.integers(0, min(m, n) + 1))
+        a = rng.integers(0, q, size=(m, k)) @ rng.integers(0, q, size=(k, n)) % q
+        a[:, rng.random(n) < 0.3] = 0
+        a = a.astype(np.int64)
+        got, want = a.copy(), a.copy()
+        assert _eliminate(got, q, reduced) == full_width_eliminate(want, q, reduced)
+        assert np.array_equal(got, want)
