@@ -18,6 +18,7 @@ all pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,7 @@ class RegularSubgroup:
 
     def __post_init__(self):
         mats = np.asarray(self.matrices, dtype=DTYPE) % self.ctx.q
+        mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
         size = self.ctx.q**self.r
         if mats.shape != (size, self.r, self.r):
@@ -123,6 +125,12 @@ class RegularSubgroup:
     @property
     def size(self) -> int:
         return self.matrices.shape[0]
+
+    @cached_property
+    def generating_set(self) -> tuple[list[int], list[np.ndarray], str]:
+        """_generators of the table, built once and read by both premise
+        checks; the table is read-only, so it cannot go stale."""
+        return _generators(self)
 
 
 def translation_group(ctx: FieldContext, r: int) -> RegularSubgroup:
@@ -284,7 +292,7 @@ def verify_regular_subgroup(G: RegularSubgroup) -> CheckResult:
     every b.  Then every element is a product of generators, so the table is
     closed under composition; the verdict equals the one over all pairs."""
     _check_guard(G.size)
-    detail = _generators(G)[2]
+    detail = G.generating_set[2]
     return CheckResult(not detail, detail)
 
 
@@ -299,7 +307,7 @@ def verify_automorphism(G: RegularSubgroup, perm: PermTable) -> CheckResult:
         raise DimensionMismatch("subgroup and permutation do not match")
     _check_guard(G.size)
     q = G.ctx.q
-    gens, rows, _ = _generators(G)
+    gens, rows, _ = G.generating_set
     vecs = all_vectors(q, G.r)
     powers = field_powers(q, G.r)
     timg = perm.images

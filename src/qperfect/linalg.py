@@ -91,21 +91,28 @@ class FieldContext:
 
 def _eliminate(a: np.ndarray, q: int, reduced: bool) -> list[int]:
     """In-place Gaussian elimination, pivoting on the first nonzero entry of
-    each column.  Returns the pivot columns; afterwards rows 0..len(pivots)-1
-    hold the echelon rows and every later row is zero.  With reduced=True the
-    result is the reduced row echelon form with unit pivots.  Row updates
-    start at the pivot column: the pivot row is zero to its left.
+    the first column that is nonzero below the current row.  Returns the
+    pivot columns; afterwards rows 0..len(pivots)-1 hold the echelon rows and
+    every later row is zero.  With reduced=True the result is the reduced row
+    echelon form with unit pivots.  Row updates start at the pivot column:
+    the pivot row is zero to its left.
+
+    A rank-deficient matrix would otherwise visit every column, so when the
+    current column is empty below the row, one scan of the remaining block
+    jumps to the next live column, or stops when there is none.
     """
     m, n = a.shape
     inv_table = _inverse_table(q)
-    row = 0
+    row = col = 0
     pivots: list[int] = []
-    for col in range(n):
-        if row == m:
-            break
-        nz = np.flatnonzero(a[row:, col])
-        if nz.size == 0:
-            continue
+    while row < m and col < n:
+        nz = a[row:, col].nonzero()[0]
+        if not nz.size:
+            live = a[row:, col:].any(axis=0).nonzero()[0]
+            if not live.size:
+                break
+            col += int(live[0])
+            nz = a[row:, col].nonzero()[0]
         p = row + int(nz[0])
         if p != row:
             a[[row, p]] = a[[p, row]]
@@ -115,13 +122,14 @@ def _eliminate(a: np.ndarray, q: int, reduced: bool) -> list[int]:
         if reduced:
             coeffs = a[:, col].copy()
             coeffs[row] = 0
-            targets = np.flatnonzero(coeffs)
+            targets = coeffs.nonzero()[0]
         else:
-            targets = row + 1 + np.flatnonzero(a[row + 1 :, col])
+            targets = row + 1 + a[row + 1 :, col].nonzero()[0]
         if targets.size:
-            a[targets, col:] = (a[targets, col:] - np.outer(a[targets, col], a[row, col:])) % q
+            a[targets, col:] = (a[targets, col:] - a[targets, col, None] * a[row, col:]) % q
         pivots.append(col)
         row += 1
+        col += 1
     return pivots
 
 
@@ -145,7 +153,9 @@ def nullspace_basis(ctx: FieldContext, m) -> np.ndarray:
     """
     red, pivots = rref(ctx, m)
     n = red.shape[1]
-    free = np.setdiff1d(np.arange(n), pivots)
+    is_free = np.ones(n, dtype=bool)
+    is_free[list(pivots)] = False
+    free = is_free.nonzero()[0]
     basis = np.zeros((free.size, n), dtype=DTYPE)
     basis[np.arange(free.size), free] = 1
     basis[:, list(pivots)] = (-red[: len(pivots), free].T) % ctx.q

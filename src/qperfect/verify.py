@@ -206,7 +206,12 @@ def rank_by_elimination(ctx: FieldContext, words: Iterable, chunk: int = 4096) -
         buf = []
         buffered = 0
         if basis is not None:
-            rows = (rows - rows[:, pivots] @ basis) % q
+            # The product runs in float64, which has a BLAS path that int64
+            # lacks.  It is exact: each sum has rank terms of at most
+            # (q-1)**2, and rank * (q-1)**2 < 2**53 since rank is at most
+            # the row length, far below 2**53 / 250**2 (about 1.4e11).
+            span = rows[:, pivots].astype(np.float64) @ basis.astype(np.float64)
+            rows = (rows - span.astype(DTYPE)) % q
             rows = rows[rows.any(axis=1)]
             if not rows.shape[0]:
                 return

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from qperfect import affine
 from qperfect.affine import (
     CheckResult,
     PermTable,
@@ -24,6 +25,7 @@ from qperfect.affine import (
     verify_automorphism,
     verify_regular_subgroup,
 )
+from qperfect.cli import main
 from qperfect.hamming import all_vectors, field_powers
 from qperfect.linalg import FieldContext, ParseError, is_invertible
 
@@ -333,6 +335,21 @@ def test_automorphism_law_is_tested_on_every_generator():
     assert _generators(G)[0] == [1, 5]
     assert not _cross_check(G, tau)
     assert verify_automorphism(G, tau).detail.startswith("automorphism law fails at a=index 5,")
+
+
+def test_group_premises_build_one_generating_set(monkeypatch, capsys):
+    # both premise checks read the subgroup's cached generating set
+    calls = []
+
+    def spy(G):
+        calls.append(G.size)
+        return _generators(G)
+
+    monkeypatch.setattr(affine, "_generators", spy)
+    argv = ["verify", "--q", "3", "--r", "4", "--tau", "builtin:series", "--i", "2", "--checks", "group_premises"]
+    assert main(argv) == 0
+    assert '"result": "pass"' in capsys.readouterr().out
+    assert calls == [81]
 
 
 def _mutate(kind, G, perm, rng):

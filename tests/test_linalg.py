@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qperfect.hamming import build_hamming_pair
 from qperfect.linalg import (
     DimensionMismatch,
     FieldContext,
@@ -205,9 +206,15 @@ def test_matrix_text_round_trip(tmp_path):
     assert path.read_bytes() == b"3 2 3\n1 0 2\n2 2 0\n"
 
 
+def low_rank(rng, q, m, n, k):
+    """A random m x n matrix over GF(q) of rank at most k."""
+    return rng.integers(0, q, size=(m, k)) @ rng.integers(0, q, size=(k, n)) % q
+
+
 def full_width_eliminate(a, q, reduced):
-    """_eliminate with every row update over the whole row, kept as the
-    oracle for the updates that start at the pivot column."""
+    """Elimination that visits every column in turn and updates whole rows:
+    the oracle for _eliminate's jumps over empty columns and for its row
+    updates that start at the pivot column."""
     m, n = a.shape
     inv_table = _inverse_table(q)
     row = 0
@@ -245,9 +252,79 @@ def test_eliminate_matches_full_width_rows(q, reduced):
     for _ in range(25):
         m, n = (int(x) for x in rng.integers(1, 12, size=2))
         k = int(rng.integers(0, min(m, n) + 1))
-        a = rng.integers(0, q, size=(m, k)) @ rng.integers(0, q, size=(k, n)) % q
+        a = low_rank(rng, q, m, n, k)
         a[:, rng.random(n) < 0.3] = 0
         a = a.astype(np.int64)
         got, want = a.copy(), a.copy()
         assert _eliminate(got, q, reduced) == full_width_eliminate(want, q, reduced)
         assert np.array_equal(got, want)
+
+
+def survey_matrices(q, r, rng):
+    """The two shapes the distension routes eliminate, for a seeded random
+    zero-fixing relabelling of the points: [H'; permuted H'], (2r+2) x q**r,
+    and the permuted H' applied to the extended basis, (r+1) x (q**r-r-1)."""
+    hp = build_hamming_pair(FieldContext(q), r)
+    moved = hp.h_extended[:, np.concatenate([[0], 1 + rng.permutation(q**r - 1)])]
+    return [np.vstack([hp.h_extended, moved]), moved @ hp.extended_basis.T % q]
+
+
+def wide_cases():
+    """(q, matrix) cases beyond the small products: survey shapes, q = 251,
+    a tall matrix, empty and all-zero shapes, runs of zero columns at the
+    start, middle and end, and repeated rows."""
+    rng = np.random.default_rng(251)
+    cases = []
+    for q, r in ((3, 4), (7, 2), (2, 5), (251, 1)):
+        for _ in range(3):
+            cases += [(q, a) for a in survey_matrices(q, r, rng)]
+    for q in (2, 7, 251):
+        cases.append((q, low_rank(rng, q, 300, 20, 7)))
+        cases.append((q, low_rank(rng, q, 12, 40, 12)))
+        runs = low_rank(rng, q, 8, 30, 4)
+        runs[:, :5] = runs[:, 12:18] = runs[:, 25:] = 0
+        runs[5] = runs[1]
+        cases.append((q, runs))
+    cases += [(5, np.zeros(shape, dtype=np.int64)) for shape in ((0, 5), (5, 0), (0, 0), (6, 9))]
+    return [(q, a.astype(np.int64)) for q, a in cases]
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_eliminate_matches_full_width_rows_on_wide_cases(reduced):
+    for q, a in wide_cases():
+        got, want = a.copy(), a.copy()
+        assert _eliminate(got, q, reduced) == full_width_eliminate(want, q, reduced), (q, a.shape)
+        assert np.array_equal(got, want), (q, a.shape)
+
+
+class CountsScans(np.ndarray):
+    """An array that counts its any() calls; in _eliminate they are the
+    look-ahead scans."""
+
+    scans = 0
+
+    def any(self, *args, **kwargs):
+        CountsScans.scans += 1
+        return super().any(*args, **kwargs)
+
+
+def expected_scans(pivots, m, n):
+    """One scan per gap before a pivot column, and one more when columns
+    and rows are left after the last pivot."""
+    ends = [-1, *pivots]
+    gaps = sum(c != prev + 1 for prev, c in zip(ends, pivots))
+    return gaps + (len(pivots) < m and ends[-1] + 1 < n)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_eliminate_scans_ahead_only_past_empty_columns(reduced):
+    # a full-rank square matrix never scans; elsewhere each run of empty
+    # columns costs one scan, not one per pivot
+    square = np.triu(np.random.default_rng(3).integers(1, 5, size=(9, 9)))
+    CountsScans.scans = 0
+    assert _eliminate(square.view(CountsScans), 5, reduced) == list(range(9))
+    assert CountsScans.scans == 0
+    for q, a in wide_cases():
+        CountsScans.scans = 0
+        pivots = _eliminate(a.copy().view(CountsScans), q, reduced)
+        assert CountsScans.scans == expected_scans(pivots, *a.shape), (q, a.shape)

@@ -176,7 +176,7 @@ def low_rank_stream(rng, q, rows, cols, generators):
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 4096])
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 251])
 def test_rank_by_elimination_matches_rank_on_seeded_streams(q, chunk):
     ctx = FieldContext(q)
     rng = np.random.default_rng(1000 * q + chunk)
