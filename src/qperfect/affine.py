@@ -135,8 +135,8 @@ class RegularSubgroup:
 
 def translation_group(ctx: FieldContext, r: int) -> RegularSubgroup:
     size = ctx.q**r
-    mats = np.broadcast_to(np.eye(r, dtype=DTYPE), (size, r, r)).copy()
-    return RegularSubgroup(ctx, r, mats)
+    # RegularSubgroup's % q makes the one owned copy of this read-only view.
+    return RegularSubgroup(ctx, r, np.broadcast_to(np.eye(r, dtype=DTYPE), (size, r, r)))
 
 
 def shear_group(ctx: FieldContext) -> RegularSubgroup:

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .affine import PermTable, perm_inverse
+from .affine import PermTable
 from .hamming import (
     HammingPair,
     all_vectors,
@@ -70,7 +70,9 @@ def permuted_check(hp: HammingPair, perm: PermTable) -> np.ndarray:
     h_extended column at perm^(-1)(b), so its kernel is the permuted code."""
     if perm.ctx != hp.ctx or perm.r != hp.r:
         raise DimensionMismatch("permutation does not match the parity kit")
-    inv = perm_inverse(perm).images
+    # perm is a validated bijection, so the inverse is one scatter
+    inv = np.empty(perm.size, dtype=DTYPE)
+    inv[perm.images] = np.arange(perm.size, dtype=DTYPE)
     return hp.h_extended[:, inv]
 
 

@@ -60,7 +60,7 @@ __all__ = [
     "translation_certificate",
 ]
 
-MAX_SPACE_CELLS = 1 << 26  # occupancy array budget for the covering check
+MAX_SPACE_CELLS = 1 << 26  # q**N budget for the covering array and the certificate's slot table
 MAX_BASIS_CELLS = 1 << 24  # rank x N budget for the basis audit's stack
 MAX_CERT_CODE = 1 << 12  # largest code a certificate check will enumerate
 MAX_FULL_TRIPLES = 1 << 24  # closure is checked on all triples below this
@@ -129,13 +129,17 @@ def covering_occupancy(q: int, N: int, blocks: Iterable[np.ndarray]) -> tuple[in
     """Mark every word of the blocks plus its distance-1 neighbours in a
     q**N occupancy array; return (overlapped_cells, uncovered_cells).
 
-    A cell collects at most 1 + N(q-1) marks, so uint8 cells cannot wrap
-    for any N this module accepts.
+    A cell collects at most 1 + N(q-1) marks from distinct words, so uint8
+    cells cannot wrap for any N this module accepts.  A stream that repeats
+    words can wrap a cell; check_perfect's count of streamed rows sees that.
     """
     cells = q**N
     occ = np.zeros(cells, dtype=np.uint8)
     powers = q ** np.arange(N, dtype=DTYPE)
-    deltas = np.arange(1, q, dtype=DTYPE)
+    symbols = np.arange(q, dtype=DTYPE)
+    # shift[k, v, d-1] is the change of encoding when symbol v at
+    # coordinate k moves to (v + d) % q.
+    shift = ((symbols[:, None] + symbols[1:]) % q - symbols[:, None]) * powers[:, None, None]
     # A Python int operand sends np.add.at down its casting slow path,
     # over 10x slower per index than an operand of the array's dtype.
     one = np.uint8(1)
@@ -143,9 +147,7 @@ def covering_occupancy(q: int, N: int, blocks: Iterable[np.ndarray]) -> tuple[in
         idx = block @ powers
         np.add.at(occ, idx, one)
         for k in range(N):
-            col = block[:, k, None]
-            base = idx[:, None] - col * powers[k]
-            np.add.at(occ, (base + (col + deltas) % q * powers[k]).ravel(), one)
+            np.add.at(occ, (idx[:, None] + shift[k][block[:, k]]).ravel(), one)
     uncovered = cells - int(np.count_nonzero(occ))
     overlapped = sum(
         int(np.count_nonzero(occ[start : start + COUNT_SLICE] > 1))
@@ -158,19 +160,32 @@ def check_perfect(
     code: CodeHandle, max_cells: int = MAX_SPACE_CELLS, label: str = "custom"
 ) -> VerifyReport:
     """Exhaustive perfection check: radius-1 balls around the codewords
-    tile the whole space, with the sphere-packing count as a cross-check."""
+    tile the whole space, with the sphere-packing count as a cross-check.
+
+    The count is of the rows actually streamed, so it also accounts for the
+    marks: a pass has streamed x ball == cells marks in all, and every cell
+    reads 1, so holds at least one; hence each holds exactly one, and no
+    cell can hide 257 marks behind a wrapped uint8.
+    """
     q, N = code.q, code.length
     params = _params(code, label)
     cells = q**N
     if cells > max_cells:
         return _skipped("perfect", params, "state budget exceeded", cells=cells, budget=max_cells)
-    size = codeword_count(code)
+    streamed = 0
+
+    def counted(blocks: Iterable[np.ndarray]) -> Iterable[np.ndarray]:
+        nonlocal streamed
+        for block in blocks:
+            streamed += block.shape[0]
+            yield block
+
+    overlapped, uncovered = covering_occupancy(q, N, counted(codeword_blocks(code)))
     ball = 1 + N * (q - 1)
-    packing = size * ball == cells
-    overlapped, uncovered = covering_occupancy(q, N, codeword_blocks(code))
+    packing = streamed * ball == cells
     details = {
         "length": N,
-        "codewords": size,
+        "codewords": streamed,
         "ball": ball,
         "cells": cells,
         "sphere_packing": packing,
@@ -411,10 +426,20 @@ def check_propelinear_certificate(
 
     The domain is proven from the certificate's own words, without
     enumerating the code: M of them, each over 0..q-1, distinct, and all in
-    the code.  Each law runs in batches on the certificate's sigma (M, N)
-    and pis (M, N, q) tables.  A failure names the first isometry, or the
-    first closure triple in (x, y, w) order or in the order the samples
-    were drawn, as a loop over them would.
+    the code.  Every lookup goes through one slot table of q**N cells, with
+    slot[enc(words[i])] = i and -1 off the code; above MAX_SPACE_CELLS cells
+    the check is skipped before the table is allocated.
+
+    Code stability needs no sort: each phi_i is a bijection of the space
+    (its sigma and pis rows are validated as permutations when the
+    certificate is built) and the M words are distinct, so their M images
+    are distinct, and M distinct images inside a code of size M are the
+    whole code.  So a row passes when every image has a slot.
+
+    Each law runs in batches on the certificate's sigma (M, N) and pis
+    (M, N, q) tables.  A failure names the first isometry, or the first
+    closure triple in (x, y, w) order or in the order the samples were
+    drawn, as a loop over them would.
     """
     q, N = code.q, code.length
     params = _params(code, label)
@@ -423,6 +448,9 @@ def check_propelinear_certificate(
         return _skipped(
             "certificate", params, "code too large for certificate checking", codewords=M, budget=max_code
         )
+    cells = q**N
+    if cells > MAX_SPACE_CELLS:
+        return _skipped("certificate", params, "state budget exceeded", cells=cells, budget=MAX_SPACE_CELLS)
 
     # M distinct words that all lie in a code of size M are the whole code.
     if cert.words.shape != (M, N):
@@ -430,10 +458,11 @@ def check_propelinear_certificate(
     if ((cert.words < 0) | (cert.words >= q)).any():
         raise ValueError(f"certificate words must have symbols in 0..{q - 1}")
     powers = q ** np.arange(N, dtype=DTYPE)
+    labels = np.arange(M, dtype=DTYPE)
     cenc = cert.words @ powers
-    order = np.argsort(cenc)
-    code_enc = cenc[order]
-    if (code_enc[1:] == code_enc[:-1]).any():
+    slot = np.full(cells, -1, dtype=DTYPE)
+    slot[cenc] = labels
+    if (slot[cenc] != labels).any():
         raise ValueError("certificate domain repeats a codeword")
     if not contains_rows(code, cert.words).all():
         raise ValueError("certificate domain is not the code")
@@ -451,30 +480,30 @@ def check_propelinear_certificate(
         return failure("zero_image", index=int(bad[0]))
 
     # enc(phi_i(v)) = sum_k table[i, k*q + v[k]], where that entry is
-    # pis_i[sigma_i[k]][v[k]] * q**sigma_i[k].
+    # pis_i[sigma_i[k]][v[k]] * q**sigma_i[k].  With onehot[k*q + v[k], j] = 1
+    # for v = words[j], table @ onehot holds the encodings of all images.
+    # The product runs in float64, which has a BLAS path that int64 lacks.
+    # It is exact: every partial sum is at most an encoding, below
+    # q**N <= MAX_SPACE_CELLS = 2**26 < 2**53.
     moved = np.take_along_axis(pis, sigma[:, :, None], axis=1)
-    table = (moved * powers[sigma][:, :, None]).reshape(M, N * q)
-    cols = cert.words + q * np.arange(N, dtype=DTYPE)
+    table = (moved * powers[sigma][:, :, None]).reshape(M, N * q).astype(np.float64)
+    onehot = np.zeros((N * q, M))
+    onehot[cert.words + q * np.arange(N, dtype=DTYPE), labels[:, None]] = 1.0
     step = max(1, CERT_CHUNK // M)
     for start in range(0, M, step):
-        part = table[start : start + step]
-        image_enc = part[:, cols[:, 0]]
-        for k in range(1, N):
-            image_enc += part[:, cols[:, k]]
-        image_enc.sort(axis=1)
-        bad = np.flatnonzero((image_enc != code_enc).any(axis=1))
+        image_enc = (table[start : start + step] @ onehot).astype(DTYPE)
+        bad = np.flatnonzero((slot[image_enc] < 0).any(axis=1))
         if bad.size:
             return failure("code_stability", index=start + int(bad[0]))
 
     def first_closure_failure(triples: np.ndarray):
         """The first (x, y, w) row of triples with phi_x(phi_y(w)) !=
         phi_{phi_x(y)}(w), or None.  Code stability holds by now, so every
-        phi_x(y) is found among the codewords."""
+        phi_x(y) has a slot."""
         for start in range(0, len(triples), CLOSURE_SLICE):
             x, y, w = triples[start : start + CLOSURE_SLICE].T
             words = cert.words[w]
-            xy_enc = _apply_batch(sigma, pis, x, cert.words[y]) @ powers
-            xy = order[np.searchsorted(code_enc, xy_enc)]
+            xy = slot[_apply_batch(sigma, pis, x, cert.words[y]) @ powers]
             lhs = _apply_batch(sigma, pis, x, _apply_batch(sigma, pis, y, words))
             rhs = _apply_batch(sigma, pis, xy, words)
             bad = np.flatnonzero((lhs != rhs).any(axis=1))

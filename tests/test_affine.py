@@ -138,6 +138,13 @@ def test_verify_rejects_corrupted_subgroup():
     assert "closure" in res.detail or "identity" in res.detail
 
 
+def test_translation_group_owns_one_read_only_table():
+    G = translation_group(FieldContext(3), 2)
+    assert G.matrices.flags.owndata
+    assert not G.matrices.flags.writeable
+    assert np.array_equal(G.matrices, np.broadcast_to(np.eye(2), (9, 2, 2)))
+
+
 def test_verify_rejects_singular_entry():
     ctx = FieldContext(3)
     G = translation_group(ctx, 1)

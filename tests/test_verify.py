@@ -128,6 +128,20 @@ def test_check_perfect_passes(q, r, tau_builder):
     assert rep.params == {"q": q, "r": r, "tau": "t"}
 
 
+def test_check_perfect_counts_the_streamed_rows(monkeypatch):
+    # 256 extra copies of one word wrap every uint8 cell of its ball back to
+    # 1, so the occupancy alone reads perfect; only the streamed count fails
+    code = small_code(2, 2)
+    words = np.vstack(list(codeword_blocks(code)))
+    stream = [words, np.repeat(words[:1], 256, axis=0)]
+    monkeypatch.setattr(verify, "codeword_blocks", lambda c: iter(stream))
+    assert covering_occupancy(2, 7, stream) == (0, 0)
+    rep = check_perfect(code)
+    assert rep.result == "fail"
+    assert rep.details["codewords"] == 16 + 256
+    assert rep.details["sphere_packing"] is False
+
+
 def test_check_perfect_budget_skip():
     code = small_code(5, 2)  # 5**31 cells
     rep = check_perfect(code)
@@ -493,6 +507,18 @@ def test_certificate_skip_gate():
     assert rep.details["codewords"] == 16
 
 
+def test_certificate_state_budget(monkeypatch):
+    # the slot table has q**N = 2**7 cells; one cell fewer skips the check
+    code = small_code(2, 2)
+    cert = translation_certificate(code)
+    monkeypatch.setattr(verify, "MAX_SPACE_CELLS", 127)
+    rep = check_propelinear_certificate(code, cert, label="t")
+    assert rep.result == "skipped"
+    assert rep.details == {"reason": "state budget exceeded", "cells": 128, "budget": 127}
+    monkeypatch.setattr(verify, "MAX_SPACE_CELLS", 128)
+    assert check_propelinear_certificate(code, cert).result == "pass"
+
+
 def test_certificate_rejects_identity_isometry_at_nonzero_word():
     code = small_code(2, 2)
     cert = translation_certificate(code)
@@ -728,13 +754,20 @@ def mutate_certificate(code, cert, how, rng):
 
 @pytest.mark.parametrize("how", ["none", "identity", "swap_labels", "transpose_sigma", "swap_symbols", "closure"])
 @pytest.mark.parametrize("q,r,mode", [(2, 2, "full"), (3, 1, "full"), (2, 3, "sampled"), (5, 1, "sampled")])
-def test_certificate_check_matches_loop_oracle(q, r, mode, how):
+def test_certificate_check_matches_loop_oracle(monkeypatch, q, r, mode, how):
     code = small_code(q, r)
     cert = translation_certificate(code)
+    # after the default, one and then two isometries per code-stability
+    # chunk, so a failure lands in a later chunk and, for odd M, the last
+    # chunk is short
+    M = len(cert.words)
+    chunks = (verify.CERT_CHUNK, M + 1, 3 * M - 1)
     for seed in (0, 1):
         bad = mutate_certificate(code, cert, how, np.random.default_rng(seed))
-        got = check_propelinear_certificate(code, bad, seed=seed, label="t")
         want = loop_certificate_check(code, bad, seed=seed, label="t")
-        assert got == want
+        for chunk in chunks:
+            monkeypatch.setattr(verify, "CERT_CHUNK", chunk)
+            got = check_propelinear_certificate(code, bad, seed=seed, label="t")
+            assert got == want
         assert got.details.get("closure_mode", mode) == mode
         assert (got.result == "fail") == (how != "none")
