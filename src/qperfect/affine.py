@@ -26,7 +26,6 @@ from .hamming import all_vectors, field_powers
 from .linalg import DTYPE, DimensionMismatch, FieldContext, ParseError, is_invertible
 
 __all__ = [
-    "VERIFY_GUARD",
     "CheckResult",
     "PermTable",
     "RegularSubgroup",
@@ -44,9 +43,6 @@ __all__ = [
     "verify_automorphism",
     "verify_regular_subgroup",
 ]
-
-VERIFY_GUARD = 1 << 10  # group premise checks stop at q**r of this size
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -239,11 +235,6 @@ def series_group(ctx: FieldContext, r: int, copies: int) -> RegularSubgroup:
     return G
 
 
-def _check_guard(size: int) -> None:
-    if size > VERIFY_GUARD:
-        raise ValueError(f"verification guard exceeded: {size} > {VERIFY_GUARD}")
-
-
 def _generators(G: RegularSubgroup) -> tuple[list[int], list[np.ndarray], str]:
     """A generating set S of the table, each generator's left-multiplication
     row T_s[b] = idx(s + M_s b), and the first premise failure ("" if none).
@@ -291,7 +282,6 @@ def verify_regular_subgroup(G: RegularSubgroup) -> CheckResult:
     generating set S every M_s is invertible and M_{s + M_s b} = M_s M_b for
     every b.  Then every element is a product of generators, so the table is
     closed under composition; the verdict equals the one over all pairs."""
-    _check_guard(G.size)
     detail = G.generating_set[2]
     return CheckResult(not detail, detail)
 
@@ -305,7 +295,6 @@ def verify_automorphism(G: RegularSubgroup, perm: PermTable) -> CheckResult:
     premise failure are tested."""
     if G.ctx != perm.ctx or G.r != perm.r:
         raise DimensionMismatch("subgroup and permutation do not match")
-    _check_guard(G.size)
     q = G.ctx.q
     gens, rows, _ = G.generating_set
     vecs = all_vectors(q, G.r)

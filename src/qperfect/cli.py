@@ -3,7 +3,7 @@
 Subcommands: matrices (write the parity checks), build (enumerate a code),
 verify (run the checks as JSON lines), series (distension/rank table for the
 repeated shear construction).  Exit codes: 0 all checks passed, 1 at least
-one check failed, 2 usage or input errors.
+one check failed, 2 usage, input or resource error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .affine import (
     PermTable,
@@ -51,25 +51,27 @@ def _field(q: int) -> FieldContext:
 
 def _resolve_perm(
     ctx: FieldContext, r: int, source: str, copies: Optional[int]
-) -> tuple[PermTable, Optional[RegularSubgroup]]:
-    """Map a --tau argument to a permutation and, for builtins, the regular
-    subgroup whose automorphism induces it (None for file permutations)."""
+) -> tuple[PermTable, Optional[Callable[[], RegularSubgroup]]]:
+    """Map a --tau argument to a permutation and, for builtins, a builder of
+    the regular subgroup whose automorphism induces it (None for file
+    permutations).  The subgroup is built only by the check that reads it;
+    each builtin permutation raises the same usage errors as its builder."""
     if copies is not None and source != "builtin:series":
         raise UsageError("--i applies only to builtin:series")
     if source == "builtin:identity":
-        return identity_perm(ctx, r), translation_group(ctx, r)
+        return identity_perm(ctx, r), lambda: translation_group(ctx, r)
     if source == "builtin:shear":
         if r != 2:
             raise UsageError("builtin:shear needs r = 2")
         try:
-            return shear_swap_perm(ctx), shear_group(ctx)
+            return shear_swap_perm(ctx), lambda: shear_group(ctx)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     if source == "builtin:series":
         if copies is None:
             raise UsageError("builtin:series needs --i")
         try:
-            return series_perm(ctx, r, copies), series_group(ctx, r, copies)
+            return series_perm(ctx, r, copies), lambda: series_group(ctx, r, copies)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     if source.startswith("builtin:"):
@@ -216,8 +218,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, OSError, ValueError) as exc:  # ParseError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, OSError, ValueError, MemoryError) as exc:  # ParseError is a ValueError
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

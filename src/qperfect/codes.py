@@ -257,7 +257,7 @@ class RankBasis:
 
     @property
     def count(self) -> int:
-        return self.stacked.shape[0]
+        return sum(rows.shape[0] for rows in (self.coset_rows, self.hamming_rows, self.completion_rows))
 
 
 def rank_basis(code: CodeHandle) -> RankBasis:

@@ -98,8 +98,6 @@ def build_hamming_pair(ctx: FieldContext, r: int) -> HammingPair:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     q = ctx.q
-    if q**r > MAX_POINTS:
-        raise ValueError(f"q**r = {q**r} exceeds the construction guard {MAX_POINTS}")
     vecs = all_vectors(q, r)
     nonzero = vecs.any(axis=1)
     first = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]

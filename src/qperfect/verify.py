@@ -15,12 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .affine import (
-    VERIFY_GUARD,
     PermTable,
     RegularSubgroup,
     iterate_perms,
@@ -48,6 +47,7 @@ __all__ = [
     "MAX_FULL_TRIPLES",
     "MAX_SPACE_CELLS",
     "PropelinearCertificate",
+    "VERIFY_GUARD",
     "VerifyReport",
     "VerifyRun",
     "audit_rank_basis",
@@ -64,6 +64,7 @@ MAX_SPACE_CELLS = 1 << 26  # q**N budget for the covering array and the certific
 MAX_BASIS_CELLS = 1 << 24  # rank x N budget for the basis audit's stack
 MAX_CERT_CODE = 1 << 12  # largest code a certificate check will enumerate
 MAX_FULL_TRIPLES = 1 << 24  # closure is checked on all triples below this
+VERIFY_GUARD = 1 << 10  # group premise checks stop at q**r of this size
 COUNT_SLICE = 1 << 20  # occupancy cells compared per step when counting overlaps
 CERT_CHUNK = 1 << 15  # image encodings held at once by the code-stability law
 CLOSURE_SLICE = 1024  # closure triples evaluated per batched step
@@ -100,13 +101,13 @@ def _skipped(check: str, params: dict, reason: str, **details) -> VerifyReport:
 @dataclass(frozen=True)
 class VerifyRun:
     """Everything the registered checks read: the code, its --tau label,
-    the regular subgroup of a builtin permutation (None for a permutation
-    file), the shear copies of builtin:series (None otherwise) and the
-    three budgets."""
+    a builder of the regular subgroup of a builtin permutation (None for a
+    permutation file; only group_premises calls it, after its guard), the
+    shear copies of builtin:series (None otherwise) and the three budgets."""
 
     code: CodeHandle
     label: str = "custom"
-    group: Optional[RegularSubgroup] = None
+    group: Optional[Callable[[], RegularSubgroup]] = None
     copies: Optional[int] = None
     max_space_cells: int = MAX_SPACE_CELLS
     max_codewords: int = MAX_ENUMERATION
@@ -347,13 +348,15 @@ def _run_additivity(run: VerifyRun) -> VerifyReport:
 def _run_group_premises(run: VerifyRun) -> VerifyReport:
     """The builtin's subgroup is regular and induces the permutation through
     one of its automorphisms; both checks run on a generating set of the
-    subgroup and decide the same as a check over all pairs."""
+    subgroup and decide the same as a check over all pairs.  The guard reads
+    the subgroup's size q**r off the code, so a skip builds no subgroup."""
     params = _params(run.code, run.label)
-    group = run.group
-    if group is None:
+    if run.group is None:
         return _skipped("group_premises", params, "no construction data for an external permutation")
-    if group.size > VERIFY_GUARD:
-        return _skipped("group_premises", params, "verification guard exceeded", size=group.size)
+    size = run.code.hp.points
+    if size > VERIFY_GUARD:
+        return _skipped("group_premises", params, "verification guard exceeded", size=size)
+    group = run.group()
     sub = verify_regular_subgroup(group)
     aut = verify_automorphism(group, run.code.perm)
     details = {"regular_subgroup": sub.ok, "automorphism": aut.ok, "diagnostic": sub.detail or aut.detail}
@@ -411,7 +414,6 @@ def _apply_batch(sigma: np.ndarray, pis: np.ndarray, which: np.ndarray, words: n
 def check_propelinear_certificate(
     code: CodeHandle,
     cert: PropelinearCertificate,
-    max_code: int = MAX_CERT_CODE,
     max_full_triples: int = MAX_FULL_TRIPLES,
     samples: int = 5000,
     seed: int = 0,
@@ -427,8 +429,10 @@ def check_propelinear_certificate(
     The domain is proven from the certificate's own words, without
     enumerating the code: M of them, each over 0..q-1, distinct, and all in
     the code.  Every lookup goes through one slot table of q**N cells, with
-    slot[enc(words[i])] = i and -1 off the code; above MAX_SPACE_CELLS cells
-    the check is skipped before the table is allocated.
+    slot[enc(words[i])] = i and -1 off the code.  The table needs no budget
+    of its own: q**N = M * q**(r+1) <= M * N * q, so it is never larger than
+    the certificate's own pis.  The caller's budgets are tested before the
+    certificate is built.
 
     Code stability needs no sort: each phi_i is a bijection of the space
     (its sigma and pis rows are validated as permutations when the
@@ -444,30 +448,23 @@ def check_propelinear_certificate(
     q, N = code.q, code.length
     params = _params(code, label)
     M = codeword_count(code)
-    if M > max_code:
-        return _skipped(
-            "certificate", params, "code too large for certificate checking", codewords=M, budget=max_code
-        )
-    cells = q**N
-    if cells > MAX_SPACE_CELLS:
-        return _skipped("certificate", params, "state budget exceeded", cells=cells, budget=MAX_SPACE_CELLS)
 
     # M distinct words that all lie in a code of size M are the whole code.
     if cert.words.shape != (M, N):
         raise ValueError(f"certificate domain must be the {M} codewords")
     if ((cert.words < 0) | (cert.words >= q)).any():
         raise ValueError(f"certificate words must have symbols in 0..{q - 1}")
+    if cert.pis.shape[2] != q:
+        raise DimensionMismatch(f"every isometry must act on words over {q} symbols")
     powers = q ** np.arange(N, dtype=DTYPE)
     labels = np.arange(M, dtype=DTYPE)
     cenc = cert.words @ powers
-    slot = np.full(cells, -1, dtype=DTYPE)
+    slot = np.full(q**N, -1, dtype=DTYPE)
     slot[cenc] = labels
     if (slot[cenc] != labels).any():
         raise ValueError("certificate domain repeats a codeword")
     if not contains_rows(code, cert.words).all():
         raise ValueError("certificate domain is not the code")
-    if cert.pis.shape[2] != q:
-        raise DimensionMismatch(f"every isometry must act on words over {q} symbols")
     sigma, pis = cert.sigma, cert.pis
 
     def failure(law: str, **where) -> VerifyReport:
@@ -483,8 +480,8 @@ def check_propelinear_certificate(
     # pis_i[sigma_i[k]][v[k]] * q**sigma_i[k].  With onehot[k*q + v[k], j] = 1
     # for v = words[j], table @ onehot holds the encodings of all images.
     # The product runs in float64, which has a BLAS path that int64 lacks.
-    # It is exact: every partial sum is at most an encoding, below
-    # q**N <= MAX_SPACE_CELLS = 2**26 < 2**53.
+    # It is exact: every partial sum is at most an encoding, below q**N,
+    # which is at most the M * N * q cells of pis, so far below 2**53.
     moved = np.take_along_axis(pis, sigma[:, :, None], axis=1)
     table = (moved * powers[sigma][:, :, None]).reshape(M, N * q).astype(np.float64)
     onehot = np.zeros((N * q, M))
@@ -535,9 +532,10 @@ def check_propelinear_certificate(
 
 
 def _run_certificate(run: VerifyRun) -> VerifyReport:
-    """The translation certificate of a linear (identity-glued) code.  The
-    size budget is tested before the certificate is built, because building
-    it enumerates the code."""
+    """The translation certificate of a linear (identity-glued) code.  Both
+    budgets are tested before the certificate is built, because building it
+    enumerates the code: the codeword count, and q**N cells for the
+    checker's slot table, as perfect tests its covering array."""
     code = run.code
     params = _params(code, run.label)
     if not np.array_equal(code.perm.images, np.arange(code.perm.size)):
@@ -545,8 +543,11 @@ def _run_certificate(run: VerifyRun) -> VerifyReport:
     count = codeword_count(code)
     if count > run.max_cert_codewords:
         return _skipped("certificate", params, "code too large for certificate checking", codewords=count)
+    cells = code.q**code.length
+    if cells > run.max_space_cells:
+        return _skipped("certificate", params, "state budget exceeded", cells=cells, budget=run.max_space_cells)
     cert = translation_certificate(code, max_words=run.max_cert_codewords)
-    return check_propelinear_certificate(code, cert, max_code=run.max_cert_codewords, label=run.label)
+    return check_propelinear_certificate(code, cert, label=run.label)
 
 
 # The public checks are looked up by name at call time, so a wrapper that

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from qperfect.affine import (
-    VERIFY_GUARD,
     PermTable,
     RegularSubgroup,
     identity_perm,
@@ -41,6 +40,7 @@ from qperfect.codes import (
 from qperfect.hamming import build_hamming_pair, stacked_parity
 from qperfect.linalg import FieldContext, nullspace_basis
 from qperfect.verify import (
+    VERIFY_GUARD,
     PropelinearCertificate,
     VerifyRun,
     audit_rank_basis,

@@ -234,15 +234,6 @@ def test_series_group_matches_series_perm():
         assert verify_automorphism(G, tau).ok
 
 
-def test_verification_guard():
-    ctx = FieldContext(2)
-    G = translation_group(ctx, 11)  # 2048 > 1024
-    with pytest.raises(ValueError):
-        verify_regular_subgroup(G)
-    with pytest.raises(ValueError):
-        verify_automorphism(G, identity_perm(ctx, 11))
-
-
 def test_first_candidate_failures_return_results():
     # M_1 is the first candidate generator; M_0 != I leaves no candidate at all
     ctx = FieldContext(3)

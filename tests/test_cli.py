@@ -2,20 +2,30 @@
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qperfect import verify
+import qperfect
+from qperfect import cli, verify
 from qperfect.affine import shear_swap_perm
 from qperfect.cli import main
 from qperfect.linalg import FieldContext
 from qperfect.verify import CHECKS
 
 from hamming_oracles import write_perm
+
+
+def package_env():
+    """The environment for a child interpreter that imports this qperfect,
+    installed or not."""
+    src = str(Path(qperfect.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run(capsys, argv):
@@ -161,6 +171,50 @@ def test_verify_series_additivity(capsys):
     assert reports[1]["result"] == "pass"
 
 
+def test_verify_space_budget_skips_certificate(capsys):
+    # q**N = 2**7 cells at (2,2) is over a budget of 100
+    code, out, _ = run(capsys, ["verify", "--q", "2", "--r", "2", "--max-space-cells", "100", "--checks", "certificate"])
+    assert code == 0
+    (report,) = json_lines(out)
+    assert report["result"] == "skipped"
+    assert report["details"] == {"reason": "state budget exceeded", "cells": 128, "budget": 100}
+
+
+def test_subgroup_is_built_only_by_its_check(tmp_path, monkeypatch, capsys):
+    calls = []
+    for name in ("translation_group", "shear_group", "series_group"):
+        builder = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, builder=builder: calls.append(a) or builder(*a))
+    build = ["build", "--q", "3", "--r", "2", "--tau", "builtin:shear", "--out", str(tmp_path), "--max-codewords", "1"]
+    assert run(capsys, build)[0] == 0
+    code, out, _ = run(capsys, ["verify", "--q", "2", "--r", "11", "--checks", "group_premises"])
+    assert code == 0
+    assert json_lines(out)[0]["details"] == {"reason": "verification guard exceeded", "size": 2048}
+    assert calls == []
+    code, out, _ = run(capsys, ["verify", "--q", "3", "--r", "2", "--tau", "builtin:shear", "--checks", "group_premises"])
+    assert code == 0
+    assert json_lines(out)[0]["result"] == "pass"
+    assert len(calls) == 1
+
+
+def test_guard_skip_stays_under_the_subgroup_table():
+    # the (2,16) subgroup table alone is 2**16 x 16 x 16 int64 = 128 MiB;
+    # a skip at the guard must peak below it, in a process of its own
+    script = (
+        "import resource\n"
+        "from qperfect.cli import main\n"
+        "status = main(['verify', '--q', '2', '--r', '16', '--checks', 'group_premises'])\n"
+        "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report, tail = proc.stdout.splitlines()
+    status, peak_kib = map(int, tail.split())
+    assert status == 0
+    assert json.loads(report)["details"]["reason"] == "verification guard exceeded"
+    assert peak_kib < 128 * 1024
+
+
 def test_verify_checks_filter_keeps_canonical_order(capsys):
     code, out, _ = run(
         capsys,
@@ -230,6 +284,20 @@ def test_verify_golden_stdout(tmp_path, monkeypatch, capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
+# an exhausted allocation is a resource error, not a failed check; an
+# empty message still names the error
+@pytest.mark.parametrize("message,shown", [("Unable to allocate 3.12 GiB", "Unable to allocate 3.12 GiB"), ("", "MemoryError")])
+def test_memory_error_is_a_resource_error(monkeypatch, capsys, message, shown):
+    def exhausted(run):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(CHECKS, "perfect", exhausted)
+    code, out, err = run(capsys, ["verify", "--q", "2", "--r", "2", "--checks", "perfect"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {shown}\n"
+
+
 def test_verify_failed_check_exits_one(monkeypatch, capsys):
     true_rank = verify.rank_closed_form
     monkeypatch.setattr(verify, "rank_closed_form", lambda code: true_rank(code) + 1)
@@ -276,6 +344,9 @@ def test_series_needs_odd_characteristic(capsys):
         (["build", "--q", "3", "--r", "2", "--tau", "builtin:shear", "--i", "5", "--out", "/tmp/x"],
          "--i applies only to builtin:series"),
         (["verify", "--q", "3", "--r", "2", "--i", "1"], "--i applies only to builtin:series"),
+        (["verify", "--q", "2", "--r", "4", "--tau", "builtin:series", "--i", "1"], "q >= 3"),
+        (["build", "--q", "3", "--r", "2", "--tau", "builtin:series", "--i", "2", "--out", "/tmp/x"],
+         "copies must lie in [0, 1]"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv, fragment):
@@ -307,6 +378,6 @@ def test_console_script_smoke():
     cmd = [exe, "series", "--q", "3", "--r", "2"] if exe else [
         sys.executable, "-m", "qperfect.cli", "series", "--q", "3", "--r", "2"
     ]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0
     assert "copies=1 distension=2 rank=12" in proc.stdout

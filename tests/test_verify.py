@@ -378,7 +378,7 @@ def test_rank_equivalence_passes_and_skips():
 def test_checks_registry_on_a_library_run():
     ctx = FieldContext(3)
     code = build_code(build_hamming_pair(ctx, 4), series_perm(ctx, 4, 2))
-    run = verify.VerifyRun(code, "series", series_group(ctx, 4, 2), copies=2)
+    run = verify.VerifyRun(code, "series", lambda: series_group(ctx, 4, 2), copies=2)
     results = {name: check(run).result for name, check in verify.CHECKS.items()}
     assert results == {
         "perfect": "skipped",
@@ -485,7 +485,8 @@ def test_translation_certificate_budget():
         translation_certificate(small_code(3, 2))
 
 
-def test_certificate_entry_builds_within_the_run_budget(monkeypatch):
+def spy_on_certificates(monkeypatch):
+    """Record the word budget of each certificate the certificate entry builds."""
     budgets = []
     build = verify.translation_certificate
 
@@ -494,29 +495,39 @@ def test_certificate_entry_builds_within_the_run_budget(monkeypatch):
         return build(code, max_words)
 
     monkeypatch.setattr(verify, "translation_certificate", spy)
+    return budgets
+
+
+def test_certificate_entry_builds_within_the_run_budget(monkeypatch):
+    budgets = spy_on_certificates(monkeypatch)
     run = verify.VerifyRun(small_code(2, 2), max_cert_codewords=5000)
     assert verify.CHECKS["certificate"](run).result == "pass"
     assert budgets == [5000]
 
 
-def test_certificate_skip_gate():
-    code = small_code(2, 2)
-    cert = translation_certificate(code)
-    rep = check_propelinear_certificate(code, cert, max_code=8)
+def test_certificate_skip_gate(monkeypatch):
+    # (2,2) has 16 codewords; one fewer skips before the certificate exists
+    budgets = spy_on_certificates(monkeypatch)
+    run = verify.VerifyRun(small_code(2, 2), "t", max_cert_codewords=15)
+    rep = verify.CHECKS["certificate"](run)
     assert rep.result == "skipped"
-    assert rep.details["codewords"] == 16
+    assert rep.details == {"reason": "code too large for certificate checking", "codewords": 16}
+    assert budgets == []
+    assert verify.CHECKS["certificate"](dataclasses.replace(run, max_cert_codewords=16)).result == "pass"
+    assert budgets == [16]
 
 
 def test_certificate_state_budget(monkeypatch):
     # the slot table has q**N = 2**7 cells; one cell fewer skips the check
-    code = small_code(2, 2)
-    cert = translation_certificate(code)
-    monkeypatch.setattr(verify, "MAX_SPACE_CELLS", 127)
-    rep = check_propelinear_certificate(code, cert, label="t")
+    # before the certificate exists
+    budgets = spy_on_certificates(monkeypatch)
+    run = verify.VerifyRun(small_code(2, 2), "t", max_space_cells=127)
+    rep = verify.CHECKS["certificate"](run)
     assert rep.result == "skipped"
     assert rep.details == {"reason": "state budget exceeded", "cells": 128, "budget": 127}
-    monkeypatch.setattr(verify, "MAX_SPACE_CELLS", 128)
-    assert check_propelinear_certificate(code, cert).result == "pass"
+    assert budgets == []
+    assert verify.CHECKS["certificate"](dataclasses.replace(run, max_space_cells=128)).result == "pass"
+    assert budgets == [verify.MAX_CERT_CODE]
 
 
 def test_certificate_rejects_identity_isometry_at_nonzero_word():
@@ -654,18 +665,12 @@ def test_certificate_run_walks_the_code_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def loop_certificate_check(
-    code, cert, max_code=verify.MAX_CERT_CODE, max_full_triples=verify.MAX_FULL_TRIPLES, samples=5000, seed=0, label="custom"
-):
+def loop_certificate_check(code, cert, max_full_triples=verify.MAX_FULL_TRIPLES, samples=5000, seed=0, label="custom"):
     """Oracle: the certificate check as a loop over isometries and triples,
     one isometry (one row of sigma and pis) applied per step, with a dict
     from encodings to labels."""
     q, N = code.q, code.length
     params = {"q": code.q, "r": code.r, "tau": label}
-    size = codeword_count(code)
-    if size > max_code:
-        details = {"reason": "code too large for certificate checking", "codewords": size, "budget": max_code}
-        return VerifyReport("certificate", params, "skipped", details)
 
     powers = q ** np.arange(N, dtype=DTYPE)
     code_enc = np.sort(np.concatenate([block @ powers for block in codeword_blocks(code)]))
