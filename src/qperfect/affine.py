@@ -2,10 +2,11 @@
 
 An affine map is a pair (a, M) acting by b -> a + M b, composing by
 (a, M)(b, M') = (a + M b, M M').  A regular subgroup of the affine group is
-stored by its translation parts: a table of matrices M_a indexed by
-idx(a), one element g_a = (a, M_a) per point, with M_0 = I and the closure
-law M_{a + M_a b} = M_a M_b.  A group automorphism T induces a permutation
-of the point labels via g_{perm(a)} = T(g_a); such permutations fix 0.
+one element g_a = (a, M_a) per point, with M_0 = I and the closure law
+M_{a + M_a b} = M_a M_b, stored as the (q**r, r) column-index table
+cols[a, j] = idx(column j of M_a).  A group automorphism T induces a
+permutation of the point labels via g_{perm(a)} = T(g_a); such permutations
+fix 0.
 
 Both premises are decided on a generating set S, at cost O(q**r |S| r**2).
 If M_0 = I, every M_s is invertible, closure holds for every s in S and
@@ -102,25 +103,26 @@ def linear_perm(ctx: FieldContext, L) -> PermTable:
 
 @dataclass(frozen=True)
 class RegularSubgroup:
-    """Matrix parts M_a of a candidate regular subgroup, indexed by idx(a)."""
+    """Candidate regular subgroup as its own read-only copy of the table
+    cols[a, j] = idx(column j of M_a); any in-range table is one of matrices."""
 
     ctx: FieldContext
     r: int
-    matrices: np.ndarray
+    cols: np.ndarray
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=DTYPE) % self.ctx.q
-        mats.setflags(write=False)
-        object.__setattr__(self, "matrices", mats)
+        cols = np.array(self.cols, dtype=DTYPE)
+        cols.setflags(write=False)
+        object.__setattr__(self, "cols", cols)
         size = self.ctx.q**self.r
-        if mats.shape != (size, self.r, self.r):
-            raise ValueError(
-                f"matrix table must have shape {(size, self.r, self.r)}, got {mats.shape}"
-            )
+        if cols.shape != (size, self.r):
+            raise ValueError(f"column-index table must have shape {(size, self.r)}, got {cols.shape}")
+        if ((cols < 0) | (cols >= size)).any():  # numpy would wrap a negative index
+            raise ValueError(f"column indices must lie in [0, {size - 1}]")
 
     @property
     def size(self) -> int:
-        return self.matrices.shape[0]
+        return self.cols.shape[0]
 
     @cached_property
     def generating_set(self) -> tuple[list[int], list[np.ndarray], str]:
@@ -130,9 +132,9 @@ class RegularSubgroup:
 
 
 def translation_group(ctx: FieldContext, r: int) -> RegularSubgroup:
-    size = ctx.q**r
-    # RegularSubgroup's % q makes the one owned copy of this read-only view.
-    return RegularSubgroup(ctx, r, np.broadcast_to(np.eye(r, dtype=DTYPE), (size, r, r)))
+    # every M_a = I, whose column j is e_j with index q**j; RegularSubgroup
+    # makes the one owned copy of this read-only view
+    return RegularSubgroup(ctx, r, np.broadcast_to(field_powers(ctx.q, r), (ctx.q**r, r)))
 
 
 def shear_group(ctx: FieldContext) -> RegularSubgroup:
@@ -149,11 +151,10 @@ def shear_group(ctx: FieldContext) -> RegularSubgroup:
     jj = np.tile(np.arange(q, dtype=DTYPE), q)
     idx = ((ii + jj * (jj - 1)) % q) + q * jj
     assert np.unique(idx).size == q * q  # translation parts cover the plane
-    mats = np.zeros((q * q, 2, 2), dtype=DTYPE)
-    mats[idx, 0, 0] = 1
-    mats[idx, 1, 1] = 1
-    mats[idx, 0, 1] = (2 * jj) % q
-    return RegularSubgroup(ctx, 2, mats)
+    cols = np.empty((q * q, 2), dtype=DTYPE)
+    cols[idx, 0] = 1  # e_0
+    cols[idx, 1] = (2 * jj) % q + q  # the column (2j, 1)
+    return RegularSubgroup(ctx, 2, cols)
 
 
 def shear_swap_perm(ctx: FieldContext) -> PermTable:
@@ -176,19 +177,13 @@ def shear_swap_perm(ctx: FieldContext) -> PermTable:
 
 
 def direct_product(G1: RegularSubgroup, G2: RegularSubgroup) -> RegularSubgroup:
-    """Block-diagonal product acting on GF(q)**(r1+r2)."""
+    """Block-diagonal product acting on GF(q)**(r1+r2): the element
+    idx(a|b) = idx(a) + q**r1 idx(b) carries diag(M_a, M_b), so its columns
+    have the indices of M_a's and q**r1 times those of M_b's."""
     if G1.ctx != G2.ctx:
         raise DimensionMismatch("subgroups live over different fields")
-    q = G1.ctx.q
-    r1, r2 = G1.r, G2.r
-    r = r1 + r2
-    size = q**r
-    mats = np.zeros((size, r, r), dtype=DTYPE)
-    for ib in range(G2.size):
-        block = slice(ib * G1.size, (ib + 1) * G1.size)
-        mats[block, :r1, :r1] = G1.matrices
-        mats[block, r1:, r1:] = G2.matrices[ib]
-    return RegularSubgroup(G1.ctx, r, mats)
+    cols = np.hstack([np.tile(G1.cols, (G2.size, 1)), np.repeat(G1.size * G2.cols, G1.size, axis=0)])
+    return RegularSubgroup(G1.ctx, G1.r + G2.r, cols)
 
 
 def iterate_perms(t1: PermTable, t2: PermTable) -> PermTable:
@@ -246,22 +241,21 @@ def _generators(G: RegularSubgroup) -> tuple[list[int], list[np.ndarray], str]:
     holds the orbit is a subgroup, so each generator multiplies its size by at
     least q and |S| <= r.
     """
-    q, r, size = G.ctx.q, G.r, G.size
+    q, r, size, cols = G.ctx.q, G.r, G.size, G.cols
     gens: list[int] = []
     rows: list[np.ndarray] = []
-    if not np.array_equal(G.matrices[0], np.eye(r, dtype=DTYPE)):
+    powers = field_powers(q, r)
+    if not np.array_equal(cols[0], powers):
         return gens, rows, "matrix at index 0 is not the identity"
     vecs = all_vectors(q, r)
-    powers = field_powers(q, r)
-    cols = G.matrices.transpose(0, 2, 1) @ powers  # cols[b, j] = idx(column j of M_b)
     reached = np.zeros(size, dtype=bool)
     reached[0] = True
     while not reached.all():
         s = int(np.argmin(reached))
-        Ms = G.matrices[s]
-        if not is_invertible(G.ctx, Ms):
+        Ms_t = vecs[cols[s]]  # row j is column j of M_s
+        if not is_invertible(G.ctx, Ms_t):
             return gens, rows, f"matrix at index {s} is singular"
-        images = vecs @ Ms.T % q  # row b holds M_s b
+        images = vecs @ Ms_t % q  # row b holds M_s b
         row = ((vecs[s] + images) % q) @ powers
         bad = (cols[row] != (images @ powers)[cols]).any(axis=1)
         if bad.any():
@@ -304,7 +298,7 @@ def verify_automorphism(G: RegularSubgroup, perm: PermTable) -> CheckResult:
     for s, row in zip(gens, rows):
         ts = int(timg[s])
         lhs = timg[row]
-        rhs = ((vecs[ts] + tvecs @ G.matrices[ts].T) % q) @ powers
+        rhs = ((vecs[ts] + tvecs @ vecs[G.cols[ts]]) % q) @ powers
         if not np.array_equal(lhs, rhs):
             ib = int(np.flatnonzero(lhs != rhs)[0])
             return CheckResult(False, f"automorphism law fails at a=index {s}, b=index {ib}")

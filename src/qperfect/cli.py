@@ -35,7 +35,7 @@ from .codes import (
 )
 from .hamming import build_hamming_pair, stacked_parity
 from .linalg import FieldContext, write_matrix
-from .verify import CHECKS, MAX_CERT_CODE, MAX_SPACE_CELLS, VerifyRun
+from .verify import CHECKS, MAX_CERT_CODE, MAX_SPACE_CELLS, VerifyRun, json_power
 
 
 class UsageError(Exception):
@@ -107,8 +107,8 @@ def cmd_build(args) -> int:
         "r": args.r,
         "tau": args.tau,
         "length": code.length,
-        "codewords": count,
-        "distension": distension(hp, perm),
+        "codewords": json_power(ctx.q, code.length - code.r - 1),
+        "distension": code.distension,
         "rank": rank_closed_form(code),
     }
     if count <= args.max_codewords and ctx.q <= 9:

@@ -165,6 +165,12 @@ class CodeHandle:
     def permuted_check_matrix(self) -> np.ndarray:
         return permuted_check(self.hp, self.perm)
 
+    @cached_property
+    def distension(self) -> int:
+        # the module function, looked up by name at call time, so a wrapper
+        # on this module sees the call
+        return distension(self.hp, self.perm)
+
 
 def build_code(hp: HammingPair, perm: PermTable) -> CodeHandle:
     return CodeHandle(hp, perm)
@@ -176,7 +182,7 @@ def codeword_count(code: CodeHandle) -> int:
 
 def rank_closed_form(code: CodeHandle) -> int:
     """N - r - 1 + distension; the desk formula for the code's rank."""
-    return code.length - code.r - 1 + distension(code.hp, code.perm)
+    return code.length - code.r - 1 + code.distension
 
 
 def contains_rows(code: CodeHandle, words) -> np.ndarray:

@@ -56,6 +56,7 @@ __all__ = [
     "check_propelinear_certificate",
     "check_rank_equivalence",
     "covering_occupancy",
+    "json_power",
     "rank_by_elimination",
     "translation_certificate",
 ]
@@ -64,7 +65,7 @@ MAX_SPACE_CELLS = 1 << 26  # q**N budget for the covering array and the certific
 MAX_BASIS_CELLS = 1 << 24  # rank x N budget for the basis audit's stack
 MAX_CERT_CODE = 1 << 12  # largest code a certificate check will enumerate
 MAX_FULL_TRIPLES = 1 << 24  # closure is checked on all triples below this
-VERIFY_GUARD = 1 << 10  # group premise checks stop at q**r of this size
+VERIFY_GUARD = 1 << 14  # group premise checks stop at q**r of this size
 COUNT_SLICE = 1 << 20  # occupancy cells compared per step when counting overlaps
 CERT_CHUNK = 1 << 15  # image encodings held at once by the code-stability law
 CLOSURE_SLICE = 1024  # closure triples evaluated per batched step
@@ -96,6 +97,18 @@ def _params(code: CodeHandle, label: str) -> dict:
 
 def _skipped(check: str, params: dict, reason: str, **details) -> VerifyReport:
     return VerifyReport(check, params, "skipped", {"reason": reason, **details})
+
+
+def json_power(q: int, k: int):
+    """q**k as an exact integer up to 2**53, which a reader that parses
+    numbers as doubles still reads exactly, and as {"base": q, "exponent": k}
+    above that; the decimal string of a larger integer is never built."""
+    value = 1
+    for _ in range(k):
+        value *= q
+        if value > 1 << 53:
+            return {"base": q, "exponent": k}
+    return value
 
 
 @dataclass(frozen=True)
@@ -172,7 +185,7 @@ def check_perfect(
     params = _params(code, label)
     cells = q**N
     if cells > max_cells:
-        return _skipped("perfect", params, "state budget exceeded", cells=cells, budget=max_cells)
+        return _skipped("perfect", params, "state budget exceeded", cells=json_power(q, N), budget=max_cells)
     streamed = 0
 
     def counted(blocks: Iterable[np.ndarray]) -> Iterable[np.ndarray]:
@@ -252,8 +265,9 @@ def check_rank_equivalence(run: VerifyRun) -> VerifyReport:
     params = _params(code, run.label)
     streamed = run.enumerated_rank
     if streamed is None:
-        count = codeword_count(code)
-        return _skipped("rank_equivalence", params, "enumeration budget exceeded", codewords=count)
+        count = json_power(code.q, code.length - code.r - 1)
+        reason = "enumeration budget exceeded"
+        return _skipped("rank_equivalence", params, reason, codewords=count, budget=run.max_codewords)
     closed = rank_closed_form(code)
     details = {"enumerated_rank": streamed, "closed_form": closed}
     return VerifyReport("rank_equivalence", params, "pass" if streamed == closed else "fail", details)
@@ -355,7 +369,7 @@ def _run_group_premises(run: VerifyRun) -> VerifyReport:
         return _skipped("group_premises", params, "no construction data for an external permutation")
     size = run.code.hp.points
     if size > VERIFY_GUARD:
-        return _skipped("group_premises", params, "verification guard exceeded", size=size)
+        return _skipped("group_premises", params, "verification guard exceeded", size=size, budget=VERIFY_GUARD)
     group = run.group()
     sub = verify_regular_subgroup(group)
     aut = verify_automorphism(group, run.code.perm)
@@ -540,11 +554,13 @@ def _run_certificate(run: VerifyRun) -> VerifyReport:
     params = _params(code, run.label)
     if not np.array_equal(code.perm.images, np.arange(code.perm.size)):
         return _skipped("certificate", params, "no builtin certificate for a non-identity permutation")
-    count = codeword_count(code)
-    if count > run.max_cert_codewords:
-        return _skipped("certificate", params, "code too large for certificate checking", codewords=count)
-    cells = code.q**code.length
-    if cells > run.max_space_cells:
+    q, N = code.q, code.length
+    if codeword_count(code) > run.max_cert_codewords:
+        count = json_power(q, N - code.r - 1)
+        reason = "code too large for certificate checking"
+        return _skipped("certificate", params, reason, codewords=count, budget=run.max_cert_codewords)
+    if q**N > run.max_space_cells:
+        cells = json_power(q, N)
         return _skipped("certificate", params, "state budget exceeded", cells=cells, budget=run.max_space_cells)
     cert = translation_certificate(code, max_words=run.max_cert_codewords)
     return check_propelinear_certificate(code, cert, label=run.label)

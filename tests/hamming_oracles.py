@@ -1,8 +1,10 @@
 """Test-side helpers: point indexing, the permutation file writer,
 per-syndrome coset builders kept as oracles for the vectorised tables in
 qperfect.codes (canonical_coset_reps, and the extended leaders that
-codeword_blocks writes inline), and the exhaustive pair checks kept as
-oracles for the generator route of the group premises in qperfect.affine."""
+codeword_blocks writes inline), and the exhaustive pair checks and a
+per-block product kept as oracles for the generator route of the group
+premises and for direct_product in qperfect.affine.  The oracles read a
+subgroup's matrices M_a off its column-index table themselves."""
 
 import numpy as np
 
@@ -66,21 +68,41 @@ def extended_coset_leader(hp: HammingPair, a) -> np.ndarray:
     return y
 
 
+def subgroup_matrices(G: RegularSubgroup) -> np.ndarray:
+    """The (q**r, r, r) table of matrices M_a, where column j of M_a is the
+    vector with index cols[a, j]."""
+    return all_vectors(G.ctx.q, G.r)[G.cols].transpose(0, 2, 1)
+
+
+def block_product_cols(G1: RegularSubgroup, G2: RegularSubgroup) -> np.ndarray:
+    """Column-index table of the block-diagonal product, built one element
+    at a time: index ia + q**r1 ib carries diag(M1_ia, M2_ib)."""
+    q, r1, r = G1.ctx.q, G1.r, G1.r + G2.r
+    m1, m2 = subgroup_matrices(G1), subgroup_matrices(G2)
+    mats = np.zeros((G1.size * G2.size, r, r), dtype=DTYPE)
+    for ib in range(G2.size):
+        for ia in range(G1.size):
+            mats[ia + G1.size * ib, :r1, :r1] = m1[ia]
+            mats[ia + G1.size * ib, r1:, r1:] = m2[ib]
+    return mats.transpose(0, 2, 1) @ field_powers(q, r)
+
+
 def exhaustive_regular_subgroup(G: RegularSubgroup) -> CheckResult:
     """Regular-subgroup check over all pairs: M_0 = I, every matrix
     invertible, and M_{a + M_a b} = M_a M_b for every a and b."""
     q = G.ctx.q
-    if not np.array_equal(G.matrices[0], np.eye(G.r, dtype=DTYPE)):
+    mats = subgroup_matrices(G)
+    if not np.array_equal(mats[0], np.eye(G.r, dtype=DTYPE)):
         return CheckResult(False, "matrix at index 0 is not the identity")
     for ia in range(G.size):
-        if not is_invertible(G.ctx, G.matrices[ia]):
+        if not is_invertible(G.ctx, mats[ia]):
             return CheckResult(False, f"matrix at index {ia} is singular")
     vecs = all_vectors(q, G.r)
     powers = field_powers(q, G.r)
     for ia in range(G.size):
-        Ma = G.matrices[ia]
-        lhs = G.matrices[((vecs[ia] + vecs @ Ma.T) % q) @ powers]
-        rhs = np.matmul(Ma, G.matrices) % q
+        Ma = mats[ia]
+        lhs = mats[((vecs[ia] + vecs @ Ma.T) % q) @ powers]
+        rhs = np.matmul(Ma, mats) % q
         same = np.all(lhs == rhs, axis=(1, 2))
         if not same.all():
             ib = int(np.flatnonzero(~same)[0])
@@ -92,14 +114,15 @@ def exhaustive_automorphism(G: RegularSubgroup, perm: PermTable) -> CheckResult:
     """Automorphism law over all pairs:
     perm(a + M_a b) = perm(a) + M_{perm(a)} perm(b) for every a and b."""
     q = G.ctx.q
+    mats = subgroup_matrices(G)
     vecs = all_vectors(q, G.r)
     powers = field_powers(q, G.r)
     timg = perm.images
     tvecs = vecs[timg]
     for ia in range(G.size):
         ta = int(timg[ia])
-        lhs = timg[((vecs[ia] + vecs @ G.matrices[ia].T) % q) @ powers]
-        rhs = ((vecs[ta] + tvecs @ G.matrices[ta].T) % q) @ powers
+        lhs = timg[((vecs[ia] + vecs @ mats[ia].T) % q) @ powers]
+        rhs = ((vecs[ta] + tvecs @ mats[ta].T) % q) @ powers
         if not np.array_equal(lhs, rhs):
             ib = int(np.flatnonzero(lhs != rhs)[0])
             return CheckResult(False, f"automorphism law fails at a=index {ia}, b=index {ib}")

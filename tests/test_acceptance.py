@@ -37,9 +37,10 @@ from qperfect.codes import (
     permuted_check,
     rank_closed_form,
 )
-from qperfect.hamming import build_hamming_pair, stacked_parity
+from qperfect.hamming import all_vectors, build_hamming_pair, field_powers, stacked_parity
 from qperfect.linalg import FieldContext, nullspace_basis
 from qperfect.verify import (
+    CHECKS,
     VERIFY_GUARD,
     PropelinearCertificate,
     VerifyRun,
@@ -349,9 +350,10 @@ def test_criterion_12_group_premises_at_the_guard():
             assert q**r <= VERIFY_GUARD
             assert verify_regular_subgroup(group).ok
             assert verify_automorphism(group, tau).ok
-            mats = group.matrices.copy()
-            mats[-1] = (mats[-1] + np.eye(r, dtype=mats.dtype)) % q
-            assert not verify_regular_subgroup(RegularSubgroup(ctx, r, mats)).ok
+            # M + I at the last index: column j of its matrix gains e_j
+            cols = group.cols.copy()
+            cols[-1] = ((all_vectors(q, r)[cols[-1]] + np.eye(r, dtype=cols.dtype)) % q) @ field_powers(q, r)
+            assert not verify_regular_subgroup(RegularSubgroup(ctx, r, cols)).ok
 
 
 def test_criterion_13_distension_survey_throughput():
@@ -372,6 +374,20 @@ def test_criterion_13_distension_survey_throughput():
                 seen[d] += 1
             counts[q, r] = dict(seen)
         assert counts == {(3, 4): {4: 400}, (7, 2): {2: 400}}
+
+
+def test_criterion_14_group_premises_past_the_old_guard():
+    # through the registry, guard included, the premises decide on
+    # subgroups of up to 2**14 points, each a q**r x r column-index table
+    with criterion("criterion 14, group premises past the old guard", 2.0):
+        for q, r, copies in ((2, 14, 0), (3, 8, 4), (5, 6, 3), (7, 4, 2)):
+            ctx = FieldContext(q)
+            code = build_code(build_hamming_pair(ctx, r), series_perm(ctx, r, copies))
+            run = VerifyRun(code, "series", lambda: series_group(ctx, r, copies), copies)
+            rep = CHECKS["group_premises"](run)
+            assert q**r <= VERIFY_GUARD
+            assert rep.result == "pass", rep.details
+            assert rep.details == {"regular_subgroup": True, "automorphism": True, "diagnostic": ""}
 
 
 def test_distension_survey_script(monkeypatch, capsys):

@@ -30,8 +30,10 @@ from qperfect.hamming import all_vectors, field_powers
 from qperfect.linalg import FieldContext, ParseError, is_invertible
 
 from hamming_oracles import (
+    block_product_cols,
     exhaustive_automorphism,
     exhaustive_regular_subgroup,
+    subgroup_matrices,
     vec_to_index,
     write_perm,
 )
@@ -56,14 +58,16 @@ def test_perm_inverse_round_trip():
 
 
 def test_shear_group_frozen_values():
+    # each row holds the column indices of one matrix: at q = 3 the column
+    # (x, y) has index x + 3y
     ctx = FieldContext(3)
     G = shear_group(ctx)
     assert G.size == 9
-    assert G.matrices[0].tolist() == [[1, 0], [0, 1]]
-    # (i,j) = (0,2): translation (0 + 2*1, 2) = (2,2) at index 8, shear [[1,4]] = [[1,1]]
-    assert G.matrices[vec_to_index(3, [2, 2])].tolist() == [[1, 1], [0, 1]]
+    assert G.cols[0].tolist() == [1, 3]  # I = [[1,0],[0,1]]
+    # (i,j) = (0,2): translation (0 + 2*1, 2) = (2,2) at index 8, shear [[1,4]] = [[1,1],[0,1]]
+    assert G.cols[vec_to_index(3, [2, 2])].tolist() == [1, 4]
     # (i,j) = (0,1): translation (0,1) at index 3, shear [[1,2],[0,1]]
-    assert G.matrices[vec_to_index(3, [0, 1])].tolist() == [[1, 2], [0, 1]]
+    assert G.cols[vec_to_index(3, [0, 1])].tolist() == [1, 5]
 
 
 def test_shear_group_translation_parts_distinct_q5():
@@ -130,9 +134,9 @@ def test_shear_premises(q):
 def test_verify_rejects_corrupted_subgroup():
     ctx = FieldContext(3)
     G = shear_group(ctx)
-    mats = G.matrices.copy()
-    mats[vec_to_index(3, [1, 0])] = np.array([[1, 1], [0, 1]])
-    bad = RegularSubgroup(ctx, 2, mats)
+    cols = G.cols.copy()
+    cols[vec_to_index(3, [1, 0])] = [1, 4]  # [[1,1],[0,1]]
+    bad = RegularSubgroup(ctx, 2, cols)
     res = verify_regular_subgroup(bad)
     assert not res.ok
     assert "closure" in res.detail or "identity" in res.detail
@@ -140,17 +144,42 @@ def test_verify_rejects_corrupted_subgroup():
 
 def test_translation_group_owns_one_read_only_table():
     G = translation_group(FieldContext(3), 2)
-    assert G.matrices.flags.owndata
-    assert not G.matrices.flags.writeable
-    assert np.array_equal(G.matrices, np.broadcast_to(np.eye(2), (9, 2, 2)))
+    assert G.cols.flags.owndata
+    assert not G.cols.flags.writeable
+    assert G.cols.shape == (9, 2)
+    assert (G.cols == [1, 3]).all()  # every matrix is I
+
+
+def test_subgroup_takes_its_own_copy():
+    ctx = FieldContext(3)
+    cols = translation_group(ctx, 2).cols.copy()
+    G = RegularSubgroup(ctx, 2, cols)
+    cols[0] = 0
+    assert G.cols[0].tolist() == [1, 3]
+
+
+@pytest.mark.parametrize("entry", [9, 10, -1, -9])
+def test_subgroup_rejects_out_of_range_columns(entry):
+    # indices lie in [0, q**r); a negative one would wrap in numpy indexing
+    ctx = FieldContext(3)
+    cols = translation_group(ctx, 2).cols.copy()
+    cols[4, 1] = entry
+    with pytest.raises(ValueError, match="column indices"):
+        RegularSubgroup(ctx, 2, cols)
+
+
+@pytest.mark.parametrize("shape", [(9, 3), (8, 2), (9, 2, 2), (18,)])
+def test_subgroup_rejects_wrong_shapes(shape):
+    with pytest.raises(ValueError, match="shape"):
+        RegularSubgroup(FieldContext(3), 2, np.ones(shape, dtype=np.int64))
 
 
 def test_verify_rejects_singular_entry():
     ctx = FieldContext(3)
     G = translation_group(ctx, 1)
-    mats = G.matrices.copy()
-    mats[1] = 0
-    res = verify_regular_subgroup(RegularSubgroup(ctx, 1, mats))
+    cols = G.cols.copy()
+    cols[1] = 0  # M_1 = [[0]]
+    res = verify_regular_subgroup(RegularSubgroup(ctx, 1, cols))
     assert not res.ok and "singular" in res.detail
 
 
@@ -180,14 +209,37 @@ def test_direct_product_blocks():
     ctx = FieldContext(3)
     G = direct_product(shear_group(ctx), translation_group(ctx, 1))
     assert G.size == 27
+    mats, shear = subgroup_matrices(G), subgroup_matrices(shear_group(ctx))
     for ia in range(9):
         for ib in range(3):
-            idx = ia + 9 * ib
-            m = G.matrices[idx]
-            assert np.array_equal(m[:2, :2], shear_group(ctx).matrices[ia])
+            m = mats[ia + 9 * ib]
+            assert np.array_equal(m[:2, :2], shear[ia])
             assert m[2, 2] == 1
             assert not m[:2, 2].any() and not m[2, :2].any()
     assert verify_regular_subgroup(G).ok
+
+
+def _product_factors():
+    for q in (3, 5):
+        ctx = FieldContext(q)
+        yield f"shear-translation1-q{q}", shear_group(ctx), translation_group(ctx, 1)
+        yield f"translation1-shear-q{q}", translation_group(ctx, 1), shear_group(ctx)
+        yield f"shear-shear-q{q}", shear_group(ctx), shear_group(ctx)
+    ctx = FieldContext(3)
+    yield "series4i1-series2i1-q3", series_group(ctx, 4, 1), series_group(ctx, 2, 1)
+    yield "translation2-series3i1-q3", translation_group(ctx, 2), series_group(ctx, 3, 1)
+    ctx = FieldContext(2)
+    yield "translation3-translation2-q2", translation_group(ctx, 3), translation_group(ctx, 2)
+
+
+PRODUCT_FACTORS = list(_product_factors())
+
+
+@pytest.mark.parametrize("G1,G2", [(a, b) for _, a, b in PRODUCT_FACTORS], ids=[n for n, _, _ in PRODUCT_FACTORS])
+def test_direct_product_matches_block_loop_oracle(G1, G2):
+    G = direct_product(G1, G2)
+    assert G.r == G1.r + G2.r
+    assert np.array_equal(G.cols, block_product_cols(G1, G2))
 
 
 def test_product_of_shears_premises():
@@ -210,7 +262,7 @@ def test_iterate_perms_frozen_spot_check():
 def test_group_element_accessor():
     # the element translating 0 to a = (0, 1) is the row idx(a) of the table
     G = shear_group(FieldContext(3))
-    assert G.matrices[vec_to_index(3, [0, 1])].tolist() == [[1, 2], [0, 1]]
+    assert subgroup_matrices(G)[vec_to_index(3, [0, 1])].tolist() == [[1, 2], [0, 1]]
 
 
 def test_series_perm_structure():
@@ -239,14 +291,14 @@ def test_first_candidate_failures_return_results():
     ctx = FieldContext(3)
     G = shear_group(ctx)
     tau = shear_swap_perm(ctx)
-    mats = G.matrices.copy()
-    mats[1] = [[1, 1], [1, 1]]
-    singular = RegularSubgroup(ctx, 2, mats)
+    cols = G.cols.copy()
+    cols[1] = [4, 4]  # [[1,1],[1,1]]
+    singular = RegularSubgroup(ctx, 2, cols)
     assert verify_regular_subgroup(singular).detail == "matrix at index 1 is singular"
     assert isinstance(verify_automorphism(singular, tau), CheckResult)
-    mats = G.matrices.copy()
-    mats[0] = [[2, 0], [0, 1]]
-    moved = RegularSubgroup(ctx, 2, mats)
+    cols = G.cols.copy()
+    cols[0] = [2, 3]  # [[2,0],[0,1]]
+    moved = RegularSubgroup(ctx, 2, cols)
     assert verify_regular_subgroup(moved).detail == "matrix at index 0 is not the identity"
     assert isinstance(verify_automorphism(moved, tau), CheckResult)
 
@@ -266,7 +318,7 @@ def test_generating_set_is_small():
 def _point(G, a, b):
     """idx(a + M_a b) for point indices a and b."""
     vecs = all_vectors(G.ctx.q, G.r)
-    return int((vecs[a] + G.matrices[a] @ vecs[b]) % G.ctx.q @ field_powers(G.ctx.q, G.r))
+    return int((vecs[a] + subgroup_matrices(G)[a] @ vecs[b]) % G.ctx.q @ field_powers(G.ctx.q, G.r))
 
 
 def _pair(detail):
@@ -274,16 +326,16 @@ def _pair(detail):
 
 
 def _assert_subgroup_detail_breaks(G, detail):
-    q = G.ctx.q
+    q, mats = G.ctx.q, subgroup_matrices(G)
     if detail == "matrix at index 0 is not the identity":
-        assert not np.array_equal(G.matrices[0], np.eye(G.r))
+        assert not np.array_equal(mats[0], np.eye(G.r))
     elif "singular" in detail:
         ia = int(re.search(r"index (\d+)", detail).group(1))
-        assert not is_invertible(G.ctx, G.matrices[ia])
+        assert not is_invertible(G.ctx, mats[ia])
     else:
         ia, ib = _pair(detail)
-        product = G.matrices[ia] @ G.matrices[ib] % q
-        assert not np.array_equal(G.matrices[_point(G, ia, ib)], product)
+        product = mats[ia] @ mats[ib] % q
+        assert not np.array_equal(mats[_point(G, ia, ib)], product)
 
 
 def _assert_automorphism_detail_breaks(G, perm, detail):
@@ -351,23 +403,23 @@ def test_group_premises_build_one_generating_set(monkeypatch, capsys):
 
 
 def _mutate(kind, G, perm, rng):
-    q, size = G.ctx.q, G.size
-    mats, images = G.matrices.copy(), perm.images.copy()
-    if kind == "entry":
-        a, i, j = int(rng.integers(size)), *(int(x) for x in rng.integers(G.r, size=2))
-        mats[a, i, j] = (mats[a, i, j] + rng.integers(1, q)) % q
+    size = G.size
+    cols, images = G.cols.copy(), perm.images.copy()
+    if kind == "entry":  # one column of one matrix becomes another vector
+        a, j = int(rng.integers(size)), int(rng.integers(G.r))
+        cols[a, j] = (cols[a, j] + rng.integers(1, size)) % size
     elif kind == "swap":
         a, b = rng.choice(size, size=2, replace=False)
-        mats[[a, b]] = mats[[b, a]]
-    elif kind == "singular":
+        cols[[a, b]] = cols[[b, a]]
+    elif kind == "singular":  # a non-generator's matrix repeats a column
         others = np.setdiff1d(np.arange(1, size), _generators(G)[0])
         a = int(rng.choice(others))
-        mats[a] = rng.integers(0, q, size=(G.r, G.r))
-        mats[a, :, int(rng.integers(G.r))] = 0
+        i, j = rng.choice(G.r, size=2, replace=False)
+        cols[a, j] = cols[a, i]
     else:
         a, b = rng.choice(np.arange(1, size), size=2, replace=False)
         images[[a, b]] = images[[b, a]]
-    return RegularSubgroup(G.ctx, G.r, mats), PermTable(perm.ctx, perm.r, images)
+    return RegularSubgroup(G.ctx, G.r, cols), PermTable(perm.ctx, perm.r, images)
 
 
 MUTATION_BASES = [inst for inst in INSTANCES if inst[0] in ("shear-q5", "series-q3r4i1", "series-q3r4i2")]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 import qperfect
-from qperfect import cli, verify
+from qperfect import cli, codes, verify
 from qperfect.affine import shear_swap_perm
 from qperfect.cli import main
+from qperfect.hamming import MAX_POINTS
 from qperfect.linalg import FieldContext
 from qperfect.verify import CHECKS
 
@@ -187,9 +189,9 @@ def test_subgroup_is_built_only_by_its_check(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, name, lambda *a, builder=builder: calls.append(a) or builder(*a))
     build = ["build", "--q", "3", "--r", "2", "--tau", "builtin:shear", "--out", str(tmp_path), "--max-codewords", "1"]
     assert run(capsys, build)[0] == 0
-    code, out, _ = run(capsys, ["verify", "--q", "2", "--r", "11", "--checks", "group_premises"])
+    code, out, _ = run(capsys, ["verify", "--q", "2", "--r", "15", "--checks", "group_premises"])
     assert code == 0
-    assert json_lines(out)[0]["details"] == {"reason": "verification guard exceeded", "size": 2048}
+    assert json_lines(out)[0]["details"] == {"reason": "verification guard exceeded", "size": 32768, "budget": 16384}
     assert calls == []
     code, out, _ = run(capsys, ["verify", "--q", "3", "--r", "2", "--tau", "builtin:shear", "--checks", "group_premises"])
     assert code == 0
@@ -197,22 +199,56 @@ def test_subgroup_is_built_only_by_its_check(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_guard_skip_stays_under_the_subgroup_table():
-    # the (2,16) subgroup table alone is 2**16 x 16 x 16 int64 = 128 MiB;
-    # a skip at the guard must peak below it, in a process of its own
+def run_child(argv, timeout=120):
+    """Run `qperfect <argv>` in a process of its own, under a 4 GiB address
+    space limit that the child sets itself; return its exit status, its
+    stdout lines and its peak RSS in KiB.
+
+    The peak is the child's VmHWM, which counts only the memory of the
+    program it runs.  Its ru_maxrss would not: Linux carries the spawning
+    process's peak RSS across fork and exec into the child's, so a pytest
+    process that once held 80 MiB would show through as the child's peak."""
     script = (
         "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
         "from qperfect.cli import main\n"
-        "status = main(['verify', '--q', '2', '--r', '16', '--checks', 'group_premises'])\n"
-        "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        f"status = main({argv!r})\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    peak = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+        "print(status, peak)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=package_env(), timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=package_env(), timeout=timeout
+    )
     assert proc.returncode == 0, proc.stderr
-    report, tail = proc.stdout.splitlines()
+    *lines, tail = proc.stdout.splitlines()
     status, peak_kib = map(int, tail.split())
+    return status, lines, peak_kib
+
+
+def group_premises_child(r):
+    """The report and peak RSS (KiB) of `verify --q 2 --r <r> --checks
+    group_premises`, run in a process of its own."""
+    status, (report,), peak_kib = run_child(["verify", "--q", "2", "--r", str(r), "--checks", "group_premises"])
     assert status == 0
-    assert json.loads(report)["details"]["reason"] == "verification guard exceeded"
+    return json.loads(report), peak_kib
+
+
+def test_guard_skip_stays_under_the_subgroup_table():
+    # a table of matrices at (2,16) would alone be 2**16 x 16 x 16 int64 =
+    # 128 MiB; a skip at the guard must peak below it
+    report, peak_kib = group_premises_child(16)
+    assert report["details"]["reason"] == "verification guard exceeded"
     assert peak_kib < 128 * 1024
+
+
+def test_group_premises_decide_at_2_14_in_small_memory():
+    # the (2,14) column-index table is 2**14 x 14 int64 = 1.75 MiB; the
+    # whole run peaked at about 50 MiB with it and at 77 MiB with a table of
+    # matrices, on a 2-CPU Linux machine
+    report, peak_kib = group_premises_child(14)
+    assert report["result"] == "pass"
+    assert peak_kib < 64 * 1024
 
 
 def test_verify_checks_filter_keeps_canonical_order(capsys):
@@ -251,13 +287,15 @@ VERIFY_STDOUT_SHA256 = [
     ("--q 3 --r 2 --tau builtin:shear",
      "d0e689f5fc1d1a31ad8c0479da508657f7f4cd28731935890383fef16bcf2c5f"),
     ("--q 7 --r 1",  # certificate: code too large
-     "8eddef441d6c394a376f89c776080ba79575792840634ce58b260d95d6899cd7"),
-    ("--q 5 --r 2 --tau builtin:shear --checks perfect,rank_equivalence",  # both budgets
-     "8fb395453993025b45edd369ceaf1783e54305b059b868eb47d86fefd31dbdab"),
+     "c2c3f8c8ee885ae28ceeb057abbef39d10cfa4e3c9b4ee15536502e1f1a58a6a"),
+    ("--q 5 --r 2 --tau builtin:shear --checks perfect,rank_equivalence",  # both budgets, sizes as powers
+     "c417ab2b89f244e72bde2e7c3575cdafd4cb5c8980ca3e18b9b2addc6158aed7"),
     ("--q 3 --r 2 --tau tau.txt",  # group premises: external permutation
      "799b0722759b8cfdb8610b46df78a3f5b2d0ff1b975e4a5f8e00911d360dadca"),
-    ("--q 2 --r 11 --checks group_premises,additivity",  # group premises: guard
-     "cd756a7288617da9a440b66eedf5d86c1e45308c81c33737614a410db4838027"),
+    ("--q 2 --r 11 --checks group_premises,additivity",  # group premises past 2**10
+     "fdddaa1a933723d6dfb43083054ddf6c0731e760a7134a99789d5a66310762bd"),
+    ("--q 2 --r 15 --checks group_premises",  # group premises: guard
+     "94832e79965ac48cee34b637436946d68aa107fda0766f91ae195357a9bc8baf"),
     ("--q 3 --r 4 --tau builtin:series --i 1 --checks additivity",
      "5817f9e30d9e4b125bfff46d0cd97b7468e149d0ac24543f073ca28352e33b61"),
     ("--q 3 --r 4 --tau builtin:series --i 2 --checks additivity",
@@ -270,7 +308,7 @@ VERIFY_STDOUT_SHA256 = [
      "6d0eafd057f4b7c000b784f6d115e96f8c60a7fc20cfd284667077f5a45426de"),
     ("--q 3 --r 6 --tau builtin:series --i 3 --checks group_premises",  # group premises at scale
      "10c478ba3ea4775572eed694da99183f043003598b89be566a71682b4638a2c2"),
-    ("--q 2 --r 10 --checks group_premises",  # group premises: largest table under the guard
+    ("--q 2 --r 10 --checks group_premises",  # group premises on 2**10 points
      "2ca292da5abb0f2e1866d065e1820570b20f29aca2537362138f12a12ca6f30f"),
 ]
 
@@ -282,6 +320,102 @@ def test_verify_golden_stdout(tmp_path, monkeypatch, capsys, args, digest):
     code, out, _ = run(capsys, ["verify", *args.split()])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_distension_is_computed_once_per_code(tmp_path, monkeypatch, capsys):
+    # build's summary and both rank checks read the code's cached distension
+    calls = []
+    true_distension = codes.distension
+    spy = lambda hp, perm: calls.append(hp.r) or true_distension(hp, perm)
+    for module in (codes, cli, verify):
+        monkeypatch.setattr(module, "distension", spy)
+    build = ["build", "--q", "3", "--r", "2", "--tau", "builtin:shear", "--out", str(tmp_path)]
+    assert run(capsys, build)[0] == 0
+    assert calls == [2]
+    calls.clear()
+    assert run(capsys, ["verify", "--q", "2", "--r", "3", "--checks", "rank_equivalence,basis_audit"])[0] == 0
+    assert calls == [3]
+
+
+# -- the accepted domain ----------------------------------------------------------
+
+
+def finite(value):
+    """Whether every number in a JSON value parsed with parse_int=float,
+    as a reader that holds numbers as doubles sees it, is finite."""
+    if isinstance(value, dict):
+        return all(finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@pytest.mark.parametrize("q,r", [(2, 13), (3, 8)])
+def test_verify_sizes_read_as_finite_doubles(capsys, q, r):
+    # q**N has over 4,300 digits here: written as an integer it would not
+    # even format; past 2**53 it is written as a power instead
+    code, out, _ = run(capsys, ["verify", "--q", str(q), "--r", str(r)])
+    assert code == 0
+    reports = [json.loads(line, parse_int=float) for line in out.splitlines()]
+    assert [rep["check"] for rep in reports] == list(CHECKS)
+    assert all(finite(rep) for rep in reports)
+    N = (q ** (r + 1) - 1) // (q - 1)
+    by_name = {rep["check"]: rep["details"] for rep in reports}
+    assert by_name["perfect"]["cells"] == {"base": q, "exponent": N}
+    assert by_name["rank_equivalence"]["codewords"] == {"base": q, "exponent": N - r - 1}
+    assert by_name["certificate"]["codewords"] == {"base": q, "exponent": N - r - 1}
+
+
+def test_build_writes_summary_at_2_13(tmp_path, capsys):
+    code, _, _ = run(capsys, ["build", "--q", "2", "--r", "13", "--out", str(tmp_path)])
+    assert code == 0
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_int=float)
+    assert finite(summary)
+    assert summary["codewords"] == {"base": 2, "exponent": 16369}
+    assert summary["codewords_file"] is None
+
+
+def test_json_power_switches_form_past_2_53():
+    assert verify.json_power(2, 53) == 1 << 53
+    assert verify.json_power(2, 54) == {"base": 2, "exponent": 54}
+    assert verify.json_power(3, 33) == 3**33  # 5.6e15
+    assert verify.json_power(3, 34) == {"base": 3, "exponent": 34}  # 1.7e16
+    assert verify.json_power(251, 0) == 1
+
+
+def _corners():
+    """For each field, the largest r with q**r within MAX_POINTS, with the
+    identity and, where shears exist, the series with r // 2 copies."""
+    for q in (2, 3, 5, 7, 13, 251):
+        r = max(r for r in range(1, 64) if q**r <= MAX_POINTS)
+        yield q, r, ["--tau", "builtin:identity"]
+        if q >= 3:
+            yield q, r, ["--tau", "builtin:series", "--i", str(r // 2)]
+
+
+CORNERS = list(_corners())
+
+
+def test_domain_corners_are_the_largest_instances():
+    assert sorted({(q, r) for q, r, _ in CORNERS}) == [(2, 20), (3, 12), (5, 8), (7, 7), (13, 5), (251, 2)]
+
+
+@pytest.mark.parametrize("command", ["verify", "build"])
+@pytest.mark.parametrize("q,r,tau", CORNERS, ids=[f"q{q}r{r}-{tau[1][8:]}" for q, r, tau in CORNERS])
+def test_domain_corner_ends_with_a_report(tmp_path, command, q, r, tau):
+    # every run the command line accepts ends with a report, within 30 s
+    # and 2 GiB; (2,20) verify took 4.2 s and 1.2 GiB on a 2-CPU machine
+    argv = [command, "--q", str(q), "--r", str(r), *tau]
+    if command == "build":
+        argv += ["--out", str(tmp_path)]
+    status, lines, peak_kib = run_child(argv, timeout=30)
+    assert status in (0, 1)
+    assert peak_kib <= 2 << 20
+    if command == "build":
+        lines = [(tmp_path / "summary.json").read_text()]
+    else:
+        assert len(lines) == len(CHECKS)
+    assert all(finite(json.loads(text, parse_int=float)) for text in lines)
 
 
 # an exhausted allocation is a resource error, not a failed check; an

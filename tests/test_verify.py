@@ -372,7 +372,7 @@ def test_rank_equivalence_passes_and_skips():
     assert rep.details == {"enumerated_rank": 4, "closed_form": 4}
     rep = check_rank_equivalence(dataclasses.replace(run, max_codewords=15))
     assert rep.result == "skipped"
-    assert rep.details == {"reason": "enumeration budget exceeded", "codewords": 16}
+    assert rep.details == {"reason": "enumeration budget exceeded", "codewords": 16, "budget": 15}
 
 
 def test_checks_registry_on_a_library_run():
@@ -511,7 +511,7 @@ def test_certificate_skip_gate(monkeypatch):
     run = verify.VerifyRun(small_code(2, 2), "t", max_cert_codewords=15)
     rep = verify.CHECKS["certificate"](run)
     assert rep.result == "skipped"
-    assert rep.details == {"reason": "code too large for certificate checking", "codewords": 16}
+    assert rep.details == {"reason": "code too large for certificate checking", "codewords": 16, "budget": 15}
     assert budgets == []
     assert verify.CHECKS["certificate"](dataclasses.replace(run, max_cert_codewords=16)).result == "pass"
     assert budgets == [16]
