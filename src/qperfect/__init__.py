@@ -35,7 +35,6 @@ from .codes import (
     CodeHandle,
     RankBasis,
     build_code,
-    codeword_count,
     contains,
     contains_rows,
     distension,

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hamming import all_vectors, field_powers
+from .hamming import MAX_POINTS, all_vectors, field_powers, json_power
 from .linalg import DTYPE, DimensionMismatch, FieldContext, ParseError, is_invertible
 
 __all__ = [
@@ -307,31 +307,36 @@ def verify_automorphism(G: RegularSubgroup, perm: PermTable) -> CheckResult:
 
 # -- permutation file format ----------------------------------------------
 #
-# line 1 "q r", line 2 the q**r image indices.
+# line 1 "q r", line 2 the q**r image indices.  read_perm tests the header
+# against the materialization guard before it reads line 2.
 
 
 def read_perm(path) -> PermTable:
     with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise ParseError("empty file", 1)
-    head = raw[0].split()
-    if len(head) != 2:
-        raise ParseError("expected header 'q r'", 1)
-    try:
-        q, r = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError("header fields must be integers", 1) from None
-    try:
-        ctx = FieldContext(q)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1) from None
-    if r < 1:
-        raise ParseError(f"r must be >= 1, got {r}", 1)
-    if len(raw) < 2:
+        first = fh.readline()
+        if not first:
+            raise ParseError("empty file", 1)
+        head = first.split()
+        if len(head) != 2:
+            raise ParseError("expected header 'q r'", 1)
+        try:
+            q, r = int(head[0]), int(head[1])
+        except ValueError:
+            raise ParseError("header fields must be integers", 1) from None
+        try:
+            ctx = FieldContext(q)
+        except ValueError as exc:
+            raise ParseError(str(exc), 1) from None
+        if r < 1:
+            raise ParseError(f"r must be >= 1, got {r}", 1)
+        size = json_power(q, r, MAX_POINTS)
+        if size is not None:
+            raise ParseError(f"q**r = {size} exceeds the materialization guard {MAX_POINTS}", 1)
+        line = fh.readline()
+    if not line:
         raise ParseError("missing image line", 2)
-    toks = raw[1].split()
-    size = ctx.q**r
+    toks = line.split()
+    size = q**r
     if len(toks) != size:
         raise ParseError(f"expected {size} image indices, got {len(toks)}", 2)
     try:

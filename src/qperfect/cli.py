@@ -28,14 +28,13 @@ from .affine import (
 from .codes import (
     MAX_ENUMERATION,
     build_code,
-    codeword_count,
     distension,
     rank_closed_form,
     write_codewords,
 )
-from .hamming import build_hamming_pair, stacked_parity
+from .hamming import build_hamming_pair, json_power, stacked_parity
 from .linalg import FieldContext, write_matrix
-from .verify import CHECKS, MAX_CERT_CODE, MAX_SPACE_CELLS, VerifyRun, json_power
+from .verify import CHECKS, MAX_CERT_CODE, MAX_SPACE_CELLS, VerifyRun
 
 
 class UsageError(Exception):
@@ -101,17 +100,17 @@ def cmd_build(args) -> int:
     perm, _ = _resolve_perm(ctx, args.r, args.tau, args.i)
     code = build_code(hp, perm)
     os.makedirs(args.out, exist_ok=True)
-    count = codeword_count(code)
+    k = code.length - code.r - 1
     summary = {
         "q": args.q,
         "r": args.r,
         "tau": args.tau,
         "length": code.length,
-        "codewords": json_power(ctx.q, code.length - code.r - 1),
+        "codewords": json_power(ctx.q, k),
         "distension": code.distension,
         "rank": rank_closed_form(code),
     }
-    if count <= args.max_codewords and ctx.q <= 9:
+    if ctx.q <= 9 and json_power(ctx.q, k, args.max_codewords) is None:
         path = os.path.join(args.out, "codewords.txt")
         write_codewords(path, code, args.tau, max_words=args.max_codewords)
         summary["codewords_file"] = "codewords.txt"

@@ -20,11 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .affine import PermTable
-from .hamming import (
-    HammingPair,
-    all_vectors,
-    field_powers,
-)
+from .hamming import HammingPair, all_vectors, field_powers, json_power
 from .linalg import (
     DTYPE,
     DimensionMismatch,
@@ -43,7 +39,6 @@ __all__ = [
     "build_code",
     "canonical_coset_reps",
     "codeword_blocks",
-    "codeword_count",
     "contains",
     "contains_rows",
     "distension",
@@ -176,10 +171,6 @@ def build_code(hp: HammingPair, perm: PermTable) -> CodeHandle:
     return CodeHandle(hp, perm)
 
 
-def codeword_count(code: CodeHandle) -> int:
-    return code.q ** (code.length - code.r - 1)
-
-
 def rank_closed_form(code: CodeHandle) -> int:
     """N - r - 1 + distension; the desk formula for the code's rank."""
     return code.length - code.r - 1 + code.distension
@@ -218,8 +209,8 @@ def codeword_blocks(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Itera
     overall row order is reproducible.  A label with more rows than the cap
     is split along that order.
     """
-    count = codeword_count(code)
-    if count > max_words:
+    count = json_power(code.q, code.length - code.r - 1, max_words)
+    if count is not None:
         raise ValueError(f"codeword count {count} exceeds the enumeration guard {max_words}")
     q = code.q
     cwords = lex_messages(q, code.hamming_basis.shape[0]) @ code.hamming_basis % q

@@ -32,10 +32,25 @@ __all__ = [
     "all_vectors",
     "build_hamming_pair",
     "field_powers",
+    "json_power",
     "stacked_parity",
 ]
 
 MAX_POINTS = 1 << 20  # largest q**r this module will materialize
+
+
+def json_power(q: int, k: int, budget: int = 0):
+    """None when q**k <= budget, else q**k in report form: exact up to 2**53,
+    which a reader that parses numbers as doubles still reads exactly, and
+    {"base": q, "exponent": k} above.  The product stops once it passes both
+    the budget and 2**53, so no size past max(budget, 2**53) is ever built."""
+    cap = max(budget, 1 << 53)
+    value = 1
+    for _ in range(k):
+        value *= q
+        if value > cap:
+            return {"base": q, "exponent": k}
+    return None if value <= budget else value
 
 
 def field_powers(q: int, r: int) -> np.ndarray:
@@ -44,21 +59,25 @@ def field_powers(q: int, r: int) -> np.ndarray:
 
 def all_vectors(q: int, r: int) -> np.ndarray:
     """All q**r vectors as rows, row i being the vector with index i."""
-    if q**r > MAX_POINTS:
-        raise ValueError(f"q**r = {q**r} exceeds the materialization guard {MAX_POINTS}")
+    size = json_power(q, r, MAX_POINTS)
+    if size is not None:
+        raise ValueError(f"q**r = {size} exceeds the materialization guard {MAX_POINTS}")
     idx = np.arange(q**r, dtype=DTYPE)
     return (idx[:, None] // field_powers(q, r)[None, :]) % q
 
 
 @dataclass(frozen=True)
 class HammingPair:
-    """The three parity-check matrices for one concatenation level."""
+    """The three parity-check matrices for one level; h_columns views h_extended."""
 
     ctx: FieldContext
     r: int
     h_hamming: np.ndarray
-    h_columns: np.ndarray
     h_extended: np.ndarray
+
+    @property
+    def h_columns(self) -> np.ndarray:
+        return self.h_extended[1:]
 
     @property
     def q(self) -> int:
@@ -97,23 +116,21 @@ class HammingPair:
 def build_hamming_pair(ctx: FieldContext, r: int) -> HammingPair:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    q = ctx.q
-    vecs = all_vectors(q, r)
-    nonzero = vecs.any(axis=1)
+    vecs = all_vectors(ctx.q, r)
+    # the normalized columns: first nonzero coordinate 1 (the zero vector's reads 0)
     first = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
-    normalized = nonzero & (first == 1)
-    h_hamming = vecs[normalized].T.copy()
-    h_columns = vecs.T.copy()
-    h_extended = np.vstack([np.ones(q**r, dtype=DTYPE), h_columns])
-    return HammingPair(ctx, r, h_hamming, h_columns, h_extended)
+    h_hamming = vecs[first == 1].T.copy()
+    h_extended = np.empty((r + 1, len(vecs)), dtype=DTYPE)
+    h_extended[0] = 1
+    h_extended[1:] = vecs.T
+    return HammingPair(ctx, r, h_hamming, h_extended)
 
 
 def stacked_parity(hp: HammingPair) -> np.ndarray:
     """(r+1) x (n + q**r) parity check whose kernel is the full-length
     Hamming code: top row (0..0|1..1), bottom block (h_hamming|h_columns)."""
-    top = np.concatenate(
-        [np.zeros(hp.n, dtype=DTYPE), np.ones(hp.points, dtype=DTYPE)]
-    )
-    bottom = np.hstack([hp.h_hamming, hp.h_columns])
-    return np.vstack([top, bottom])
+    out = np.zeros((hp.r + 1, hp.n + hp.points), dtype=DTYPE)
+    out[1:, : hp.n] = hp.h_hamming
+    out[:, hp.n :] = hp.h_extended
+    return out
 

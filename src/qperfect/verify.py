@@ -31,13 +31,12 @@ from .codes import (
     MAX_ENUMERATION,
     CodeHandle,
     codeword_blocks,
-    codeword_count,
     contains_rows,
     distension,
     rank_basis,
     rank_closed_form,
 )
-from .hamming import HammingPair, build_hamming_pair
+from .hamming import HammingPair, build_hamming_pair, json_power
 from .linalg import DTYPE, DimensionMismatch, FieldContext, _eliminate, rank
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "check_propelinear_certificate",
     "check_rank_equivalence",
     "covering_occupancy",
-    "json_power",
     "rank_by_elimination",
     "translation_certificate",
 ]
@@ -99,18 +97,6 @@ def _skipped(check: str, params: dict, reason: str, **details) -> VerifyReport:
     return VerifyReport(check, params, "skipped", {"reason": reason, **details})
 
 
-def json_power(q: int, k: int):
-    """q**k as an exact integer up to 2**53, which a reader that parses
-    numbers as doubles still reads exactly, and as {"base": q, "exponent": k}
-    above that; the decimal string of a larger integer is never built."""
-    value = 1
-    for _ in range(k):
-        value *= q
-        if value > 1 << 53:
-            return {"base": q, "exponent": k}
-    return value
-
-
 @dataclass(frozen=True)
 class VerifyRun:
     """Everything the registered checks read: the code, its --tau label,
@@ -131,7 +117,7 @@ class VerifyRun:
         """Rank of the enumerated code by streamed elimination, or None past
         the enumeration budget.  Both rank checks read it, so a run streams
         the code at most once."""
-        if codeword_count(self.code) > self.max_codewords:
+        if json_power(self.code.q, self.code.length - self.code.r - 1, self.max_codewords) is not None:
             return None
         return rank_by_elimination(self.code.ctx, codeword_blocks(self.code, self.max_codewords))
 
@@ -183,9 +169,9 @@ def check_perfect(
     """
     q, N = code.q, code.length
     params = _params(code, label)
-    cells = q**N
-    if cells > max_cells:
-        return _skipped("perfect", params, "state budget exceeded", cells=json_power(q, N), budget=max_cells)
+    over = json_power(q, N, max_cells)
+    if over is not None:
+        return _skipped("perfect", params, "state budget exceeded", cells=over, budget=max_cells)
     streamed = 0
 
     def counted(blocks: Iterable[np.ndarray]) -> Iterable[np.ndarray]:
@@ -196,6 +182,7 @@ def check_perfect(
 
     overlapped, uncovered = covering_occupancy(q, N, counted(codeword_blocks(code)))
     ball = 1 + N * (q - 1)
+    cells = q**N
     packing = streamed * ball == cells
     details = {
         "length": N,
@@ -461,11 +448,12 @@ def check_propelinear_certificate(
     """
     q, N = code.q, code.length
     params = _params(code, label)
-    M = codeword_count(code)
+    M = cert.words.shape[0]
 
     # M distinct words that all lie in a code of size M are the whole code.
-    if cert.words.shape != (M, N):
-        raise ValueError(f"certificate domain must be the {M} codewords")
+    # json_power(q, k, M - 1) is M iff q**k = M, for any M below 2**53 rows.
+    if cert.words.shape[1] != N or json_power(q, N - code.r - 1, M - 1) != M:
+        raise ValueError(f"certificate domain must be the {json_power(q, N - code.r - 1)} codewords")
     if ((cert.words < 0) | (cert.words >= q)).any():
         raise ValueError(f"certificate words must have symbols in 0..{q - 1}")
     if cert.pis.shape[2] != q:
@@ -555,12 +543,12 @@ def _run_certificate(run: VerifyRun) -> VerifyReport:
     if not np.array_equal(code.perm.images, np.arange(code.perm.size)):
         return _skipped("certificate", params, "no builtin certificate for a non-identity permutation")
     q, N = code.q, code.length
-    if codeword_count(code) > run.max_cert_codewords:
-        count = json_power(q, N - code.r - 1)
+    count = json_power(q, N - code.r - 1, run.max_cert_codewords)
+    if count is not None:
         reason = "code too large for certificate checking"
         return _skipped("certificate", params, reason, codewords=count, budget=run.max_cert_codewords)
-    if q**N > run.max_space_cells:
-        cells = json_power(q, N)
+    cells = json_power(q, N, run.max_space_cells)
+    if cells is not None:
         return _skipped("certificate", params, "state budget exceeded", cells=cells, budget=run.max_space_cells)
     cert = translation_certificate(code, max_words=run.max_cert_codewords)
     return check_propelinear_certificate(code, cert, label=run.label)

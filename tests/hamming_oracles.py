@@ -1,10 +1,11 @@
-"""Test-side helpers: point indexing, the permutation file writer,
-per-syndrome coset builders kept as oracles for the vectorised tables in
-qperfect.codes (canonical_coset_reps, and the extended leaders that
-codeword_blocks writes inline), and the exhaustive pair checks and a
-per-block product kept as oracles for the generator route of the group
-premises and for direct_product in qperfect.affine.  The oracles read a
-subgroup's matrices M_a off its column-index table themselves."""
+"""Test-side helpers: point indexing, the exact codeword count, the
+permutation file writer, per-syndrome coset builders kept as oracles for
+the vectorised tables in qperfect.codes (canonical_coset_reps, and the
+extended leaders that codeword_blocks writes inline), and the exhaustive
+pair checks and a per-block product kept as oracles for the generator
+route of the group premises and for direct_product in qperfect.affine.
+The oracles read a subgroup's matrices M_a off its column-index table
+themselves."""
 
 import numpy as np
 
@@ -23,6 +24,12 @@ def index_to_vec(q: int, r: int, idx: int) -> np.ndarray:
     if not 0 <= idx < q**r:
         raise ValueError(f"index {idx} out of range for q={q}, r={r}")
     return (idx // field_powers(q, r)) % q
+
+
+def codeword_count(code) -> int:
+    """q**(N - r - 1) as an exact integer; qperfect itself tests this size
+    against its budgets with the bounded hamming.json_power."""
+    return code.q ** (code.length - code.r - 1)
 
 
 def write_perm(path, perm: PermTable) -> None:

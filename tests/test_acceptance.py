@@ -30,7 +30,6 @@ from qperfect.codes import (
     build_code,
     canonical_coset_reps,
     codeword_blocks,
-    codeword_count,
     distension,
     distension_oracle,
     lex_messages,
@@ -53,7 +52,7 @@ from qperfect.verify import (
     translation_certificate,
 )
 
-from hamming_oracles import extended_coset_leader, index_to_vec
+from hamming_oracles import codeword_count, extended_coset_leader, index_to_vec
 
 SURVEY_PATH = Path(__file__).resolve().parents[1] / "scripts" / "distension_survey.py"
 _spec = importlib.util.spec_from_file_location("distension_survey", SURVEY_PATH)

@@ -16,7 +16,7 @@ import qperfect
 from qperfect import cli, codes, verify
 from qperfect.affine import shear_swap_perm
 from qperfect.cli import main
-from qperfect.hamming import MAX_POINTS
+from qperfect.hamming import MAX_POINTS, json_power
 from qperfect.linalg import FieldContext
 from qperfect.verify import CHECKS
 
@@ -376,11 +376,17 @@ def test_build_writes_summary_at_2_13(tmp_path, capsys):
 
 
 def test_json_power_switches_form_past_2_53():
-    assert verify.json_power(2, 53) == 1 << 53
-    assert verify.json_power(2, 54) == {"base": 2, "exponent": 54}
-    assert verify.json_power(3, 33) == 3**33  # 5.6e15
-    assert verify.json_power(3, 34) == {"base": 3, "exponent": 34}  # 1.7e16
-    assert verify.json_power(251, 0) == 1
+    assert json_power(2, 53) == 1 << 53
+    assert json_power(2, 54) == {"base": 2, "exponent": 54}
+    assert json_power(3, 33) == 3**33  # 5.6e15
+    assert json_power(3, 34) == {"base": 3, "exponent": 34}  # 1.7e16
+    assert json_power(251, 0) == 1
+    # with a budget: None within it, the report form past it
+    assert json_power(2, 26, 1 << 26) is None
+    assert json_power(2, 27, 1 << 26) == 1 << 27
+    assert json_power(2, 10**9, 1 << 26) == {"base": 2, "exponent": 10**9}
+    assert json_power(2, 60, 1 << 60) is None  # a budget past 2**53 is still exact
+    assert json_power(2, 61, 1 << 60) == {"base": 2, "exponent": 61}
 
 
 def _corners():
@@ -404,7 +410,7 @@ def test_domain_corners_are_the_largest_instances():
 @pytest.mark.parametrize("q,r,tau", CORNERS, ids=[f"q{q}r{r}-{tau[1][8:]}" for q, r, tau in CORNERS])
 def test_domain_corner_ends_with_a_report(tmp_path, command, q, r, tau):
     # every run the command line accepts ends with a report, within 30 s
-    # and 2 GiB; (2,20) verify took 4.2 s and 1.2 GiB on a 2-CPU machine
+    # and 2 GiB; (2,20) verify took 3.0-4.5 s and 1,063 MiB on a 2-CPU machine
     argv = [command, "--q", str(q), "--r", str(r), *tau]
     if command == "build":
         argv += ["--out", str(tmp_path)]
@@ -481,10 +487,19 @@ def test_series_needs_odd_characteristic(capsys):
         (["verify", "--q", "2", "--r", "4", "--tau", "builtin:series", "--i", "1"], "q >= 3"),
         (["build", "--q", "3", "--r", "2", "--tau", "builtin:series", "--i", "2", "--out", "/tmp/x"],
          "copies must lie in [0, 1]"),
+        # past the materialization guard, and past 4,300 digits: the guard
+        # names the size as a power, not as a long decimal
+        (["verify", "--q", "2", "--r", "20000"], "materialization guard 1048576"),
+        (["matrices", "--q", "251", "--r", "3000000", "--out", "/tmp/x"], "materialization guard"),
+        (["verify", "--q", "2", "--r", "2", "--tau", "TAU_2_100000"],
+         "line 1: q**r = {'base': 2, 'exponent': 100000} exceeds the materialization guard 1048576"),
     ],
 )
-def test_usage_errors_exit_two(capsys, argv, fragment):
-    code, _, err = run(capsys, argv)
+def test_usage_errors_exit_two(tmp_path, capsys, argv, fragment):
+    # TAU_2_100000 stands for a permutation file whose header is "2 100000"
+    tau = tmp_path / "tau.txt"
+    tau.write_text("2 100000\n0 1\n")
+    code, _, err = run(capsys, [str(tau) if arg == "TAU_2_100000" else arg for arg in argv])
     assert code == 2
     assert err.startswith("error:")
     assert fragment in err

@@ -19,7 +19,6 @@ from qperfect.codes import (
     build_code,
     canonical_coset_reps,
     codeword_blocks,
-    codeword_count,
     contains,
     contains_rows,
     distension,
@@ -34,7 +33,7 @@ from qperfect.codes import (
 from qperfect.hamming import build_hamming_pair
 from qperfect.linalg import DimensionMismatch, FieldContext, nullspace_basis, rank
 
-from hamming_oracles import hamming_coset_rep, index_to_vec, vec_to_index
+from hamming_oracles import codeword_count, hamming_coset_rep, index_to_vec, vec_to_index
 
 
 def make(q, r):

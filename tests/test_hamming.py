@@ -85,6 +85,7 @@ def test_extended_matrix_shape_and_rank(q, r):
     ctx = FieldContext(q)
     hp = build_hamming_pair(ctx, r)
     assert np.array_equal(hp.h_columns, all_vectors(q, r).T)
+    assert hp.h_columns.base is hp.h_extended  # the kit holds each matrix once
     assert hp.h_extended.shape == (r + 1, q**r)
     assert (hp.h_extended[0] == 1).all()
     assert rank(ctx, hp.h_extended) == r + 1

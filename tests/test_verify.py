@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from qperfect import cli, verify
 from qperfect.affine import PermTable, identity_perm, series_group, series_perm, shear_swap_perm
-from qperfect.codes import build_code, codeword_blocks, codeword_count, rank_basis
+from qperfect.codes import build_code, codeword_blocks, rank_basis
 from qperfect.hamming import build_hamming_pair
 from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, rank
 from qperfect.verify import (
@@ -27,6 +28,8 @@ from qperfect.verify import (
     rank_by_elimination,
     translation_certificate,
 )
+
+from hamming_oracles import codeword_count
 
 
 def small_code(q, r):
@@ -483,6 +486,28 @@ def test_translation_certificate_budget():
     # budget refuses it before any table is allocated
     with pytest.raises(ValueError, match="enumeration guard"):
         translation_certificate(small_code(3, 2))
+
+
+def test_enumeration_guard_names_a_huge_count_as_a_power():
+    # (3,8) has 3**9832 codewords, a count of 4,691 digits: the guard's own
+    # message is raised, not the limit on converting integers to strings
+    with pytest.raises(ValueError, match=r"count \{'base': 3, 'exponent': 9832\} exceeds the enumeration guard"):
+        next(codeword_blocks(small_code(3, 8)))
+
+
+def test_skips_build_no_power():
+    # (7,7) has 7**960792 codewords in 7**960800 cells; each skip decides
+    # from a power bounded by its budget, with the kit built before tracing
+    run = verify.VerifyRun(small_code(7, 7), "builtin:identity")
+    for name in ("perfect", "rank_equivalence"):
+        tracemalloc.start()
+        try:
+            report = verify.CHECKS[name](run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.result == "skipped"
+        assert peak < 64 << 10, (name, peak)
 
 
 def spy_on_certificates(monkeypatch):
