@@ -28,7 +28,6 @@ from .linalg import (
     _eliminate,
     _inverse_table,
     nullspace_basis,
-    rank,
 )
 
 __all__ = [
@@ -60,25 +59,56 @@ def lex_messages(q: int, k: int) -> np.ndarray:
     return all_vectors(q, k)[:, ::-1]
 
 
+def _preimages(hp: HammingPair, perm: PermTable) -> np.ndarray:
+    """perm^(-1) as an index table; perm is a validated bijection, so the
+    inverse is one scatter."""
+    if perm.ctx != hp.ctx or perm.r != hp.r:
+        raise DimensionMismatch("permutation does not match the parity kit")
+    inv = np.empty(perm.size, dtype=DTYPE)
+    inv[perm.images] = np.arange(perm.size, dtype=DTYPE)
+    return inv
+
+
 def permuted_check(hp: HammingPair, perm: PermTable) -> np.ndarray:
     """Parity check of the permuted extended component: column b is the
     h_extended column at perm^(-1)(b), so its kernel is the permuted code."""
-    if perm.ctx != hp.ctx or perm.r != hp.r:
-        raise DimensionMismatch("permutation does not match the parity kit")
-    # perm is a validated bijection, so the inverse is one scatter
-    inv = np.empty(perm.size, dtype=DTYPE)
-    inv[perm.images] = np.arange(perm.size, dtype=DTYPE)
-    return hp.h_extended[:, inv]
+    return hp.h_extended[:, _preimages(hp, perm)]
 
 
 def distension(hp: HammingPair, perm: PermTable) -> int:
-    """rank of h_extended stacked on its permuted copy, minus (r+1).
+    """Rank of the nonlinear residual of perm^(-1): r x q**r rows.
+
+    W = h_columns[:, perm^(-1)] holds the coordinates of perm^(-1)(b) at
+    every point b; it is the permuted check without its all-ones row.  The
+    rows of h_extended span exactly the affine functions on GF(q)**r, and
+    the points {0, e_1..e_r} (indices 0 and q**k) are an affine basis and
+    the pivot columns of h_extended.  perm fixes 0, so the coordinate
+    functions of perm^(-1) vanish at 0 and their affine interpolant on that
+    basis is C V, where C = W[:, q**k] is W at the unit vectors and
+    V = h_columns.  Reducing the permuted copy by h_extended therefore
+    leaves exactly the residual W - C V, the Schur complement on those
+    pivot columns, and rank [h_extended; permuted copy] = (r+1) +
+    rank(W - C V).  A linear perm leaves a zero residual.
 
     Always in [0, r]; equals 0 exactly when the permuted component is the
     original one.
     """
-    stacked = np.vstack([hp.h_extended, permuted_check(hp, perm)])
-    return rank(hp.ctx, stacked) - (hp.r + 1)
+    q, r = hp.q, hp.r
+    # np.take keeps the gathered rows C-contiguous for the row updates
+    residual = np.take(hp.h_columns, _preimages(hp, perm), axis=1)
+    unit = residual[:, field_powers(q, r)]
+    # steps[k, :, d] = d C[:, k]; C V grows one coordinate at a time, as
+    # index j + d q**k carries the column at j plus d C[:, k], so no
+    # full-width product is formed.  uint16 holds the sums below 2q, and
+    # x - q wraps above x exactly when x < q, so the minimum reduces mod q.
+    steps = (unit.T[:, :, None] * np.arange(q) % q).astype(np.uint16)
+    interpolant = np.zeros((r, 1), dtype=np.uint16)
+    for step in steps[..., None]:
+        interpolant = (interpolant[:, None, :] + step).reshape(r, -1)
+        np.minimum(interpolant, interpolant - q, out=interpolant)
+    residual -= interpolant
+    np.add(residual, q, out=residual, where=residual < 0)
+    return len(_eliminate(residual, q, reduced=False))
 
 
 def intersection_coordinates(hp: HammingPair, moved: np.ndarray) -> np.ndarray:
@@ -91,7 +121,7 @@ def intersection_coordinates(hp: HammingPair, moved: np.ndarray) -> np.ndarray:
 def distension_oracle(hp: HammingPair, perm: PermTable) -> int:
     """Distension straight from the definition: dim of the extended
     component minus dim of its intersection with the permuted copy.
-    Independent of the stacked-rank route in distension(); only the fixed
+    Independent of the residual route in distension(); only the fixed
     kernel of h_extended is shared with the parity kit."""
     inter = intersection_coordinates(hp, permuted_check(hp, perm))
     return hp.extended_basis.shape[0] - inter.shape[0]

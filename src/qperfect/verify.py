@@ -304,7 +304,7 @@ def check_additivity(
     label: str = "custom",
 ) -> VerifyReport:
     """Distension of the blockwise permutation equals the sum of the
-    blocks' distensions, every term computed by the stacked-rank route."""
+    blocks' distensions, every term computed by the residual route."""
     combined = iterate_perms(perm1, perm2)
     if hp12.r != combined.r or hp12.ctx != combined.ctx:
         raise DimensionMismatch("combined parity kit does not match the permutations")

@@ -1,17 +1,18 @@
 """Test-side helpers: point indexing, the exact codeword count, the
 permutation file writer, per-syndrome coset builders kept as oracles for
 the vectorised tables in qperfect.codes (canonical_coset_reps, and the
-extended leaders that codeword_blocks writes inline), and the exhaustive
-pair checks and a per-block product kept as oracles for the generator
-route of the group premises and for direct_product in qperfect.affine.
-The oracles read a subgroup's matrices M_a off its column-index table
-themselves."""
+extended leaders that codeword_blocks writes inline), the stacked-rank
+distension kept as the third route beside the two in qperfect.codes, and
+the exhaustive pair checks and a per-block product kept as oracles for
+the generator route of the group premises and for direct_product in
+qperfect.affine.  The oracles read a subgroup's matrices M_a off its
+column-index table themselves."""
 
 import numpy as np
 
 from qperfect.affine import CheckResult, PermTable, RegularSubgroup
 from qperfect.hamming import HammingPair, all_vectors, field_powers
-from qperfect.linalg import DTYPE, DimensionMismatch, is_invertible
+from qperfect.linalg import DTYPE, DimensionMismatch, is_invertible, rank
 
 
 def vec_to_index(q: int, a) -> int:
@@ -73,6 +74,15 @@ def extended_coset_leader(hp: HammingPair, a) -> np.ndarray:
         y[0] = 1
         y[k] = hp.q - 1
     return y
+
+
+def stacked_distension(hp: HammingPair, perm: PermTable) -> int:
+    """Distension by the stacked-rank route: rank of h_extended stacked on
+    its permuted copy, (2r+2) x q**r, minus r+1.  The copy is built here by
+    scattering column a of h_extended to column perm(a)."""
+    moved = np.empty_like(hp.h_extended)
+    moved[:, perm.images] = hp.h_extended
+    return rank(hp.ctx, np.vstack([hp.h_extended, moved])) - (hp.r + 1)
 
 
 def subgroup_matrices(G: RegularSubgroup) -> np.ndarray:

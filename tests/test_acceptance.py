@@ -357,9 +357,9 @@ def test_criterion_12_group_premises_at_the_guard():
 
 def test_criterion_13_distension_survey_throughput():
     # both distension routes over 400 seeded random zero-fixing permutations
-    # at each of (3,4) and (7,2): the elimination kernel jumps over the
-    # empty columns of these rank-deficient shapes (0.26-0.43 s on a 2-CPU
-    # machine; a kernel that visits every column takes 0.62-0.94 s)
+    # at each of (3,4) and (7,2): the fast route eliminates the r-row
+    # residual (0.22-0.29 s on a shared 2-CPU machine, against 0.25-0.35 s
+    # in alternating runs of the (2r+2)-row stacked rank)
     with criterion("criterion 13, distension survey throughput", 0.6):
         counts = {}
         for q, r in ((3, 4), (7, 2)):

@@ -31,9 +31,15 @@ from qperfect.codes import (
     write_codewords,
 )
 from qperfect.hamming import build_hamming_pair
-from qperfect.linalg import DimensionMismatch, FieldContext, nullspace_basis, rank
+from qperfect.linalg import DimensionMismatch, FieldContext, _eliminate, nullspace_basis, rank
 
-from hamming_oracles import codeword_count, hamming_coset_rep, index_to_vec, vec_to_index
+from hamming_oracles import (
+    codeword_count,
+    hamming_coset_rep,
+    index_to_vec,
+    stacked_distension,
+    vec_to_index,
+)
 
 
 def make(q, r):
@@ -151,6 +157,107 @@ def test_distension_bounds_and_inverse_symmetry(q, r, seed):
     assert 0 <= l <= r
     assert l == distension_oracle(hp, tau)
     assert l == distension(hp, perm_inverse(tau))
+
+
+def residual(hp, perm, unit=None):
+    """Oracle: the nonlinear residual W - C V of perm^(-1), by a full-width
+    product.  W = h_columns[:, perm^(-1)] and C = W at the unit vectors
+    unless unit overrides it."""
+    q = hp.q
+    w = hp.h_columns[:, perm_inverse(perm).images]
+    c = w[:, q ** np.arange(hp.r)] if unit is None else unit
+    return (w - c @ hp.h_columns) % q
+
+
+def linear_perms(ctx, r, rng, count):
+    """count random linear permutations, from random invertible matrices."""
+    perms = []
+    while len(perms) < count:
+        mat = rng.integers(0, ctx.q, size=(r, r))
+        if rank(ctx, mat) == r:
+            perms.append(linear_perm(ctx, mat))
+    return perms
+
+
+def three_routes(hp, perm):
+    return distension(hp, perm), distension_oracle(hp, perm), stacked_distension(hp, perm)
+
+
+@pytest.mark.parametrize("q,r", [(2, 5), (3, 4), (5, 2), (7, 2), (251, 1)])
+def test_distension_routes_agree_on_random_perms(q, r):
+    hp = make(q, r)
+    rng = np.random.default_rng(q * 100 + r)
+    for _ in range(20):
+        tau = random_zero_fixing_perm(hp.ctx, r, rng)
+        d = distension(hp, tau)
+        assert three_routes(hp, tau) == (d, d, d)
+        assert d == rank(hp.ctx, residual(hp, tau))
+
+
+@pytest.mark.parametrize("q,r", [(3, 2), (3, 4), (5, 2), (3, 5), (7, 4)])
+def test_distension_routes_agree_on_series_perms(q, r):
+    hp = make(q, r)
+    for copies in range(r // 2 + 1):
+        assert three_routes(hp, series_perm(hp.ctx, r, copies)) == (2 * copies,) * 3
+
+
+@pytest.mark.parametrize("q,r", [(2, 5), (3, 4), (5, 2), (7, 2), (251, 1)])
+def test_linear_perms_leave_a_zero_residual(q, r):
+    hp = make(q, r)
+    for tau in linear_perms(hp.ctx, r, np.random.default_rng(q + r), 5):
+        assert not residual(hp, tau).any()
+        assert three_routes(hp, tau) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("q,r", [(3, 2), (2, 3), (5, 2), (7, 2), (3, 4), (2, 5)])
+def test_transposed_linear_perm_has_positive_distension(q, r):
+    # swapping the images of e_1 and e_1 + e_2 leaves a map that is no
+    # longer linear, so every route sees a residual
+    hp = make(q, r)
+    for tau in linear_perms(hp.ctx, r, np.random.default_rng(q * r), 3):
+        images = tau.images.copy()
+        images[[1, 1 + q]] = images[[1 + q, 1]]
+        swapped = PermTable(hp.ctx, r, images)
+        d = distension(hp, swapped)
+        assert d > 0
+        assert three_routes(hp, swapped) == (d, d, d)
+
+
+@pytest.mark.parametrize("q,r", [(3, 2), (2, 3), (5, 2), (3, 4)])
+def test_residual_with_a_wrong_unit_column_disagrees(q, r):
+    # a wrong column of C adds -x_k to every residual row; the all-ones
+    # column is outside the residual's column space when the residual has a
+    # zero row, so the rank rises by one
+    hp = make(q, r)
+    perms = linear_perms(hp.ctx, r, np.random.default_rng(7), 3)
+    if q > 2:
+        perms.append(series_perm(hp.ctx, r, (r - 1) // 2))
+    for tau in perms:
+        w = hp.h_columns[:, perm_inverse(tau).images]
+        unit = w[:, q ** np.arange(r)]
+        assert rank(hp.ctx, residual(hp, tau, unit)) == distension_oracle(hp, tau)
+        for k in range(r):
+            wrong = unit.copy()
+            wrong[:, k] = (wrong[:, k] + 1) % q
+            assert rank(hp.ctx, residual(hp, tau, wrong)) == distension_oracle(hp, tau) + 1
+
+
+def test_distension_eliminates_the_reduced_r_row_residual(monkeypatch):
+    # one r x q**r elimination per permutation, on entries in 0..q-1 as
+    # linalg's kernel takes them
+    shapes = []
+
+    def checked(a, q, reduced):
+        shapes.append(a.shape)
+        assert a.min() >= 0 and a.max() < q
+        return _eliminate(a, q, reduced)
+
+    monkeypatch.setattr(codes, "_eliminate", checked)
+    hp = make(5, 2)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        distension(hp, random_zero_fixing_perm(hp.ctx, 2, rng))
+    assert shapes == [(2, 25)] * 10
 
 
 def test_component_kernels_belong_to_the_kit(monkeypatch):

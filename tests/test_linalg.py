@@ -261,12 +261,16 @@ def test_eliminate_matches_full_width_rows(q, reduced):
 
 
 def survey_matrices(q, r, rng):
-    """The two shapes the distension routes eliminate, for a seeded random
-    zero-fixing relabelling of the points: [H'; permuted H'], (2r+2) x q**r,
-    and the permuted H' applied to the extended basis, (r+1) x (q**r-r-1)."""
+    """The shapes the distension routes eliminate, for a seeded random
+    zero-fixing relabelling of the points: the residual W - C V of the
+    permuted coordinates W at the unit-vector columns C, r x q**r; the
+    permuted H' applied to the extended basis, (r+1) x (q**r-r-1); and the
+    stacked-rank oracle's [H'; permuted H'], (2r+2) x q**r."""
     hp = build_hamming_pair(FieldContext(q), r)
     moved = hp.h_extended[:, np.concatenate([[0], 1 + rng.permutation(q**r - 1)])]
-    return [np.vstack([hp.h_extended, moved]), moved @ hp.extended_basis.T % q]
+    w = moved[1:]
+    residual = (w - w[:, q ** np.arange(r)] @ hp.h_columns) % q
+    return [residual, moved @ hp.extended_basis.T % q, np.vstack([hp.h_extended, moved])]
 
 
 def wide_cases():
