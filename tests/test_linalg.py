@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qperfect.affine import series_perm
+from qperfect.codes import build_code, rank_basis
 from qperfect.hamming import build_hamming_pair
 from qperfect.linalg import (
     DimensionMismatch,
@@ -332,3 +334,55 @@ def test_eliminate_scans_ahead_only_past_empty_columns(reduced):
         CountsScans.scans = 0
         pivots = _eliminate(a.copy().view(CountsScans), q, reduced)
         assert CountsScans.scans == expected_scans(pivots, *a.shape), (q, a.shape)
+
+
+# -- singleton peeling in rank -------------------------------------------------
+
+
+def sparse_cases():
+    """(q, matrix) cases whose columns often hold a single nonzero: seeded
+    sparse random matrices, a row- and column-permuted unit upper-triangular
+    matrix that peels one row per round, a row that owns several singleton
+    columns, and duplicated, zero and empty rows and columns."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for q in (2, 3, 5, 7, 251):
+        for density in (0.02, 0.05, 0.1, 0.2, 0.3):
+            for _ in range(4):
+                m, n = (int(x) for x in rng.integers(1, 40, size=2))
+                a = rng.integers(1, q, size=(m, n)) * (rng.random((m, n)) < density)
+                cases.append((q, a))
+        tri = np.triu(rng.integers(1, q, size=(12, 12)))
+        cases.append((q, tri[rng.permutation(12)][:, rng.permutation(12)]))
+    # row 0 alone owns columns 0, 1 and 2; the other rows are dependent
+    cases.append((3, np.array([[1, 2, 1, 1, 0], [0, 0, 0, 1, 1], [0, 0, 0, 2, 2], [0, 0, 0, 1, 1]])))
+    dup = rng.integers(0, 5, size=(6, 8))
+    cases.append((5, np.vstack([dup, dup[2:4], np.zeros((2, 8), dtype=np.int64)])))
+    cases.append((5, np.hstack([np.zeros((5, 2), dtype=np.int64), np.eye(5, dtype=np.int64), np.zeros((5, 3), dtype=np.int64)])))
+    cases.append((2, np.ones((4, 6), dtype=np.int64)))  # every row duplicated, every column twice filled
+    cases += [(7, np.zeros(shape, dtype=np.int64)) for shape in ((0, 5), (5, 0), (0, 0))]
+    return [(q, a.astype(np.int64)) for q, a in cases]
+
+
+def audit_stacks():
+    """The rank-basis stacks the basis audit decides: the four ladder rungs,
+    (3,6) with three shear-swap copies and (7,3); every one has full rank."""
+    stacks = []
+    for q, r, copies in ((3, 4, 2), (5, 3, 0), (3, 5, 2), (2, 8, 0), (3, 6, 3), (7, 3, 0)):
+        ctx = FieldContext(q)
+        stacks.append((q, rank_basis(build_code(build_hamming_pair(ctx, r), series_perm(ctx, r, copies))).stacked))
+    return stacks
+
+
+@pytest.mark.parametrize("source", [wide_cases, sparse_cases])
+def test_rank_matches_elimination_and_span(source):
+    for q, a in source():
+        want = len(full_width_eliminate(a.copy(), q, reduced=False))
+        assert rank(FieldContext(q), a) == want, (q, a.shape)
+        if q ** a.shape[0] <= 4096:
+            assert span_size_rank(q, a) == want, (q, a.shape)
+
+
+def test_rank_peels_the_audit_stacks():
+    for q, a in audit_stacks():
+        assert rank(FieldContext(q), a) == len(full_width_eliminate(a.copy(), q, reduced=False)) == a.shape[0]

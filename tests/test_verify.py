@@ -298,8 +298,14 @@ def test_enumerated_rank_is_shared(monkeypatch, capsys):
     assert report["details"]["enumerated_rank"] == 12
 
 
-def corrupt_completion(code, rows, how):
-    rows = rows.copy()
+def corrupt_basis(code, basis, how):
+    if how == "sum":
+        # a Hamming row becomes the sum of two others: still a codeword and
+        # the count holds, but the rows are dependent
+        rows = basis.hamming_rows.copy()
+        rows[0] = (rows[1] + rows[2]) % code.q
+        return dataclasses.replace(basis, hamming_rows=rows)
+    rows = basis.completion_rows.copy()
     if how == "flip":
         n = code.hp.n  # first symbol of the extended part
         rows[0, n] = (rows[0, n] + 1) % code.q
@@ -307,7 +313,7 @@ def corrupt_completion(code, rows, how):
         rows[1] = rows[0]
     else:
         rows = rows[:-1]
-    return rows
+    return dataclasses.replace(basis, completion_rows=rows)
 
 
 @pytest.mark.parametrize(
@@ -316,16 +322,17 @@ def corrupt_completion(code, rows, how):
         ("flip", lambda d: d["non_members"] >= 1),
         ("copy", lambda d: not d["independent"] and d["non_members"] == 0),
         ("drop", lambda d: d["vectors"] != d["expected"] and d["independent"]),
+        ("sum", lambda d: not d["independent"] and d["non_members"] == 0 and d["vectors"] == d["expected"]),
     ],
 )
 def test_audit_rank_basis_rejects_corrupted_basis(monkeypatch, how, broken):
+    # (3,3) with one shear-swap block: 26 coset rows, 10 Hamming rows and
+    # 2 completion rows
     ctx = FieldContext(3)
-    code = build_code(build_hamming_pair(ctx, 2), shear_swap_perm(ctx))
+    code = build_code(build_hamming_pair(ctx, 3), series_perm(ctx, 3, 1))
     good = verify.rank_basis(code)
-    assert good.completion_rows.shape[0] == 2
-    bad = dataclasses.replace(
-        good, completion_rows=corrupt_completion(code, good.completion_rows, how)
-    )
+    assert good.completion_rows.shape[0] == 2 and good.hamming_rows.shape[0] == 10
+    bad = corrupt_basis(code, good, how)
     monkeypatch.setattr(verify, "rank_basis", lambda c: bad)
     rep = audit_rank_basis(verify.VerifyRun(code, max_codewords=100))
     assert rep.result == "fail"
