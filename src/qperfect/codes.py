@@ -42,7 +42,6 @@ __all__ = [
     "contains_rows",
     "distension",
     "distension_oracle",
-    "intersection_coordinates",
     "lex_messages",
     "permuted_check",
     "rank_basis",
@@ -111,19 +110,14 @@ def distension(hp: HammingPair, perm: PermTable) -> int:
     return len(_eliminate(residual, q, reduced=False))
 
 
-def intersection_coordinates(hp: HammingPair, moved: np.ndarray) -> np.ndarray:
-    """Basis of the intersection of the extended component with the permuted
-    copy whose parity check is moved, as coordinate rows over
-    hp.extended_basis: the kernel of moved applied to that basis."""
-    return nullspace_basis(hp.ctx, moved @ hp.extended_basis.T % hp.q)
-
-
 def distension_oracle(hp: HammingPair, perm: PermTable) -> int:
     """Distension straight from the definition: dim of the extended
     component minus dim of its intersection with the permuted copy.
     Independent of the residual route in distension(); only the fixed
-    kernel of h_extended is shared with the parity kit."""
-    inter = intersection_coordinates(hp, permuted_check(hp, perm))
+    kernel of h_extended is shared with the parity kit.  The intersection,
+    in coordinates over hp.extended_basis, is the kernel of the permuted
+    check applied to that basis."""
+    inter = nullspace_basis(hp.ctx, permuted_check(hp, perm) @ hp.extended_basis.T % hp.q)
     return hp.extended_basis.shape[0] - inter.shape[0]
 
 
@@ -237,11 +231,16 @@ def codeword_blocks(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Itera
     Within a label the Hamming-component message is the outer loop and the
     extended-component message the inner one, each lexicographic, so the
     overall row order is reproducible.  A label with more rows than the cap
-    is split along that order.
+    is split along that order.  The enumeration guard is tested when the
+    call is made, so an over-budget code raises before any block exists.
     """
     count = json_power(code.q, code.length - code.r - 1, max_words)
     if count is not None:
         raise ValueError(f"codeword count {count} exceeds the enumeration guard {max_words}")
+    return _blocks(code)
+
+
+def _blocks(code: CodeHandle) -> Iterator[np.ndarray]:
     q = code.q
     cwords = lex_messages(q, code.hamming_basis.shape[0]) @ code.hamming_basis % q
     dwords = lex_messages(q, code.extended_basis.shape[0]) @ code.extended_basis % q
@@ -294,13 +293,13 @@ def rank_basis(code: CodeHandle) -> RankBasis:
     hamming_rows: (z | 0) for the Hamming kernel basis z;
     completion_rows: (0 | v) for the extended-kernel basis vectors v that a
     greedy scan in kernel-basis order adds to the intersection with the
-    permuted copy.  One elimination finds them, in coordinates over the
-    kernel basis (its rows are independent, so coordinates keep every
-    linear dependence): the intersection's coordinates span the kernel of
-    the permuted check applied to the basis, and v's are a unit vector.
-    In [intersection^T | identity] a column takes a pivot exactly when it
-    is independent of every column before it, so the independent
-    intersection takes the first pivots and each later pivot is a kept v.
+    permuted copy.  They are the pivot columns of M = permuted check times
+    the kernel basis transposed, (r+1) x dim.  In coordinates over the
+    basis (its rows are independent, so coordinates keep every linear
+    dependence) the intersection is ker M, and the scan keeps e_k exactly
+    when e_k is not in ker M + span{e_j : j < k}, that is, when M e_k is
+    not in span{M e_j : j < k}: when k is a pivot column of M.  There are
+    rank M = distension of them.
     """
     q = code.q
     n = code.hp.n
@@ -318,11 +317,8 @@ def rank_basis(code: CodeHandle) -> RankBasis:
     hamming_rows[:, :n] = code.hamming_basis
 
     dbasis = code.extended_basis
-    inter = intersection_coordinates(code.hp, code.permuted_check_matrix)
-    columns = np.hstack([inter.T, np.eye(dbasis.shape[0], dtype=DTYPE)])
-    pivots = np.array(_eliminate(columns, q, reduced=False), dtype=np.intp)
-    kept = pivots[pivots >= inter.shape[0]] - inter.shape[0]
-    completion = np.zeros((kept.size, N), dtype=DTYPE)
+    kept = _eliminate(code.permuted_check_matrix @ dbasis.T % q, q, reduced=False)
+    completion = np.zeros((len(kept), N), dtype=DTYPE)
     completion[:, n:] = dbasis[kept]
     return RankBasis(coset, hamming_rows, completion)
 
@@ -336,10 +332,11 @@ def rank_basis(code: CodeHandle) -> RankBasis:
 def write_codewords(path, code: CodeHandle, source: str, max_words: int = MAX_ENUMERATION) -> int:
     if code.q > 9:
         raise ValueError("digit-per-symbol codeword files need q <= 9")
+    blocks = codeword_blocks(code, max_words)  # raises before path is opened
     total = 0
     with open(path, "wb") as fh:
         fh.write(f"# {code.q} {code.r} {code.length} tau={source}\n".encode())
-        for block in codeword_blocks(code, max_words):
+        for block in blocks:
             chars = np.full((block.shape[0], code.length + 1), ord("\n"), dtype=np.uint8)
             chars[:, :-1] = block + ord("0")
             fh.write(chars.tobytes())

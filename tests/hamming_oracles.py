@@ -2,17 +2,20 @@
 permutation file writer, per-syndrome coset builders kept as oracles for
 the vectorised tables in qperfect.codes (canonical_coset_reps, and the
 extended leaders that codeword_blocks writes inline), the stacked-rank
-distension kept as the third route beside the two in qperfect.codes, and
-the exhaustive pair checks and a per-block product kept as oracles for
-the generator route of the group premises and for direct_product in
+distension kept as the third route beside the two in qperfect.codes, the
+intersection with the permuted copy and the kernel route to the rank
+basis's completion kept as oracles for its pivot-column route, and the
+exhaustive pair checks and a per-block product kept as oracles for the
+generator route of the group premises and for direct_product in
 qperfect.affine.  The oracles read a subgroup's matrices M_a off its
 column-index table themselves."""
 
 import numpy as np
 
 from qperfect.affine import CheckResult, PermTable, RegularSubgroup
+from qperfect.codes import CodeHandle, permuted_check
 from qperfect.hamming import HammingPair, all_vectors, field_powers
-from qperfect.linalg import DTYPE, DimensionMismatch, is_invertible, rank
+from qperfect.linalg import DTYPE, DimensionMismatch, _eliminate, is_invertible, nullspace_basis, rank
 
 
 def vec_to_index(q: int, a) -> int:
@@ -83,6 +86,30 @@ def stacked_distension(hp: HammingPair, perm: PermTable) -> int:
     moved = np.empty_like(hp.h_extended)
     moved[:, perm.images] = hp.h_extended
     return rank(hp.ctx, np.vstack([hp.h_extended, moved])) - (hp.r + 1)
+
+
+def intersection_basis(hp: HammingPair, perm: PermTable) -> np.ndarray:
+    """The intersection of the extended component with its permuted copy,
+    as the kernel of both checks stacked."""
+    return nullspace_basis(hp.ctx, np.vstack([hp.h_extended, permuted_check(hp, perm)]))
+
+
+def kernel_completion(code: CodeHandle) -> np.ndarray:
+    """The completion rows of the rank basis by the kernel route: the
+    intersection's coordinates over extended_basis are the kernel of the
+    permuted check applied to that basis, and in [intersection^T | identity]
+    a column takes a pivot exactly when it is independent of every column
+    before it, so each pivot past the intersection's columns is a kept
+    basis vector."""
+    hp, q = code.hp, code.q
+    dbasis = hp.extended_basis
+    inter = nullspace_basis(hp.ctx, permuted_check(hp, code.perm) @ dbasis.T % q)
+    columns = np.hstack([inter.T, np.eye(dbasis.shape[0], dtype=DTYPE)])
+    pivots = np.array(_eliminate(columns, q, reduced=False), dtype=np.intp)
+    kept = pivots[pivots >= inter.shape[0]] - inter.shape[0]
+    completion = np.zeros((kept.size, code.length), dtype=DTYPE)
+    completion[:, hp.n :] = dbasis[kept]
+    return completion
 
 
 def subgroup_matrices(G: RegularSubgroup) -> np.ndarray:

@@ -23,7 +23,6 @@ from qperfect.codes import (
     contains_rows,
     distension,
     distension_oracle,
-    intersection_coordinates,
     lex_messages,
     permuted_check,
     rank_basis,
@@ -37,6 +36,8 @@ from hamming_oracles import (
     codeword_count,
     hamming_coset_rep,
     index_to_vec,
+    intersection_basis,
+    kernel_completion,
     stacked_distension,
     vec_to_index,
 )
@@ -50,12 +51,6 @@ def random_zero_fixing_perm(ctx, r, rng):
     size = ctx.q**r
     images = np.concatenate([[0], 1 + rng.permutation(size - 1)])
     return PermTable(ctx, r, images)
-
-
-def intersection_basis(hp, perm):
-    """Oracle: the intersection of the extended component with its permuted
-    copy, as the kernel of both checks stacked."""
-    return nullspace_basis(hp.ctx, np.vstack([hp.h_extended, permuted_check(hp, perm)]))
 
 
 def kernel_words(ctx, check):
@@ -143,7 +138,7 @@ def test_distension_by_set_intersection_oracle():
     inter = intersection_basis(hp, tau)
     assert inter.shape[0] == 4
     assert all(tuple(w) in shared for w in inter)
-    coords = intersection_coordinates(hp, permuted_check(hp, tau))
+    coords = nullspace_basis(hp.ctx, permuted_check(hp, tau) @ hp.extended_basis.T % 3)
     assert coords.shape[0] == 4
     assert all(tuple(w) in shared for w in coords @ hp.extended_basis % 3)
 
@@ -260,6 +255,25 @@ def test_distension_eliminates_the_reduced_r_row_residual(monkeypatch):
     assert shapes == [(2, 25)] * 10
 
 
+def test_rank_basis_eliminates_one_r_plus_1_row_matrix(monkeypatch):
+    # the completion is read off the pivot columns of one (r+1) x dim
+    # elimination, dim = q**r - r - 1; no kernel is cut
+    shapes = []
+
+    def checked(a, q, reduced):
+        shapes.append(a.shape)
+        assert a.min() >= 0 and a.max() < q
+        return _eliminate(a, q, reduced)
+
+    monkeypatch.setattr(codes, "_eliminate", checked)
+    monkeypatch.setattr(codes, "nullspace_basis", lambda ctx, m: pytest.fail("rank_basis cut a kernel"))
+    for q, r, name in ((2, 3, "identity"), (3, 2, "shear"), (3, 4, "series2"), (5, 2, "random5021")):
+        hp = make(q, r)
+        shapes.clear()
+        rank_basis(build_code(hp, completion_perm(hp.ctx, r, name)))
+        assert shapes == [(r + 1, q**r - r - 1)]
+
+
 def test_component_kernels_belong_to_the_kit(monkeypatch):
     # the kit computes each kernel once; codes and the oracle read it, and
     # the oracle still cuts that kernel once per permutation
@@ -281,7 +295,7 @@ def test_component_kernels_belong_to_the_kit(monkeypatch):
         assert code.extended_basis is hp.extended_basis
         assert code.hamming_basis is hp.hamming_basis
     rank_basis(code)
-    assert len(calls) == len(perms) + 1  # rank_basis cuts the kernel once
+    assert len(calls) == len(perms)  # rank_basis cuts no kernel
 
 
 # -- coset representatives -------------------------------------------------
@@ -377,11 +391,18 @@ def test_contains_rows_matches_membership_rule(q, r, source):
         contains_rows(code, rows[:, 1:])
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(tmp_path):
+    # the guard is tested at the call, before any iteration, so an
+    # over-budget write leaves an existing file as it was
     hp = make(3, 2)
     code = build_code(hp, shear_swap_perm(hp.ctx))
     with pytest.raises(ValueError):
-        list(codeword_blocks(code, max_words=100))
+        codeword_blocks(code, max_words=100)
+    path = tmp_path / "words.txt"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValueError):
+        write_codewords(path, code, source="builtin:shear", max_words=100)
+    assert path.read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize("cap", [7, 100, 729, 5000])
@@ -499,12 +520,25 @@ def test_rank_basis_completion_matches_greedy_scan(q, r, name):
     want = greedy_completion(code)
     assert completion.dtype == want.dtype
     assert np.array_equal(completion, want)
+    assert np.array_equal(completion, kernel_completion(code))
     assert completion.shape[0] == distension(hp, code.perm)
-    # the coordinates rank_basis eliminates span the oracle's intersection
-    inter = intersection_coordinates(hp, permuted_check(hp, code.perm)) @ hp.extended_basis % q
+    # the kernel of the matrix rank_basis eliminates spans the oracle's
+    # intersection, in coordinates over the kernel basis
+    moved = permuted_check(hp, code.perm) @ hp.extended_basis.T % q
+    inter = nullspace_basis(hp.ctx, moved) @ hp.extended_basis % q
     oracle = intersection_basis(hp, code.perm)
     assert rank(hp.ctx, inter) == inter.shape[0] == oracle.shape[0]
     assert rank(hp.ctx, np.vstack([inter, oracle])) == oracle.shape[0]
+
+
+@pytest.mark.parametrize("q,r,copies", [(3, 4, 2), (5, 3, 0), (3, 5, 2), (2, 8, 0), (3, 6, 3), (7, 4, 0), (7, 4, 2)])
+def test_rank_basis_completion_matches_kernel_route(q, r, copies):
+    # the four ladder rungs, then (3,6) i=3 and (7,4)
+    hp = make(q, r)
+    code = build_code(hp, series_perm(hp.ctx, r, copies))
+    completion = rank_basis(code).completion_rows
+    assert completion.shape[0] == distension(hp, code.perm) == 2 * copies
+    assert np.array_equal(completion, kernel_completion(code))
 
 
 # -- codeword files ---------------------------------------------------------

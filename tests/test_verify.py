@@ -29,7 +29,7 @@ from qperfect.verify import (
     translation_certificate,
 )
 
-from hamming_oracles import codeword_count
+from hamming_oracles import codeword_count, intersection_basis
 
 
 def small_code(q, r):
@@ -311,6 +311,10 @@ def corrupt_basis(code, basis, how):
         rows[0, n] = (rows[0, n] + 1) % code.q
     elif how == "copy":
         rows[1] = rows[0]
+    elif how == "intersect":
+        # a nonzero word shared with the permuted copy: still a codeword and
+        # the count holds, but the coset and Hamming rows already span it
+        rows[0, code.hp.n :] = intersection_basis(code.hp, code.perm)[0]
     else:
         rows = rows[:-1]
     return dataclasses.replace(basis, completion_rows=rows)
@@ -323,6 +327,7 @@ def corrupt_basis(code, basis, how):
         ("copy", lambda d: not d["independent"] and d["non_members"] == 0),
         ("drop", lambda d: d["vectors"] != d["expected"] and d["independent"]),
         ("sum", lambda d: not d["independent"] and d["non_members"] == 0 and d["vectors"] == d["expected"]),
+        ("intersect", lambda d: not d["independent"] and d["non_members"] == 0 and d["vectors"] == d["expected"]),
     ],
 )
 def test_audit_rank_basis_rejects_corrupted_basis(monkeypatch, how, broken):
