@@ -12,26 +12,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
-from .affine import (
-    PermTable,
-    RegularSubgroup,
-    identity_perm,
-    read_perm,
-    series_group,
-    series_perm,
-    shear_group,
-    shear_swap_perm,
-    translation_group,
-)
-from .codes import (
-    MAX_ENUMERATION,
-    build_code,
-    distension,
-    rank_closed_form,
-    write_codewords,
-)
+from .affine import PermTable, read_perm, series_perm
+from .codes import MAX_ENUMERATION, build_code, rank_closed_form, write_codewords
 from .hamming import build_hamming_pair, json_power, stacked_parity
 from .linalg import FieldContext, write_matrix
 from .verify import CHECKS, MAX_CERT_CODE, MAX_SPACE_CELLS, VerifyRun
@@ -50,37 +34,34 @@ def _field(q: int) -> FieldContext:
 
 def _resolve_perm(
     ctx: FieldContext, r: int, source: str, copies: Optional[int]
-) -> tuple[PermTable, Optional[Callable[[], RegularSubgroup]]]:
-    """Map a --tau argument to a permutation and, for builtins, a builder of
-    the regular subgroup whose automorphism induces it (None for file
-    permutations).  The subgroup is built only by the check that reads it;
-    each builtin permutation raises the same usage errors as its builder."""
+) -> tuple[PermTable, Optional[int]]:
+    """Map a --tau argument to a permutation and its shear copies.  Every
+    builtin is an instance of the series: identity has 0 copies, shear 1
+    and series --i.  A permutation file has no construction data (None)."""
     if copies is not None and source != "builtin:series":
         raise UsageError("--i applies only to builtin:series")
     if source == "builtin:identity":
-        return identity_perm(ctx, r), lambda: translation_group(ctx, r)
-    if source == "builtin:shear":
+        copies = 0
+    elif source == "builtin:shear":
         if r != 2:
             raise UsageError("builtin:shear needs r = 2")
-        try:
-            return shear_swap_perm(ctx), lambda: shear_group(ctx)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if source == "builtin:series":
+        copies = 1
+    elif source == "builtin:series":
         if copies is None:
             raise UsageError("builtin:series needs --i")
-        try:
-            return series_perm(ctx, r, copies), lambda: series_group(ctx, r, copies)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if source.startswith("builtin:"):
+    elif source.startswith("builtin:"):
         raise UsageError(f"unknown builtin permutation {source!r}")
-    perm = read_perm(source)
-    if perm.ctx != ctx or perm.r != r:
-        raise UsageError(
-            f"permutation file is for q={perm.ctx.q}, r={perm.r}; expected q={ctx.q}, r={r}"
-        )
-    return perm, None
+    else:
+        perm = read_perm(source)
+        if perm.ctx != ctx or perm.r != r:
+            raise UsageError(
+                f"permutation file is for q={perm.ctx.q}, r={perm.r}; expected q={ctx.q}, r={r}"
+            )
+        return perm, None
+    try:
+        return series_perm(ctx, r, copies), copies
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_matrices(args) -> int:
@@ -124,12 +105,11 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     ctx = _field(args.q)
     hp = build_hamming_pair(ctx, args.r)
-    perm, group = _resolve_perm(ctx, args.r, args.tau, args.i)
+    perm, copies = _resolve_perm(ctx, args.r, args.tau, args.i)
     run = VerifyRun(
         build_code(hp, perm),
         args.tau,
-        group,
-        args.i,
+        copies,
         args.max_space_cells,
         args.max_codewords,
         args.max_cert_codewords,
@@ -149,19 +129,18 @@ def cmd_series(args) -> int:
     if ctx.q < 3:
         raise UsageError("series needs q >= 3")
     hp = build_hamming_pair(ctx, args.r)
-    N = hp.n + hp.points
-    base = N - args.r - 1
-    print(f"# q={ctx.q} r={args.r} N={N}")
     failed = False
     for copies in range(args.r // 2 + 1):
-        perm = series_perm(ctx, args.r, copies)
-        d = distension(hp, perm)
+        code = build_code(hp, series_perm(ctx, args.r, copies))
+        if copies == 0:
+            print(f"# q={ctx.q} r={args.r} N={code.length}")
+        d, rank = code.distension, rank_closed_form(code)
         expected = 2 * copies
         agrees = d == expected
         failed = failed or not agrees
         print(
-            f"copies={copies} distension={d} rank={base + d} "
-            f"expected_distension={expected} expected_rank={base + expected} "
+            f"copies={copies} distension={d} rank={rank} "
+            f"expected_distension={expected} expected_rank={rank - d + expected} "
             f"agrees={'yes' if agrees else 'no'}"
         )
     return 1 if failed else 0

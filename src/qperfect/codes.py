@@ -126,7 +126,7 @@ def canonical_coset_reps(hp: HammingPair) -> np.ndarray:
     syndrome has index a; row 0 is the zero word."""
     q = hp.q
     size = hp.points
-    vecs = all_vectors(q, hp.r)
+    vecs = hp.h_columns.T
     fnz = np.argmax(vecs != 0, axis=1)
     lam = vecs[np.arange(size), fnz]
     inv_lam = _inverse_table(q)[lam]

@@ -57,23 +57,36 @@ def field_powers(q: int, r: int) -> np.ndarray:
     return q ** np.arange(r, dtype=DTYPE)
 
 
-def all_vectors(q: int, r: int) -> np.ndarray:
-    """All q**r vectors as rows, row i being the vector with index i."""
+def _point_table(q: int, r: int, top: int = 0) -> np.ndarray:
+    """A (top + r) x q**r table whose last r rows hold every vector as a
+    column, column i being the vector with index i; the top rows are left
+    unset.  Coordinate k of index i is (i // q**k) % q, so its row is each
+    symbol repeated q**k times, tiled q**(r-k-1) times: no division."""
     size = json_power(q, r, MAX_POINTS)
     if size is not None:
         raise ValueError(f"q**r = {size} exceeds the materialization guard {MAX_POINTS}")
-    idx = np.arange(q**r, dtype=DTYPE)
-    return (idx[:, None] // field_powers(q, r)[None, :]) % q
+    table = np.empty((top + r, q**r), dtype=DTYPE)
+    symbols = np.arange(q, dtype=DTYPE)
+    for k in range(r):
+        table[top + k] = np.tile(np.repeat(symbols, q**k), q ** (r - k - 1))
+    return table
+
+
+def all_vectors(q: int, r: int) -> np.ndarray:
+    """All q**r vectors as rows, row i being the vector with index i: a
+    transposed view of the point table."""
+    return _point_table(q, r).T
 
 
 @dataclass(frozen=True)
 class HammingPair:
-    """The three parity-check matrices for one level; h_columns views h_extended."""
+    """The parity-check matrices for one level; h_columns views h_extended,
+    and h_hamming is h_columns at hamming_col_index."""
 
     ctx: FieldContext
     r: int
-    h_hamming: np.ndarray
     h_extended: np.ndarray
+    hamming_col_index: np.ndarray  # position index of each h_hamming column; strictly increasing
 
     @property
     def h_columns(self) -> np.ndarray:
@@ -86,7 +99,7 @@ class HammingPair:
     @property
     def n(self) -> int:
         """Length of the Hamming component, (q**r - 1)//(q - 1)."""
-        return self.h_hamming.shape[1]
+        return (self.q**self.r - 1) // (self.q - 1)
 
     @property
     def points(self) -> int:
@@ -94,9 +107,12 @@ class HammingPair:
         return self.h_columns.shape[1]
 
     @cached_property
-    def hamming_col_index(self) -> np.ndarray:
-        """Position index of each h_hamming column; strictly increasing."""
-        return field_powers(self.q, self.r) @ self.h_hamming
+    def h_hamming(self) -> np.ndarray:
+        """The normalized columns of h_columns; read-only, as every code on
+        the kit shares it."""
+        h = np.take(self.h_columns, self.hamming_col_index, axis=1)
+        h.setflags(write=False)
+        return h
 
     @cached_property
     def hamming_basis(self) -> np.ndarray:
@@ -116,14 +132,15 @@ class HammingPair:
 def build_hamming_pair(ctx: FieldContext, r: int) -> HammingPair:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    vecs = all_vectors(ctx.q, r)
-    # the normalized columns: first nonzero coordinate 1 (the zero vector's reads 0)
-    first = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
-    h_hamming = vecs[first == 1].T.copy()
-    h_extended = np.empty((r + 1, len(vecs)), dtype=DTYPE)
+    q = ctx.q
+    h_extended = _point_table(q, r, top=1)
     h_extended[0] = 1
-    h_extended[1:] = vecs.T
-    return HammingPair(ctx, r, h_hamming, h_extended)
+    # A normalized vector has first nonzero coordinate 1: with it at k, the
+    # index is q**k plus a multiple of q**(k+1).
+    normalized = np.zeros(q**r, dtype=bool)
+    for k in range(r):
+        normalized[q**k :: q ** (k + 1)] = True
+    return HammingPair(ctx, r, h_extended, np.flatnonzero(normalized))
 
 
 def stacked_parity(hp: HammingPair) -> np.ndarray:

@@ -15,14 +15,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .affine import (
     PermTable,
-    RegularSubgroup,
     iterate_perms,
+    series_group,
     series_perm,
     verify_automorphism,
     verify_regular_subgroup,
@@ -100,13 +100,12 @@ def _skipped(check: str, params: dict, reason: str, **details) -> VerifyReport:
 @dataclass(frozen=True)
 class VerifyRun:
     """Everything the registered checks read: the code, its --tau label,
-    a builder of the regular subgroup of a builtin permutation (None for a
-    permutation file; only group_premises calls it, after its guard), the
-    shear copies of builtin:series (None otherwise) and the three budgets."""
+    the shear copies of the series instance it was built from (identity is
+    0, shear 1; None for a permutation file, which carries no construction
+    data) and the three budgets."""
 
     code: CodeHandle
     label: str = "custom"
-    group: Optional[Callable[[], RegularSubgroup]] = None
     copies: Optional[int] = None
     max_space_cells: int = MAX_SPACE_CELLS
     max_codewords: int = MAX_ENUMERATION
@@ -347,17 +346,17 @@ def _run_additivity(run: VerifyRun) -> VerifyReport:
 
 
 def _run_group_premises(run: VerifyRun) -> VerifyReport:
-    """The builtin's subgroup is regular and induces the permutation through
+    """The run's series subgroup is regular and induces the permutation through
     one of its automorphisms; both checks run on a generating set of the
     subgroup and decide the same as a check over all pairs.  The guard reads
     the subgroup's size q**r off the code, so a skip builds no subgroup."""
     params = _params(run.code, run.label)
-    if run.group is None:
+    if run.copies is None:
         return _skipped("group_premises", params, "no construction data for an external permutation")
     size = run.code.hp.points
     if size > VERIFY_GUARD:
         return _skipped("group_premises", params, "verification guard exceeded", size=size, budget=VERIFY_GUARD)
-    group = run.group()
+    group = series_group(run.code.ctx, run.code.r, run.copies)
     sub = verify_regular_subgroup(group)
     aut = verify_automorphism(group, run.code.perm)
     details = {"regular_subgroup": sub.ok, "automorphism": aut.ok, "diagnostic": sub.detail or aut.detail}

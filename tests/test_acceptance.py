@@ -382,7 +382,7 @@ def test_criterion_14_group_premises_past_the_old_guard():
         for q, r, copies in ((2, 14, 0), (3, 8, 4), (5, 6, 3), (7, 4, 2)):
             ctx = FieldContext(q)
             code = build_code(build_hamming_pair(ctx, r), series_perm(ctx, r, copies))
-            run = VerifyRun(code, "series", lambda: series_group(ctx, r, copies), copies)
+            run = VerifyRun(code, "series", copies)
             rep = CHECKS["group_premises"](run)
             assert q**r <= VERIFY_GUARD
             assert rep.result == "pass", rep.details

@@ -14,7 +14,7 @@ import pytest
 
 import qperfect
 from qperfect import cli, codes, verify
-from qperfect.affine import shear_swap_perm
+from qperfect.affine import series_perm, shear_swap_perm
 from qperfect.cli import main
 from qperfect.hamming import MAX_POINTS, json_power
 from qperfect.linalg import FieldContext
@@ -182,11 +182,44 @@ def test_verify_space_budget_skips_certificate(capsys):
     assert report["details"] == {"reason": "state budget exceeded", "cells": 128, "budget": 100}
 
 
+@pytest.mark.parametrize(
+    "q,r,builtin,copies", [(3, 2, "builtin:shear", 1), (2, 3, "builtin:identity", 0)]
+)
+def test_builtin_is_its_series_instance(capsys, q, r, builtin, copies):
+    # shear and identity are the series with 1 and 0 shear copies: every
+    # report of a full verify agrees with the series one but for its label
+    base = ["verify", "--q", str(q), "--r", str(r), "--tau"]
+    status, out, _ = run(capsys, base + [builtin])
+    series_status, series_out, _ = run(capsys, base + ["builtin:series", "--i", str(copies)])
+    assert status == series_status == 0
+    reports, series_reports = json_lines(out), json_lines(series_out)
+    assert [r["check"] for r in reports] == list(CHECKS)
+    for report, series_report in zip(reports, series_reports, strict=True):
+        assert report["params"]["tau"] == builtin
+        assert series_report["params"]["tau"] == "builtin:series"
+        series_report["params"]["tau"] = builtin
+        assert report == series_report
+
+
+def test_resolve_perm_returns_the_shear_copies(tmp_path):
+    ctx = FieldContext(3)
+    assert cli._resolve_perm(ctx, 4, "builtin:identity", None)[1] == 0
+    assert cli._resolve_perm(ctx, 2, "builtin:shear", None)[1] == 1
+    for copies in range(3):
+        perm, got = cli._resolve_perm(ctx, 4, "builtin:series", copies)
+        assert got == copies
+        assert np.array_equal(perm.images, series_perm(ctx, 4, copies).images)
+    path = tmp_path / "tau.txt"
+    write_perm(path, shear_swap_perm(ctx))
+    perm, got = cli._resolve_perm(ctx, 2, str(path), None)
+    assert got is None
+    assert np.array_equal(perm.images, shear_swap_perm(ctx).images)
+
+
 def test_subgroup_is_built_only_by_its_check(tmp_path, monkeypatch, capsys):
     calls = []
-    for name in ("translation_group", "shear_group", "series_group"):
-        builder = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a, builder=builder: calls.append(a) or builder(*a))
+    builder = verify.series_group
+    monkeypatch.setattr(verify, "series_group", lambda *a: calls.append(a) or builder(*a))
     build = ["build", "--q", "3", "--r", "2", "--tau", "builtin:shear", "--out", str(tmp_path), "--max-codewords", "1"]
     assert run(capsys, build)[0] == 0
     code, out, _ = run(capsys, ["verify", "--q", "2", "--r", "15", "--checks", "group_premises"])
@@ -327,7 +360,7 @@ def test_distension_is_computed_once_per_code(tmp_path, monkeypatch, capsys):
     calls = []
     true_distension = codes.distension
     spy = lambda hp, perm: calls.append(hp.r) or true_distension(hp, perm)
-    for module in (codes, cli, verify):
+    for module in (codes, verify):
         monkeypatch.setattr(module, "distension", spy)
     build = ["build", "--q", "3", "--r", "2", "--tau", "builtin:shear", "--out", str(tmp_path)]
     assert run(capsys, build)[0] == 0
@@ -410,7 +443,7 @@ def test_domain_corners_are_the_largest_instances():
 @pytest.mark.parametrize("q,r,tau", CORNERS, ids=[f"q{q}r{r}-{tau[1][8:]}" for q, r, tau in CORNERS])
 def test_domain_corner_ends_with_a_report(tmp_path, command, q, r, tau):
     # every run the command line accepts ends with a report, within 30 s
-    # and 2 GiB; (2,20) verify took 3.0-4.5 s and 1,063 MiB on a 2-CPU machine
+    # and 2 GiB; (2,20) verify took 0.66-0.95 s and 469 MiB on a 2-CPU machine
     argv = [command, "--q", str(q), "--r", str(r), *tau]
     if command == "build":
         argv += ["--out", str(tmp_path)]
@@ -493,6 +526,9 @@ def test_series_needs_odd_characteristic(capsys):
         (["matrices", "--q", "251", "--r", "3000000", "--out", "/tmp/x"], "materialization guard"),
         (["verify", "--q", "2", "--r", "2", "--tau", "TAU_2_100000"],
          "line 1: q**r = {'base': 2, 'exponent': 100000} exceeds the materialization guard 1048576"),
+        # a negative --i is the series' own range error, not an unknown builtin
+        (["verify", "--q", "3", "--r", "4", "--tau", "builtin:series", "--i", "-1"],
+         "copies must lie in [0, 2], got -1"),
     ],
 )
 def test_usage_errors_exit_two(tmp_path, capsys, argv, fragment):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qperfect import cli, verify
-from qperfect.affine import PermTable, identity_perm, series_group, series_perm, shear_swap_perm
+from qperfect.affine import PermTable, identity_perm, series_perm, shear_swap_perm
 from qperfect.codes import build_code, codeword_blocks, rank_basis
 from qperfect.hamming import build_hamming_pair
 from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, rank
@@ -393,7 +393,7 @@ def test_rank_equivalence_passes_and_skips():
 def test_checks_registry_on_a_library_run():
     ctx = FieldContext(3)
     code = build_code(build_hamming_pair(ctx, 4), series_perm(ctx, 4, 2))
-    run = verify.VerifyRun(code, "series", lambda: series_group(ctx, 4, 2), copies=2)
+    run = verify.VerifyRun(code, "series", copies=2)
     results = {name: check(run).result for name, check in verify.CHECKS.items()}
     assert results == {
         "perfect": "skipped",
