@@ -26,7 +26,6 @@ from .linalg import (
     DimensionMismatch,
     FieldContext,
     _eliminate,
-    _inverse_table,
     nullspace_basis,
 )
 
@@ -123,19 +122,15 @@ def distension_oracle(hp: HammingPair, perm: PermTable) -> int:
 
 def canonical_coset_reps(hp: HammingPair) -> np.ndarray:
     """Row a is the canonical weight-<=1 Hamming coset representative whose
-    syndrome has index a; row 0 is the zero word."""
+    syndrome has index a; row 0 is the zero word.  Every nonzero syndrome is
+    lam * h_j for exactly one normalized column j and one lam != 0, so each
+    lam scatters its n representatives lam * e_j at once."""
     q = hp.q
-    size = hp.points
-    vecs = hp.h_columns.T
-    fnz = np.argmax(vecs != 0, axis=1)
-    lam = vecs[np.arange(size), fnz]
-    inv_lam = _inverse_table(q)[lam]
-    scaled = vecs * inv_lam[:, None] % q
-    target_idx = scaled @ field_powers(q, hp.r)
-    cols = np.searchsorted(hp.hamming_col_index, target_idx)
-    reps = np.zeros((size, hp.n), dtype=DTYPE)
-    nz = np.flatnonzero(lam)
-    reps[nz, cols[nz]] = lam[nz]
+    cols = np.arange(hp.n)
+    powers = field_powers(q, hp.r)
+    reps = np.zeros((hp.points, hp.n), dtype=DTYPE)
+    for lam in range(1, q):
+        reps[(lam * hp.h_hamming % q).T @ powers, cols] = lam
     return reps
 
 

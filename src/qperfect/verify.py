@@ -124,13 +124,15 @@ class VerifyRun:
 # -- perfection by exhaustive covering -----------------------------------
 
 
-def covering_occupancy(q: int, N: int, blocks: Iterable[np.ndarray]) -> tuple[int, int]:
+def covering_occupancy(q: int, N: int, blocks: Iterable[np.ndarray]) -> tuple[int, int, int]:
     """Mark every word of the blocks plus its distance-1 neighbours in a
-    q**N occupancy array; return (overlapped_cells, uncovered_cells).
+    q**N occupancy array; return (rows, overlapped_cells, uncovered_cells),
+    rows being the number of words marked.
 
     A cell collects at most 1 + N(q-1) marks from distinct words, so uint8
     cells cannot wrap for any N this module accepts.  A stream that repeats
-    words can wrap a cell; check_perfect's count of streamed rows sees that.
+    words can wrap a cell; check_perfect's sphere-packing count of the rows
+    sees that.
     """
     cells = q**N
     occ = np.zeros(cells, dtype=np.uint8)
@@ -142,7 +144,9 @@ def covering_occupancy(q: int, N: int, blocks: Iterable[np.ndarray]) -> tuple[in
     # A Python int operand sends np.add.at down its casting slow path,
     # over 10x slower per index than an operand of the array's dtype.
     one = np.uint8(1)
+    rows = 0
     for block in blocks:
+        rows += block.shape[0]
         idx = block @ powers
         np.add.at(occ, idx, one)
         for k in range(N):
@@ -152,7 +156,7 @@ def covering_occupancy(q: int, N: int, blocks: Iterable[np.ndarray]) -> tuple[in
         int(np.count_nonzero(occ[start : start + COUNT_SLICE] > 1))
         for start in range(0, cells, COUNT_SLICE)
     )
-    return overlapped, uncovered
+    return rows, overlapped, uncovered
 
 
 def check_perfect(
@@ -171,15 +175,7 @@ def check_perfect(
     over = json_power(q, N, max_cells)
     if over is not None:
         return _skipped("perfect", params, "state budget exceeded", cells=over, budget=max_cells)
-    streamed = 0
-
-    def counted(blocks: Iterable[np.ndarray]) -> Iterable[np.ndarray]:
-        nonlocal streamed
-        for block in blocks:
-            streamed += block.shape[0]
-            yield block
-
-    overlapped, uncovered = covering_occupancy(q, N, counted(codeword_blocks(code)))
+    streamed, overlapped, uncovered = covering_occupancy(q, N, codeword_blocks(code))
     ball = 1 + N * (q - 1)
     cells = q**N
     packing = streamed * ball == cells
@@ -402,15 +398,6 @@ def translation_certificate(code: CodeHandle, max_words: int = MAX_CERT_CODE) ->
     return PropelinearCertificate(words, sigma, pis)
 
 
-def _apply_batch(sigma: np.ndarray, pis: np.ndarray, which: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Row j is the image of words[j] under isometry which[j] of the
-    certificate tables sigma (M, N) and pis (M, N, q)."""
-    targets = sigma[which]
-    out = np.empty_like(words)
-    out[np.arange(len(which))[:, None], targets] = pis[which[:, None], targets, words]
-    return out
-
-
 def check_propelinear_certificate(
     code: CodeHandle,
     cert: PropelinearCertificate,
@@ -440,10 +427,12 @@ def check_propelinear_certificate(
     are distinct, and M distinct images inside a code of size M are the
     whole code.  So a row passes when every image has a slot.
 
-    Each law runs in batches on the certificate's sigma (M, N) and pis
-    (M, N, q) tables.  A failure names the first isometry, or the first
-    closure triple in (x, y, w) order or in the order the samples were
-    drawn, as a loop over them would.
+    Once code stability holds, every image of a codeword is a codeword, so
+    closure compares labels: both sides are read from the same encoding
+    table that decides stability, in slices of triples for either mode.  A
+    failure names the first isometry, or the first closure triple in
+    (x, y, w) order or in the order the samples were drawn, as a loop over
+    them would.
     """
     q, N = code.q, code.length
     params = _params(code, label)
@@ -485,8 +474,9 @@ def check_propelinear_certificate(
     # which is at most the M * N * q cells of pis, so far below 2**53.
     moved = np.take_along_axis(pis, sigma[:, :, None], axis=1)
     table = (moved * powers[sigma][:, :, None]).reshape(M, N * q).astype(np.float64)
+    positions = cert.words + q * np.arange(N, dtype=DTYPE)
     onehot = np.zeros((N * q, M))
-    onehot[cert.words + q * np.arange(N, dtype=DTYPE), labels[:, None]] = 1.0
+    onehot[positions, labels[:, None]] = 1.0
     step = max(1, CERT_CHUNK // M)
     for start in range(0, M, step):
         image_enc = (table[start : start + step] @ onehot).astype(DTYPE)
@@ -494,39 +484,26 @@ def check_propelinear_certificate(
         if bad.size:
             return failure("code_stability", index=start + int(bad[0]))
 
-    def first_closure_failure(triples: np.ndarray):
-        """The first (x, y, w) row of triples with phi_x(phi_y(w)) !=
-        phi_{phi_x(y)}(w), or None.  Code stability holds by now, so every
-        phi_x(y) has a slot."""
-        for start in range(0, len(triples), CLOSURE_SLICE):
-            x, y, w = triples[start : start + CLOSURE_SLICE].T
-            words = cert.words[w]
-            xy = slot[_apply_batch(sigma, pis, x, cert.words[y]) @ powers]
-            lhs = _apply_batch(sigma, pis, x, _apply_batch(sigma, pis, y, words))
-            rhs = _apply_batch(sigma, pis, xy, words)
-            bad = np.flatnonzero((lhs != rhs).any(axis=1))
-            if bad.size:
-                return triples[start + int(bad[0])]
-        return None
+    def image(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The labels of phi_x(words[w]), pairwise: the encoding summed from
+        the table, looked up in the slot table."""
+        return slot[table[x[:, None], positions[w]].sum(axis=1).astype(DTYPE)]
 
     if M**3 <= max_full_triples:
-        mode, triples = "full", M**3
-        labels = np.arange(M, dtype=DTYPE)
-        for ix in range(M):
-            found = first_closure_failure(
-                np.column_stack([np.full(M * M, ix), np.repeat(labels, M), np.tile(labels, M)])
-            )
-            if found is not None:
-                break
-        result = "pass"
+        mode, triples, result = "full", M**3, "pass"
     else:
-        mode, triples = "sampled", samples
-        rng = np.random.default_rng(seed)
-        found = first_closure_failure(rng.integers(0, M, size=(samples, 3)))
-        result = "probabilistic"
-    if found is not None:
-        ix, iy, iw = (int(v) for v in found)
-        return failure("closure", x=ix, y=iy, w=iw)
+        mode, triples, result = "sampled", samples, "probabilistic"
+        picks = np.random.default_rng(seed).integers(0, M, size=(samples, 3))
+    for start in range(0, triples, CLOSURE_SLICE):
+        if mode == "full":
+            t = np.arange(start, min(start + CLOSURE_SLICE, triples), dtype=DTYPE)
+            x, y, w = t // (M * M), t // M % M, t % M
+        else:
+            x, y, w = picks[start : start + CLOSURE_SLICE].T
+        bad = np.flatnonzero(image(x, image(y, w)) != image(image(x, y), w))
+        if bad.size:
+            j = bad[0]
+            return failure("closure", x=int(x[j]), y=int(y[j]), w=int(w[j]))
 
     details = {"codewords": M, "closure_mode": mode, "closure_triples": int(triples)}
     return VerifyReport("certificate", params, result, details)

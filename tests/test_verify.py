@@ -56,28 +56,28 @@ def test_report_json_and_truthiness():
 
 def test_covering_occupancy_perfect_code():
     code = small_code(2, 2)
-    assert covering_occupancy(2, 7, codeword_blocks(code)) == (0, 0)
+    assert covering_occupancy(2, 7, codeword_blocks(code)) == (16, 0, 0)
 
 
 def test_covering_occupancy_flags_moved_word():
     code = small_code(2, 2)
     blocks = [b.copy() for b in codeword_blocks(code)]
     blocks[0][0, 0] ^= 1  # now distance 1 from a real codeword
-    overlapped, uncovered = covering_occupancy(2, 7, blocks)
-    assert overlapped > 0 and uncovered > 0
+    rows, overlapped, uncovered = covering_occupancy(2, 7, blocks)
+    assert rows == 16 and overlapped > 0 and uncovered > 0
 
 
 def test_covering_occupancy_flags_duplicate_word():
     code = small_code(2, 2)
     blocks = [b.copy() for b in codeword_blocks(code)]
     blocks[0][1] = blocks[0][0]
-    overlapped, uncovered = covering_occupancy(2, 7, blocks)
-    assert overlapped > 0 and uncovered > 0
+    rows, overlapped, uncovered = covering_occupancy(2, 7, blocks)
+    assert rows == 16 and overlapped > 0 and uncovered > 0
 
 
 def covering_counts_oracle(q, N, words):
-    """(overlapped, uncovered) cells from a Counter over each word's
-    radius-1 ball."""
+    """(rows, overlapped, uncovered): the words given, and the cells from a
+    Counter over each word's radius-1 ball."""
     marks = Counter()
     for word in words:
         marks[tuple(word)] += 1
@@ -86,7 +86,7 @@ def covering_counts_oracle(q, N, words):
                 moved = list(word)
                 moved[k] = (moved[k] + delta) % q
                 marks[tuple(moved)] += 1
-    return sum(1 for c in marks.values() if c > 1), q**N - len(marks)
+    return len(words), sum(1 for c in marks.values() if c > 1), q**N - len(marks)
 
 
 def move_word(blocks, q):
@@ -108,7 +108,7 @@ def test_covering_occupancy_exact_counts(monkeypatch, q, r, mutate, count_slice)
     blocks = [b.copy() for b in codeword_blocks(code)]
     mutate(blocks, q)
     want = covering_counts_oracle(q, code.length, np.vstack(blocks))
-    assert want[0] > 0 and want[1] > 0
+    assert want[1] > 0 and want[2] > 0
     assert covering_occupancy(q, code.length, blocks) == want
 
 
@@ -138,7 +138,7 @@ def test_check_perfect_counts_the_streamed_rows(monkeypatch):
     words = np.vstack(list(codeword_blocks(code)))
     stream = [words, np.repeat(words[:1], 256, axis=0)]
     monkeypatch.setattr(verify, "codeword_blocks", lambda c: iter(stream))
-    assert covering_occupancy(2, 7, stream) == (0, 0)
+    assert covering_occupancy(2, 7, stream) == (16 + 256, 0, 0)
     rep = check_perfect(code)
     assert rep.result == "fail"
     assert rep.details["codewords"] == 16 + 256
@@ -439,8 +439,7 @@ def test_isometry_validation():
 def test_apply_isometry_frozen_example():
     sigma = np.array([[1, 2, 0]])
     pis = np.array([[[0, 1], [1, 0], [0, 1]]])
-    which = np.array([0])
-    assert verify._apply_batch(sigma, pis, which, np.array([[1, 0, 1]])).tolist() == [[1, 0, 0]]
+    assert apply_one(sigma[0], pis[0], np.array([[1, 0, 1]])).tolist() == [[1, 0, 0]]
 
 
 def test_translation_isometry_adds():
@@ -450,7 +449,7 @@ def test_translation_isometry_adds():
     cert = translation_certificate(code)
     M = len(cert.words)
     v = np.random.default_rng(0).integers(0, 3, size=(M, code.length))
-    images = verify._apply_batch(cert.sigma, cert.pis, np.arange(M), v)
+    images = np.array([apply_one(cert.sigma[i], cert.pis[i], v[i]) for i in range(M)])
     assert np.array_equal(images, (v + cert.words) % 3)
     i = next(k for k in range(M) if cert.words[k].tolist() == [1, 2, 0, 1])
     assert apply_one(cert.sigma[i], cert.pis[i], np.array([2, 2, 1, 0])).tolist() == [0, 1, 1, 1]
@@ -472,12 +471,12 @@ def test_isometries_preserve_hamming_distance(q, N, seed):
     which = rng.integers(0, 3, size=5)
     u = rng.integers(0, q, size=(5, N))
     v = rng.integers(0, q, size=(5, N))
-    du = verify._apply_batch(sigma, pis, which, u)
-    dv = verify._apply_batch(sigma, pis, which, v)
+    du = np.array([apply_one(sigma[i], pis[i], u[j]) for j, i in enumerate(which)])
+    dv = np.array([apply_one(sigma[i], pis[i], v[j]) for j, i in enumerate(which)])
     assert np.array_equal((du != dv).sum(axis=1), (u != v).sum(axis=1))
-    # the batched apply agrees with one isometry at a time
-    for j in range(5):
-        assert np.array_equal(du[j], apply_one(sigma[which[j]], pis[which[j]], u[j]))
+    # one isometry applied to a stack of words acts on each row alike
+    for i in range(3):
+        assert np.array_equal(apply_one(sigma[i], pis[i], u)[which == i], du[which == i])
 
 
 # -- propelinear certificates ---------------------------------------------------
@@ -631,12 +630,14 @@ def code_coordinate_automorphism(code):
     raise AssertionError("no coordinate automorphism found")
 
 
-def closure_broken_certificate(code):
+def closure_broken_certificate(code, i=None):
     """A certificate passing zero_image and code_stability but not closure:
-    one translation is twisted by a coordinate automorphism of the code."""
+    the translation labelled i (by default the first nonzero codeword) is
+    twisted by a coordinate automorphism of the code."""
     cert = translation_certificate(code)
     auto = code_coordinate_automorphism(code)
-    i = next(k for k in range(len(cert.words)) if cert.words[k].any())
+    if i is None:
+        i = next(k for k in range(len(cert.words)) if cert.words[k].any())
     sigma = cert.sigma.copy()
     sigma[i, auto] = np.arange(code.length)
     return PropelinearCertificate(cert.words, sigma, cert.pis)
@@ -790,7 +791,9 @@ def mutate_certificate(code, cert, how, rng):
         s, t = rng.choice(np.arange(code.q > 2, code.q), size=2, replace=False)
         pis[i, k, [s, t]] = pis[i, k, [t, s]]
     elif how == "closure":
-        return closure_broken_certificate(code)
+        # a twisted label past the first moves the first failing triple's y
+        # and w away from x, so a decode that swaps x with either is seen
+        return closure_broken_certificate(code, nonzero_label(cert, rng))
     return PropelinearCertificate(cert.words, sigma, pis)
 
 
@@ -801,15 +804,17 @@ def test_certificate_check_matches_loop_oracle(monkeypatch, q, r, mode, how):
     cert = translation_certificate(code)
     # after the default, one and then two isometries per code-stability
     # chunk, so a failure lands in a later chunk and, for odd M, the last
-    # chunk is short
+    # chunk is short; then closure slices of 7 triples, which divides
+    # neither M**2 nor the 5000 samples, so the last slice is short too
     M = len(cert.words)
-    chunks = (verify.CERT_CHUNK, M + 1, 3 * M - 1)
+    inputs = [("CERT_CHUNK", verify.CERT_CHUNK), ("CERT_CHUNK", M + 1), ("CERT_CHUNK", 3 * M - 1), ("CLOSURE_SLICE", 7)]
     for seed in (0, 1):
         bad = mutate_certificate(code, cert, how, np.random.default_rng(seed))
         want = loop_certificate_check(code, bad, seed=seed, label="t")
-        for chunk in chunks:
-            monkeypatch.setattr(verify, "CERT_CHUNK", chunk)
-            got = check_propelinear_certificate(code, bad, seed=seed, label="t")
+        for name, value in inputs:
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, name, value)
+                got = check_propelinear_certificate(code, bad, seed=seed, label="t")
             assert got == want
         assert got.details.get("closure_mode", mode) == mode
         assert (got.result == "fail") == (how != "none")
