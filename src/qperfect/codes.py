@@ -220,8 +220,12 @@ def contains(code: CodeHandle, z) -> bool:
 
 
 def codeword_blocks(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Iterator[np.ndarray]:
-    """The code as 2-D blocks of at most MAX_BLOCK_ROWS rows, coset label a
-    by coset label (in index order).
+    """The code as 2-D np.uint8 blocks of at most MAX_BLOCK_ROWS rows, coset
+    label a by coset label (in index order).
+
+    Every entry lies in 0..q-1, and q <= 251, so a symbol takes one byte: a
+    block holds one eighth of the bytes of the same rows in int64.  Readers
+    that form products or sums widen the block themselves.
 
     Within a label the Hamming-component message is the outer loop and the
     extended-component message the inner one, each lexicographic, so the
@@ -237,9 +241,9 @@ def codeword_blocks(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Itera
 
 def _blocks(code: CodeHandle) -> Iterator[np.ndarray]:
     q = code.q
-    cwords = lex_messages(q, code.hamming_basis.shape[0]) @ code.hamming_basis % q
-    dwords = lex_messages(q, code.extended_basis.shape[0]) @ code.extended_basis % q
-    reps = code.rep_table
+    cwords = (lex_messages(q, code.hamming_basis.shape[0]) @ code.hamming_basis % q).astype(np.uint8)
+    dwords = (lex_messages(q, code.extended_basis.shape[0]) @ code.extended_basis % q).astype(np.uint8)
+    reps = code.rep_table.astype(np.uint8)
     images = code.perm.images
     points = code.hp.points
     # Blocks take `outer` Hamming messages with every extended one, or,
@@ -248,13 +252,15 @@ def _blocks(code: CodeHandle) -> Iterator[np.ndarray]:
     outer = max(1, MAX_BLOCK_ROWS // len(dwords))
     span = min(len(dwords), MAX_BLOCK_ROWS)
     for a_idx in range(points):
-        ya = np.zeros(points, dtype=DTYPE)
+        ya = np.zeros(points, dtype=np.uint8)
         ta = int(images[a_idx])
         if ta != 0:
             ya[0] = 1
             ya[ta] = q - 1
-        left = (reps[a_idx] + cwords) % q
-        right = (ya + dwords) % q
+        # Two symbols sum below 2q <= 502, so the sums are formed in uint16,
+        # where no casting rule lets them wrap, and narrowed once reduced.
+        left = (np.add(reps[a_idx], cwords, dtype=np.uint16) % q).astype(np.uint8)
+        right = (np.add(ya, dwords, dtype=np.uint16) % q).astype(np.uint8)
         for i in range(0, len(left), outer):
             part = left[i : i + outer]
             for j in range(0, len(right), span):

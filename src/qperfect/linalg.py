@@ -73,8 +73,16 @@ class FieldContext:
             raise ValueError(f"modulus must be prime, got {self.q}")
 
     def reduce(self, values) -> np.ndarray:
-        """Reduce arbitrary integer data mod q; negative literals wrap."""
-        return np.asarray(values, dtype=DTYPE) % self.q
+        """Reduce arbitrary integer data mod q; negative literals wrap.
+
+        The result is always a fresh array, which rank and rref eliminate in
+        place; data already in 0..q-1 is copied without a `%`."""
+        arr = np.array(values, dtype=DTYPE)
+        # A negative entry reads as at least 2**63 through the unsigned view,
+        # so one max finds every entry outside 0..q-1.
+        if arr.size and arr.view(np.uint64).max() >= self.q:
+            arr %= self.q
+        return arr
 
     def vector(self, entries) -> np.ndarray:
         v = self.reduce(entries)

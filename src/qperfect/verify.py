@@ -37,7 +37,7 @@ from .codes import (
     rank_closed_form,
 )
 from .hamming import HammingPair, build_hamming_pair, json_power
-from .linalg import DTYPE, DimensionMismatch, FieldContext, _eliminate, rank
+from .linalg import DTYPE, DimensionMismatch, FieldContext, _eliminate, nullspace_basis, rank
 
 __all__ = [
     "CHECKS",
@@ -198,46 +198,64 @@ def check_perfect(
 def rank_by_elimination(ctx: FieldContext, words: Iterable, chunk: int = 4096) -> int:
     """Rank of a streamed set of vectors (1-D items or 2-D blocks).
 
-    Rows accumulate in chunks.  Only a reduced echelon basis is kept, so
-    memory stays at O(chunk x length) regardless of the stream.  Each chunk
-    is reduced against the basis with one product; the rows left nonzero
-    are new, and only then is the basis eliminated again.
+    Rows accumulate in chunks.  Only a reduced echelon basis of the span
+    found so far is kept, with a parity check of that span: the (N - rank)
+    x N matrix check = nullspace_basis(basis), so memory stays at O(chunk x
+    length) regardless of the stream.  A row x is in the span iff check @ x
+    is 0 mod q, so one product finds the new rows of a chunk, and a chunk
+    inside the span costs nothing more.  Only the first N new rows are
+    eliminated into the basis; the check is then rebuilt and the rest are
+    tested again.  Each round adds a pivot, so a stream takes at most N
+    rounds in all.
+
+    np.uint8 blocks, as codeword_blocks yields, are read as they are; other
+    items are read as int64.  Rows are reduced mod q only when an entry lies
+    outside 0..q-1.
     """
     q = ctx.q
     basis: Optional[np.ndarray] = None
-    pivots: list[int] = []
+    check: Optional[np.ndarray] = None
     buf: list[np.ndarray] = []
     buffered = 0
 
     def crunch() -> None:
-        nonlocal basis, pivots, buf, buffered
+        nonlocal basis, check, buf, buffered
         if not buf:
             return
-        rows = np.vstack(buf) % q
+        rows = np.vstack(buf)
         buf = []
         buffered = 0
-        if basis is not None:
-            # The product runs in float64, which has a BLAS path that int64
-            # lacks.  It is exact: each sum has rank terms of at most
-            # (q-1)**2, and rank * (q-1)**2 < 2**53 since rank is at most
-            # the row length, far below 2**53 / 250**2 (about 1.4e11).
-            span = rows[:, pivots].astype(np.float64) @ basis.astype(np.float64)
-            rows = (rows - span.astype(DTYPE)) % q
-            rows = rows[rows.any(axis=1)]
+        if rows.size and (rows.min() < 0 or rows.max() >= q):
+            rows = rows % q
+        N = rows.shape[1]
+        if basis is None:
+            basis = np.zeros((0, N), dtype=DTYPE)
+            check = np.eye(N)
+        while rows.shape[0] and check.shape[0]:
+            # The product runs in float64, which has a BLAS path that the
+            # integer types lack.  It is exact: each sum has N terms of at
+            # most (q-1)**2, and N * (q-1)**2 < 2**53 for any row length
+            # below 2**53 / 250**2 (about 1.4e11).  One syndrome per column
+            # keeps the test a reduction along contiguous rows.
+            syndromes = (check @ rows.astype(np.float64).T).astype(DTYPE)
+            rows = rows[(syndromes % q).any(axis=0)]
             if not rows.shape[0]:
                 return
-            rows = np.vstack([basis, rows])
-        pivots = _eliminate(rows, q, reduced=True)
-        basis = rows[: len(pivots)].copy()
+            stack = np.vstack([basis, rows[:N]])
+            pivots = _eliminate(stack, q, reduced=True)
+            basis = stack[: len(pivots)]
+            check = nullspace_basis(ctx, basis).astype(np.float64)
+            rows = rows[N:]
 
     for item in words:
-        arr = np.atleast_2d(np.asarray(item, dtype=DTYPE))
+        arr = np.asarray(item)
+        arr = np.atleast_2d(arr if arr.dtype == np.uint8 else arr.astype(DTYPE))
         buf.append(arr)
         buffered += arr.shape[0]
         if buffered >= chunk:
             crunch()
     crunch()
-    return len(pivots)
+    return 0 if basis is None else basis.shape[0]
 
 
 def check_rank_equivalence(run: VerifyRun) -> VerifyReport:

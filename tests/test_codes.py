@@ -30,7 +30,7 @@ from qperfect.codes import (
     write_codewords,
 )
 from qperfect.hamming import build_hamming_pair
-from qperfect.linalg import DimensionMismatch, FieldContext, _eliminate, nullspace_basis, rank
+from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, _eliminate, nullspace_basis, rank
 
 from hamming_oracles import (
     codeword_count,
@@ -375,7 +375,8 @@ def test_contains_rows_matches_membership_rule(q, r, source):
     else:
         tau = random_zero_fixing_perm(hp.ctx, r, rng)
     code = build_code(hp, tau)
-    everything = np.vstack(list(codeword_blocks(code)))
+    # int64, so the flips below are added in place without a uint8 cast
+    everything = np.vstack(list(codeword_blocks(code))).astype(DTYPE)
     words = everything[rng.integers(0, len(everything), size=40)]
     flipped = words.copy()
     cols = rng.integers(0, code.length, size=len(flipped))
@@ -416,6 +417,7 @@ def test_codeword_blocks_respect_the_row_cap(monkeypatch, cap):
     monkeypatch.setattr(codes, "MAX_BLOCK_ROWS", cap)
     capped = list(codeword_blocks(code))
     assert max(len(b) for b in capped) <= cap
+    assert all(b.dtype == np.uint8 and (b < 3).all() for b in whole + capped)
     assert np.array_equal(np.vstack(capped), np.vstack(whole))
 
 

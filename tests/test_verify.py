@@ -201,6 +201,15 @@ def test_rank_by_elimination_matches_rank_on_seeded_streams(q, chunk):
         items, mat = low_rank_stream(rng, q, rows, cols, generators)
         assert rank_by_elimination(ctx, items, chunk=chunk) == rank(ctx, mat)
         assert rank_by_elimination(ctx, list(mat), chunk=chunk) == rank(ctx, mat)
+        # the same rows as uint8 blocks, the form codeword_blocks yields
+        blocks = [part.astype(np.uint8) for part in np.array_split(mat, 3)]
+        assert rank_by_elimination(ctx, blocks, chunk=chunk) == rank(ctx, mat)
+    # one block whose first N = 9 rows are nonzero multiples of one row, so
+    # the first round finds rank 1 and the rows after them are tested again
+    line = np.concatenate([[1], rng.integers(0, q, size=8)])
+    head = rng.integers(1, q, size=(9, 1)) * line % q
+    block = np.vstack([head, rng.integers(0, q, size=(20, 9))]).astype(np.uint8)
+    assert rank_by_elimination(ctx, [block], chunk=chunk) == rank(ctx, block)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 4096])
@@ -612,35 +621,51 @@ def test_certificate_rejects_mutated_symbol_table():
     assert rep.result == "fail" and rep.details["law"] == "code_stability"
 
 
-def code_coordinate_automorphism(code):
-    """Helper: a nonidentity coordinate permutation stabilizing the code,
-    found by scanning transposition products (test scaffolding only)."""
-    words = np.vstack(list(codeword_blocks(code)))
-    powers = code.q ** np.arange(code.length)
+def code_automorphisms(code):
+    """Helper: the nonidentity maps v -> scale * v[p] stabilizing the code,
+    as (p, scale), scanning coordinate permutations p in lexicographic order
+    and each p's scales in increasing order (test scaffolding only)."""
+    q = code.q
+    words = np.vstack(list(codeword_blocks(code))).astype(DTYPE)
+    powers = q ** np.arange(code.length)
     members = set((words @ powers).tolist())
     probe = words[:: max(1, len(words) // 16)]  # rejects most candidates cheaply
     for p in itertools.permutations(range(code.length)):
-        if p == tuple(range(code.length)):
-            continue
-        p = list(p)
-        if all(e in members for e in (probe[:, p] @ powers).tolist()) and members.issuperset(
-            (words[:, p] @ powers).tolist()
-        ):
-            return np.array(p)
-    raise AssertionError("no coordinate automorphism found")
+        for scale in range(1, q):
+            if scale == 1 and p == tuple(range(code.length)):
+                continue
+            if all(e in members for e in (scale * probe[:, p] % q @ powers).tolist()) and members.issuperset(
+                (scale * words[:, p] % q @ powers).tolist()
+            ):
+                yield np.array(p), scale
+
+
+def code_coordinate_automorphism(code):
+    """Helper: the first nonidentity coordinate permutation stabilizing the
+    code, found by scanning transposition products."""
+    return next(p for p, scale in code_automorphisms(code) if scale == 1)
+
+
+def twisted_certificate(code, twists):
+    """The translation certificate with label i twisted by the code
+    automorphism v -> scale * v[p] for each (i, p, scale) of twists:
+    phi_i(v) = words[i] + scale * v[p].  Zero image and code stability
+    survive; closure does not."""
+    cert = translation_certificate(code)
+    sigma, pis = cert.sigma.copy(), cert.pis.copy()
+    for i, p, scale in twists:
+        sigma[i, p] = np.arange(code.length)
+        pis[i] = (cert.words[i][:, None] + scale * np.arange(code.q)) % code.q
+    return PropelinearCertificate(cert.words, sigma, pis)
 
 
 def closure_broken_certificate(code, i=None):
     """A certificate passing zero_image and code_stability but not closure:
     the translation labelled i (by default the first nonzero codeword) is
     twisted by a coordinate automorphism of the code."""
-    cert = translation_certificate(code)
-    auto = code_coordinate_automorphism(code)
     if i is None:
-        i = next(k for k in range(len(cert.words)) if cert.words[k].any())
-    sigma = cert.sigma.copy()
-    sigma[i, auto] = np.arange(code.length)
-    return PropelinearCertificate(cert.words, sigma, cert.pis)
+        i = next(k for k, word in enumerate(translation_certificate(code).words) if word.any())
+    return twisted_certificate(code, [(i, code_coordinate_automorphism(code), 1)])
 
 
 def test_certificate_rejects_broken_closure():
@@ -794,10 +819,25 @@ def mutate_certificate(code, cert, how, rng):
         # a twisted label past the first moves the first failing triple's y
         # and w away from x, so a decode that swaps x with either is seen
         return closure_broken_certificate(code, nonzero_label(cert, rng))
+    elif how == "closure_pair":
+        # two labels twisted by automorphisms that move different words, so
+        # an x's failing (y, w) pairs are no product set Y x W, and a decode
+        # that swaps y with w reports another first triple
+        def moved(auto):
+            p, scale = auto
+            return (scale * cert.words[:, p] % code.q != cert.words).any(axis=1)
+
+        autos = code_automorphisms(code)
+        first = next(autos)
+        second = next(a for a in autos if (moved(a) != moved(first)).any())
+        i, j = rng.choice(np.flatnonzero(cert.words.any(axis=1)), size=2, replace=False)
+        return twisted_certificate(code, [(i, *second), (j, *first)])
     return PropelinearCertificate(cert.words, sigma, pis)
 
 
-@pytest.mark.parametrize("how", ["none", "identity", "swap_labels", "transpose_sigma", "swap_symbols", "closure"])
+@pytest.mark.parametrize(
+    "how", ["none", "identity", "swap_labels", "transpose_sigma", "swap_symbols", "closure", "closure_pair"]
+)
 @pytest.mark.parametrize("q,r,mode", [(2, 2, "full"), (3, 1, "full"), (2, 3, "sampled"), (5, 1, "sampled")])
 def test_certificate_check_matches_loop_oracle(monkeypatch, q, r, mode, how):
     code = small_code(q, r)
