@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from .affine import PermTable, read_perm, series_perm
@@ -191,9 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main call of a process, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, OSError, ValueError, MemoryError) as exc:  # ParseError is a ValueError

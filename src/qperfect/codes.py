@@ -124,11 +124,12 @@ def canonical_coset_reps(hp: HammingPair) -> np.ndarray:
     """Row a is the canonical weight-<=1 Hamming coset representative whose
     syndrome has index a; row 0 is the zero word.  Every nonzero syndrome is
     lam * h_j for exactly one normalized column j and one lam != 0, so each
-    lam scatters its n representatives lam * e_j at once."""
+    lam scatters its n representatives lam * e_j at once.  The table is
+    np.uint8, like every symbol table of the code: entries lie in 0..q-1."""
     q = hp.q
     cols = np.arange(hp.n)
     powers = field_powers(q, hp.r)
-    reps = np.zeros((hp.points, hp.n), dtype=DTYPE)
+    reps = np.zeros((hp.points, hp.n), dtype=np.uint8)
     for lam in range(1, q):
         reps[(lam * hp.h_hamming % q).T @ powers, cols] = lam
     return reps
@@ -200,17 +201,20 @@ def contains_rows(code: CodeHandle, words) -> np.ndarray:
 
     Split each row z = (x|y), read the Hamming syndrome a of x, and demand
     that y lie in the extended coset with label perm(a): H' y = -(0|perm(a)).
+    words is read by FieldContext.symbols, so a uint8 stack is not copied.
     """
-    zz = code.ctx.matrix(words)
+    zz = code.ctx.symbols(words)
     if zz.shape[1] != code.length:
         raise DimensionMismatch(f"codeword must have length {code.length}")
     q, n = code.q, code.hp.n
     powers = field_powers(q, code.r)
-    a = zz[:, :n] @ code.hp.h_hamming.T % q
+    # einsum widens uint8 rows to int64 through a small buffer, where @
+    # would first cast the whole slice.
+    a = np.einsum("ij,kj->ik", zz[:, :n], code.hp.h_hamming) % q
     ta = code.perm.images[a @ powers]
     target = np.zeros((zz.shape[0], code.r + 1), dtype=DTYPE)
     target[:, 1:] = ta[:, None] // powers % q
-    lhs = zz[:, n:] @ code.hp.h_extended.T % q
+    lhs = np.einsum("ij,kj->ik", zz[:, n:], code.hp.h_extended) % q
     return np.all(lhs == (-target) % q, axis=1)
 
 
@@ -243,7 +247,7 @@ def _blocks(code: CodeHandle) -> Iterator[np.ndarray]:
     q = code.q
     cwords = (lex_messages(q, code.hamming_basis.shape[0]) @ code.hamming_basis % q).astype(np.uint8)
     dwords = (lex_messages(q, code.extended_basis.shape[0]) @ code.extended_basis % q).astype(np.uint8)
-    reps = code.rep_table.astype(np.uint8)
+    reps = code.rep_table
     images = code.perm.images
     points = code.hp.points
     # Blocks take `outer` Hamming messages with every extended one, or,
@@ -272,7 +276,8 @@ def _blocks(code: CodeHandle) -> Iterator[np.ndarray]:
 class RankBasis:
     """The explicit rank basis: one mixed row per nonzero coset label,
     a Hamming-kernel block, and a completion of the intersection inside
-    the extended component."""
+    the extended component.  Each block is np.uint8 with entries in
+    0..q-1, so the stack takes one byte per cell."""
 
     coset_rows: np.ndarray
     hamming_rows: np.ndarray
@@ -308,18 +313,18 @@ def rank_basis(code: CodeHandle) -> RankBasis:
     N = code.length
     size = points - 1
 
-    coset = np.zeros((size, N), dtype=DTYPE)
+    coset = np.zeros((size, N), dtype=np.uint8)
     coset[:, :n] = code.rep_table[1:]
     coset[:, n] = 1  # e_0 of the extended part
     targets = code.perm.images[1:]  # never 0: the permutation fixes 0
     coset[np.arange(size), n + targets] = q - 1  # -e_perm(a)
 
-    hamming_rows = np.zeros((code.hamming_basis.shape[0], N), dtype=DTYPE)
+    hamming_rows = np.zeros((code.hamming_basis.shape[0], N), dtype=np.uint8)
     hamming_rows[:, :n] = code.hamming_basis
 
     dbasis = code.extended_basis
     kept = _eliminate(code.permuted_check_matrix @ dbasis.T % q, q, reduced=False)
-    completion = np.zeros((len(kept), N), dtype=DTYPE)
+    completion = np.zeros((len(kept), N), dtype=np.uint8)
     completion[:, n:] = dbasis[kept]
     return RankBasis(coset, hamming_rows, completion)
 

@@ -1,8 +1,12 @@
 """Dense exact linear algebra over prime fields GF(q), q < 256.
 
-All matrices and vectors are plain numpy integer arrays whose entries are
-reduced to {0, ..., q-1}; a FieldContext carries q and builds validated
-arrays. Functions are pure: inputs are never modified.
+Matrices and vectors are numpy integer arrays whose entries lie in
+{0, ..., q-1}; a FieldContext carries q and builds validated arrays.  Every
+array built here is int64, so products and in-place eliminations cannot
+wrap.  A symbol table may be narrower: FieldContext.symbols reads an
+np.uint8 array in place when its entries already lie below q, and rank
+peels such a table in uint8 before it widens what is left.  Functions are
+pure: inputs are never modified.
 """
 
 from __future__ import annotations
@@ -84,6 +88,17 @@ class FieldContext:
             arr %= self.q
         return arr
 
+    def symbols(self, rows) -> np.ndarray:
+        """rows as a matrix of symbols, read in place where it can be.
+
+        The one read rule for narrow tables: an np.uint8 array whose entries
+        all lie below q is returned as it is, and the caller must not write
+        to it.  Anything else, uint8 with an entry >= q included, goes
+        through reduce and comes back as a fresh int64 array."""
+        if isinstance(rows, np.ndarray) and rows.dtype == np.uint8 and (not rows.size or rows.max() < self.q):
+            return _require_matrix(rows)
+        return self.matrix(rows)
+
     def vector(self, entries) -> np.ndarray:
         v = self.reduce(entries)
         if v.ndim != 1:
@@ -91,10 +106,13 @@ class FieldContext:
         return v
 
     def matrix(self, rows) -> np.ndarray:
-        m = self.reduce(rows)
-        if m.ndim != 2:
-            raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
-        return m
+        return _require_matrix(self.reduce(rows))
+
+
+def _require_matrix(m: np.ndarray) -> np.ndarray:
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
+    return m
 
 
 def _eliminate(a: np.ndarray, q: int, reduced: bool) -> list[int]:
@@ -154,8 +172,11 @@ def rank(ctx: FieldContext, m) -> int:
     nonzeros (which are zero once the owners are gone), until no singleton
     column is left; the core is then eliminated.  The rank basis stacks
     mostly peel away; a dense matrix leaves after one count.
+
+    m is read by FieldContext.symbols, so a uint8 stack is peeled in uint8
+    and only the core it leaves is widened to int64 for the elimination.
     """
-    work = ctx.matrix(m)
+    work = ctx.symbols(m)
     peeled = 0
     while True:
         nonzero = work != 0
@@ -165,7 +186,9 @@ def rank(ctx: FieldContext, m) -> int:
             break
         peeled += int(np.count_nonzero(owners))
         work = work[np.ix_(~owners, counts >= 2)]
-    return peeled + len(_eliminate(work, ctx.q, reduced=False))
+    # _eliminate works in place.  A uint8 core may still be m itself, and
+    # widening it makes the copy; an int64 core is already rank's own.
+    return peeled + len(_eliminate(work.astype(DTYPE, copy=False), ctx.q, reduced=False))
 
 
 def rref(ctx: FieldContext, m) -> tuple[np.ndarray, tuple[int, ...]]:

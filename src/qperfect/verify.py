@@ -208,9 +208,9 @@ def rank_by_elimination(ctx: FieldContext, words: Iterable, chunk: int = 4096) -
     tested again.  Each round adds a pivot, so a stream takes at most N
     rounds in all.
 
-    np.uint8 blocks, as codeword_blocks yields, are read as they are; other
-    items are read as int64.  Rows are reduced mod q only when an entry lies
-    outside 0..q-1.
+    Items are read by FieldContext.symbols: np.uint8 blocks, as
+    codeword_blocks yields, are read as they are, and other items are
+    reduced to int64.
     """
     q = ctx.q
     basis: Optional[np.ndarray] = None
@@ -225,8 +225,6 @@ def rank_by_elimination(ctx: FieldContext, words: Iterable, chunk: int = 4096) -
         rows = np.vstack(buf)
         buf = []
         buffered = 0
-        if rows.size and (rows.min() < 0 or rows.max() >= q):
-            rows = rows % q
         N = rows.shape[1]
         if basis is None:
             basis = np.zeros((0, N), dtype=DTYPE)
@@ -248,8 +246,7 @@ def rank_by_elimination(ctx: FieldContext, words: Iterable, chunk: int = 4096) -
             rows = rows[N:]
 
     for item in words:
-        arr = np.asarray(item)
-        arr = np.atleast_2d(arr if arr.dtype == np.uint8 else arr.astype(DTYPE))
+        arr = ctx.symbols(np.atleast_2d(item))
         buf.append(arr)
         buffered += arr.shape[0]
         if buffered >= chunk:

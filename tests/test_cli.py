@@ -558,6 +558,38 @@ def test_missing_subcommand_is_argparse_exit():
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # verify, an argparse usage error (no --r) and series: one build for
+    # all three, and the same stdout, stderr and exit codes as a parser
+    # built afresh for each call
+    calls = [
+        ["verify", "--q", "2", "--r", "2"],
+        ["verify", "--q", "3"],
+        ["series", "--q", "3", "--r", "2"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert len(builds) == 1
+    assert [code for code, _, _ in fresh] == [0, 2, 0]
+    assert "the following arguments are required: --r" in fresh[1][2]
+
+
 def test_console_script_smoke():
     exe = shutil.which("qperfect")
     cmd = [exe, "series", "--q", "3", "--r", "2"] if exe else [

@@ -304,6 +304,7 @@ def test_component_kernels_belong_to_the_kit(monkeypatch):
 def test_canonical_reps_match_per_row_builder():
     hp = make(3, 2)
     table = canonical_coset_reps(hp)
+    assert table.dtype == np.uint8 and (table < 3).all()
     for a in range(hp.points):
         assert np.array_equal(table[a], hamming_coset_rep(hp, index_to_vec(3, 2, a)))
     assert not table[0].any()
@@ -448,6 +449,8 @@ def test_rank_basis_structure():
     assert basis.hamming_rows.shape == (2, 13)
     assert basis.completion_rows.shape == (2, 13)
     assert basis.count == 12
+    for block in (basis.coset_rows, basis.hamming_rows, basis.completion_rows, basis.stacked):
+        assert block.dtype == np.uint8 and (block < 3).all()
     assert np.array_equal(
         basis.coset_rows[0], np.array([1, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 0])
     )
@@ -520,7 +523,7 @@ def test_rank_basis_completion_matches_greedy_scan(q, r, name):
     code = build_code(hp, completion_perm(hp.ctx, r, name))
     completion = rank_basis(code).completion_rows
     want = greedy_completion(code)
-    assert completion.dtype == want.dtype
+    assert completion.dtype == np.uint8
     assert np.array_equal(completion, want)
     assert np.array_equal(completion, kernel_completion(code))
     assert completion.shape[0] == distension(hp, code.perm)

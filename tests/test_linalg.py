@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qperfect.affine import series_perm
-from qperfect.codes import build_code, rank_basis
+from qperfect.codes import build_code, contains_rows, rank_basis
 from qperfect.hamming import build_hamming_pair
 from qperfect.linalg import (
     DimensionMismatch,
@@ -365,12 +365,14 @@ def sparse_cases():
 
 
 def audit_stacks():
-    """The rank-basis stacks the basis audit decides: the four ladder rungs,
-    (3,6) with three shear-swap copies and (7,3); every one has full rank."""
+    """(code, stack) for the rank-basis stacks the basis audit decides: the
+    four ladder rungs, (3,6) with three shear-swap copies and (7,3); every
+    stack is np.uint8 and has full rank."""
     stacks = []
     for q, r, copies in ((3, 4, 2), (5, 3, 0), (3, 5, 2), (2, 8, 0), (3, 6, 3), (7, 3, 0)):
         ctx = FieldContext(q)
-        stacks.append((q, rank_basis(build_code(build_hamming_pair(ctx, r), series_perm(ctx, r, copies))).stacked))
+        code = build_code(build_hamming_pair(ctx, r), series_perm(ctx, r, copies))
+        stacks.append((code, rank_basis(code).stacked))
     return stacks
 
 
@@ -384,5 +386,48 @@ def test_rank_matches_elimination_and_span(source):
 
 
 def test_rank_peels_the_audit_stacks():
-    for q, a in audit_stacks():
-        assert rank(FieldContext(q), a) == len(full_width_eliminate(a.copy(), q, reduced=False)) == a.shape[0]
+    for code, a in audit_stacks():
+        # the oracle eliminates in place, so it gets an int64 copy, where
+        # its row updates cannot wrap
+        want = len(full_width_eliminate(a.astype(np.int64), code.q, reduced=False))
+        assert rank(code.ctx, a) == want == a.shape[0]
+
+
+# -- the read rule for uint8 symbol tables -------------------------------------
+
+
+def test_in_range_uint8_stacks_read_like_their_int64_copies():
+    for code, a in audit_stacks():
+        assert a.dtype == np.uint8
+        assert code.ctx.symbols(a) is a
+        wide = a.astype(np.int64)
+        assert rank(code.ctx, a) == rank(code.ctx, wide)
+        assert np.array_equal(contains_rows(code, a), contains_rows(code, wide))
+        assert contains_rows(code, a).all()
+
+
+def test_uint8_entries_at_or_above_q_are_reduced_first():
+    ctx = FieldContext(3)
+    code = build_code(build_hamming_pair(ctx, 2), series_perm(ctx, 2, 1))
+    threes = np.full((1, code.length), 3, dtype=np.uint8)
+    assert ctx.symbols(threes).dtype == np.int64 and not ctx.symbols(threes).any()
+    assert rank(ctx, threes) == 0
+    assert np.array_equal(contains_rows(code, threes), contains_rows(code, threes % 3))
+    noisy = np.random.default_rng(5).integers(0, 256, size=(40, code.length)).astype(np.uint8)
+    reduced = noisy % 3
+    assert rank(ctx, noisy) == rank(ctx, reduced) == len(full_width_eliminate(reduced.astype(np.int64), 3, False))
+    assert np.array_equal(contains_rows(code, noisy), contains_rows(code, reduced))
+    assert np.array_equal(contains_rows(code, rank_basis(code).stacked + np.uint8(3)), np.ones(12, dtype=bool))
+
+
+def test_rank_leaves_an_unpeeled_uint8_input_unchanged():
+    rng = np.random.default_rng(11)
+    for q in (2, 3, 7, 251):
+        # every column has at least two nonzeros, so nothing peels and the
+        # whole input is the core
+        a = rng.integers(1, q, size=(9, 14)).astype(np.uint8)
+        a[0, 0] = 0
+        before = a.copy()
+        a.setflags(write=False)
+        assert rank(FieldContext(q), a) == len(full_width_eliminate(before.astype(np.int64), q, False))
+        assert np.array_equal(a, before)

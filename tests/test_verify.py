@@ -286,6 +286,23 @@ def test_audit_rank_basis_skips_past_the_budget(monkeypatch, capsys):
     assert elapsed < 2.0
 
 
+def test_audit_rank_basis_holds_no_int64_copy_of_the_stack():
+    # (2,10): rank 2036 x N 2047.  The uint8 stack is 4 MiB and one int64
+    # copy of it 32 MiB; three int64 copies peaked at 107 MiB.  The kit
+    # tables are warmed first, so only the audit's own arrays are traced.
+    code = small_code(2, 10)
+    for table in ("rep_table", "hamming_basis", "extended_basis", "permuted_check_matrix"):
+        getattr(code, table)
+    tracemalloc.start()
+    try:
+        report = audit_rank_basis(verify.VerifyRun(code, "builtin:identity"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.result == "pass" and report.details["vectors"] == 2036
+    assert peak < 48 << 20, peak
+
+
 def test_enumerated_rank_is_shared(monkeypatch, capsys):
     # rank_equivalence and basis_audit read one streamed elimination per run
     calls = []
