@@ -306,6 +306,13 @@ def rank_basis(code: CodeHandle) -> RankBasis:
     when e_k is not in ker M + span{e_j : j < k}, that is, when M e_k is
     not in span{M e_j : j < k}: when k is a pivot column of M.  There are
     rank M = distension of them.
+
+    M is read off the systematic form of the kernel basis B =
+    extended_basis.  It is nullspace_basis(h_extended), so B is the
+    identity on the free columns of h_extended, whose pivot columns are 0
+    and q**k (the affine basis named in distension()).  With P the permuted
+    check, M = P[:, free] + P[:, pivots] B[:, pivots]^T mod q: (r+1)**2 x
+    dim products where P B^T takes (r+1) x q**r x dim.
     """
     q = code.q
     n = code.hp.n
@@ -323,7 +330,12 @@ def rank_basis(code: CodeHandle) -> RankBasis:
     hamming_rows[:, :n] = code.hamming_basis
 
     dbasis = code.extended_basis
-    kept = _eliminate(code.permuted_check_matrix @ dbasis.T % q, q, reduced=False)
+    check = code.permuted_check_matrix
+    pivots = np.concatenate([[0], field_powers(q, code.r)])
+    free = np.ones(points, dtype=bool)
+    free[pivots] = False
+    moved = (check[:, free] + check[:, pivots] @ dbasis[:, pivots].T) % q
+    kept = _eliminate(moved, q, reduced=False)
     completion = np.zeros((len(kept), N), dtype=np.uint8)
     completion[:, n:] = dbasis[kept]
     return RankBasis(coset, hamming_rows, completion)

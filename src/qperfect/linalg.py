@@ -5,8 +5,9 @@ Matrices and vectors are numpy integer arrays whose entries lie in
 array built here is int64, so products and in-place eliminations cannot
 wrap.  A symbol table may be narrower: FieldContext.symbols reads an
 np.uint8 array in place when its entries already lie below q, and rank
-peels such a table in uint8 before it widens what is left.  Functions are
-pure: inputs are never modified.
+peels such a table in uint8 before it widens what is left; the
+elimination kernel itself refuses anything but int64.  Functions are pure:
+inputs are never modified.
 """
 
 from __future__ import annotations
@@ -126,7 +127,12 @@ def _eliminate(a: np.ndarray, q: int, reduced: bool) -> list[int]:
     A rank-deficient matrix would otherwise visit every column, so when the
     current column is empty below the row, one scan of the remaining block
     jumps to the next live column, or stops when there is none.
+
+    a must be DTYPE (TypeError otherwise): the row updates run in a's own
+    dtype, and a narrower one would wrap them into a wrong rank.
     """
+    if a.dtype != DTYPE:
+        raise TypeError(f"elimination needs a {np.dtype(DTYPE)} array, got {a.dtype}")
     m, n = a.shape
     inv_table = _inverse_table(q)
     row = col = 0

@@ -65,6 +65,7 @@ MAX_CERT_CODE = 1 << 12  # largest code a certificate check will enumerate
 MAX_FULL_TRIPLES = 1 << 24  # closure is checked on all triples below this
 VERIFY_GUARD = 1 << 14  # group premise checks stop at q**r of this size
 COUNT_SLICE = 1 << 20  # occupancy cells compared per step when counting overlaps
+LINE_CHUNK = 1 << 14  # word encodings turned into line ids per covering step
 CERT_CHUNK = 1 << 15  # image encodings held at once by the code-stability law
 CLOSURE_SLICE = 1024  # closure triples evaluated per batched step
 
@@ -124,33 +125,74 @@ class VerifyRun:
 # -- perfection by exhaustive covering -----------------------------------
 
 
-def covering_occupancy(q: int, N: int, blocks: Iterable[np.ndarray]) -> tuple[int, int, int]:
-    """Mark every word of the blocks plus its distance-1 neighbours in a
-    q**N occupancy array; return (rows, overlapped_cells, uncovered_cells),
-    rows being the number of words marked.
-
-    A cell collects at most 1 + N(q-1) marks from distinct words, so uint8
-    cells cannot wrap for any N this module accepts.  A stream that repeats
-    words can wrap a cell; check_perfect's sphere-packing count of the rows
-    sees that.
-    """
+def _ball_counts(q: int, N: int, blocks: Iterable[np.ndarray]) -> tuple[int, np.ndarray]:
+    """The rows streamed and the uint8 occupancy of covering_occupancy; its
+    scratch tables are freed on return, before the caller counts."""
     cells = q**N
+    width = np.int32 if cells < 1 << 31 else np.int64
+    powers = q ** np.arange(N, dtype=width)
+    rows = 0
+    encodings = []
+    for block in blocks:
+        if np.ndim(block) != 2 or block.shape[1] != N:
+            raise ValueError(f"expected blocks of width {N}, got shape {np.shape(block)}")
+        if block.size and (block.min() < 0 or block.max() >= q):
+            raise ValueError(f"block entries must lie in 0..{q - 1}")
+        rows += block.shape[0]
+        encodings.append(block @ powers)
+    chunks = [enc[s : s + LINE_CHUNK] for enc in encodings for s in range(0, enc.size, LINE_CHUNK)]
     occ = np.zeros(cells, dtype=np.uint8)
-    powers = q ** np.arange(N, dtype=DTYPE)
-    symbols = np.arange(q, dtype=DTYPE)
-    # shift[k, v, d-1] is the change of encoding when symbol v at
-    # coordinate k moves to (v + d) % q.
-    shift = ((symbols[:, None] + symbols[1:]) % q - symbols[:, None]) * powers[:, None, None]
+    table = np.empty(cells // q, dtype=np.uint8)
+    lines = np.empty(LINE_CHUNK, dtype=np.intp)
+    low = np.empty(LINE_CHUNK, dtype=np.intp)
     # A Python int operand sends np.add.at down its casting slow path,
     # over 10x slower per index than an operand of the array's dtype.
     one = np.uint8(1)
-    rows = 0
-    for block in blocks:
-        rows += block.shape[0]
-        idx = block @ powers
-        np.add.at(occ, idx, one)
-        for k in range(N):
-            np.add.at(occ, (idx[:, None] + shift[k][block[:, k]]).ravel(), one)
+    for k in range(N):
+        step = q**k
+        table.fill(0)
+        for chunk in chunks:
+            # the id of the k-line through e: e without its digit k
+            line, rest = lines[: chunk.size], low[: chunk.size]
+            np.floor_divide(chunk, step * q, out=line)
+            np.multiply(line, step, out=line)
+            np.remainder(chunk, step, out=rest)
+            line += rest
+            np.add.at(table, line, one)
+        view = occ.reshape(-1, q, step)
+        view += table.reshape(-1, 1, step)
+    repeats = np.uint8((N - 1) % 256)
+    for chunk in chunks:
+        np.subtract.at(occ, chunk, repeats)
+    return rows, occ
+
+
+def covering_occupancy(q: int, N: int, blocks: Iterable[np.ndarray]) -> tuple[int, int, int]:
+    """Count, for every cell of the q**N space, the streamed words within
+    distance 1 of it; return (rows, overlapped_cells, uncovered_cells),
+    rows being the number of words streamed.
+
+    The count goes by lines.  Let x(c) be the number of times cell c was
+    streamed as a word, and L_k(c) the sum of x over the q cells of the
+    coordinate-k line through c.  A word covers c iff it is c or differs
+    from c in exactly one coordinate k, and the k-line through c holds c
+    and its q-1 neighbours along k, so
+
+        occ(c) = sum_k L_k(c) - (N-1) x(c).
+
+    The blocks are streamed once and only their encodings are kept.  Each
+    axis scatters the words' line ids into one q**(N-1) table and adds it
+    to occ broadcast along the axis; one scatter of the encodings then
+    takes off (N-1) x.  Every step is uint8 arithmetic, so occ(c) is the
+    true count mod 256, as it would be from one uint8 mark per word per
+    ball cell; check_perfect's count of the rows sees a wrapped cell.
+
+    A block must be a matrix of width N with entries in 0..q-1
+    (ValueError otherwise): a symbol out of range would encode as some
+    other word.
+    """
+    rows, occ = _ball_counts(q, N, blocks)
+    cells = occ.size
     uncovered = cells - int(np.count_nonzero(occ))
     overlapped = sum(
         int(np.count_nonzero(occ[start : start + COUNT_SLICE] > 1))
@@ -165,10 +207,12 @@ def check_perfect(
     """Exhaustive perfection check: radius-1 balls around the codewords
     tile the whole space, with the sphere-packing count as a cross-check.
 
-    The count is of the rows actually streamed, so it also accounts for the
-    marks: a pass has streamed x ball == cells marks in all, and every cell
-    reads 1, so holds at least one; hence each holds exactly one, and no
-    cell can hide 257 marks behind a wrapped uint8.
+    The count is of the rows actually streamed, so it also bounds the
+    true counts.  Let t(c) be the number of streamed words within distance
+    1 of cell c: covering_occupancy reads t(c) mod 256, and the t(c) sum to
+    rows x ball.  A pass has rows x ball == cells and every cell reading 1,
+    so every t(c) is at least 1; with cells terms summing to cells, each is
+    exactly 1, and no cell can hide 257 behind a wrapped uint8.
     """
     q, N = code.q, code.length
     params = _params(code, label)

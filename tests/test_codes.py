@@ -30,7 +30,7 @@ from qperfect.codes import (
     write_codewords,
 )
 from qperfect.hamming import build_hamming_pair
-from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, _eliminate, nullspace_basis, rank
+from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, _eliminate, nullspace_basis, rank, rref
 
 from hamming_oracles import (
     codeword_count,
@@ -257,11 +257,12 @@ def test_distension_eliminates_the_reduced_r_row_residual(monkeypatch):
 
 def test_rank_basis_eliminates_one_r_plus_1_row_matrix(monkeypatch):
     # the completion is read off the pivot columns of one (r+1) x dim
-    # elimination, dim = q**r - r - 1; no kernel is cut
-    shapes = []
+    # elimination, dim = q**r - r - 1; no kernel is cut, and the matrix is
+    # the full product of the permuted check with the kernel basis
+    matrices = []
 
     def checked(a, q, reduced):
-        shapes.append(a.shape)
+        matrices.append(a.copy())
         assert a.min() >= 0 and a.max() < q
         return _eliminate(a, q, reduced)
 
@@ -269,9 +270,27 @@ def test_rank_basis_eliminates_one_r_plus_1_row_matrix(monkeypatch):
     monkeypatch.setattr(codes, "nullspace_basis", lambda ctx, m: pytest.fail("rank_basis cut a kernel"))
     for q, r, name in ((2, 3, "identity"), (3, 2, "shear"), (3, 4, "series2"), (5, 2, "random5021")):
         hp = make(q, r)
-        shapes.clear()
-        rank_basis(build_code(hp, completion_perm(hp.ctx, r, name)))
-        assert shapes == [(r + 1, q**r - r - 1)]
+        matrices.clear()
+        code = build_code(hp, completion_perm(hp.ctx, r, name))
+        rank_basis(code)
+        assert [m.shape for m in matrices] == [(r + 1, q**r - r - 1)]
+        assert np.array_equal(matrices[0], code.permuted_check_matrix @ hp.extended_basis.T % q)
+
+
+@pytest.mark.parametrize("q,r", [(2, 1), (3, 1), (3, 2), (3, 4), (5, 3), (3, 5), (2, 8), (7, 4)])
+def test_extended_basis_is_systematic_on_the_affine_basis(q, r):
+    # rank_basis reads its completion matrix off this form: h_extended
+    # pivots on 0 and q**k, and the kernel basis is the identity on every
+    # other column (small cases, the four ladder rungs, then (7,4))
+    hp = make(q, r)
+    _, pivots = rref(hp.ctx, hp.h_extended)
+    assert pivots == (0, *(q**k for k in range(r)))
+    free = np.ones(q**r, dtype=bool)
+    free[list(pivots)] = False
+    block = hp.extended_basis[:, free]
+    dim = q**r - r - 1
+    assert block.shape == (dim, dim)
+    assert np.count_nonzero(block) == dim and (np.diagonal(block) == 1).all()
 
 
 def test_component_kernels_belong_to_the_kit(monkeypatch):

@@ -431,3 +431,15 @@ def test_rank_leaves_an_unpeeled_uint8_input_unchanged():
         a.setflags(write=False)
         assert rank(FieldContext(q), a) == len(full_width_eliminate(before.astype(np.int64), q, False))
         assert np.array_equal(a, before)
+
+
+def test_eliminate_refuses_a_narrow_table():
+    # the (3,4) i=2 rank-basis stack is uint8 and has full rank 120; row
+    # updates in uint8 would wrap, so the elimination refuses it rather
+    # than return a wrong pivot count
+    code, a = audit_stacks()[0]
+    assert a.dtype == np.uint8 and a.shape[0] == 120
+    for narrow in (a.copy(), a.astype(np.int32)):
+        with pytest.raises(TypeError):
+            _eliminate(narrow, code.q, reduced=False)
+    assert len(_eliminate(a.astype(np.int64), code.q, reduced=False)) == 120

@@ -1,6 +1,7 @@
 """Independent verification: perfection, rank streams, audits, certificates."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import time
@@ -110,6 +111,119 @@ def test_covering_occupancy_exact_counts(monkeypatch, q, r, mutate, count_slice)
     want = covering_counts_oracle(q, code.length, np.vstack(blocks))
     assert want[1] > 0 and want[2] > 0
     assert covering_occupancy(q, code.length, blocks) == want
+
+
+def mark_scatter_occupancy(q, N, blocks):
+    """Oracle: covering_occupancy by marks.  Every word and each of its
+    N(q-1) neighbours gets one uint8 mark, through a table of the encoding
+    shifts; (rows, overlapped, uncovered) as covering_occupancy gives it,
+    with the same wrap mod 256."""
+    occ = np.zeros(q**N, dtype=np.uint8)
+    powers = q ** np.arange(N, dtype=DTYPE)
+    symbols = np.arange(q, dtype=DTYPE)
+    # shift[k, v, d-1] is the change of encoding when symbol v at
+    # coordinate k moves to (v + d) % q.
+    shift = ((symbols[:, None] + symbols[1:]) % q - symbols[:, None]) * powers[:, None, None]
+    rows = 0
+    for block in blocks:
+        rows += block.shape[0]
+        idx = block @ powers
+        np.add.at(occ, idx, np.uint8(1))
+        for k in range(N):
+            np.add.at(occ, (idx[:, None] + shift[k][block[:, k]]).ravel(), np.uint8(1))
+    return rows, int(np.count_nonzero(occ > 1)), occ.size - int(np.count_nonzero(occ))
+
+
+COVERING_CODES = {
+    "q3r2-shear": (3, 2, lambda ctx, r: shear_swap_perm(ctx)),
+    "q7r1": (7, 1, identity_perm),
+    "q2r3": (2, 3, identity_perm),
+    "q5r1": (5, 1, identity_perm),
+    "q2r2": (2, 2, identity_perm),
+    "q3r1": (3, 1, identity_perm),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def covering_words(name):
+    q, r, tau = COVERING_CODES[name]
+    ctx = FieldContext(q)
+    code = build_code(build_hamming_pair(ctx, r), tau(ctx, r))
+    words = np.vstack(list(codeword_blocks(code)))
+    words.setflags(write=False)
+    return q, code.length, words
+
+
+def moved_stream(q, N, words):
+    moved = words.copy()
+    moved[0, 0] = (moved[0, 0] + 1) % q
+    return [moved]
+
+
+def duplicated_stream(q, N, words):
+    dup = words.copy()
+    dup[1] = dup[0]
+    return [dup]
+
+
+def repeated_stream(q, N, words):
+    # 256 extra copies of one word wrap its ball's cells mod 256
+    return [words, np.repeat(words[:1], 256, axis=0)]
+
+
+def random_stream(q, N, words):
+    return [np.random.default_rng(N).integers(0, q, size=words.shape, dtype=np.uint8)]
+
+
+def empty_stream(q, N, words):
+    return [np.zeros((0, N), dtype=np.uint8)]
+
+
+def split_stream(q, N, words):
+    # the words in blocks of 1, 6 and 1000 rows, then the rest
+    cuts = np.cumsum([1, 6, 1000])
+    return np.split(words, cuts[cuts < len(words)])
+
+
+COVERING_STREAMS = [moved_stream, duplicated_stream, repeated_stream, random_stream, empty_stream, split_stream]
+
+
+@pytest.mark.parametrize("stream", COVERING_STREAMS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name", COVERING_CODES)
+def test_covering_occupancy_matches_mark_scatter(monkeypatch, name, stream):
+    q, N, words = covering_words(name)
+    blocks = stream(q, N, words)
+    want = mark_scatter_occupancy(q, N, blocks)
+    assert covering_occupancy(q, N, blocks) == want
+    if stream is split_stream:
+        # line ids computed 7 encodings at a time (997 on the two large
+        # codes), so most blocks take several chunks and end on a short one
+        monkeypatch.setattr(verify, "LINE_CHUNK", 7 if len(words) < 5000 else 997)
+        assert covering_occupancy(q, N, blocks) == want
+    if stream is empty_stream:
+        assert want == (0, 0, q**N)
+    if stream is repeated_stream:
+        assert want == (len(words) + 256, 0, 0)
+    if stream is split_stream and name not in ("q3r2-shear", "q7r1"):
+        assert want == covering_counts_oracle(q, N, words)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        np.zeros((4, 6), dtype=np.uint8),  # width N - 1
+        np.zeros(7, dtype=np.uint8),  # one word, not a block
+        np.full((2, 7), 2, dtype=np.uint8),  # symbol q
+        np.array([[0, 0, 0, 0, 0, 0, -1]]),  # a negative symbol
+    ],
+    ids=["width", "vector", "symbol-q", "negative"],
+)
+def test_covering_occupancy_refuses_malformed_blocks(block):
+    # no gather would catch these: a symbol out of range encodes as some
+    # other word
+    good = np.zeros((1, 7), dtype=np.uint8)
+    with pytest.raises(ValueError):
+        covering_occupancy(2, 7, [good, block])
 
 
 @pytest.mark.parametrize(
