@@ -10,7 +10,6 @@ from .linalg import (
 )
 from .hamming import (
     HammingPair,
-    all_vectors,
     build_hamming_pair,
     stacked_parity,
 )

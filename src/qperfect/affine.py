@@ -8,7 +8,8 @@ cols[a, j] = idx(column j of M_a).  A group automorphism T induces a
 permutation of the point labels via g_{perm(a)} = T(g_a); such permutations
 fix 0.
 
-Both premises are decided on a generating set S, at cost O(q**r |S| r**2).
+Both premises are decided on a generating set S, at cost O(q**r |S| r): each
+left multiplication b -> s + M_s b is a span table of M_s's r columns.
 If M_0 = I, every M_s is invertible, closure holds for every s in S and
 every b, and S reaches every point from 0, then every element is a product
 of generators and the table is a regular subgroup; a homomorphism law that
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hamming import MAX_POINTS, all_vectors, field_powers, json_power
+from .hamming import MAX_POINTS, field_powers, json_power, span_table
 from .linalg import DTYPE, DimensionMismatch, FieldContext, ParseError, is_invertible
 
 __all__ = [
@@ -95,10 +96,7 @@ def linear_perm(ctx: FieldContext, L) -> PermTable:
     mat = ctx.matrix(L)
     if not is_invertible(ctx, mat):
         raise ValueError("linear permutations need an invertible matrix")
-    r = mat.shape[0]
-    vecs = all_vectors(ctx.q, r)
-    images = (vecs @ mat.T % ctx.q) @ field_powers(ctx.q, r)
-    return PermTable(ctx, r, images)
+    return PermTable(ctx, len(mat), field_powers(ctx.q, len(mat)) @ span_table(ctx.q, mat))
 
 
 @dataclass(frozen=True)
@@ -230,6 +228,19 @@ def series_group(ctx: FieldContext, r: int, copies: int) -> RegularSubgroup:
     return G
 
 
+def _left_rows(G: RegularSubgroup, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """idx(M_s b) and idx(s + M_s b) for every point b, from the span table
+    of M_s's columns; column j of M_s is the vector with index cols[s, j]."""
+    q = G.ctx.q
+    powers = field_powers(q, G.r)
+    images = span_table(q, G.cols[s] // powers[:, None] % q)  # column b holds M_s b
+    # einsum widens the uint16 table in a small buffer; @ would cast all of it
+    linear = np.einsum("i,ij->j", powers, images)
+    images += (s // powers % q).astype(np.uint16)[:, None]
+    np.minimum(images, images - q, out=images)
+    return linear, np.einsum("i,ij->j", powers, images)
+
+
 def _generators(G: RegularSubgroup) -> tuple[list[int], list[np.ndarray], str]:
     """A generating set S of the table, each generator's left-multiplication
     row T_s[b] = idx(s + M_s b), and the first premise failure ("" if none).
@@ -237,9 +248,9 @@ def _generators(G: RegularSubgroup) -> tuple[list[int], list[np.ndarray], str]:
     Each candidate s is the first point that the orbit of 0 under the accepted
     rows misses.  It is accepted when M_s is invertible and closure
     M_{T_s[b]} = M_s M_b holds for every b, compared column by column as
-    point indices.  The orbit then grows by a frontier search.  While closure
-    holds the orbit is a subgroup, so each generator multiplies its size by at
-    least q and |S| <= r.
+    point indices.  The orbit then grows by a frontier search, one boolean
+    scatter per step.  While closure holds the orbit is a subgroup, so each
+    generator multiplies its size by at least q and |S| <= r.
     """
     q, r, size, cols = G.ctx.q, G.r, G.size, G.cols
     gens: list[int] = []
@@ -247,17 +258,14 @@ def _generators(G: RegularSubgroup) -> tuple[list[int], list[np.ndarray], str]:
     powers = field_powers(q, r)
     if not np.array_equal(cols[0], powers):
         return gens, rows, "matrix at index 0 is not the identity"
-    vecs = all_vectors(q, r)
     reached = np.zeros(size, dtype=bool)
     reached[0] = True
     while not reached.all():
         s = int(np.argmin(reached))
-        Ms_t = vecs[cols[s]]  # row j is column j of M_s
-        if not is_invertible(G.ctx, Ms_t):
+        if not is_invertible(G.ctx, cols[s] // powers[:, None] % q):
             return gens, rows, f"matrix at index {s} is singular"
-        images = vecs @ Ms_t % q  # row b holds M_s b
-        row = ((vecs[s] + images) % q) @ powers
-        bad = (cols[row] != (images @ powers)[cols]).any(axis=1)
+        linear, row = _left_rows(G, s)
+        bad = (cols[row] != linear[cols]).any(axis=1)
         if bad.any():
             return gens, rows, f"closure fails at a=index {s}, b=index {int(np.argmax(bad))}"
         gens.append(s)
@@ -265,8 +273,9 @@ def _generators(G: RegularSubgroup) -> tuple[list[int], list[np.ndarray], str]:
         table = np.stack(rows)
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            step = np.unique(table[:, frontier])
-            frontier = step[~reached[step]]
+            hit = np.zeros(size, dtype=bool)
+            hit[table[:, frontier]] = True
+            frontier = np.flatnonzero(hit & ~reached)
             reached[frontier] = True
     return gens, rows, ""
 
@@ -281,27 +290,20 @@ def verify_regular_subgroup(G: RegularSubgroup) -> CheckResult:
 
 
 def verify_automorphism(G: RegularSubgroup, perm: PermTable) -> CheckResult:
-    """Check that perm is induced by a group automorphism:
-    perm(s + M_s b) = perm(s) + M_{perm(s)} perm(b) for s in the generating
-    set and every b.  A law that holds on generators holds on the whole
-    group, so on a regular subgroup the verdict equals the one over all
-    pairs; on any other table only the generators accepted before the first
-    premise failure are tested."""
+    """Check that perm is induced by a group automorphism: with L_s the
+    left multiplication b -> s + M_s b, perm L_s = L_perm(s) perm for s in
+    the generating set, compared on every b as point indices.  A law that
+    holds on generators holds on the whole group, so on a regular subgroup
+    the verdict equals the one over all pairs; on any other table only the
+    generators accepted before the first premise failure are tested."""
     if G.ctx != perm.ctx or G.r != perm.r:
         raise DimensionMismatch("subgroup and permutation do not match")
-    q = G.ctx.q
     gens, rows, _ = G.generating_set
-    vecs = all_vectors(q, G.r)
-    powers = field_powers(q, G.r)
     timg = perm.images
-    tvecs = vecs[timg]  # row b holds perm(b) as a vector
     for s, row in zip(gens, rows):
-        ts = int(timg[s])
-        lhs = timg[row]
-        rhs = ((vecs[ts] + tvecs @ vecs[G.cols[ts]]) % q) @ powers
-        if not np.array_equal(lhs, rhs):
-            ib = int(np.flatnonzero(lhs != rhs)[0])
-            return CheckResult(False, f"automorphism law fails at a=index {s}, b=index {ib}")
+        bad = timg[row] != _left_rows(G, int(timg[s]))[1][timg]
+        if bad.any():
+            return CheckResult(False, f"automorphism law fails at a=index {s}, b=index {int(np.argmax(bad))}")
     return CheckResult(True)
 
 

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .affine import PermTable
-from .hamming import HammingPair, all_vectors, field_powers, json_power
+from .hamming import HammingPair, field_powers, json_power, span_table
 from .linalg import (
     DTYPE,
     DimensionMismatch,
@@ -41,7 +41,6 @@ __all__ = [
     "contains_rows",
     "distension",
     "distension_oracle",
-    "lex_messages",
     "permuted_check",
     "rank_basis",
     "rank_closed_form",
@@ -50,11 +49,6 @@ __all__ = [
 
 MAX_ENUMERATION = 1 << 28  # enumeration guard on the codeword count
 MAX_BLOCK_ROWS = 1 << 16  # largest block codeword_blocks yields
-
-
-def lex_messages(q: int, k: int) -> np.ndarray:
-    """All q**k message tuples as rows, in lexicographic order."""
-    return all_vectors(q, k)[:, ::-1]
 
 
 def _preimages(hp: HammingPair, perm: PermTable) -> np.ndarray:
@@ -94,17 +88,8 @@ def distension(hp: HammingPair, perm: PermTable) -> int:
     q, r = hp.q, hp.r
     # np.take keeps the gathered rows C-contiguous for the row updates
     residual = np.take(hp.h_columns, _preimages(hp, perm), axis=1)
-    unit = residual[:, field_powers(q, r)]
-    # steps[k, :, d] = d C[:, k]; C V grows one coordinate at a time, as
-    # index j + d q**k carries the column at j plus d C[:, k], so no
-    # full-width product is formed.  uint16 holds the sums below 2q, and
-    # x - q wraps above x exactly when x < q, so the minimum reduces mod q.
-    steps = (unit.T[:, :, None] * np.arange(q) % q).astype(np.uint16)
-    interpolant = np.zeros((r, 1), dtype=np.uint16)
-    for step in steps[..., None]:
-        interpolant = (interpolant[:, None, :] + step).reshape(r, -1)
-        np.minimum(interpolant, interpolant - q, out=interpolant)
-    residual -= interpolant
+    # C V has column b equal to C b: the span table of C's columns
+    residual -= span_table(q, residual[:, field_powers(q, r)])
     np.add(residual, q, out=residual, where=residual < 0)
     return len(_eliminate(residual, q, reduced=False))
 
@@ -245,8 +230,9 @@ def codeword_blocks(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Itera
 
 def _blocks(code: CodeHandle) -> Iterator[np.ndarray]:
     q = code.q
-    cwords = (lex_messages(q, code.hamming_basis.shape[0]) @ code.hamming_basis % q).astype(np.uint8)
-    dwords = (lex_messages(q, code.extended_basis.shape[0]) @ code.extended_basis % q).astype(np.uint8)
+    # reversed basis rows as columns: index order is lexicographic message order
+    cwords = span_table(q, code.hamming_basis[::-1].T).T.astype(np.uint8, order="C")
+    dwords = span_table(q, code.extended_basis[::-1].T).T.astype(np.uint8, order="C")
     reps = code.rep_table
     images = code.perm.images
     points = code.hp.points

@@ -29,10 +29,10 @@ from .linalg import DTYPE, FieldContext, nullspace_basis
 __all__ = [
     "MAX_POINTS",
     "HammingPair",
-    "all_vectors",
     "build_hamming_pair",
     "field_powers",
     "json_power",
+    "span_table",
     "stacked_parity",
 ]
 
@@ -72,16 +72,29 @@ def _point_table(q: int, r: int, top: int = 0) -> np.ndarray:
     return table
 
 
-def all_vectors(q: int, r: int) -> np.ndarray:
-    """All q**r vectors as rows, row i being the vector with index i: a
-    transposed view of the point table."""
-    return _point_table(q, r).T
+def span_table(q: int, columns) -> np.ndarray:
+    """For the r x k matrix M = columns, the uint16 r x q**k table whose column
+    idx(b) is M b mod q.  It grows one column of M at a time, as index
+    i + d q**j carries the entry at i plus d columns[:, j], so no full
+    product is formed.  The multiples are taken in int64; uint16 holds the
+    sums below 2q, and x - q wraps above x exactly when x < q, so the minimum
+    reduces mod q.  The guard on q**k is tested before any table exists."""
+    cols = np.asarray(columns, dtype=DTYPE)
+    if (size := json_power(q, cols.shape[1], MAX_POINTS)) is not None:
+        raise ValueError(f"q**k = {size} exceeds the materialization guard {MAX_POINTS}")
+    steps = (cols.T[:, :, None] * np.arange(q) % q).astype(np.uint16)  # [j, :, d] = d columns[:, j]
+    table = np.zeros((len(cols), 1), dtype=np.uint16)
+    for step in steps[..., None]:
+        table = (table[:, None, :] + step).reshape(len(cols), -1)
+        np.minimum(table, table - q, out=table)
+    return table
 
 
 @dataclass(frozen=True)
 class HammingPair:
     """The parity-check matrices for one level; h_columns views h_extended,
-    and h_hamming is h_columns at hamming_col_index."""
+    and h_hamming is h_columns at hamming_col_index.  The kernel bases are
+    np.uint8, so a product that reads them must keep an int64 operand."""
 
     ctx: FieldContext
     r: int
@@ -117,14 +130,14 @@ class HammingPair:
     @cached_property
     def hamming_basis(self) -> np.ndarray:
         """Kernel basis of h_hamming; read-only, as every code on the kit shares it."""
-        basis = nullspace_basis(self.ctx, self.h_hamming)
+        basis = nullspace_basis(self.ctx, self.h_hamming).astype(np.uint8)
         basis.setflags(write=False)
         return basis
 
     @cached_property
     def extended_basis(self) -> np.ndarray:
         """Kernel basis of h_extended; read-only, as every code on the kit shares it."""
-        basis = nullspace_basis(self.ctx, self.h_extended)
+        basis = nullspace_basis(self.ctx, self.h_extended).astype(np.uint8)
         basis.setflags(write=False)
         return basis
 

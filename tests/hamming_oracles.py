@@ -1,4 +1,6 @@
-"""Test-side helpers: point indexing, the exact codeword count, the
+"""Test-side helpers: point indexing, the tables of all points and of all
+messages in lexicographic order (built by division, not by the span table
+of qperfect.hamming), the exact codeword count, the
 permutation file writer, per-syndrome coset builders kept as oracles for
 the vectorised tables in qperfect.codes (canonical_coset_reps, and the
 extended leaders that codeword_blocks writes inline), the stacked-rank
@@ -14,7 +16,7 @@ import numpy as np
 
 from qperfect.affine import CheckResult, PermTable, RegularSubgroup
 from qperfect.codes import CodeHandle, permuted_check
-from qperfect.hamming import HammingPair, all_vectors, field_powers
+from qperfect.hamming import HammingPair, field_powers
 from qperfect.linalg import DTYPE, DimensionMismatch, _eliminate, is_invertible, nullspace_basis, rank
 
 
@@ -28,6 +30,16 @@ def index_to_vec(q: int, r: int, idx: int) -> np.ndarray:
     if not 0 <= idx < q**r:
         raise ValueError(f"index {idx} out of range for q={q}, r={r}")
     return (idx // field_powers(q, r)) % q
+
+
+def all_vectors(q: int, r: int) -> np.ndarray:
+    """All q**r vectors as rows, row i being the vector with index i."""
+    return np.arange(q**r, dtype=DTYPE)[:, None] // field_powers(q, r) % q
+
+
+def lex_messages(q: int, k: int) -> np.ndarray:
+    """All q**k message tuples as rows, in lexicographic order."""
+    return all_vectors(q, k)[:, ::-1]
 
 
 def codeword_count(code) -> int:

@@ -26,10 +26,11 @@ from qperfect.affine import (
     verify_regular_subgroup,
 )
 from qperfect.cli import main
-from qperfect.hamming import all_vectors, field_powers
+from qperfect.hamming import field_powers
 from qperfect.linalg import FieldContext, ParseError, is_invertible
 
 from hamming_oracles import (
+    all_vectors,
     block_product_cols,
     exhaustive_automorphism,
     exhaustive_regular_subgroup,
@@ -203,6 +204,8 @@ def test_linear_perm_frozen_swap():
     assert tau.images.tolist() == [0, 2, 1, 3]
     with pytest.raises(ValueError):
         linear_perm(FieldContext(3), [[1, 2], [2, 1]])  # singular
+    with pytest.raises(ValueError, match="materialization guard"):
+        linear_perm(FieldContext(2), np.eye(21, dtype=np.int64))
 
 
 def test_direct_product_blocks():

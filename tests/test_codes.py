@@ -23,7 +23,6 @@ from qperfect.codes import (
     contains_rows,
     distension,
     distension_oracle,
-    lex_messages,
     permuted_check,
     rank_basis,
     rank_closed_form,
@@ -38,6 +37,7 @@ from hamming_oracles import (
     index_to_vec,
     intersection_basis,
     kernel_completion,
+    lex_messages,
     stacked_distension,
     vec_to_index,
 )
@@ -303,7 +303,10 @@ def test_component_kernels_belong_to_the_kit(monkeypatch):
     hp = make(3, 2)
     assert np.array_equal(hp.hamming_basis, nullspace_basis(hp.ctx, hp.h_hamming))
     assert np.array_equal(hp.extended_basis, nullspace_basis(hp.ctx, hp.h_extended))
-    assert not hp.extended_basis.flags.writeable
+    for basis in (hp.hamming_basis, hp.extended_basis):
+        # one byte per symbol; readers keep an int64 operand in products
+        assert not basis.flags.writeable
+        assert basis.dtype == np.uint8 and (basis < hp.q).all()
     calls.clear()  # the kit is warm
 
     perms = [identity_perm(hp.ctx, 2), shear_swap_perm(hp.ctx)]

@@ -8,13 +8,20 @@ from hypothesis import given, settings, strategies as st
 
 from qperfect.hamming import (
     HammingPair,
-    all_vectors,
     build_hamming_pair,
+    span_table,
     stacked_parity,
 )
 from qperfect.linalg import DimensionMismatch, FieldContext, rank
 
-from hamming_oracles import extended_coset_leader, hamming_coset_rep, index_to_vec, vec_to_index
+from hamming_oracles import (
+    all_vectors,
+    extended_coset_leader,
+    hamming_coset_rep,
+    index_to_vec,
+    lex_messages,
+    vec_to_index,
+)
 
 SMALL = [(2, 2), (2, 3), (3, 2), (5, 2)]
 
@@ -92,6 +99,35 @@ def test_extended_matrix_shape_and_rank(q, r):
     assert rank(ctx, hp.h_hamming) == r
 
 
+# -- span tables ------------------------------------------------------------
+
+# (251, 4) is left out: 251**4 columns are past the materialization guard
+SPAN_CASES = [(q, k, rows) for q in (2, 3, 5, 7, 251) for k in (0, 1, 2, 4) for rows in (1, 3) if q**k <= 1 << 16]
+
+
+@pytest.mark.parametrize("q,k,rows", SPAN_CASES)
+def test_span_table_matches_message_product(q, k, rows):
+    # oracle: every message from itertools.product, little-endian (b_0 is
+    # the last tuple entry, so tuple order is index order), summed mod q
+    columns = np.random.default_rng(q * 100 + k * 10 + rows).integers(0, q, size=(rows, k))
+    want = np.array(
+        [[sum(b * int(c) for b, c in zip(msg[::-1], row)) % q for msg in product(range(q), repeat=k)] for row in columns]
+    ).reshape(rows, q**k)
+    got = span_table(q, columns)
+    assert got.dtype == np.uint16
+    assert got.shape == (rows, q**k) and (got < q).all()
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q,r", [(2, 2), (2, 3), (2, 4), (3, 2), (5, 1), (7, 1)])
+def test_span_table_of_reversed_basis_is_lexicographic(q, r):
+    # the codeword stream builds its message words this way
+    hp = build_hamming_pair(FieldContext(q), r)
+    for basis in (hp.hamming_basis, hp.extended_basis):
+        k = basis.shape[0]
+        assert np.array_equal(span_table(q, basis[::-1].T).T, lex_messages(q, k) @ basis % q)
+
+
 def test_stacked_parity_binary_all_columns():
     hp = build_hamming_pair(FieldContext(2), 2)
     stk = stacked_parity(hp)
@@ -157,6 +193,9 @@ def test_construction_guard():
         build_hamming_pair(FieldContext(2), 21)
     with pytest.raises(ValueError):
         build_hamming_pair(FieldContext(2), 0)
+    # a span table of 21 columns would have 2**21 of its own
+    with pytest.raises(ValueError, match="materialization guard"):
+        span_table(2, np.eye(21, dtype=np.int64))
 
 
 def test_rep_and_leader_reject_bad_lengths():
