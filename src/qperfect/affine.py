@@ -123,7 +123,7 @@ class RegularSubgroup:
         return self.cols.shape[0]
 
     @cached_property
-    def generating_set(self) -> tuple[list[int], list[np.ndarray], str]:
+    def generating_set(self) -> tuple[list[int], np.ndarray, str]:
         """_generators of the table, built once and read by both premise
         checks; the table is read-only, so it cannot go stale."""
         return _generators(self)
@@ -241,43 +241,44 @@ def _left_rows(G: RegularSubgroup, s: int) -> tuple[np.ndarray, np.ndarray]:
     return linear, np.einsum("i,ij->j", powers, images)
 
 
-def _generators(G: RegularSubgroup) -> tuple[list[int], list[np.ndarray], str]:
-    """A generating set S of the table, each generator's left-multiplication
-    row T_s[b] = idx(s + M_s b), and the first premise failure ("" if none).
+def _generators(G: RegularSubgroup) -> tuple[list[int], np.ndarray, str]:
+    """A generating set S, the (|S|, q**r) table of its left multiplications
+    T_s[b] = idx(s + M_s b), and the first premise failure ("" if none).
 
     Each candidate s is the first point that the orbit of 0 under the accepted
     rows misses.  It is accepted when M_s is invertible and closure
     M_{T_s[b]} = M_s M_b holds for every b, compared column by column as
     point indices.  The orbit then grows by a frontier search, one boolean
-    scatter per step.  While closure holds the orbit is a subgroup, so each
-    generator multiplies its size by at least q and |S| <= r.
+    scatter per step.  Closure on every b makes <S> act freely on the q**r
+    table elements, so its order is a power of q, and the orbit of 0 is <S>.
+    Each generator lies outside that orbit, so |S| <= r even at a failing
+    table, and the rows fill one preallocated r x q**r table.
     """
     q, r, size, cols = G.ctx.q, G.r, G.size, G.cols
     gens: list[int] = []
-    rows: list[np.ndarray] = []
+    table = np.empty((r, size), dtype=DTYPE)
     powers = field_powers(q, r)
     if not np.array_equal(cols[0], powers):
-        return gens, rows, "matrix at index 0 is not the identity"
+        return gens, table[:0], "matrix at index 0 is not the identity"
     reached = np.zeros(size, dtype=bool)
     reached[0] = True
     while not reached.all():
         s = int(np.argmin(reached))
         if not is_invertible(G.ctx, cols[s] // powers[:, None] % q):
-            return gens, rows, f"matrix at index {s} is singular"
+            return gens, table[: len(gens)], f"matrix at index {s} is singular"
         linear, row = _left_rows(G, s)
         bad = (cols[row] != linear[cols]).any(axis=1)
         if bad.any():
-            return gens, rows, f"closure fails at a=index {s}, b=index {int(np.argmax(bad))}"
+            return gens, table[: len(gens)], f"closure fails at a=index {s}, b=index {int(np.argmax(bad))}"
+        table[len(gens)] = row
         gens.append(s)
-        rows.append(row)
-        table = np.stack(rows)
         frontier = np.flatnonzero(reached)
         while frontier.size:
             hit = np.zeros(size, dtype=bool)
-            hit[table[:, frontier]] = True
+            hit[table[: len(gens), frontier]] = True
             frontier = np.flatnonzero(hit & ~reached)
             reached[frontier] = True
-    return gens, rows, ""
+    return gens, table[: len(gens)], ""
 
 
 def verify_regular_subgroup(G: RegularSubgroup) -> CheckResult:

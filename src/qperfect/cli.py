@@ -201,6 +201,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():  # the --max-* budgets
+            if name.startswith("max_") and value < 0:
+                raise UsageError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
         return args.func(args)
     except (UsageError, OSError, ValueError, MemoryError) as exc:  # ParseError is a ValueError
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

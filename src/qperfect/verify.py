@@ -37,7 +37,7 @@ from .codes import (
     rank_closed_form,
 )
 from .hamming import HammingPair, build_hamming_pair, json_power
-from .linalg import DTYPE, DimensionMismatch, FieldContext, _eliminate, nullspace_basis, rank
+from .linalg import DTYPE, DimensionMismatch, FieldContext, nullspace_basis, rank
 
 __all__ = [
     "CHECKS",
@@ -115,8 +115,8 @@ class VerifyRun:
     @cached_property
     def enumerated_rank(self) -> Optional[int]:
         """Rank of the enumerated code by streamed elimination, or None past
-        the enumeration budget.  Both rank checks read it, so a run streams
-        the code at most once."""
+        the enumeration budget.  Both rank checks read it, so they share one
+        stream of the code; perfect streams the code again on its own."""
         if json_power(self.code.q, self.code.length - self.code.r - 1, self.max_codewords) is not None:
             return None
         return rank_by_elimination(self.code.ctx, codeword_blocks(self.code, self.max_codewords))
@@ -239,64 +239,40 @@ def check_perfect(
 # -- rank oracles ---------------------------------------------------------
 
 
-def rank_by_elimination(ctx: FieldContext, words: Iterable, chunk: int = 4096) -> int:
+def rank_by_elimination(ctx: FieldContext, words: Iterable) -> int:
     """Rank of a streamed set of vectors (1-D items or 2-D blocks).
 
-    Rows accumulate in chunks.  Only a reduced echelon basis of the span
-    found so far is kept, with a parity check of that span: the (N - rank)
-    x N matrix check = nullspace_basis(basis), so memory stays at O(chunk x
-    length) regardless of the stream.  A row x is in the span iff check @ x
-    is 0 mod q, so one product finds the new rows of a chunk, and a chunk
-    inside the span costs nothing more.  Only the first N new rows are
-    eliminated into the basis; the check is then rebuilt and the rest are
-    tested again.  Each round adds a pivot, so a stream takes at most N
-    rounds in all.
+    Each item is folded into one parity check of the span so far, the
+    (N - rank) x N matrix check, which starts as the identity: x is in the
+    span iff its syndrome check @ x is 0 mod q.  For new rows X with
+    syndromes S = check @ X.T, a check of the old span is some y @ check,
+    and it vanishes on X iff y @ S = 0; so check becomes
+    nullspace_basis(S.T) @ check mod q.  The first N new rows are folded
+    and the rest tested again; each fold drops a row of check, so a stream
+    takes at most N folds.  Both products run in float64, for BLAS, and are
+    exact: check is reduced mod q, so each has at most N terms below q**2,
+    and N * 250**2 < 2**53 for any row length below about 1.4e11.
 
-    Items are read by FieldContext.symbols: np.uint8 blocks, as
-    codeword_blocks yields, are read as they are, and other items are
-    reduced to int64.
+    Items are read by FieldContext.symbols, so codeword_blocks' uint8 blocks
+    are read in place; an item wider or narrower than the first raises
+    ValueError.
     """
-    q = ctx.q
-    basis: Optional[np.ndarray] = None
     check: Optional[np.ndarray] = None
-    buf: list[np.ndarray] = []
-    buffered = 0
-
-    def crunch() -> None:
-        nonlocal basis, check, buf, buffered
-        if not buf:
-            return
-        rows = np.vstack(buf)
-        buf = []
-        buffered = 0
-        N = rows.shape[1]
-        if basis is None:
-            basis = np.zeros((0, N), dtype=DTYPE)
-            check = np.eye(N)
-        while rows.shape[0] and check.shape[0]:
-            # The product runs in float64, which has a BLAS path that the
-            # integer types lack.  It is exact: each sum has N terms of at
-            # most (q-1)**2, and N * (q-1)**2 < 2**53 for any row length
-            # below 2**53 / 250**2 (about 1.4e11).  One syndrome per column
-            # keeps the test a reduction along contiguous rows.
-            syndromes = (check @ rows.astype(np.float64).T).astype(DTYPE)
-            rows = rows[(syndromes % q).any(axis=0)]
-            if not rows.shape[0]:
-                return
-            stack = np.vstack([basis, rows[:N]])
-            pivots = _eliminate(stack, q, reduced=True)
-            basis = stack[: len(pivots)]
-            check = nullspace_basis(ctx, basis).astype(np.float64)
-            rows = rows[N:]
-
     for item in words:
-        arr = ctx.symbols(np.atleast_2d(item))
-        buf.append(arr)
-        buffered += arr.shape[0]
-        if buffered >= chunk:
-            crunch()
-    crunch()
-    return 0 if basis is None else basis.shape[0]
+        rows = ctx.symbols(np.atleast_2d(item))
+        N = rows.shape[1]
+        check = np.eye(N) if check is None else check
+        if N != check.shape[1]:
+            raise ValueError(f"expected items of width {check.shape[1]}, got width {N}")
+        while rows.shape[0] and check.shape[0]:
+            # one syndrome per column, reduced in int64, which is faster; only
+            # the folded rows' syndromes are kept past the test
+            syndromes = (check @ rows.astype(np.float64).T).astype(DTYPE) % ctx.q
+            live = np.flatnonzero(syndromes.any(axis=0))
+            syndromes, rows = syndromes[:, live[:N]], rows[live[N:]]
+            if live.size:
+                check = nullspace_basis(ctx, syndromes.T) @ check % ctx.q
+    return 0 if check is None else check.shape[1] - check.shape[0]
 
 
 def check_rank_equivalence(run: VerifyRun) -> VerifyReport:

@@ -529,6 +529,13 @@ def test_series_needs_odd_characteristic(capsys):
         # a negative --i is the series' own range error, not an unknown builtin
         (["verify", "--q", "3", "--r", "4", "--tau", "builtin:series", "--i", "-1"],
          "copies must lie in [0, 2], got -1"),
+        # a negative budget is refused before any work, under the flag's name
+        (["verify", "--q", "2", "--r", "2", "--max-space-cells", "-1"], "--max-space-cells must be >= 0, got -1"),
+        (["verify", "--q", "2", "--r", "2", "--max-codewords", "-1"], "--max-codewords must be >= 0, got -1"),
+        (["verify", "--q", "2", "--r", "2", "--max-cert-codewords", "-5"],
+         "--max-cert-codewords must be >= 0, got -5"),
+        (["build", "--q", "2", "--r", "2", "--max-codewords", "-1", "--out", "/tmp/x"],
+         "--max-codewords must be >= 0, got -1"),
     ],
 )
 def test_usage_errors_exit_two(tmp_path, capsys, argv, fragment):
@@ -539,6 +546,16 @@ def test_usage_errors_exit_two(tmp_path, capsys, argv, fragment):
     assert code == 2
     assert err.startswith("error:")
     assert fragment in err
+
+
+def test_zero_budgets_are_valid(capsys):
+    # 0 is the smallest budget: every budgeted check is skipped, none refused
+    argv = ["verify", "--q", "2", "--r", "2", "--max-space-cells", "0", "--max-codewords", "0",
+            "--max-cert-codewords", "0"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    budgets = [json.loads(line)["details"].get("budget") for line in out.splitlines()]
+    assert budgets == [0, 0, None, None, None, 0]
 
 
 def test_tau_file_mismatch_and_corruption(tmp_path, capsys):

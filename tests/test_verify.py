@@ -285,13 +285,12 @@ def test_rank_by_elimination_accepts_rows_and_blocks():
     q=st.sampled_from([2, 3, 5]),
     rows=st.integers(0, 12),
     cols=st.integers(1, 8),
-    chunk=st.sampled_from([1, 2, 3, 4096]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_rank_by_elimination_matches_dense_rank(q, rows, cols, chunk, seed):
+def test_rank_by_elimination_matches_dense_rank(q, rows, cols, seed):
     ctx = FieldContext(q)
     mat = np.random.default_rng(seed).integers(0, q, size=(rows, cols))
-    assert rank_by_elimination(ctx, list(mat), chunk=chunk) == rank(ctx, mat)
+    assert rank_by_elimination(ctx, list(mat)) == rank(ctx, mat)
 
 
 def low_rank_stream(rng, q, rows, cols, generators):
@@ -306,48 +305,68 @@ def low_rank_stream(rng, q, rows, cols, generators):
     return items, mat
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 4096])
+# the seeds' offsets are the chunk sizes the streamed rank once took, so
+# every stream drawn then is drawn still
+@pytest.mark.parametrize("offset", [1, 3, 4096])
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 251])
-def test_rank_by_elimination_matches_rank_on_seeded_streams(q, chunk):
+def test_rank_by_elimination_matches_rank_on_seeded_streams(q, offset):
     ctx = FieldContext(q)
-    rng = np.random.default_rng(1000 * q + chunk)
+    rng = np.random.default_rng(1000 * q + offset)
     for rows, cols, generators in [(40, 9, 4), (60, 12, 12), (25, 6, 1), (9, 5, 9)]:
         items, mat = low_rank_stream(rng, q, rows, cols, generators)
-        assert rank_by_elimination(ctx, items, chunk=chunk) == rank(ctx, mat)
-        assert rank_by_elimination(ctx, list(mat), chunk=chunk) == rank(ctx, mat)
+        assert rank_by_elimination(ctx, items) == rank(ctx, mat)
+        assert rank_by_elimination(ctx, list(mat)) == rank(ctx, mat)
         # the same rows as uint8 blocks, the form codeword_blocks yields
         blocks = [part.astype(np.uint8) for part in np.array_split(mat, 3)]
-        assert rank_by_elimination(ctx, blocks, chunk=chunk) == rank(ctx, mat)
+        assert rank_by_elimination(ctx, blocks) == rank(ctx, mat)
     # one block whose first N = 9 rows are nonzero multiples of one row, so
     # the first round finds rank 1 and the rows after them are tested again
     line = np.concatenate([[1], rng.integers(0, q, size=8)])
     head = rng.integers(1, q, size=(9, 1)) * line % q
     block = np.vstack([head, rng.integers(0, q, size=(20, 9))]).astype(np.uint8)
-    assert rank_by_elimination(ctx, [block], chunk=chunk) == rank(ctx, block)
+    assert rank_by_elimination(ctx, [block]) == rank(ctx, block)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 4096])
-def test_rank_by_elimination_edge_streams(chunk):
+def test_rank_by_elimination_edge_streams():
     ctx = FieldContext(5)
-    assert rank_by_elimination(ctx, iter([]), chunk=chunk) == 0
-    assert rank_by_elimination(ctx, [np.zeros(6, dtype=DTYPE)] * 10, chunk=chunk) == 0
-    assert rank_by_elimination(ctx, [np.zeros((4, 6), dtype=DTYPE)], chunk=chunk) == 0
+    assert rank_by_elimination(ctx, iter([])) == 0
+    assert rank_by_elimination(ctx, [np.zeros(6, dtype=DTYPE)] * 10) == 0
+    assert rank_by_elimination(ctx, [np.zeros((4, 6), dtype=DTYPE)]) == 0
     # entries outside [0, q) are reduced first
-    assert rank_by_elimination(ctx, [[5, -5, 10], [1, 0, 0]], chunk=chunk) == 1
+    assert rank_by_elimination(ctx, [[5, -5, 10], [1, 0, 0]]) == 1
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 8])
-def test_rank_by_elimination_rank_grows_in_a_late_chunk(chunk):
-    # after 20 rows in the span of two vectors, the basis is non-empty and
-    # every chunk reduces to zero, until the last row adds a third direction
+@pytest.mark.parametrize("rows_per_item", [1, 3, 8])
+def test_rank_by_elimination_rank_grows_in_a_late_chunk(rows_per_item):
+    # 20 rows in the span of two vectors, streamed as items of 1, 3 or 8
+    # rows: once both directions are folded every item lies in the span,
+    # until the last row adds a third direction
     ctx = FieldContext(3)
     rng = np.random.default_rng(7)
     span = np.array([[1, 2, 0, 0, 1], [0, 1, 1, 0, 2]])
     early = rng.integers(0, 3, size=(20, 2)) @ span % 3
     late = np.array([0, 0, 0, 1, 0])
-    items = list(early) + [late]
-    assert rank_by_elimination(ctx, items, chunk=chunk) == 3
-    assert rank_by_elimination(ctx, items[:-1], chunk=chunk) == 2
+    items = [early[s : s + rows_per_item] for s in range(0, 20, rows_per_item)] + [late]
+    assert rank_by_elimination(ctx, items) == 3
+    assert rank_by_elimination(ctx, items[:-1]) == 2
+
+
+def test_rank_by_elimination_reduces_the_check_at_a_large_field():
+    # 200 single rows in the span of 20 dense directions at q = 251: every
+    # fold multiplies two matrices of symbols, and an unreduced check would
+    # grow past the exact float64 range within a few folds
+    q, N = 251, 30
+    ctx = FieldContext(q)
+    rng = np.random.default_rng(251)
+    gens = rng.integers(0, q, size=(20, N))
+    mat = rng.integers(0, q, size=(200, 20)) @ gens % q
+    assert rank_by_elimination(ctx, list(mat)) == rank(ctx, mat)
+
+
+def test_rank_by_elimination_refuses_a_change_of_width():
+    ctx = FieldContext(3)
+    with pytest.raises(ValueError, match="width"):
+        rank_by_elimination(ctx, [np.ones((2, 5), dtype=np.uint8), np.ones((2, 6), dtype=np.uint8)])
 
 
 # -- rank basis audit --------------------------------------------------------
