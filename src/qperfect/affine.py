@@ -267,7 +267,10 @@ def _generators(G: RegularSubgroup) -> tuple[list[int], np.ndarray, str]:
         if not is_invertible(G.ctx, cols[s] // powers[:, None] % q):
             return gens, table[: len(gens)], f"matrix at index {s} is singular"
         linear, row = _left_rows(G, s)
-        bad = (cols[row] != linear[cols]).any(axis=1)
+        # one column at a time, so each comparison gathers q**r entries, not q**r x r
+        bad = np.zeros(size, dtype=bool)
+        for j in range(r):
+            bad |= cols[row, j] != linear[cols[:, j]]
         if bad.any():
             return gens, table[: len(gens)], f"closure fails at a=index {s}, b=index {int(np.argmax(bad))}"
         table[len(gens)] = row

@@ -37,10 +37,12 @@ __all__ = [
     "build_code",
     "canonical_coset_reps",
     "codeword_blocks",
+    "codeword_pairs",
     "contains",
     "contains_rows",
     "distension",
     "distension_oracle",
+    "pair_tiles",
     "permuted_check",
     "rank_basis",
     "rank_closed_form",
@@ -208,27 +210,24 @@ def contains(code: CodeHandle, z) -> bool:
     return bool(contains_rows(code, code.ctx.vector(z)[None, :])[0])
 
 
-def codeword_blocks(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Iterator[np.ndarray]:
-    """The code as 2-D np.uint8 blocks of at most MAX_BLOCK_ROWS rows, coset
-    label a by coset label (in index order).
+def codeword_pairs(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The code as one np.uint8 pair (left, right) per coset label a, in
+    index order: left holds the Hamming coset rows reps[a] + cwords and
+    right the extended coset rows y_a + dwords, each in lexicographic
+    message order.  The label's codewords are every left_i | right_j, so a
+    pair holds len(left) + len(right) rows for len(left) * len(right) words.
 
-    Every entry lies in 0..q-1, and q <= 251, so a symbol takes one byte: a
-    block holds one eighth of the bytes of the same rows in int64.  Readers
-    that form products or sums widen the block themselves.
-
-    Within a label the Hamming-component message is the outer loop and the
-    extended-component message the inner one, each lexicographic, so the
-    overall row order is reproducible.  A label with more rows than the cap
-    is split along that order.  The enumeration guard is tested when the
-    call is made, so an over-budget code raises before any block exists.
+    Every entry lies in 0..q-1, and q <= 251, so a symbol takes one byte.
+    The enumeration guard is tested when the call is made, so an over-budget
+    code raises before any pair exists.
     """
     count = json_power(code.q, code.length - code.r - 1, max_words)
     if count is not None:
         raise ValueError(f"codeword count {count} exceeds the enumeration guard {max_words}")
-    return _blocks(code)
+    return _pairs(code)
 
 
-def _blocks(code: CodeHandle) -> Iterator[np.ndarray]:
+def _pairs(code: CodeHandle) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     q = code.q
     # reversed basis rows as columns: index order is lexicographic message order
     cwords = span_table(q, code.hamming_basis[::-1].T).T.astype(np.uint8, order="C")
@@ -236,26 +235,55 @@ def _blocks(code: CodeHandle) -> Iterator[np.ndarray]:
     reps = code.rep_table
     images = code.perm.images
     points = code.hp.points
-    # Blocks take `outer` Hamming messages with every extended one, or,
-    # when the extended ones alone exceed the cap, one Hamming message with
-    # `span` of them.
-    outer = max(1, MAX_BLOCK_ROWS // len(dwords))
-    span = min(len(dwords), MAX_BLOCK_ROWS)
     for a_idx in range(points):
         ya = np.zeros(points, dtype=np.uint8)
         ta = int(images[a_idx])
         if ta != 0:
             ya[0] = 1
             ya[ta] = q - 1
-        # Two symbols sum below 2q <= 502, so the sums are formed in uint16,
-        # where no casting rule lets them wrap, and narrowed once reduced.
-        left = (np.add(reps[a_idx], cwords, dtype=np.uint16) % q).astype(np.uint8)
-        right = (np.add(ya, dwords, dtype=np.uint16) % q).astype(np.uint8)
-        for i in range(0, len(left), outer):
-            part = left[i : i + outer]
-            for j in range(0, len(right), span):
-                piece = right[j : j + span]
-                yield np.hstack([np.repeat(part, len(piece), axis=0), np.tile(piece, (len(part), 1))])
+        yield _coset(cwords, reps[a_idx], q), _coset(dwords, ya, q)
+
+
+def _coset(words: np.ndarray, leader: np.ndarray, q: int) -> np.ndarray:
+    """leader + words mod q; only the leader's nonzero columns change, and a
+    leader has at most two."""
+    coset = words.copy()
+    cols = np.flatnonzero(leader)
+    # Two symbols sum below 2q <= 502, so the sums are formed in uint16,
+    # where no casting rule lets them wrap, and narrowed once reduced.
+    coset[:, cols] = np.add(words[:, cols], leader[cols], dtype=np.uint16) % q
+    return coset
+
+
+def pair_tiles(left_rows: int, right_rows: int, cells: int) -> Iterator[tuple[slice, slice]]:
+    """Slices (of left, of right) whose products cover the left_rows x
+    right_rows words of a pair in row order, at most cells words each: a
+    tile takes whole runs of right rows for as many left rows as fit, or,
+    when one run alone exceeds cells, one left row with cells of them."""
+    span = max(1, min(right_rows, cells))
+    outer = max(1, cells // span)
+    for i in range(0, left_rows, outer):
+        for j in range(0, right_rows, span):
+            yield slice(i, i + outer), slice(j, j + span)
+
+
+def codeword_blocks(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Iterator[np.ndarray]:
+    """The code as 2-D np.uint8 blocks of at most MAX_BLOCK_ROWS rows: the
+    words of codeword_pairs, expanded in the same order.
+
+    Within a label the Hamming-component message is the outer loop and the
+    extended-component message the inner one, so the overall row order is
+    reproducible.  A label with more rows than the cap is split along that
+    order.  The guard is codeword_pairs', tested when the call is made.
+    """
+    return _blocks(codeword_pairs(code, max_words))
+
+
+def _blocks(pairs: Iterator[tuple[np.ndarray, np.ndarray]]) -> Iterator[np.ndarray]:
+    for left, right in pairs:
+        for i, j in pair_tiles(len(left), len(right), MAX_BLOCK_ROWS):
+            part, piece = left[i], right[j]
+            yield np.hstack([np.repeat(part, len(piece), axis=0), np.tile(piece, (len(part), 1))])
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DTYPE, FieldContext, nullspace_basis
+from .linalg import DTYPE, FieldContext, _kernel_rows
 
 __all__ = [
     "MAX_POINTS",
@@ -94,7 +94,8 @@ def span_table(q: int, columns) -> np.ndarray:
 class HammingPair:
     """The parity-check matrices for one level; h_columns views h_extended,
     and h_hamming is h_columns at hamming_col_index.  The kernel bases are
-    np.uint8, so a product that reads them must keep an int64 operand."""
+    nullspace_basis's rows built directly as np.uint8, so a product that
+    reads them must keep an int64 operand."""
 
     ctx: FieldContext
     r: int
@@ -130,14 +131,14 @@ class HammingPair:
     @cached_property
     def hamming_basis(self) -> np.ndarray:
         """Kernel basis of h_hamming; read-only, as every code on the kit shares it."""
-        basis = nullspace_basis(self.ctx, self.h_hamming).astype(np.uint8)
+        basis = _kernel_rows(self.ctx, self.h_hamming, np.uint8)
         basis.setflags(write=False)
         return basis
 
     @cached_property
     def extended_basis(self) -> np.ndarray:
         """Kernel basis of h_extended; read-only, as every code on the kit shares it."""
-        basis = nullspace_basis(self.ctx, self.h_extended).astype(np.uint8)
+        basis = _kernel_rows(self.ctx, self.h_extended, np.uint8)
         basis.setflags(write=False)
         return basis
 

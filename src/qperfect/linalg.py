@@ -210,12 +210,19 @@ def nullspace_basis(ctx: FieldContext, m) -> np.ndarray:
     Rows are ordered by free column index; row k has a 1 at its free column
     and zeros at every other free column, so the ordering is reproducible.
     """
+    return _kernel_rows(ctx, m, DTYPE)
+
+
+def _kernel_rows(ctx: FieldContext, m, dtype) -> np.ndarray:
+    """nullspace_basis built directly in dtype: the identity on the free
+    columns and (-red[:, free]).T mod q on the pivots, so a uint8 basis
+    has no int64 copy."""
     red, pivots = rref(ctx, m)
     n = red.shape[1]
     is_free = np.ones(n, dtype=bool)
     is_free[list(pivots)] = False
     free = is_free.nonzero()[0]
-    basis = np.zeros((free.size, n), dtype=DTYPE)
+    basis = np.zeros((free.size, n), dtype=dtype)
     basis[np.arange(free.size), free] = 1
     basis[:, list(pivots)] = (-red[: len(pivots), free].T) % ctx.q
     return basis

@@ -28,11 +28,14 @@ from .affine import (
     verify_regular_subgroup,
 )
 from .codes import (
+    MAX_BLOCK_ROWS,
     MAX_ENUMERATION,
     CodeHandle,
     codeword_blocks,
+    codeword_pairs,
     contains_rows,
     distension,
+    pair_tiles,
     rank_basis,
     rank_closed_form,
 )
@@ -65,7 +68,8 @@ MAX_CERT_CODE = 1 << 12  # largest code a certificate check will enumerate
 MAX_FULL_TRIPLES = 1 << 24  # closure is checked on all triples below this
 VERIFY_GUARD = 1 << 14  # group premise checks stop at q**r of this size
 COUNT_SLICE = 1 << 20  # occupancy cells compared per step when counting overlaps
-LINE_CHUNK = 1 << 14  # word encodings turned into line ids per covering step
+LINE_CHUNK = 1 << 14  # words whose encodings or line ids one covering step forms
+MARK_STEP = 16  # covering axes with a step q**k below this are marked word by word
 CERT_CHUNK = 1 << 15  # image encodings held at once by the code-stability law
 CLOSURE_SLICE = 1024  # closure triples evaluated per batched step
 
@@ -119,79 +123,112 @@ class VerifyRun:
         stream of the code; perfect streams the code again on its own."""
         if json_power(self.code.q, self.code.length - self.code.r - 1, self.max_codewords) is not None:
             return None
-        return rank_by_elimination(self.code.ctx, codeword_blocks(self.code, self.max_codewords))
+        return rank_by_elimination(self.code.ctx, codeword_pairs(self.code, self.max_codewords))
 
 
 # -- perfection by exhaustive covering -----------------------------------
 
+# The width-0 right side of a plain block: each row is one word.
+_NO_COLUMNS = np.zeros((1, 0), dtype=np.uint8)
+_NO_COLUMNS.setflags(write=False)
 
-def _ball_counts(q: int, N: int, blocks: Iterable[np.ndarray]) -> tuple[int, np.ndarray]:
-    """The rows streamed and the uint8 occupancy of covering_occupancy; its
+
+def _pair(item) -> tuple:
+    """A streamed item as a pair (left, right), whose words are every
+    left_i | right_j: a tuple as it is, anything else as (item, one row of
+    width 0), so a plain block's words are its rows."""
+    return item if isinstance(item, tuple) else (item, _NO_COLUMNS)
+
+
+def _scatter(table: np.ndarray, left: np.ndarray, right: np.ndarray, value: np.uint8) -> None:
+    """Add value at every left_i + right_j, formed LINE_CHUNK sums at a time."""
+    for i, j in pair_tiles(len(left), len(right), LINE_CHUNK):
+        np.add.at(table, (left[i, None] + right[j]).ravel(), value)
+
+
+def _ball_counts(q: int, N: int, items: Iterable) -> tuple[int, np.ndarray]:
+    """The words streamed and the uint8 occupancy of covering_occupancy; its
     scratch tables are freed on return, before the caller counts."""
     cells = q**N
-    width = np.int32 if cells < 1 << 31 else np.int64
-    powers = q ** np.arange(N, dtype=width)
-    rows = 0
-    encodings = []
-    for block in blocks:
-        if np.ndim(block) != 2 or block.shape[1] != N:
-            raise ValueError(f"expected blocks of width {N}, got shape {np.shape(block)}")
-        if block.size and (block.min() < 0 or block.max() >= q):
-            raise ValueError(f"block entries must lie in 0..{q - 1}")
-        rows += block.shape[0]
-        encodings.append(block @ powers)
-    chunks = [enc[s : s + LINE_CHUNK] for enc in encodings for s in range(0, enc.size, LINE_CHUNK)]
     occ = np.zeros(cells, dtype=np.uint8)
-    table = np.empty(cells // q, dtype=np.uint8)
-    lines = np.empty(LINE_CHUNK, dtype=np.intp)
-    low = np.empty(LINE_CHUNK, dtype=np.intp)
+    powers = q ** np.arange(N, dtype=np.int32 if cells < 1 << 31 else np.int64)
+    marked = [k for k in range(N) if q**k < MARK_STEP]
     # A Python int operand sends np.add.at down its casting slow path,
     # over 10x slower per index than an operand of the array's dtype.
     one = np.uint8(1)
-    for k in range(N):
-        step = q**k
+    rows = 0
+    sides = []  # per pair: the encodings of its left rows, and of its right rows shifted past them
+    for item in items:
+        left, right = (np.asarray(side) for side in _pair(item))
+        if left.ndim != 2 or right.ndim != 2 or left.shape[1] + right.shape[1] != N:
+            raise ValueError(f"expected blocks of width {N}, got shapes {left.shape} and {right.shape}")
+        if any(side.size and (side.min() < 0 or side.max() >= q) for side in (left, right)):
+            raise ValueError(f"block entries must lie in 0..{q - 1}")
+        rows += len(left) * len(right)
+        if not (len(left) and len(right)):
+            continue
+        n = left.shape[1]
+        enc_left, enc_right = left @ powers[:n], right @ powers[n:]
+        sides.append((enc_left, enc_right))
+        # a marked axis k gets the pair's q - 1 neighbour marks per word
+        for k in marked:
+            step = powers[k]
+            inside, other = (enc_left, enc_right) if k < n else (enc_right, enc_left)
+            digits = inside // step % q
+            for d in range(1, q):
+                _scatter(occ, inside + ((digits + d) % q - digits) * step, other, one)
+    table = np.empty(cells // q, dtype=np.uint8)
+    lined = range(len(marked), N)
+    for k in lined:
+        step = powers[k]
         table.fill(0)
-        for chunk in chunks:
-            # the id of the k-line through e: e without its digit k
-            line, rest = lines[: chunk.size], low[: chunk.size]
-            np.floor_divide(chunk, step * q, out=line)
-            np.multiply(line, step, out=line)
-            np.remainder(chunk, step, out=rest)
-            line += rest
-            np.add.at(table, line, one)
+        # the id of the k-line through e, e without its digit k, is the sum
+        # of that id over the two sides: the side without coordinate k has
+        # digit 0 there
+        for enc_left, enc_right in sides:
+            left_ids, right_ids = (enc // (step * q) * step + enc % step for enc in (enc_left, enc_right))
+            _scatter(table, left_ids, right_ids, one)
         view = occ.reshape(-1, q, step)
         view += table.reshape(-1, 1, step)
-    repeats = np.uint8((N - 1) % 256)
-    for chunk in chunks:
-        np.subtract.at(occ, chunk, repeats)
+    # every lined axis counted each word at its own cell, which counts once
+    repeats = np.uint8((1 - len(lined)) % 256)
+    for enc_left, enc_right in sides:
+        _scatter(occ, enc_left, enc_right, repeats)
     return rows, occ
 
 
-def covering_occupancy(q: int, N: int, blocks: Iterable[np.ndarray]) -> tuple[int, int, int]:
+def covering_occupancy(q: int, N: int, items: Iterable) -> tuple[int, int, int]:
     """Count, for every cell of the q**N space, the streamed words within
     distance 1 of it; return (rows, overlapped_cells, uncovered_cells),
     rows being the number of words streamed.
 
-    The count goes by lines.  Let x(c) be the number of times cell c was
-    streamed as a word, and L_k(c) the sum of x over the q cells of the
-    coordinate-k line through c.  A word covers c iff it is c or differs
-    from c in exactly one coordinate k, and the k-line through c holds c
-    and its q-1 neighbours along k, so
+    Each item is a pair (left, right) of blocks, as codeword_pairs yields
+    them, whose words are every left_i | right_j; a plain block is read as
+    (block, one row of width 0).  So a word's encoding, and each of the ids
+    below, is a sum of one value per side, formed LINE_CHUNK words at a time,
+    and only the per-side encodings are kept.
 
-        occ(c) = sum_k L_k(c) - (N-1) x(c).
+    A word covers c iff it is c or differs from c in exactly one coordinate
+    k.  An axis k whose step q**k is below MARK_STEP is marked word by word:
+    each word adds 1 at its q-1 neighbours along k, as its pair arrives.
+    The other axes count by lines.  Let x(c) be the number of times cell c
+    was streamed as a word, and L_k(c) the sum of x over the q cells of the
+    coordinate-k line through c: c and its q-1 neighbours along k.  So with
+    T line axes
 
-    The blocks are streamed once and only their encodings are kept.  Each
-    axis scatters the words' line ids into one q**(N-1) table and adds it
-    to occ broadcast along the axis; one scatter of the encodings then
-    takes off (N-1) x.  Every step is uint8 arithmetic, so occ(c) is the
-    true count mod 256, as it would be from one uint8 mark per word per
+        occ(c) = (marks at c) + sum_{line axes k} L_k(c) - (T-1) x(c).
+
+    Each line axis scatters the words' line ids into one q**(N-1) table and
+    adds it to occ broadcast along the axis; one scatter of the encodings
+    then takes off (T-1) x.  Every step is uint8 arithmetic, so occ(c) is
+    the true count mod 256, as it would be from one uint8 mark per word per
     ball cell; check_perfect's count of the rows sees a wrapped cell.
 
-    A block must be a matrix of width N with entries in 0..q-1
-    (ValueError otherwise): a symbol out of range would encode as some
-    other word.
+    Each side must be a matrix with entries in 0..q-1, and the two widths
+    must sum to N (ValueError otherwise): a symbol out of range would encode
+    as some other word.
     """
-    rows, occ = _ball_counts(q, N, blocks)
+    rows, occ = _ball_counts(q, N, items)
     cells = occ.size
     uncovered = cells - int(np.count_nonzero(occ))
     overlapped = sum(
@@ -219,7 +256,7 @@ def check_perfect(
     over = json_power(q, N, max_cells)
     if over is not None:
         return _skipped("perfect", params, "state budget exceeded", cells=over, budget=max_cells)
-    streamed, overlapped, uncovered = covering_occupancy(q, N, codeword_blocks(code))
+    streamed, overlapped, uncovered = covering_occupancy(q, N, codeword_pairs(code))
     ball = 1 + N * (q - 1)
     cells = q**N
     packing = streamed * ball == cells
@@ -240,38 +277,55 @@ def check_perfect(
 
 
 def rank_by_elimination(ctx: FieldContext, words: Iterable) -> int:
-    """Rank of a streamed set of vectors (1-D items or 2-D blocks).
+    """Rank of a streamed set of vectors: 1-D words, 2-D blocks, or pairs
+    (left, right) as codeword_pairs yields them, whose rows are every
+    left_i | right_j.  A word or block is read as (rows, one row of width 0).
 
-    Each item is folded into one parity check of the span so far, the
+    The stream is folded into one parity check of the span so far, the
     (N - rank) x N matrix check, which starts as the identity: x is in the
-    span iff its syndrome check @ x is 0 mod q.  For new rows X with
-    syndromes S = check @ X.T, a check of the old span is some y @ check,
-    and it vanishes on X iff y @ S = 0; so check becomes
-    nullspace_basis(S.T) @ check mod q.  The first N new rows are folded
-    and the rest tested again; each fold drops a row of check, so a stream
-    takes at most N folds.  Both products run in float64, for BLAS, and are
-    exact: check is reduced mod q, so each has at most N terms below q**2,
-    and N * 250**2 < 2**53 for any row length below about 1.4e11.
+    span iff its syndrome check @ x is 0 mod q.  A pair's rows have the
+    syndromes A[:, i] + B[:, j], with A = check[:, :n] @ left.T and
+    B = check[:, n:] @ right.T, so no row is formed: row (i, j) lies in the
+    span iff A[:, i] = -B[:, j].  For new rows with syndromes S, a check of
+    the old span is some y @ check, and it vanishes on them iff y @ S = 0;
+    so the fold is by Y = nullspace_basis(S.T), and maps check, A and B
+    alike.  The rows are tested MAX_BLOCK_ROWS at a time; the first N live
+    ones are folded and the rest tested again.  Each fold drops a row of
+    check, so a stream takes at most N folds.  The side products run in
+    float64, for BLAS, and are exact: check is reduced mod q, so each has at
+    most N terms below q**2, and N * 250**2 < 2**53 for any row length below
+    about 1.4e11.
 
-    Items are read by FieldContext.symbols, so codeword_blocks' uint8 blocks
+    Sides are read by FieldContext.symbols, so codeword_pairs' uint8 sides
     are read in place; an item wider or narrower than the first raises
     ValueError.
     """
+    q = ctx.q
     check: Optional[np.ndarray] = None
     for item in words:
-        rows = ctx.symbols(np.atleast_2d(item))
-        N = rows.shape[1]
+        left, right = _pair(item)
+        left, right = ctx.symbols(np.atleast_2d(left)), ctx.symbols(right)
+        n, N = left.shape[1], left.shape[1] + right.shape[1]
         check = np.eye(N) if check is None else check
         if N != check.shape[1]:
             raise ValueError(f"expected items of width {check.shape[1]}, got width {N}")
-        while rows.shape[0] and check.shape[0]:
-            # one syndrome per column, reduced in int64, which is faster; only
-            # the folded rows' syndromes are kept past the test
-            syndromes = (check @ rows.astype(np.float64).T).astype(DTYPE) % ctx.q
-            live = np.flatnonzero(syndromes.any(axis=0))
-            syndromes, rows = syndromes[:, live[:N]], rows[live[N:]]
-            if live.size:
-                check = nullspace_basis(ctx, syndromes.T) @ check % ctx.q
+        # float64 products, for BLAS, each reduced in int64, which is faster
+        A = (check[:, :n] @ left.T).astype(DTYPE)
+        minus_b = (-check[:, n:] @ right.T).astype(DTYPE)
+        A %= q
+        minus_b %= q
+        for i, j in pair_tiles(len(left), len(right), MAX_BLOCK_ROWS):
+            while check.shape[0]:
+                live = (A[:, i, None] != minus_b[:, None, j]).any(axis=0)
+                picks = np.flatnonzero(live)[:N]
+                if not picks.size:
+                    break
+                ii, jj = np.divmod(picks, live.shape[1])
+                syndromes = (A[:, i][:, ii] - minus_b[:, j][:, jj]) % q
+                fold = nullspace_basis(ctx, syndromes.T)
+                check, A, minus_b = (fold @ m for m in (check, A, minus_b))
+                for m in (check, A, minus_b):
+                    m %= q
     return 0 if check is None else check.shape[1] - check.shape[0]
 
 

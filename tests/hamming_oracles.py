@@ -3,7 +3,8 @@ messages in lexicographic order (built by division, not by the span table
 of qperfect.hamming), the exact codeword count, the
 permutation file writer, per-syndrome coset builders kept as oracles for
 the vectorised tables in qperfect.codes (canonical_coset_reps, and the
-extended leaders that codeword_blocks writes inline), the stacked-rank
+extended leaders that codeword_pairs writes inline), the words of a pair
+stream as plain blocks, the stacked-rank
 distension kept as the third route beside the two in qperfect.codes, the
 intersection with the permuted copy and the kernel route to the rank
 basis's completion kept as oracles for its pivot-column route, and the
@@ -46,6 +47,15 @@ def codeword_count(code) -> int:
     """q**(N - r - 1) as an exact integer; qperfect itself tests this size
     against its budgets with the bounded hamming.json_power."""
     return code.q ** (code.length - code.r - 1)
+
+
+def pair_words(pairs) -> list:
+    """The words of each pair (left, right), every left_i | right_j with
+    left the outer loop, as one plain block per pair."""
+    return [
+        np.hstack([np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))])
+        for left, right in pairs
+    ]
 
 
 def write_perm(path, perm: PermTable) -> None:

@@ -5,6 +5,7 @@ Every expected number is frozen here; time budgets are asserted.
 """
 
 import importlib.util
+import json
 import sys
 import time
 from collections import Counter
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qperfect import cli
 from qperfect.affine import (
     PermTable,
     RegularSubgroup,
@@ -417,6 +419,21 @@ def test_criterion_16_group_premises_at_scale():
             assert group.size > VERIFY_GUARD
             assert verify_regular_subgroup(group).ok
             assert verify_automorphism(group, tau).ok
+
+
+def test_criterion_17_streamed_rank_of_the_largest_default_enumeration(capsys):
+    # (2,4) is the largest instance the default --max-codewords enumerates:
+    # 2**26 codewords, read as 16 pairs of 2048 x 2048 rows.  The rank reads
+    # each row's syndrome as a sum of two per-side syndromes; with N-wide
+    # float64 rows it took about 10 s
+    argv = ["verify", "--q", "2", "--r", "4", "--checks", "rank_equivalence,basis_audit"]
+    with criterion("criterion 17, streamed rank of 2**26 codewords", 3.0):
+        assert cli.main(argv) == 0
+        reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [rep["check"] for rep in reports] == ["rank_equivalence", "basis_audit"]
+    assert all(rep["result"] == "pass" for rep in reports)
+    assert reports[0]["details"] == {"enumerated_rank": 26, "closed_form": 26}
+    assert reports[1]["details"]["enumerated_rank"] == 26
 
 
 def test_distension_survey_script(monkeypatch, capsys):

@@ -19,6 +19,7 @@ from qperfect.codes import (
     build_code,
     canonical_coset_reps,
     codeword_blocks,
+    codeword_pairs,
     contains,
     contains_rows,
     distension,
@@ -38,6 +39,7 @@ from hamming_oracles import (
     intersection_basis,
     kernel_completion,
     lex_messages,
+    pair_words,
     stacked_distension,
     vec_to_index,
 )
@@ -298,7 +300,8 @@ def test_component_kernels_belong_to_the_kit(monkeypatch):
     # the oracle still cuts that kernel once per permutation
     calls = []
     counted = lambda ctx, m: calls.append(m.shape) or nullspace_basis(ctx, m)
-    monkeypatch.setattr(hamming, "nullspace_basis", counted)
+    kernel_rows = hamming._kernel_rows
+    monkeypatch.setattr(hamming, "_kernel_rows", lambda ctx, m, dtype: calls.append(m.shape) or kernel_rows(ctx, m, dtype))
     monkeypatch.setattr(codes, "nullspace_basis", counted)
     hp = make(3, 2)
     assert np.array_equal(hp.hamming_basis, nullspace_basis(hp.ctx, hp.h_hamming))
@@ -307,6 +310,7 @@ def test_component_kernels_belong_to_the_kit(monkeypatch):
         # one byte per symbol; readers keep an int64 operand in products
         assert not basis.flags.writeable
         assert basis.dtype == np.uint8 and (basis < hp.q).all()
+    assert len(calls) == 2  # one kernel per component
     calls.clear()  # the kit is warm
 
     perms = [identity_perm(hp.ctx, 2), shear_swap_perm(hp.ctx)]
@@ -422,6 +426,8 @@ def test_enumeration_guard(tmp_path):
     code = build_code(hp, shear_swap_perm(hp.ctx))
     with pytest.raises(ValueError):
         codeword_blocks(code, max_words=100)
+    with pytest.raises(ValueError):
+        codeword_pairs(code, max_words=100)
     path = tmp_path / "words.txt"
     path.write_bytes(b"kept\n")
     with pytest.raises(ValueError):
@@ -442,6 +448,8 @@ def test_codeword_blocks_respect_the_row_cap(monkeypatch, cap):
     assert max(len(b) for b in capped) <= cap
     assert all(b.dtype == np.uint8 and (b < 3).all() for b in whole + capped)
     assert np.array_equal(np.vstack(capped), np.vstack(whole))
+    # the blocks are the pairs' words, left row by right row, label by label
+    assert np.array_equal(np.vstack(capped), np.vstack(pair_words(codeword_pairs(code))))
 
 
 # -- counts and rank -------------------------------------------------------

@@ -12,7 +12,7 @@ from qperfect.hamming import (
     span_table,
     stacked_parity,
 )
-from qperfect.linalg import DimensionMismatch, FieldContext, rank
+from qperfect.linalg import DimensionMismatch, FieldContext, nullspace_basis, rank
 
 from hamming_oracles import (
     all_vectors,
@@ -126,6 +126,15 @@ def test_span_table_of_reversed_basis_is_lexicographic(q, r):
     for basis in (hp.hamming_basis, hp.extended_basis):
         k = basis.shape[0]
         assert np.array_equal(span_table(q, basis[::-1].T).T, lex_messages(q, k) @ basis % q)
+
+
+@pytest.mark.parametrize("q,r", [(2, 1), (2, 5), (3, 2), (3, 4), (5, 2), (7, 2), (251, 1)])
+def test_kernel_bases_are_the_nullspace_rows_in_uint8(q, r):
+    # built straight in uint8, the rows and their order are nullspace_basis's
+    hp = build_hamming_pair(FieldContext(q), r)
+    for basis, check in ((hp.hamming_basis, hp.h_hamming), (hp.extended_basis, hp.h_extended)):
+        assert basis.dtype == np.uint8 and not basis.flags.writeable
+        assert np.array_equal(basis, nullspace_basis(hp.ctx, check))
 
 
 def test_stacked_parity_binary_all_columns():

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from qperfect import cli, verify
 from qperfect.affine import PermTable, identity_perm, series_perm, shear_swap_perm
-from qperfect.codes import build_code, codeword_blocks, rank_basis
+from qperfect.codes import build_code, codeword_blocks, codeword_pairs, rank_basis
 from qperfect.hamming import build_hamming_pair
 from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, rank
 from qperfect.verify import (
@@ -30,7 +30,7 @@ from qperfect.verify import (
     translation_certificate,
 )
 
-from hamming_oracles import codeword_count, intersection_basis
+from hamming_oracles import codeword_count, intersection_basis, pair_words
 
 
 def small_code(q, r):
@@ -145,13 +145,18 @@ COVERING_CODES = {
 
 
 @functools.lru_cache(maxsize=None)
-def covering_words(name):
+def covering_code(name):
     q, r, tau = COVERING_CODES[name]
     ctx = FieldContext(q)
-    code = build_code(build_hamming_pair(ctx, r), tau(ctx, r))
+    return build_code(build_hamming_pair(ctx, r), tau(ctx, r))
+
+
+@functools.lru_cache(maxsize=None)
+def covering_words(name):
+    code = covering_code(name)
     words = np.vstack(list(codeword_blocks(code)))
     words.setflags(write=False)
-    return q, code.length, words
+    return code.q, code.length, words
 
 
 def moved_stream(q, N, words):
@@ -208,6 +213,59 @@ def test_covering_occupancy_matches_mark_scatter(monkeypatch, name, stream):
         assert want == covering_counts_oracle(q, N, words)
 
 
+@pytest.mark.parametrize("name", COVERING_CODES)
+def test_covering_occupancy_reads_pairs_as_their_blocks(name):
+    code = covering_code(name)
+    q, N = code.q, code.length
+    want = covering_occupancy(q, N, codeword_blocks(code))
+    assert want == (codeword_count(code), 0, 0)
+    assert covering_occupancy(q, N, codeword_pairs(code)) == want
+
+
+def changed_right_row(q, pairs):
+    left, right = pairs[0]
+    right = right.copy()
+    right[0, 0] = (right[0, 0] + 1) % q
+    return [(left, right)] + pairs[1:]
+
+
+def repeated_pair(q, pairs):
+    # 256 extra copies of a pair's 2 x 3 words wrap their balls mod 256
+    left, right = pairs[0]
+    return pairs + [(left[:2], right[:3])] * 256
+
+
+def empty_side(q, pairs):
+    left, right = pairs[0]
+    return [(left[:0], right)] + pairs[1:]
+
+
+def width_zero_sides(q, pairs):
+    # the first label's words as one left side, the second's as one right side
+    first, second = pair_words(pairs[:2])
+    return [(first, np.zeros((1, 0), dtype=np.uint8)), (np.zeros((1, 0), dtype=np.uint8), second)] + pairs[2:]
+
+
+@pytest.mark.parametrize("stream", [changed_right_row, repeated_pair, empty_side, width_zero_sides], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name", COVERING_CODES)
+def test_covering_occupancy_on_mutated_pairs_matches_mark_scatter(monkeypatch, name, stream):
+    code = covering_code(name)
+    q, N = code.q, code.length
+    pairs = stream(q, list(codeword_pairs(code)))
+    want = mark_scatter_occupancy(q, N, pair_words(pairs))
+    # moving a label's words into one side keeps the code
+    assert (want == (codeword_count(code), 0, 0)) == (stream is width_zero_sides)
+    assert covering_occupancy(q, N, pairs) == want
+    # sums formed 7 (997 on the two large codes) at a time, so most tiles
+    # end inside a right side; then every axis on line tables, and every
+    # axis marked word by word
+    chunk = 7 if codeword_count(code) < 5000 else 997
+    for attr, value in [("LINE_CHUNK", chunk), ("MARK_STEP", 1), ("MARK_STEP", q**N)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, attr, value)
+            assert covering_occupancy(q, N, pairs) == want, (attr, value)
+
+
 @pytest.mark.parametrize(
     "block",
     [
@@ -249,9 +307,10 @@ def test_check_perfect_counts_the_streamed_rows(monkeypatch):
     # 256 extra copies of one word wrap every uint8 cell of its ball back to
     # 1, so the occupancy alone reads perfect; only the streamed count fails
     code = small_code(2, 2)
-    words = np.vstack(list(codeword_blocks(code)))
-    stream = [words, np.repeat(words[:1], 256, axis=0)]
-    monkeypatch.setattr(verify, "codeword_blocks", lambda c: iter(stream))
+    pairs = list(codeword_pairs(code))
+    left, right = pairs[0]
+    stream = pairs + [(np.repeat(left[:1], 256, axis=0), right[:1])]
+    monkeypatch.setattr(verify, "codeword_pairs", lambda c: iter(stream))
     assert covering_occupancy(2, 7, stream) == (16 + 256, 0, 0)
     rep = check_perfect(code)
     assert rep.result == "fail"
@@ -361,6 +420,37 @@ def test_rank_by_elimination_reduces_the_check_at_a_large_field():
     gens = rng.integers(0, q, size=(20, N))
     mat = rng.integers(0, q, size=(200, 20)) @ gens % q
     assert rank_by_elimination(ctx, list(mat)) == rank(ctx, mat)
+
+
+def random_pair_stream(rng, q, widths, generators):
+    """A stream of pairs whose sides are random combinations of a few random
+    rows, so that its rows fall short of full rank, and those rows.  One
+    pair has an empty side and one a side of width 0, and the stream ends
+    with a plain block and a plain word."""
+    gens = [rng.integers(0, q, size=(generators, width)) for width in widths]
+    whole = np.hstack(gens)
+
+    def combos(m, g):
+        return (rng.integers(0, q, size=(m, generators)) @ g % q).astype(np.uint8)
+
+    pairs = [(combos(m1, gens[0]), combos(m2, gens[1])) for m1, m2 in rng.integers(1, 8, size=(5, 2))]
+    pairs += [(combos(0, gens[0]), combos(3, gens[1])), (np.zeros((1, 0), dtype=np.uint8), combos(3, whole))]
+    block, word = combos(4, whole), combos(1, whole)[0]
+    return pairs + [block, word], np.vstack(pair_words(pairs) + [block, word[None]])
+
+
+@pytest.mark.parametrize("tile", [None, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_rank_by_elimination_reads_pairs_as_their_rows(monkeypatch, q, tile):
+    # the rows of a pair are tested `tile` at a time, so with 5 a fold
+    # happens inside a pair and its later rows are tested again
+    if tile is not None:
+        monkeypatch.setattr(verify, "MAX_BLOCK_ROWS", tile)
+    ctx = FieldContext(q)
+    rng = np.random.default_rng(q)
+    for widths, generators in [((4, 5), 2), ((6, 3), 4), ((1, 8), 3), ((5, 5), 9)]:
+        items, rows = random_pair_stream(rng, q, widths, generators)
+        assert rank_by_elimination(ctx, items) == rank(ctx, rows)
 
 
 def test_rank_by_elimination_refuses_a_change_of_width():
