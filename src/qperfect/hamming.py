@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DTYPE, FieldContext, _kernel_rows
+from .linalg import DTYPE, FieldContext, nullspace_basis
 
 __all__ = [
     "MAX_POINTS",
@@ -131,14 +131,14 @@ class HammingPair:
     @cached_property
     def hamming_basis(self) -> np.ndarray:
         """Kernel basis of h_hamming; read-only, as every code on the kit shares it."""
-        basis = _kernel_rows(self.ctx, self.h_hamming, np.uint8)
+        basis = nullspace_basis(self.ctx, self.h_hamming, np.uint8)
         basis.setflags(write=False)
         return basis
 
     @cached_property
     def extended_basis(self) -> np.ndarray:
         """Kernel basis of h_extended; read-only, as every code on the kit shares it."""
-        basis = _kernel_rows(self.ctx, self.h_extended, np.uint8)
+        basis = nullspace_basis(self.ctx, self.h_extended, np.uint8)
         basis.setflags(write=False)
         return basis
 

@@ -204,19 +204,15 @@ def rref(ctx: FieldContext, m) -> tuple[np.ndarray, tuple[int, ...]]:
     return work, tuple(pivots)
 
 
-def nullspace_basis(ctx: FieldContext, m) -> np.ndarray:
+def nullspace_basis(ctx: FieldContext, m, dtype=DTYPE) -> np.ndarray:
     """Basis of the right kernel of m, one row per free column.
 
     Rows are ordered by free column index; row k has a 1 at its free column
     and zeros at every other free column, so the ordering is reproducible.
+    The rows are built directly in dtype, the identity on the free columns
+    and (-red[:, free]).T mod q on the pivots, so a uint8 basis has no
+    int64 copy.
     """
-    return _kernel_rows(ctx, m, DTYPE)
-
-
-def _kernel_rows(ctx: FieldContext, m, dtype) -> np.ndarray:
-    """nullspace_basis built directly in dtype: the identity on the free
-    columns and (-red[:, free]).T mod q on the pivots, so a uint8 basis
-    has no int64 copy."""
     red, pivots = rref(ctx, m)
     n = red.shape[1]
     is_free = np.ones(n, dtype=bool)

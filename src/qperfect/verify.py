@@ -28,7 +28,6 @@ from .affine import (
     verify_regular_subgroup,
 )
 from .codes import (
-    MAX_BLOCK_ROWS,
     MAX_ENUMERATION,
     CodeHandle,
     codeword_blocks,
@@ -69,7 +68,7 @@ MAX_FULL_TRIPLES = 1 << 24  # closure is checked on all triples below this
 VERIFY_GUARD = 1 << 14  # group premise checks stop at q**r of this size
 COUNT_SLICE = 1 << 20  # occupancy cells compared per step when counting overlaps
 LINE_CHUNK = 1 << 14  # words whose encodings or line ids one covering step forms
-MARK_STEP = 16  # covering axes with a step q**k below this are marked word by word
+MARK_STEP = 16  # covering axes with a step q**k below this are marked word by word (8 to 32 time alike)
 CERT_CHUNK = 1 << 15  # image encodings held at once by the code-stability law
 CLOSURE_SLICE = 1024  # closure triples evaluated per batched step
 
@@ -136,8 +135,13 @@ _NO_COLUMNS.setflags(write=False)
 def _pair(item) -> tuple:
     """A streamed item as a pair (left, right), whose words are every
     left_i | right_j: a tuple as it is, anything else as (item, one row of
-    width 0), so a plain block's words are its rows."""
-    return item if isinstance(item, tuple) else (item, _NO_COLUMNS)
+    width 0), so a plain block's words are its rows.  A tuple is always a
+    pair, so a tuple of rows is refused here, not read as one block."""
+    if not isinstance(item, tuple):
+        return item, _NO_COLUMNS
+    if len(item) != 2 or any(np.ndim(side) != 2 for side in item):
+        raise ValueError("a tuple item must be a pair (left, right) of 2-D blocks")
+    return item
 
 
 def _scatter(table: np.ndarray, left: np.ndarray, right: np.ndarray, value: np.uint8) -> None:
@@ -276,56 +280,62 @@ def check_perfect(
 # -- rank oracles ---------------------------------------------------------
 
 
+def _spanning_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """len(left) + len(right) - 1 of a pair's words that span all of them,
+    as one float64 block: l_i | r_0 for every i, then l_0 | r_j for j >= 1
+    (no rows if a side is empty).  Every word is a sum of these,
+    l_i | r_j = (l_i | r_0) + (l_0 | r_j) - (l_0 | r_0)."""
+    (L, n), (R, m) = left.shape, right.shape
+    rows = np.empty((L + R - 1 if L and R else 0, n + m))
+    if len(rows):
+        rows[:L, :n], rows[:L, n:] = left, right[0]
+        rows[L:, :n], rows[L:, n:] = left[0], right[1:]
+    return rows
+
+
 def rank_by_elimination(ctx: FieldContext, words: Iterable) -> int:
     """Rank of a streamed set of vectors: 1-D words, 2-D blocks, or pairs
-    (left, right) as codeword_pairs yields them, whose rows are every
-    left_i | right_j.  A word or block is read as (rows, one row of width 0).
+    (left, right) as codeword_pairs yields them, whose words are every
+    left_i | right_j.  A tuple item is always read as a pair, and its two
+    sides must be 2-D blocks (ValueError otherwise); a word or block is read
+    as (rows, one row of width 0).  A pair is folded as _spanning_rows'
+    len(left) + len(right) - 1 rows, which span its words.
 
-    The stream is folded into one parity check of the span so far, the
+    Each item is folded into one parity check of the span so far, the
     (N - rank) x N matrix check, which starts as the identity: x is in the
-    span iff its syndrome check @ x is 0 mod q.  A pair's rows have the
-    syndromes A[:, i] + B[:, j], with A = check[:, :n] @ left.T and
-    B = check[:, n:] @ right.T, so no row is formed: row (i, j) lies in the
-    span iff A[:, i] = -B[:, j].  For new rows with syndromes S, a check of
-    the old span is some y @ check, and it vanishes on them iff y @ S = 0;
-    so the fold is by Y = nullspace_basis(S.T), and maps check, A and B
-    alike.  The rows are tested MAX_BLOCK_ROWS at a time; the first N live
-    ones are folded and the rest tested again.  Each fold drops a row of
-    check, so a stream takes at most N folds.  The side products run in
-    float64, for BLAS, and are exact: check is reduced mod q, so each has at
-    most N terms below q**2, and N * 250**2 < 2**53 for any row length below
-    about 1.4e11.
+    span iff its syndrome check @ x is 0 mod q.  For new rows X with
+    syndromes S = check @ X.T, a check of the old span is some y @ check,
+    and it vanishes on X iff y @ S = 0; so check becomes
+    nullspace_basis(S.T) @ check mod q.  The first N rows with a nonzero
+    syndrome are folded and the rows after them tested again; each fold
+    drops a row of check, so a stream takes at most N folds.  Both products
+    run in float64, for BLAS, and are exact: check is reduced mod q, so each
+    has at most N terms below q**2, and N * 250**2 < 2**53 for any row
+    length below about 1.4e11.
 
     Sides are read by FieldContext.symbols, so codeword_pairs' uint8 sides
     are read in place; an item wider or narrower than the first raises
     ValueError.
     """
-    q = ctx.q
     check: Optional[np.ndarray] = None
     for item in words:
         left, right = _pair(item)
         left, right = ctx.symbols(np.atleast_2d(left)), ctx.symbols(right)
-        n, N = left.shape[1], left.shape[1] + right.shape[1]
+        rows = _spanning_rows(left, right)
+        N = rows.shape[1]
         check = np.eye(N) if check is None else check
         if N != check.shape[1]:
             raise ValueError(f"expected items of width {check.shape[1]}, got width {N}")
-        # float64 products, for BLAS, each reduced in int64, which is faster
-        A = (check[:, :n] @ left.T).astype(DTYPE)
-        minus_b = (-check[:, n:] @ right.T).astype(DTYPE)
-        A %= q
-        minus_b %= q
-        for i, j in pair_tiles(len(left), len(right), MAX_BLOCK_ROWS):
-            while check.shape[0]:
-                live = (A[:, i, None] != minus_b[:, None, j]).any(axis=0)
-                picks = np.flatnonzero(live)[:N]
-                if not picks.size:
-                    break
-                ii, jj = np.divmod(picks, live.shape[1])
-                syndromes = (A[:, i][:, ii] - minus_b[:, j][:, jj]) % q
-                fold = nullspace_basis(ctx, syndromes.T)
-                check, A, minus_b = (fold @ m for m in (check, A, minus_b))
-                for m in (check, A, minus_b):
-                    m %= q
+        while len(rows) and len(check):
+            # one syndrome per row; s - q * floor(s / q) reduces these small
+            # float64 integers exactly, at a fraction of the cost of a %
+            syndromes = check @ rows.T
+            syndromes -= ctx.q * np.floor(syndromes / ctx.q)
+            live = np.flatnonzero(syndromes.any(axis=0))
+            if not live.size:
+                break
+            check = nullspace_basis(ctx, syndromes[:, live[:N]].T) @ check % ctx.q
+            rows = rows[live[N]:] if live.size > N else rows[:0]
     return 0 if check is None else check.shape[1] - check.shape[0]
 
 

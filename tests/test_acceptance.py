@@ -423,9 +423,9 @@ def test_criterion_16_group_premises_at_scale():
 
 def test_criterion_17_streamed_rank_of_the_largest_default_enumeration(capsys):
     # (2,4) is the largest instance the default --max-codewords enumerates:
-    # 2**26 codewords, read as 16 pairs of 2048 x 2048 rows.  The rank reads
-    # each row's syndrome as a sum of two per-side syndromes; with N-wide
-    # float64 rows it took about 10 s
+    # 2**26 codewords, read as 16 pairs of 2048 x 2048 rows.  The rank folds
+    # each pair as the 4095 of its words that span it; with every word as an
+    # N-wide float64 row it took about 10 s
     argv = ["verify", "--q", "2", "--r", "4", "--checks", "rank_equivalence,basis_audit"]
     with criterion("criterion 17, streamed rank of 2**26 codewords", 3.0):
         assert cli.main(argv) == 0

@@ -299,9 +299,8 @@ def test_component_kernels_belong_to_the_kit(monkeypatch):
     # the kit computes each kernel once; codes and the oracle read it, and
     # the oracle still cuts that kernel once per permutation
     calls = []
-    counted = lambda ctx, m: calls.append(m.shape) or nullspace_basis(ctx, m)
-    kernel_rows = hamming._kernel_rows
-    monkeypatch.setattr(hamming, "_kernel_rows", lambda ctx, m, dtype: calls.append(m.shape) or kernel_rows(ctx, m, dtype))
+    counted = lambda ctx, m, dtype=DTYPE: calls.append(m.shape) or nullspace_basis(ctx, m, dtype)
+    monkeypatch.setattr(hamming, "nullspace_basis", counted)
     monkeypatch.setattr(codes, "nullspace_basis", counted)
     hp = make(3, 2)
     assert np.array_equal(hp.hamming_basis, nullspace_basis(hp.ctx, hp.h_hamming))

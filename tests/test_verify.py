@@ -439,18 +439,27 @@ def random_pair_stream(rng, q, widths, generators):
     return pairs + [block, word], np.vstack(pair_words(pairs) + [block, word[None]])
 
 
-@pytest.mark.parametrize("tile", [None, 5])
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
-def test_rank_by_elimination_reads_pairs_as_their_rows(monkeypatch, q, tile):
-    # the rows of a pair are tested `tile` at a time, so with 5 a fold
-    # happens inside a pair and its later rows are tested again
-    if tile is not None:
-        monkeypatch.setattr(verify, "MAX_BLOCK_ROWS", tile)
+def test_rank_by_elimination_reads_pairs_as_their_rows(q):
     ctx = FieldContext(q)
     rng = np.random.default_rng(q)
     for widths, generators in [((4, 5), 2), ((6, 3), 4), ((1, 8), 3), ((5, 5), 9)]:
         items, rows = random_pair_stream(rng, q, widths, generators)
         assert rank_by_elimination(ctx, items) == rank(ctx, rows)
+        for left, right in items[:5]:
+            assert rank_by_elimination(ctx, [(left, right)]) == rank(ctx, pair_words([(left, right)])[0])
+
+
+def test_a_tuple_item_is_always_a_pair():
+    # a tuple of rows is refused, not read as one block or as mismatched sides
+    rows = (np.array([1, 0, 1], dtype=np.uint8), np.array([0, 1, 1], dtype=np.uint8))
+    block = np.vstack(rows)
+    assert rank_by_elimination(FieldContext(2), [block]) == 2
+    for stream in ([rows], [block, rows], [(block, block, block)]):
+        with pytest.raises(ValueError, match="pair"):
+            rank_by_elimination(FieldContext(2), stream)
+        with pytest.raises(ValueError, match="pair"):
+            covering_occupancy(2, 3, stream)
 
 
 def test_rank_by_elimination_refuses_a_change_of_width():
