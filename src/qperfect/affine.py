@@ -57,6 +57,16 @@ class CheckResult:
         return self.ok
 
 
+def _index_table(values, copy: bool) -> np.ndarray:
+    """values as a DTYPE table, refusing any entry whose value is not an
+    integer: the cast alone would truncate 1.7 to the valid index 1."""
+    raw = np.asarray(values)
+    table = raw.astype(DTYPE, copy=copy)
+    if raw.dtype.kind not in "iu" and (table != raw).any():
+        raise ValueError("index table entries must be integers")
+    return table
+
+
 @dataclass(frozen=True)
 class PermTable:
     """A permutation of the q**r point indices that fixes index 0."""
@@ -66,7 +76,7 @@ class PermTable:
     images: np.ndarray
 
     def __post_init__(self):
-        images = np.asarray(self.images, dtype=DTYPE)
+        images = _index_table(self.images, copy=False)
         object.__setattr__(self, "images", images)
         size = self.ctx.q**self.r
         if images.shape != (size,):
@@ -109,7 +119,7 @@ class RegularSubgroup:
     cols: np.ndarray
 
     def __post_init__(self):
-        cols = np.array(self.cols, dtype=DTYPE)
+        cols = _index_table(self.cols, copy=True)
         cols.setflags(write=False)
         object.__setattr__(self, "cols", cols)
         size = self.ctx.q**self.r
@@ -135,6 +145,16 @@ def translation_group(ctx: FieldContext, r: int) -> RegularSubgroup:
     return RegularSubgroup(ctx, r, np.broadcast_to(field_powers(ctx.q, r), (ctx.q**r, r)))
 
 
+def _shear_translations(ctx: FieldContext) -> np.ndarray:
+    """Entry (i, j) is the index (i + j(j-1)) mod q + q j of the translation
+    part of g^i h^j in shear_group, which refuses q < 3 (see there)."""
+    q = ctx.q
+    if q < 3:
+        raise ValueError("the shear subgroup needs q >= 3")
+    i, j = np.ogrid[:q, :q]
+    return (i + j * (j - 1)) % q + q * j
+
+
 def shear_group(ctx: FieldContext) -> RegularSubgroup:
     """A regular subgroup of the planar affine group not made of translations.
 
@@ -143,15 +163,11 @@ def shear_group(ctx: FieldContext) -> RegularSubgroup:
     Needs q >= 3: over GF(2) the shear has order 2q, not q.
     """
     q = ctx.q
-    if q < 3:
-        raise ValueError("the shear subgroup needs q >= 3")
-    ii = np.repeat(np.arange(q, dtype=DTYPE), q)
-    jj = np.tile(np.arange(q, dtype=DTYPE), q)
-    idx = ((ii + jj * (jj - 1)) % q) + q * jj
+    idx = _shear_translations(ctx)
     assert np.unique(idx).size == q * q  # translation parts cover the plane
     cols = np.empty((q * q, 2), dtype=DTYPE)
     cols[idx, 0] = 1  # e_0
-    cols[idx, 1] = (2 * jj) % q + q  # the column (2j, 1)
+    cols[idx, 1] = (2 * np.arange(q, dtype=DTYPE)) % q + q  # the column (2j, 1)
     return RegularSubgroup(ctx, 2, cols)
 
 
@@ -162,15 +178,9 @@ def shear_swap_perm(ctx: FieldContext) -> PermTable:
     isomorphic to Z_q x Z_q); on translation parts it sends
     (i + j(j-1), j) to (j + i(i-1), i).  It is an involution fixing 0.
     """
-    q = ctx.q
-    if q < 3:
-        raise ValueError("the shear subgroup needs q >= 3")
-    ii = np.repeat(np.arange(q, dtype=DTYPE), q)
-    jj = np.tile(np.arange(q, dtype=DTYPE), q)
-    src = ((ii + jj * (jj - 1)) % q) + q * jj
-    dst = ((jj + ii * (ii - 1)) % q) + q * ii
-    images = np.empty(q * q, dtype=DTYPE)
-    images[src] = dst
+    idx = _shear_translations(ctx)
+    images = np.empty(ctx.q**2, dtype=DTYPE)
+    images[idx] = idx.T
     return PermTable(ctx, 2, images)
 
 

@@ -82,17 +82,16 @@ def cmd_build(args) -> int:
     perm, _ = _resolve_perm(ctx, args.r, args.tau, args.i)
     code = build_code(hp, perm)
     os.makedirs(args.out, exist_ok=True)
-    k = code.length - code.r - 1
     summary = {
         "q": args.q,
         "r": args.r,
         "tau": args.tau,
         "length": code.length,
-        "codewords": json_power(ctx.q, k),
+        "codewords": json_power(ctx.q, code.log_size),
         "distension": code.distension,
         "rank": rank_closed_form(code),
     }
-    if ctx.q <= 9 and json_power(ctx.q, k, args.max_codewords) is None:
+    if ctx.q <= 9 and json_power(ctx.q, code.log_size, args.max_codewords) is None:
         path = os.path.join(args.out, "codewords.txt")
         write_codewords(path, code, args.tau, max_words=args.max_codewords)
         summary["codewords_file"] = "codewords.txt"

@@ -30,7 +30,7 @@ from .linalg import (
 )
 
 __all__ = [
-    "MAX_BLOCK_ROWS",
+    "BATCH",
     "MAX_ENUMERATION",
     "CodeHandle",
     "RankBasis",
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 MAX_ENUMERATION = 1 << 28  # enumeration guard on the codeword count
-MAX_BLOCK_ROWS = 1 << 16  # largest block codeword_blocks yields
+BATCH = 1 << 15  # step of every batched loop, read at call time: words per block or tile, entries per step
 
 
 def _preimages(hp: HammingPair, perm: PermTable) -> np.ndarray:
@@ -151,6 +151,11 @@ class CodeHandle:
         """N = n + q**r = (q**(r+1) - 1)//(q - 1)."""
         return self.hp.n + self.hp.points
 
+    @property
+    def log_size(self) -> int:
+        """N - r - 1: the code has q**log_size words."""
+        return self.length - self.r - 1
+
     @cached_property
     def rep_table(self) -> np.ndarray:
         return canonical_coset_reps(self.hp)
@@ -180,7 +185,7 @@ def build_code(hp: HammingPair, perm: PermTable) -> CodeHandle:
 
 def rank_closed_form(code: CodeHandle) -> int:
     """N - r - 1 + distension; the desk formula for the code's rank."""
-    return code.length - code.r - 1 + code.distension
+    return code.log_size + code.distension
 
 
 def contains_rows(code: CodeHandle, words) -> np.ndarray:
@@ -221,7 +226,7 @@ def codeword_pairs(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Iterat
     The enumeration guard is tested when the call is made, so an over-budget
     code raises before any pair exists.
     """
-    count = json_power(code.q, code.length - code.r - 1, max_words)
+    count = json_power(code.q, code.log_size, max_words)
     if count is not None:
         raise ValueError(f"codeword count {count} exceeds the enumeration guard {max_words}")
     return _pairs(code)
@@ -268,7 +273,7 @@ def pair_tiles(left_rows: int, right_rows: int, cells: int) -> Iterator[tuple[sl
 
 
 def codeword_blocks(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Iterator[np.ndarray]:
-    """The code as 2-D np.uint8 blocks of at most MAX_BLOCK_ROWS rows: the
+    """The code as 2-D np.uint8 blocks of at most BATCH rows: the
     words of codeword_pairs, expanded in the same order.
 
     Within a label the Hamming-component message is the outer loop and the
@@ -276,14 +281,12 @@ def codeword_blocks(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Itera
     reproducible.  A label with more rows than the cap is split along that
     order.  The guard is codeword_pairs', tested when the call is made.
     """
-    return _blocks(codeword_pairs(code, max_words))
-
-
-def _blocks(pairs: Iterator[tuple[np.ndarray, np.ndarray]]) -> Iterator[np.ndarray]:
-    for left, right in pairs:
-        for i, j in pair_tiles(len(left), len(right), MAX_BLOCK_ROWS):
-            part, piece = left[i], right[j]
-            yield np.hstack([np.repeat(part, len(piece), axis=0), np.tile(piece, (len(part), 1))])
+    pairs = codeword_pairs(code, max_words)
+    return (
+        np.hstack([np.repeat(left[i], len(right[j]), axis=0), np.tile(right[j], (len(left[i]), 1))])
+        for left, right in pairs
+        for i, j in pair_tiles(len(left), len(right), BATCH)
+    )
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from . import codes
 from .affine import (
     PermTable,
     iterate_perms,
@@ -66,11 +67,7 @@ MAX_BASIS_CELLS = 1 << 24  # rank x N budget for the basis audit's stack
 MAX_CERT_CODE = 1 << 12  # largest code a certificate check will enumerate
 MAX_FULL_TRIPLES = 1 << 24  # closure is checked on all triples below this
 VERIFY_GUARD = 1 << 14  # group premise checks stop at q**r of this size
-COUNT_SLICE = 1 << 20  # occupancy cells compared per step when counting overlaps
-LINE_CHUNK = 1 << 14  # words whose encodings or line ids one covering step forms
 MARK_STEP = 16  # covering axes with a step q**k below this are marked word by word (8 to 32 time alike)
-CERT_CHUNK = 1 << 15  # image encodings held at once by the code-stability law
-CLOSURE_SLICE = 1024  # closure triples evaluated per batched step
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,7 @@ class VerifyRun:
         """Rank of the enumerated code by streamed elimination, or None past
         the enumeration budget.  Both rank checks read it, so they share one
         stream of the code; perfect streams the code again on its own."""
-        if json_power(self.code.q, self.code.length - self.code.r - 1, self.max_codewords) is not None:
+        if json_power(self.code.q, self.code.log_size, self.max_codewords) is not None:
             return None
         return rank_by_elimination(self.code.ctx, codeword_pairs(self.code, self.max_codewords))
 
@@ -145,14 +142,42 @@ def _pair(item) -> tuple:
 
 
 def _scatter(table: np.ndarray, left: np.ndarray, right: np.ndarray, value: np.uint8) -> None:
-    """Add value at every left_i + right_j, formed LINE_CHUNK sums at a time."""
-    for i, j in pair_tiles(len(left), len(right), LINE_CHUNK):
+    """Add value at every left_i + right_j, formed codes.BATCH sums at a time."""
+    for i, j in pair_tiles(len(left), len(right), codes.BATCH):
         np.add.at(table, (left[i, None] + right[j]).ravel(), value)
 
 
-def _ball_counts(q: int, N: int, items: Iterable) -> tuple[int, np.ndarray]:
-    """The words streamed and the uint8 occupancy of covering_occupancy; its
-    scratch tables are freed on return, before the caller counts."""
+def covering_occupancy(q: int, N: int, items: Iterable) -> tuple[int, int, int]:
+    """Count, for every cell of the q**N space, the streamed words within
+    distance 1 of it; return (rows, overlapped_cells, uncovered_cells),
+    rows being the number of words streamed.
+
+    Each item is a pair (left, right) of blocks, as codeword_pairs yields
+    them, whose words are every left_i | right_j; a plain block is read as
+    (block, one row of width 0).  So a word's encoding, and each of the ids
+    below, is a sum of one value per side, formed codes.BATCH words at a
+    time, and only the per-side encodings are kept.
+
+    A word covers c iff it is c or differs from c in exactly one coordinate
+    k.  An axis k whose step q**k is below MARK_STEP is marked word by word:
+    each word adds 1 at its q-1 neighbours along k, as its pair arrives.
+    The other axes count by lines.  Let x(c) be the number of times cell c
+    was streamed as a word, and L_k(c) the sum of x over the q cells of the
+    coordinate-k line through c: c and its q-1 neighbours along k.  So with
+    T line axes
+
+        occ(c) = (marks at c) + sum_{line axes k} L_k(c) - (T-1) x(c).
+
+    Each line axis scatters the words' line ids into one q**(N-1) table and
+    adds it to occ broadcast along the axis; one scatter of the encodings
+    then takes off (T-1) x.  Every step is uint8 arithmetic, so occ(c) is
+    the true count mod 256, as it would be from one uint8 mark per word per
+    ball cell; check_perfect's count of the rows sees a wrapped cell.
+
+    Each side must be a matrix with entries in 0..q-1, and the two widths
+    must sum to N (ValueError otherwise): a symbol out of range would encode
+    as some other word.
+    """
     cells = q**N
     occ = np.zeros(cells, dtype=np.uint8)
     powers = q ** np.arange(N, dtype=np.int32 if cells < 1 << 31 else np.int64)
@@ -198,48 +223,9 @@ def _ball_counts(q: int, N: int, items: Iterable) -> tuple[int, np.ndarray]:
     repeats = np.uint8((1 - len(lined)) % 256)
     for enc_left, enc_right in sides:
         _scatter(occ, enc_left, enc_right, repeats)
-    return rows, occ
-
-
-def covering_occupancy(q: int, N: int, items: Iterable) -> tuple[int, int, int]:
-    """Count, for every cell of the q**N space, the streamed words within
-    distance 1 of it; return (rows, overlapped_cells, uncovered_cells),
-    rows being the number of words streamed.
-
-    Each item is a pair (left, right) of blocks, as codeword_pairs yields
-    them, whose words are every left_i | right_j; a plain block is read as
-    (block, one row of width 0).  So a word's encoding, and each of the ids
-    below, is a sum of one value per side, formed LINE_CHUNK words at a time,
-    and only the per-side encodings are kept.
-
-    A word covers c iff it is c or differs from c in exactly one coordinate
-    k.  An axis k whose step q**k is below MARK_STEP is marked word by word:
-    each word adds 1 at its q-1 neighbours along k, as its pair arrives.
-    The other axes count by lines.  Let x(c) be the number of times cell c
-    was streamed as a word, and L_k(c) the sum of x over the q cells of the
-    coordinate-k line through c: c and its q-1 neighbours along k.  So with
-    T line axes
-
-        occ(c) = (marks at c) + sum_{line axes k} L_k(c) - (T-1) x(c).
-
-    Each line axis scatters the words' line ids into one q**(N-1) table and
-    adds it to occ broadcast along the axis; one scatter of the encodings
-    then takes off (T-1) x.  Every step is uint8 arithmetic, so occ(c) is
-    the true count mod 256, as it would be from one uint8 mark per word per
-    ball cell; check_perfect's count of the rows sees a wrapped cell.
-
-    Each side must be a matrix with entries in 0..q-1, and the two widths
-    must sum to N (ValueError otherwise): a symbol out of range would encode
-    as some other word.
-    """
-    rows, occ = _ball_counts(q, N, items)
-    cells = occ.size
     uncovered = cells - int(np.count_nonzero(occ))
-    overlapped = sum(
-        int(np.count_nonzero(occ[start : start + COUNT_SLICE] > 1))
-        for start in range(0, cells, COUNT_SLICE)
-    )
-    return rows, overlapped, uncovered
+    np.right_shift(occ, 1, out=occ)  # in place: nonzero exactly where occ(c) >= 2
+    return rows, int(np.count_nonzero(occ)), uncovered
 
 
 def check_perfect(
@@ -346,7 +332,7 @@ def check_rank_equivalence(run: VerifyRun) -> VerifyReport:
     params = _params(code, run.label)
     streamed = run.enumerated_rank
     if streamed is None:
-        count = json_power(code.q, code.length - code.r - 1)
+        count = json_power(code.q, code.log_size)
         reason = "enumeration budget exceeded"
         return _skipped("rank_equivalence", params, reason, codewords=count, budget=run.max_codewords)
     closed = rank_closed_form(code)
@@ -539,8 +525,8 @@ def check_propelinear_certificate(
 
     # M distinct words that all lie in a code of size M are the whole code.
     # json_power(q, k, M - 1) is M iff q**k = M, for any M below 2**53 rows.
-    if cert.words.shape[1] != N or json_power(q, N - code.r - 1, M - 1) != M:
-        raise ValueError(f"certificate domain must be the {json_power(q, N - code.r - 1)} codewords")
+    if cert.words.shape[1] != N or json_power(q, code.log_size, M - 1) != M:
+        raise ValueError(f"certificate domain must be the {json_power(q, code.log_size)} codewords")
     if ((cert.words < 0) | (cert.words >= q)).any():
         raise ValueError(f"certificate words must have symbols in 0..{q - 1}")
     if cert.pis.shape[2] != q:
@@ -576,7 +562,7 @@ def check_propelinear_certificate(
     positions = cert.words + q * np.arange(N, dtype=DTYPE)
     onehot = np.zeros((N * q, M))
     onehot[positions, labels[:, None]] = 1.0
-    step = max(1, CERT_CHUNK // M)
+    step = max(1, codes.BATCH // M)  # each isometry's row holds M image encodings
     for start in range(0, M, step):
         image_enc = (table[start : start + step] @ onehot).astype(DTYPE)
         bad = np.flatnonzero((slot[image_enc] < 0).any(axis=1))
@@ -593,12 +579,13 @@ def check_propelinear_certificate(
     else:
         mode, triples, result = "sampled", samples, "probabilistic"
         picks = np.random.default_rng(seed).integers(0, M, size=(samples, 3))
-    for start in range(0, triples, CLOSURE_SLICE):
+    step = max(1, codes.BATCH // N)  # each triple gathers N table entries per image
+    for start in range(0, triples, step):
         if mode == "full":
-            t = np.arange(start, min(start + CLOSURE_SLICE, triples), dtype=DTYPE)
+            t = np.arange(start, min(start + step, triples), dtype=DTYPE)
             x, y, w = t // (M * M), t // M % M, t % M
         else:
-            x, y, w = picks[start : start + CLOSURE_SLICE].T
+            x, y, w = picks[start : start + step].T
         bad = np.flatnonzero(image(x, image(y, w)) != image(image(x, y), w))
         if bad.size:
             j = bad[0]
@@ -617,12 +604,11 @@ def _run_certificate(run: VerifyRun) -> VerifyReport:
     params = _params(code, run.label)
     if not np.array_equal(code.perm.images, np.arange(code.perm.size)):
         return _skipped("certificate", params, "no builtin certificate for a non-identity permutation")
-    q, N = code.q, code.length
-    count = json_power(q, N - code.r - 1, run.max_cert_codewords)
+    count = json_power(code.q, code.log_size, run.max_cert_codewords)
     if count is not None:
         reason = "code too large for certificate checking"
         return _skipped("certificate", params, reason, codewords=count, budget=run.max_cert_codewords)
-    cells = json_power(q, N, run.max_space_cells)
+    cells = json_power(code.q, code.length, run.max_space_cells)
     if cells is not None:
         return _skipped("certificate", params, "state budget exceeded", cells=cells, budget=run.max_space_cells)
     cert = translation_certificate(code, max_words=run.max_cert_codewords)

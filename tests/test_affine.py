@@ -50,6 +50,20 @@ def test_perm_table_validation():
         PermTable(ctx, 1, np.array([0, 1]))  # wrong size
 
 
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+def test_index_tables_refuse_non_integer_entries(as_array):
+    # a cast to int64 would truncate these to the valid tables [0, 1, 2]
+    # and [[1], [1], [2]]; integer-valued floats are the same indices
+    ctx = FieldContext(3)
+    table = np.array if as_array else list
+    with pytest.raises(ValueError, match="integers"):
+        PermTable(ctx, 1, table([0, 1.7, 2.2]))
+    with pytest.raises(ValueError, match="integers"):
+        RegularSubgroup(ctx, 1, table([[1], [1.5], [2]]))
+    assert PermTable(ctx, 1, table([0.0, 2.0, 1.0])).images.tolist() == [0, 2, 1]
+    assert RegularSubgroup(ctx, 1, table([[1.0], [1.0], [2.0]])).cols.tolist() == [[1], [1], [2]]
+
+
 def test_perm_inverse_round_trip():
     ctx = FieldContext(3)
     tau = shear_swap_perm(ctx)

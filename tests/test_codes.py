@@ -442,7 +442,7 @@ def test_codeword_blocks_respect_the_row_cap(monkeypatch, cap):
     code = build_code(hp, shear_swap_perm(hp.ctx))
     whole = list(codeword_blocks(code))
     assert max(len(b) for b in whole) == 9 * 729
-    monkeypatch.setattr(codes, "MAX_BLOCK_ROWS", cap)
+    monkeypatch.setattr(codes, "BATCH", cap)
     capped = list(codeword_blocks(code))
     assert max(len(b) for b in capped) <= cap
     assert all(b.dtype == np.uint8 and (b < 3).all() for b in whole + capped)

@@ -1,12 +1,13 @@
 """Every exported name resolves, so a stale export fails here rather than at
 `from qperfect.<module> import *`, and so does every name the benchmark's
-tracer wraps or its workloads read.  Every exported name also has a caller
-outside the tests."""
+tracer wraps or its workloads read, and every constant the README names.
+Every exported name also has a caller outside the tests."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -56,6 +57,22 @@ def test_benchmark_tracer_names_resolve(monkeypatch):
         if not hasattr(importlib.import_module(f"qperfect.{module}"), name)
     ]
     assert not missing
+
+
+def test_readme_constants_resolve():
+    # every upper-case constant the README names in backticks, bare
+    # (`CHECKS`) or module-qualified (`verify.MAX_BASIS_CELLS`), so a
+    # deleted or renamed constant does not live on in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {name: importlib.import_module(f"qperfect.{name}") for name in MODULES}
+    named = re.findall(r"`((?:[a-z_]\w*\.)*[A-Z][A-Z0-9_]+)`", readme)
+    missing = []
+    for path in named:
+        *owner, name = path.removeprefix("qperfect.").split(".")
+        homes = [modules.get(".".join(owner))] if owner else modules.values()
+        if not any(hasattr(module, name) for module in homes):
+            missing.append(path)
+    assert named and not missing
 
 
 def test_benchmark_code_tables_resolve():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qperfect import cli, verify
+from qperfect import cli, codes, verify
 from qperfect.affine import PermTable, identity_perm, series_perm, shear_swap_perm
 from qperfect.codes import build_code, codeword_blocks, codeword_pairs, rank_basis
 from qperfect.hamming import build_hamming_pair
@@ -98,19 +98,22 @@ def duplicate_word(blocks, q):
     blocks[0][1] = blocks[0][0]
 
 
-@pytest.mark.parametrize("count_slice", [None, 7])
+@pytest.mark.parametrize("batch", [None, 7])
 @pytest.mark.parametrize("mutate", [move_word, duplicate_word])
 @pytest.mark.parametrize("q,r", [(2, 2), (3, 1)])
-def test_covering_occupancy_exact_counts(monkeypatch, q, r, mutate, count_slice):
-    # 7 divides neither 2**7 nor 3**4 cells, so the last slice is short
-    if count_slice is not None:
-        monkeypatch.setattr(verify, "COUNT_SLICE", count_slice)
+def test_covering_occupancy_exact_counts(monkeypatch, q, r, mutate, batch):
     code = small_code(q, r)
     blocks = [b.copy() for b in codeword_blocks(code)]
     mutate(blocks, q)
-    want = covering_counts_oracle(q, code.length, np.vstack(blocks))
+    words = np.vstack(blocks)
+    want = covering_counts_oracle(q, code.length, words)
     assert want[1] > 0 and want[2] > 0
+    # a batch of 7 divides neither the 16 nor the 9 words, so the code as
+    # one block is scattered in tiles of 7 that end on a short one
+    if batch is not None:
+        monkeypatch.setattr(codes, "BATCH", batch)
     assert covering_occupancy(q, code.length, blocks) == want
+    assert covering_occupancy(q, code.length, [words]) == want
 
 
 def mark_scatter_occupancy(q, N, blocks):
@@ -202,8 +205,8 @@ def test_covering_occupancy_matches_mark_scatter(monkeypatch, name, stream):
     assert covering_occupancy(q, N, blocks) == want
     if stream is split_stream:
         # line ids computed 7 encodings at a time (997 on the two large
-        # codes), so most blocks take several chunks and end on a short one
-        monkeypatch.setattr(verify, "LINE_CHUNK", 7 if len(words) < 5000 else 997)
+        # codes), so most blocks take several tiles and end on a short one
+        monkeypatch.setattr(codes, "BATCH", 7 if len(words) < 5000 else 997)
         assert covering_occupancy(q, N, blocks) == want
     if stream is empty_stream:
         assert want == (0, 0, q**N)
@@ -220,6 +223,24 @@ def test_covering_occupancy_reads_pairs_as_their_blocks(name):
     want = covering_occupancy(q, N, codeword_blocks(code))
     assert want == (codeword_count(code), 0, 0)
     assert covering_occupancy(q, N, codeword_pairs(code)) == want
+
+
+def test_covering_occupancy_holds_the_space_and_one_line_table():
+    # at (3,2) with the shear the q**N uint8 counts take 1.52 MiB and the
+    # q**(N-1) line table 0.51 MiB; the pairs are listed before tracing, so
+    # the slack covers the per-side encodings and one tile of sums.  A
+    # boolean copy of a 1 MiB slice of the counts peaked at 2.52 MiB.
+    code = covering_code("q3r2-shear")
+    q, N = code.q, code.length
+    pairs = list(codeword_pairs(code))
+    tracemalloc.start()
+    try:
+        counts = covering_occupancy(q, N, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == (codeword_count(code), 0, 0)
+    assert peak <= q**N + q ** (N - 1) + (160 << 10), peak
 
 
 def changed_right_row(q, pairs):
@@ -260,9 +281,9 @@ def test_covering_occupancy_on_mutated_pairs_matches_mark_scatter(monkeypatch, n
     # end inside a right side; then every axis on line tables, and every
     # axis marked word by word
     chunk = 7 if codeword_count(code) < 5000 else 997
-    for attr, value in [("LINE_CHUNK", chunk), ("MARK_STEP", 1), ("MARK_STEP", q**N)]:
+    for module, attr, value in [(codes, "BATCH", chunk), (verify, "MARK_STEP", 1), (verify, "MARK_STEP", q**N)]:
         with monkeypatch.context() as patch:
-            patch.setattr(verify, attr, value)
+            patch.setattr(module, attr, value)
             assert covering_occupancy(q, N, pairs) == want, (attr, value)
 
 
@@ -1092,17 +1113,16 @@ def test_certificate_check_matches_loop_oracle(monkeypatch, q, r, mode, how):
     code = small_code(q, r)
     cert = translation_certificate(code)
     # after the default, one and then two isometries per code-stability
-    # chunk, so a failure lands in a later chunk and, for odd M, the last
-    # chunk is short; then closure slices of 7 triples, which divides
+    # step, so a failure lands in a later step and, for odd M, the last
+    # step is short; then closure slices of 7 triples, which divides
     # neither M**2 nor the 5000 samples, so the last slice is short too
-    M = len(cert.words)
-    inputs = [("CERT_CHUNK", verify.CERT_CHUNK), ("CERT_CHUNK", M + 1), ("CERT_CHUNK", 3 * M - 1), ("CLOSURE_SLICE", 7)]
+    M, N = cert.words.shape
     for seed in (0, 1):
         bad = mutate_certificate(code, cert, how, np.random.default_rng(seed))
         want = loop_certificate_check(code, bad, seed=seed, label="t")
-        for name, value in inputs:
+        for batch in (codes.BATCH, M + 1, 3 * M - 1, 7 * N):
             with monkeypatch.context() as patch:
-                patch.setattr(verify, name, value)
+                patch.setattr(codes, "BATCH", batch)
                 got = check_propelinear_certificate(code, bad, seed=seed, label="t")
             assert got == want
         assert got.details.get("closure_mode", mode) == mode
