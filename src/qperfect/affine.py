@@ -323,8 +323,9 @@ def verify_automorphism(G: RegularSubgroup, perm: PermTable) -> CheckResult:
 
 # -- permutation file format ----------------------------------------------
 #
-# line 1 "q r", line 2 the q**r image indices.  read_perm tests the header
-# against the materialization guard before it reads line 2.
+# line 1 "q r", line 2 the q**r image indices, then nothing but blank lines.
+# read_perm tests the header against the materialization guard before it
+# reads line 2, and reports the first faulty line.
 
 
 def read_perm(path) -> PermTable:
@@ -349,6 +350,7 @@ def read_perm(path) -> PermTable:
         if size is not None:
             raise ParseError(f"q**r = {size} exceeds the materialization guard {MAX_POINTS}", 1)
         line = fh.readline()
+        extra = next((number for number, text in enumerate(fh, 3) if text.strip()), None)
     if not line:
         raise ParseError("missing image line", 2)
     toks = line.split()
@@ -362,6 +364,9 @@ def read_perm(path) -> PermTable:
     if any(not 0 <= i < size for i in images):
         raise ParseError(f"image indices must lie in [0, {size - 1}]", 2)
     try:
-        return PermTable(ctx, r, np.array(images, dtype=DTYPE))
+        perm = PermTable(ctx, r, np.array(images, dtype=DTYPE))
     except ValueError as exc:
         raise ParseError(str(exc), 2) from None
+    if extra is not None:
+        raise ParseError("unexpected content after the image line", extra)
+    return perm

@@ -124,22 +124,6 @@ class VerifyRun:
 
 # -- perfection by exhaustive covering -----------------------------------
 
-# The width-0 right side of a plain block: each row is one word.
-_NO_COLUMNS = np.zeros((1, 0), dtype=np.uint8)
-_NO_COLUMNS.setflags(write=False)
-
-
-def _pair(item) -> tuple:
-    """A streamed item as a pair (left, right), whose words are every
-    left_i | right_j: a tuple as it is, anything else as (item, one row of
-    width 0), so a plain block's words are its rows.  A tuple is always a
-    pair, so a tuple of rows is refused here, not read as one block."""
-    if not isinstance(item, tuple):
-        return item, _NO_COLUMNS
-    if len(item) != 2 or any(np.ndim(side) != 2 for side in item):
-        raise ValueError("a tuple item must be a pair (left, right) of 2-D blocks")
-    return item
-
 
 def _scatter(table: np.ndarray, left: np.ndarray, right: np.ndarray, value: np.uint8) -> None:
     """Add value at every left_i + right_j, formed codes.BATCH sums at a time."""
@@ -147,16 +131,15 @@ def _scatter(table: np.ndarray, left: np.ndarray, right: np.ndarray, value: np.u
         np.add.at(table, (left[i, None] + right[j]).ravel(), value)
 
 
-def covering_occupancy(q: int, N: int, items: Iterable) -> tuple[int, int, int]:
+def covering_occupancy(q: int, N: int, pairs: Iterable) -> tuple[int, int, int]:
     """Count, for every cell of the q**N space, the streamed words within
     distance 1 of it; return (rows, overlapped_cells, uncovered_cells),
     rows being the number of words streamed.
 
     Each item is a pair (left, right) of blocks, as codeword_pairs yields
-    them, whose words are every left_i | right_j; a plain block is read as
-    (block, one row of width 0).  So a word's encoding, and each of the ids
-    below, is a sum of one value per side, formed codes.BATCH words at a
-    time, and only the per-side encodings are kept.
+    them, whose words are every left_i | right_j.  So a word's encoding,
+    and each of the ids below, is a sum of one value per side, formed
+    codes.BATCH words at a time, and only the per-side encodings are kept.
 
     A word covers c iff it is c or differs from c in exactly one coordinate
     k.  An axis k whose step q**k is below MARK_STEP is marked word by word:
@@ -175,8 +158,8 @@ def covering_occupancy(q: int, N: int, items: Iterable) -> tuple[int, int, int]:
     ball cell; check_perfect's count of the rows sees a wrapped cell.
 
     Each side must be a matrix with entries in 0..q-1, and the two widths
-    must sum to N (ValueError otherwise): a symbol out of range would encode
-    as some other word.
+    must sum to N (ValueError otherwise, and TypeError for an item that does
+    not unpack): a symbol out of range would encode as some other word.
     """
     cells = q**N
     occ = np.zeros(cells, dtype=np.uint8)
@@ -187,8 +170,8 @@ def covering_occupancy(q: int, N: int, items: Iterable) -> tuple[int, int, int]:
     one = np.uint8(1)
     rows = 0
     sides = []  # per pair: the encodings of its left rows, and of its right rows shifted past them
-    for item in items:
-        left, right = (np.asarray(side) for side in _pair(item))
+    for left, right in pairs:
+        left, right = np.asarray(left), np.asarray(right)
         if left.ndim != 2 or right.ndim != 2 or left.shape[1] + right.shape[1] != N:
             raise ValueError(f"expected blocks of width {N}, got shapes {left.shape} and {right.shape}")
         if any(side.size and (side.min() < 0 or side.max() >= q) for side in (left, right)):
@@ -279,13 +262,11 @@ def _spanning_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return rows
 
 
-def rank_by_elimination(ctx: FieldContext, words: Iterable) -> int:
-    """Rank of a streamed set of vectors: 1-D words, 2-D blocks, or pairs
-    (left, right) as codeword_pairs yields them, whose words are every
-    left_i | right_j.  A tuple item is always read as a pair, and its two
-    sides must be 2-D blocks (ValueError otherwise); a word or block is read
-    as (rows, one row of width 0).  A pair is folded as _spanning_rows'
-    len(left) + len(right) - 1 rows, which span its words.
+def rank_by_elimination(ctx: FieldContext, pairs: Iterable) -> int:
+    """Rank of a streamed set of vectors, given as pairs (left, right) of
+    2-D blocks, as codeword_pairs yields them, whose words are every
+    left_i | right_j.  A pair is folded as _spanning_rows' len(left) +
+    len(right) - 1 rows, which span its words.
 
     Each item is folded into one parity check of the span so far, the
     (N - rank) x N matrix check, which starts as the identity: x is in the
@@ -300,14 +281,13 @@ def rank_by_elimination(ctx: FieldContext, words: Iterable) -> int:
     length below about 1.4e11.
 
     Sides are read by FieldContext.symbols, so codeword_pairs' uint8 sides
-    are read in place; an item wider or narrower than the first raises
-    ValueError.
+    are read in place; an item that is not a pair of 2-D blocks, or is
+    wider or narrower than the first, raises ValueError (TypeError if it
+    does not unpack).
     """
     check: Optional[np.ndarray] = None
-    for item in words:
-        left, right = _pair(item)
-        left, right = ctx.symbols(np.atleast_2d(left)), ctx.symbols(right)
-        rows = _spanning_rows(left, right)
+    for left, right in pairs:
+        rows = _spanning_rows(ctx.symbols(left), ctx.symbols(right))
         N = rows.shape[1]
         check = np.eye(N) if check is None else check
         if N != check.shape[1]:

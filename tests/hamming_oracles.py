@@ -4,7 +4,7 @@ of qperfect.hamming), the exact codeword count, the
 permutation file writer, per-syndrome coset builders kept as oracles for
 the vectorised tables in qperfect.codes (canonical_coset_reps, and the
 extended leaders that codeword_pairs writes inline), the words of a pair
-stream as plain blocks, the stacked-rank
+stream as plain blocks and plain blocks as pairs, the stacked-rank
 distension kept as the third route beside the two in qperfect.codes, the
 intersection with the permuted copy and the kernel route to the rank
 basis's completion kept as oracles for its pivot-column route, and the
@@ -56,6 +56,11 @@ def pair_words(pairs) -> list:
         np.hstack([np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))])
         for left, right in pairs
     ]
+
+
+def as_pairs(blocks) -> list:
+    """Each plain block as the pair (block, one row of width 0), whose words are its rows."""
+    return [(block, np.zeros((1, 0), dtype=np.uint8)) for block in blocks]
 
 
 def write_perm(path, perm: PermTable) -> None:

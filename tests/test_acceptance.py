@@ -53,7 +53,7 @@ from qperfect.verify import (
     translation_certificate,
 )
 
-from hamming_oracles import all_vectors, codeword_count, extended_coset_leader, index_to_vec, lex_messages
+from hamming_oracles import all_vectors, as_pairs, codeword_count, extended_coset_leader, index_to_vec, lex_messages
 
 SURVEY_PATH = Path(__file__).resolve().parents[1] / "scripts" / "distension_survey.py"
 _spec = importlib.util.spec_from_file_location("distension_survey", SURVEY_PATH)
@@ -85,7 +85,7 @@ def test_criterion_1_hamming_recovery():
         linear = {tuple(w) for w in lex_messages(2, basis.shape[0]) @ basis % 2}
         assert words == linear
         assert len(words) == 16 == codeword_count(code)
-        assert rank_by_elimination(ctx, codeword_blocks(code)) == 4 == rank_closed_form(code)
+        assert rank_by_elimination(ctx, as_pairs(codeword_blocks(code))) == 4 == rank_closed_form(code)
         assert check_perfect(code).result == "pass"
 
 
@@ -117,7 +117,7 @@ def test_criterion_3_ternary_length_13():
         assert rep.details["cells"] == 3**13 == 1594323
         assert rep.details["overlapped_cells"] == 0
         assert rep.details["uncovered_cells"] == 0
-        streamed = rank_by_elimination(ctx, codeword_blocks(code))
+        streamed = rank_by_elimination(ctx, as_pairs(codeword_blocks(code)))
         assert streamed == 12 == rank_closed_form(code)
 
 
@@ -294,7 +294,7 @@ def test_criterion_9_rank_oracle_sweep():
         for ctx, r, tau, group in cases:
             assert verify_automorphism(group, tau).ok
             code = build_code(build_hamming_pair(ctx, r), tau)
-            streamed = rank_by_elimination(ctx, codeword_blocks(code))
+            streamed = rank_by_elimination(ctx, as_pairs(codeword_blocks(code)))
             assert streamed == rank_closed_form(code)
 
 

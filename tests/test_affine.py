@@ -486,3 +486,22 @@ def test_perm_parse_errors(tmp_path):
     path.write_text("3 1\n0 5 1\n")
     with pytest.raises(ParseError, match="line 2"):
         read_perm(path)  # index out of range
+
+    path.write_text("3 1\n0 1 2\n0 2 1\n")
+    with pytest.raises(ParseError, match="line 3: unexpected content after the image line"):
+        read_perm(path)  # a second image line
+
+    path.write_text("3 1\n0 1 2\n\n  \nx\n")
+    with pytest.raises(ParseError, match="line 5"):
+        read_perm(path)  # content after blank lines
+
+    path.write_text("3 1\n0 1 1\n0 1 2\n")
+    with pytest.raises(ParseError, match="line 2"):
+        read_perm(path)  # the first faulty line is named
+
+
+def test_perm_file_may_end_in_blank_lines(tmp_path):
+    path = tmp_path / "tau.txt"
+    for text in ["3 1\n0 2 1", "3 1\n0 2 1\n", "3 1\n0 2 1\n\n \t\n"]:
+        path.write_text(text)
+        assert read_perm(path).images.tolist() == [0, 2, 1]

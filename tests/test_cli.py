@@ -569,6 +569,17 @@ def test_tau_file_mismatch_and_corruption(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_tau_file_with_a_second_image_line_is_a_usage_error(tmp_path, capsys):
+    # two image lines: the second is refused, not ignored
+    path = tmp_path / "two.perm"
+    write_perm(path, shear_swap_perm(FieldContext(3)))
+    header, images = path.read_text().splitlines()
+    path.write_text(f"{header}\n{images}\n{images}\n")
+    code, out, err = run(capsys, ["verify", "--q", "3", "--r", "2", "--tau", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: line 3: unexpected content after the image line\n"
+
+
 def test_missing_subcommand_is_argparse_exit():
     with pytest.raises(SystemExit) as exc:
         main([])

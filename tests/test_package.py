@@ -1,11 +1,13 @@
 """Every exported name resolves, so a stale export fails here rather than at
 `from qperfect.<module> import *`, and so does every name the benchmark's
 tracer wraps or its workloads read, and every constant the README names.
-Every exported name also has a caller outside the tests."""
+Every exported name also has a caller outside the tests, and the README's
+library example runs."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import pkgutil
 import re
 import sys
@@ -73,6 +75,19 @@ def test_readme_constants_resolve():
         if not any(hasattr(module, name) for module in homes):
             missing.append(path)
     assert named and not missing
+
+
+def test_readme_library_snippet_runs(capsys):
+    # the python block under "## Library" prints the shear's distension and
+    # a passing perfect report
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(snippet, "README.md", "exec"), {})
+    distension, report = capsys.readouterr().out.splitlines()
+    assert distension == "2"
+    decoded = json.loads(report)
+    assert decoded["check"] == "perfect" and decoded["result"] == "pass"
 
 
 def test_benchmark_code_tables_resolve():

@@ -30,7 +30,7 @@ from qperfect.verify import (
     translation_certificate,
 )
 
-from hamming_oracles import codeword_count, intersection_basis, pair_words
+from hamming_oracles import as_pairs, codeword_count, intersection_basis, pair_words
 
 
 def small_code(q, r):
@@ -57,14 +57,14 @@ def test_report_json_and_truthiness():
 
 def test_covering_occupancy_perfect_code():
     code = small_code(2, 2)
-    assert covering_occupancy(2, 7, codeword_blocks(code)) == (16, 0, 0)
+    assert covering_occupancy(2, 7, as_pairs(codeword_blocks(code))) == (16, 0, 0)
 
 
 def test_covering_occupancy_flags_moved_word():
     code = small_code(2, 2)
     blocks = [b.copy() for b in codeword_blocks(code)]
     blocks[0][0, 0] ^= 1  # now distance 1 from a real codeword
-    rows, overlapped, uncovered = covering_occupancy(2, 7, blocks)
+    rows, overlapped, uncovered = covering_occupancy(2, 7, as_pairs(blocks))
     assert rows == 16 and overlapped > 0 and uncovered > 0
 
 
@@ -72,7 +72,7 @@ def test_covering_occupancy_flags_duplicate_word():
     code = small_code(2, 2)
     blocks = [b.copy() for b in codeword_blocks(code)]
     blocks[0][1] = blocks[0][0]
-    rows, overlapped, uncovered = covering_occupancy(2, 7, blocks)
+    rows, overlapped, uncovered = covering_occupancy(2, 7, as_pairs(blocks))
     assert rows == 16 and overlapped > 0 and uncovered > 0
 
 
@@ -112,8 +112,8 @@ def test_covering_occupancy_exact_counts(monkeypatch, q, r, mutate, batch):
     # one block is scattered in tiles of 7 that end on a short one
     if batch is not None:
         monkeypatch.setattr(codes, "BATCH", batch)
-    assert covering_occupancy(q, code.length, blocks) == want
-    assert covering_occupancy(q, code.length, [words]) == want
+    assert covering_occupancy(q, code.length, as_pairs(blocks)) == want
+    assert covering_occupancy(q, code.length, as_pairs([words])) == want
 
 
 def mark_scatter_occupancy(q, N, blocks):
@@ -202,12 +202,12 @@ def test_covering_occupancy_matches_mark_scatter(monkeypatch, name, stream):
     q, N, words = covering_words(name)
     blocks = stream(q, N, words)
     want = mark_scatter_occupancy(q, N, blocks)
-    assert covering_occupancy(q, N, blocks) == want
+    assert covering_occupancy(q, N, as_pairs(blocks)) == want
     if stream is split_stream:
         # line ids computed 7 encodings at a time (997 on the two large
         # codes), so most blocks take several tiles and end on a short one
         monkeypatch.setattr(codes, "BATCH", 7 if len(words) < 5000 else 997)
-        assert covering_occupancy(q, N, blocks) == want
+        assert covering_occupancy(q, N, as_pairs(blocks)) == want
     if stream is empty_stream:
         assert want == (0, 0, q**N)
     if stream is repeated_stream:
@@ -218,11 +218,13 @@ def test_covering_occupancy_matches_mark_scatter(monkeypatch, name, stream):
 
 @pytest.mark.parametrize("name", COVERING_CODES)
 def test_covering_occupancy_reads_pairs_as_their_blocks(name):
+    # the code's pairs, and the same words as blocks each paired with one
+    # row of width 0, cover alike
     code = covering_code(name)
     q, N = code.q, code.length
-    want = covering_occupancy(q, N, codeword_blocks(code))
+    want = covering_occupancy(q, N, codeword_pairs(code))
     assert want == (codeword_count(code), 0, 0)
-    assert covering_occupancy(q, N, codeword_pairs(code)) == want
+    assert covering_occupancy(q, N, as_pairs(codeword_blocks(code))) == want
 
 
 def test_covering_occupancy_holds_the_space_and_one_line_table():
@@ -302,7 +304,7 @@ def test_covering_occupancy_refuses_malformed_blocks(block):
     # other word
     good = np.zeros((1, 7), dtype=np.uint8)
     with pytest.raises(ValueError):
-        covering_occupancy(2, 7, [good, block])
+        covering_occupancy(2, 7, as_pairs([good, block]))
 
 
 @pytest.mark.parametrize(
@@ -356,7 +358,7 @@ def test_rank_by_elimination_empty_stream():
 
 def test_rank_by_elimination_accepts_rows_and_blocks():
     ctx = FieldContext(3)
-    rows = [np.array([1, 0, 2]), np.array([[0, 1, 1], [1, 1, 0]])]
+    rows = as_pairs([np.array([[1, 0, 2]]), np.array([[0, 1, 1], [1, 1, 0]])])
     assert rank_by_elimination(ctx, rows) == 2  # third row is the sum
 
 
@@ -370,19 +372,19 @@ def test_rank_by_elimination_accepts_rows_and_blocks():
 def test_rank_by_elimination_matches_dense_rank(q, rows, cols, seed):
     ctx = FieldContext(q)
     mat = np.random.default_rng(seed).integers(0, q, size=(rows, cols))
-    assert rank_by_elimination(ctx, list(mat)) == rank(ctx, mat)
+    assert rank_by_elimination(ctx, as_pairs(mat[:, None])) == rank(ctx, mat)
 
 
 def low_rank_stream(rng, q, rows, cols, generators):
-    """rows random combinations of a few random generators, as 1-D items
-    and 2-D blocks mixed."""
+    """rows random combinations of a few random generators, as one-row and
+    larger blocks mixed, each paired with one row of width 0."""
     gens = rng.integers(0, q, size=(generators, cols))
     mat = rng.integers(0, q, size=(rows, generators)) @ gens % q
     cuts = np.sort(rng.integers(0, rows + 1, size=4))
     items = []
     for k, part in enumerate(np.split(mat, cuts)):
-        items.extend(list(part) if k % 2 else [part])
-    return items, mat
+        items.extend(part[:, None] if k % 2 else [part])
+    return as_pairs(items), mat
 
 
 # the seeds' offsets are the chunk sizes the streamed rank once took, so
@@ -395,25 +397,25 @@ def test_rank_by_elimination_matches_rank_on_seeded_streams(q, offset):
     for rows, cols, generators in [(40, 9, 4), (60, 12, 12), (25, 6, 1), (9, 5, 9)]:
         items, mat = low_rank_stream(rng, q, rows, cols, generators)
         assert rank_by_elimination(ctx, items) == rank(ctx, mat)
-        assert rank_by_elimination(ctx, list(mat)) == rank(ctx, mat)
+        assert rank_by_elimination(ctx, as_pairs(mat[:, None])) == rank(ctx, mat)
         # the same rows as uint8 blocks, the form codeword_blocks yields
         blocks = [part.astype(np.uint8) for part in np.array_split(mat, 3)]
-        assert rank_by_elimination(ctx, blocks) == rank(ctx, mat)
+        assert rank_by_elimination(ctx, as_pairs(blocks)) == rank(ctx, mat)
     # one block whose first N = 9 rows are nonzero multiples of one row, so
     # the first round finds rank 1 and the rows after them are tested again
     line = np.concatenate([[1], rng.integers(0, q, size=8)])
     head = rng.integers(1, q, size=(9, 1)) * line % q
     block = np.vstack([head, rng.integers(0, q, size=(20, 9))]).astype(np.uint8)
-    assert rank_by_elimination(ctx, [block]) == rank(ctx, block)
+    assert rank_by_elimination(ctx, as_pairs([block])) == rank(ctx, block)
 
 
 def test_rank_by_elimination_edge_streams():
     ctx = FieldContext(5)
     assert rank_by_elimination(ctx, iter([])) == 0
-    assert rank_by_elimination(ctx, [np.zeros(6, dtype=DTYPE)] * 10) == 0
-    assert rank_by_elimination(ctx, [np.zeros((4, 6), dtype=DTYPE)]) == 0
+    assert rank_by_elimination(ctx, as_pairs([np.zeros((1, 6), dtype=DTYPE)] * 10)) == 0
+    assert rank_by_elimination(ctx, as_pairs([np.zeros((4, 6), dtype=DTYPE)])) == 0
     # entries outside [0, q) are reduced first
-    assert rank_by_elimination(ctx, [[5, -5, 10], [1, 0, 0]]) == 1
+    assert rank_by_elimination(ctx, as_pairs([[[5, -5, 10]], [[1, 0, 0]]])) == 1
 
 
 @pytest.mark.parametrize("rows_per_item", [1, 3, 8])
@@ -426,7 +428,7 @@ def test_rank_by_elimination_rank_grows_in_a_late_chunk(rows_per_item):
     span = np.array([[1, 2, 0, 0, 1], [0, 1, 1, 0, 2]])
     early = rng.integers(0, 3, size=(20, 2)) @ span % 3
     late = np.array([0, 0, 0, 1, 0])
-    items = [early[s : s + rows_per_item] for s in range(0, 20, rows_per_item)] + [late]
+    items = as_pairs([early[s : s + rows_per_item] for s in range(0, 20, rows_per_item)] + [late[None]])
     assert rank_by_elimination(ctx, items) == 3
     assert rank_by_elimination(ctx, items[:-1]) == 2
 
@@ -440,14 +442,14 @@ def test_rank_by_elimination_reduces_the_check_at_a_large_field():
     rng = np.random.default_rng(251)
     gens = rng.integers(0, q, size=(20, N))
     mat = rng.integers(0, q, size=(200, 20)) @ gens % q
-    assert rank_by_elimination(ctx, list(mat)) == rank(ctx, mat)
+    assert rank_by_elimination(ctx, as_pairs(mat[:, None])) == rank(ctx, mat)
 
 
 def random_pair_stream(rng, q, widths, generators):
     """A stream of pairs whose sides are random combinations of a few random
     rows, so that its rows fall short of full rank, and those rows.  One
     pair has an empty side and one a side of width 0, and the stream ends
-    with a plain block and a plain word."""
+    with a block and a single word, each paired with one row of width 0."""
     gens = [rng.integers(0, q, size=(generators, width)) for width in widths]
     whole = np.hstack(gens)
 
@@ -457,7 +459,7 @@ def random_pair_stream(rng, q, widths, generators):
     pairs = [(combos(m1, gens[0]), combos(m2, gens[1])) for m1, m2 in rng.integers(1, 8, size=(5, 2))]
     pairs += [(combos(0, gens[0]), combos(3, gens[1])), (np.zeros((1, 0), dtype=np.uint8), combos(3, whole))]
     block, word = combos(4, whole), combos(1, whole)[0]
-    return pairs + [block, word], np.vstack(pair_words(pairs) + [block, word[None]])
+    return pairs + as_pairs([block, word[None]]), np.vstack(pair_words(pairs) + [block, word[None]])
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -471,22 +473,31 @@ def test_rank_by_elimination_reads_pairs_as_their_rows(q):
             assert rank_by_elimination(ctx, [(left, right)]) == rank(ctx, pair_words([(left, right)])[0])
 
 
-def test_a_tuple_item_is_always_a_pair():
-    # a tuple of rows is refused, not read as one block or as mismatched sides
-    rows = (np.array([1, 0, 1], dtype=np.uint8), np.array([0, 1, 1], dtype=np.uint8))
-    block = np.vstack(rows)
-    assert rank_by_elimination(FieldContext(2), [block]) == 2
-    for stream in ([rows], [block, rows], [(block, block, block)]):
-        with pytest.raises(ValueError, match="pair"):
+@pytest.mark.parametrize(
+    "item",
+    [
+        np.array([1, 0, 1], dtype=np.uint8),  # a word
+        np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8),  # a 2-row block: its sides come out 1-D
+        np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]], dtype=np.uint8),  # a 3-row block
+        (np.ones((1, 1), dtype=np.uint8), np.ones((1, 1), dtype=np.uint8), np.ones((1, 1), dtype=np.uint8)),
+    ],
+    ids=["word", "two-row-block", "three-row-block", "three-tuple"],
+)
+def test_both_consumers_refuse_any_item_but_a_pair(item):
+    good = as_pairs([np.array([[1, 0, 1]], dtype=np.uint8)])
+    assert rank_by_elimination(FieldContext(2), good) == 1
+    assert covering_occupancy(2, 3, good)[0] == 1
+    for stream in ([item], good + [item]):
+        with pytest.raises(ValueError):
             rank_by_elimination(FieldContext(2), stream)
-        with pytest.raises(ValueError, match="pair"):
+        with pytest.raises(ValueError):
             covering_occupancy(2, 3, stream)
 
 
 def test_rank_by_elimination_refuses_a_change_of_width():
     ctx = FieldContext(3)
     with pytest.raises(ValueError, match="width"):
-        rank_by_elimination(ctx, [np.ones((2, 5), dtype=np.uint8), np.ones((2, 6), dtype=np.uint8)])
+        rank_by_elimination(ctx, as_pairs([np.ones((2, 5), dtype=np.uint8), np.ones((2, 6), dtype=np.uint8)]))
 
 
 # -- rank basis audit --------------------------------------------------------
