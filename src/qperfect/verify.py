@@ -22,6 +22,7 @@ import numpy as np
 from . import codes
 from .affine import (
     PermTable,
+    _index_table,
     iterate_perms,
     series_group,
     series_perm,
@@ -427,29 +428,40 @@ def _run_group_premises(run: VerifyRun) -> VerifyReport:
 # -- propelinear certificates ----------------------------------------------
 
 
+def _rows_permute(table: np.ndarray) -> bool:
+    """Whether every row along the last axis, of length n, permutes 0..n-1:
+    all entries lie in range and one scatter of them marks every value."""
+    n = table.shape[-1]
+    if table.size and (table.min() < 0 or table.max() >= n):
+        return False
+    seen = np.zeros(table.shape, dtype=bool)
+    np.put_along_axis(seen, table, True, axis=-1)
+    return bool(seen.all())
+
+
 @dataclass(frozen=True)
 class PropelinearCertificate:
     """One isometry per codeword, claimed to form a regular group action,
     stacked as tables: isometry i is labelled by words[i] (M, N) and maps v
     to the w with w[sigma[i, k]] = pis[i, sigma[i, k], v[k]], for sigma
     (M, N) and pis (M, N, q).  The tables are validated when the
-    certificate is built."""
+    certificate is built; an entry whose value is not an integer raises
+    ValueError, as the cast would truncate it."""
 
     words: np.ndarray
     sigma: np.ndarray
     pis: np.ndarray
 
     def __post_init__(self):
-        words, sigma, pis = (np.asarray(a, dtype=DTYPE) for a in (self.words, self.sigma, self.pis))
+        words, sigma, pis = (_index_table(a, copy=False) for a in (self.words, self.sigma, self.pis))
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "pis", pis)
         if words.ndim != 2 or sigma.shape != words.shape or pis.ndim != 3 or pis.shape[:2] != words.shape:
             raise DimensionMismatch("need one coordinate permutation and N symbol tables per codeword")
-        N, q = pis.shape[1:]
-        if not (np.sort(sigma, axis=1) == np.arange(N, dtype=DTYPE)).all():
+        if not _rows_permute(sigma):
             raise ValueError("every sigma row must permute the coordinates")
-        if not (np.sort(pis, axis=2) == np.arange(q, dtype=DTYPE)).all():
+        if not _rows_permute(pis):
             raise ValueError("every symbol table must permute 0..q-1")
 
 
@@ -461,6 +473,40 @@ def translation_certificate(code: CodeHandle, max_words: int = MAX_CERT_CODE) ->
     sigma = np.tile(np.arange(N, dtype=DTYPE), (M, 1))
     pis = (words[:, :, None] + np.arange(code.q, dtype=DTYPE)) % code.q
     return PropelinearCertificate(words, sigma, pis)
+
+
+def _product_dtype(cells: int) -> type:
+    """The float dtype of the certificate's image encodings in a space of
+    cells words: float32 while it holds every integer up to cells exactly
+    (cells <= 2**24), float64 beyond."""
+    return np.float32 if cells <= 2 ** (np.finfo(np.float32).nmant + 1) else np.float64
+
+
+def _encoding_tables(q: int, cert: PropelinearCertificate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(table, positions, onehot), which give every image encoding of the
+    certificate: enc(phi_i(v)) = sum_k table[i, k*q + v[k]], where that entry
+    is pis_i[sigma_i[k]][v[k]] * q**sigma_i[k]; positions[j, k] is
+    k*q + words[j, k], and onehot[positions[j], j] = 1, so table @ onehot
+    holds the encodings of all M**2 images.  Both float tables are in
+    _product_dtype(q**N)."""
+    M, N = cert.words.shape
+    dtype = _product_dtype(q**N)
+    powers = q ** np.arange(N, dtype=DTYPE)
+    moved = np.take_along_axis(cert.pis, cert.sigma[:, :, None], axis=1)
+    table = (moved * powers[cert.sigma][:, :, None]).reshape(M, N * q).astype(dtype)
+    positions = (cert.words + q * np.arange(N, dtype=DTYPE)).astype(np.intp)
+    onehot = np.zeros((N * q, M), dtype=dtype)
+    onehot[positions, np.arange(M)[:, None]] = 1
+    return table, positions, onehot
+
+
+def _image_encodings(table: np.ndarray, onehot: np.ndarray):
+    """Yield (start, enc) for max(1, codes.BATCH // M) isometries at a time:
+    enc[i - start, j] is the np.intp encoding of phi_i(words[j])."""
+    M = onehot.shape[1]
+    step = max(1, codes.BATCH // M)  # each isometry's row holds M image encodings
+    for start in range(0, M, step):
+        yield start, (table[start : start + step] @ onehot).astype(np.intp)
 
 
 def check_propelinear_certificate(
@@ -486,18 +532,27 @@ def check_propelinear_certificate(
     the certificate's own pis.  The caller's budgets are tested before the
     certificate is built.
 
+    Image encodings are summed from _encoding_tables' float table, by a
+    product with the one-hot words (BLAS has no int64 path) for code
+    stability and by gathers for closure, in float32 up to q**N = 2**24
+    cells and float64 beyond.  Both are exact: sigma_i and pis_i are
+    validated permutations, so a partial sum adds digits below q at distinct
+    powers of q, an integer from 0 to q**N - 1; and q**N, at most the cells
+    of pis, is far below 2**53.  Each encoding is cast to np.intp, the index
+    type np.take reads without a conversion.
+
     Code stability needs no sort: each phi_i is a bijection of the space
     (its sigma and pis rows are validated as permutations when the
     certificate is built) and the M words are distinct, so their M images
     are distinct, and M distinct images inside a code of size M are the
-    whole code.  So a row passes when every image has a slot.
+    whole code.  So a row passes when every image is a codeword, read from
+    one boolean membership table, slot >= 0.
 
     Once code stability holds, every image of a codeword is a codeword, so
-    closure compares labels: both sides are read from the same encoding
-    table that decides stability, in slices of triples for either mode.  A
-    failure names the first isometry, or the first closure triple in
-    (x, y, w) order or in the order the samples were drawn, as a loop over
-    them would.
+    closure compares labels, each looked up in the slot table, in slices of
+    triples for either mode.  A failure names the first isometry, or the
+    first closure triple in (x, y, w) order or in the order the samples
+    were drawn, as a loop over them would.
     """
     q, N = code.q, code.length
     params = _params(code, label)
@@ -511,48 +566,37 @@ def check_propelinear_certificate(
         raise ValueError(f"certificate words must have symbols in 0..{q - 1}")
     if cert.pis.shape[2] != q:
         raise DimensionMismatch(f"every isometry must act on words over {q} symbols")
-    powers = q ** np.arange(N, dtype=DTYPE)
     labels = np.arange(M, dtype=DTYPE)
-    cenc = cert.words @ powers
+    cenc = cert.words @ q ** np.arange(N, dtype=DTYPE)
     slot = np.full(q**N, -1, dtype=DTYPE)
     slot[cenc] = labels
     if (slot[cenc] != labels).any():
         raise ValueError("certificate domain repeats a codeword")
     if not contains_rows(code, cert.words).all():
         raise ValueError("certificate domain is not the code")
-    sigma, pis = cert.sigma, cert.pis
 
     def failure(law: str, **where) -> VerifyReport:
         details = {"codewords": M, "law": law, **where}
         return VerifyReport("certificate", params, "fail", details)
 
     # phi_i(0) has symbol pis_i[t][0] at every target t.
-    bad = np.flatnonzero((pis[:, :, 0] != cert.words).any(axis=1))
+    bad = np.flatnonzero((cert.pis[:, :, 0] != cert.words).any(axis=1))
     if bad.size:
         return failure("zero_image", index=int(bad[0]))
 
-    # enc(phi_i(v)) = sum_k table[i, k*q + v[k]], where that entry is
-    # pis_i[sigma_i[k]][v[k]] * q**sigma_i[k].  With onehot[k*q + v[k], j] = 1
-    # for v = words[j], table @ onehot holds the encodings of all images.
-    # The product runs in float64, which has a BLAS path that int64 lacks.
-    # It is exact: every partial sum is at most an encoding, below q**N,
-    # which is at most the M * N * q cells of pis, so far below 2**53.
-    moved = np.take_along_axis(pis, sigma[:, :, None], axis=1)
-    table = (moved * powers[sigma][:, :, None]).reshape(M, N * q).astype(np.float64)
-    positions = cert.words + q * np.arange(N, dtype=DTYPE)
-    onehot = np.zeros((N * q, M))
-    onehot[positions, labels[:, None]] = 1.0
-    step = max(1, codes.BATCH // M)  # each isometry's row holds M image encodings
-    for start in range(0, M, step):
-        image_enc = (table[start : start + step] @ onehot).astype(DTYPE)
-        bad = np.flatnonzero((slot[image_enc] < 0).any(axis=1))
+    table, positions, onehot = _encoding_tables(q, cert)
+    member = slot >= 0
+    for start, image_enc in _image_encodings(table, onehot):
+        bad = np.flatnonzero(~np.take(member, image_enc).all(axis=1))
         if bad.size:
             return failure("code_stability", index=start + int(bad[0]))
 
+    flat = table.ravel()
+
     def image(x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """The labels of phi_x(words[w]), pairwise: the encoding summed from
-        the table, looked up in the slot table."""
-        return slot[table[x[:, None], positions[w]].sum(axis=1).astype(DTYPE)]
+        the flat table at x*N*q + positions[w], looked up in the slot table."""
+        return slot[np.take(flat, x[:, None] * (N * q) + positions[w]).sum(axis=1).astype(np.intp)]
 
     if M**3 <= max_full_triples:
         mode, triples, result = "full", M**3, "pass"

@@ -724,6 +724,77 @@ def test_isometry_validation():
         check_propelinear_certificate(code, PropelinearCertificate(cert.words, cert.sigma[:-1], cert.pis[:-1]))
     with pytest.raises(DimensionMismatch):
         PropelinearCertificate(cert.words, cert.sigma, cert.pis[:, :-1])
+    # entries out of range fail the range test before any scatter
+    sigma = cert.sigma.copy()
+    sigma[5, 2] = code.length
+    with pytest.raises(ValueError, match="sigma"):
+        PropelinearCertificate(cert.words, sigma, cert.pis)
+    pis = cert.pis.copy()
+    pis[5, 2, 1] = -1
+    with pytest.raises(ValueError, match="symbol table"):
+        PropelinearCertificate(cert.words, cert.sigma, pis)
+
+
+@pytest.mark.parametrize("table", ["words", "sigma", "pis"])
+def test_certificate_refuses_non_integer_entries(table):
+    # a cast to int64 truncates each of these back to the valid translation
+    # certificate, which then passes
+    code = small_code(2, 2)
+    cert = translation_certificate(code)
+    tables = {name: getattr(cert, name).astype(np.float64) for name in ("words", "sigma", "pis")}
+    where = {"words": (0, 0), "sigma": (1, 0), "pis": (2, 3, 0)}[table]
+    tables[table][where] += {"words": 0.5, "sigma": 0.4, "pis": 0.9}[table]
+    with pytest.raises(ValueError, match="integers"):
+        PropelinearCertificate(**tables)
+
+
+def test_certificate_accepts_integer_valued_floats():
+    code = small_code(2, 2)
+    cert = translation_certificate(code)
+    floats = PropelinearCertificate(*(a.astype(np.float64) for a in (cert.words, cert.sigma, cert.pis)))
+    assert all(getattr(floats, name).dtype == DTYPE for name in ("words", "sigma", "pis"))
+    rep = check_propelinear_certificate(code, floats)
+    assert rep.result == "pass" and rep == check_propelinear_certificate(code, cert)
+
+
+def test_product_dtype_is_float32_up_to_2_to_the_24_cells():
+    # every encoding is below the cell count, and float32 holds every
+    # integer up to 2**24 exactly, but not 2**24 + 1
+    assert verify._product_dtype(2) is np.float32
+    assert verify._product_dtype(1 << 24) is np.float32
+    assert verify._product_dtype((1 << 24) + 1) is np.float64
+    assert np.float32((1 << 24) + 1) == 1 << 24
+
+
+def random_isometries(code, rng):
+    """A certificate over the code's words whose isometries are seeded random
+    coordinate and symbol permutations, so images leave the code."""
+    words = np.vstack(list(codeword_blocks(code)))
+    (M, N), q = words.shape, code.q
+    sigma = rng.permuted(np.tile(np.arange(N), (M, 1)), axis=1)
+    pis = rng.permuted(np.broadcast_to(np.arange(q), (M, N, q)), axis=2)
+    return PropelinearCertificate(words, sigma, pis)
+
+
+@pytest.mark.parametrize("q,r", [(2, 3), (5, 1)])
+def test_stability_encodings_are_exact(monkeypatch, q, r):
+    # every image encoding the code-stability step forms, in float32 and
+    # cast to intp, equals the int64 encoding of the oracle's image, for the
+    # translation certificate and for isometries whose images fill the space
+    code = small_code(q, r)
+    powers = q ** np.arange(code.length, dtype=np.int64)
+    certs = (translation_certificate(code), random_isometries(code, np.random.default_rng(q)))
+    M = len(certs[0].words)
+    # four isometries per step, so at (5,1), M = 625, the last step is short
+    monkeypatch.setattr(codes, "BATCH", 5 * M - 1)
+    for cert in certs:
+        table, positions, onehot = verify._encoding_tables(q, cert)
+        assert table.dtype == onehot.dtype == np.float32
+        blocks = list(verify._image_encodings(table, onehot))
+        assert [start for start, _ in blocks] == list(range(0, M, 4))
+        got = np.vstack([enc for _, enc in blocks])
+        want = np.stack([apply_one(s, p, cert.words) @ powers for s, p in zip(cert.sigma, cert.pis)])
+        assert got.dtype == np.intp and np.array_equal(got, want)
 
 
 def test_apply_isometry_frozen_example():
