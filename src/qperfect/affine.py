@@ -9,12 +9,13 @@ permutation of the point labels via g_{perm(a)} = T(g_a); such permutations
 fix 0.
 
 Both premises are decided on a generating set S, at cost O(q**r |S| r): each
-left multiplication b -> s + M_s b is a span table of M_s's r columns.
-If M_0 = I, every M_s is invertible, closure holds for every s in S and
-every b, and S reaches every point from 0, then every element is a product
-of generators and the table is a regular subgroup; a homomorphism law that
-holds on S holds on the whole group.  So the verdicts equal the ones over
-all pairs.
+generator's left multiplication b -> s + M_s b is built once, as a span
+table of M_s's r columns, and the automorphism law reads those rows again
+wherever perm sends a generator to a generator.  If M_0 = I, every M_s is
+invertible, closure holds for every s in S and every b, and S reaches every
+point from 0, then every element is a product of generators and the table
+is a regular subgroup; a homomorphism law that holds on S holds on the
+whole group.  So the verdicts equal the ones over all pairs.
 """
 
 from __future__ import annotations
@@ -256,7 +257,8 @@ def _generators(G: RegularSubgroup) -> tuple[list[int], np.ndarray, str]:
     T_s[b] = idx(s + M_s b), and the first premise failure ("" if none).
 
     Each candidate s is the first point that the orbit of 0 under the accepted
-    rows misses.  It is accepted when M_s is invertible and closure
+    rows misses.  It is accepted when M_s is invertible, read off its row as
+    b -> M_s b being a bijection of the points, and closure
     M_{T_s[b]} = M_s M_b holds for every b, compared column by column as
     point indices.  The orbit then grows by a frontier search, one boolean
     scatter per step.  Closure on every b makes <S> act freely on the q**r
@@ -274,9 +276,11 @@ def _generators(G: RegularSubgroup) -> tuple[list[int], np.ndarray, str]:
     reached[0] = True
     while not reached.all():
         s = int(np.argmin(reached))
-        if not is_invertible(G.ctx, cols[s] // powers[:, None] % q):
-            return gens, table[: len(gens)], f"matrix at index {s} is singular"
         linear, row = _left_rows(G, s)
+        image = np.zeros(size, dtype=bool)
+        image[linear] = True
+        if not image.all():
+            return gens, table[: len(gens)], f"matrix at index {s} is singular"
         # one column at a time, so each comparison gathers q**r entries, not q**r x r
         bad = np.zeros(size, dtype=bool)
         for j in range(r):
@@ -309,13 +313,21 @@ def verify_automorphism(G: RegularSubgroup, perm: PermTable) -> CheckResult:
     the generating set, compared on every b as point indices.  A law that
     holds on generators holds on the whole group, so on a regular subgroup
     the verdict equals the one over all pairs; on any other table only the
-    generators accepted before the first premise failure are tested."""
+    generators accepted before the first premise failure are tested.
+
+    L_s is the generating set's row for s.  L_perm(s) is too when perm(s)
+    is a generator, as it is for every series permutation; only another
+    image gets its row built by _left_rows, the function that built the
+    stored ones."""
     if G.ctx != perm.ctx or G.r != perm.r:
         raise DimensionMismatch("subgroup and permutation do not match")
     gens, rows, _ = G.generating_set
+    stored = dict(zip(gens, rows))
     timg = perm.images
     for s, row in zip(gens, rows):
-        bad = timg[row] != _left_rows(G, int(timg[s]))[1][timg]
+        t = int(timg[s])
+        image_row = stored[t] if t in stored else _left_rows(G, t)[1]
+        bad = timg[row] != image_row[timg]
         if bad.any():
             return CheckResult(False, f"automorphism law fails at a=index {s}, b=index {int(np.argmax(bad))}")
     return CheckResult(True)

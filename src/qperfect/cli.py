@@ -117,7 +117,7 @@ def cmd_verify(args) -> int:
     wanted = CHECKS if args.checks is None else args.checks.split(",")
     unknown = [c for c in wanted if c not in CHECKS]
     if unknown:
-        raise UsageError(f"unknown checks: {', '.join(unknown)}")
+        raise UsageError(f"unknown checks: {', '.join(map(repr, unknown))}")
     reports = [check(run) for name, check in CHECKS.items() if name in wanted]
     for report in reports:
         print(report.to_json())

@@ -27,6 +27,7 @@ from .linalg import (
     FieldContext,
     _eliminate,
     nullspace_basis,
+    product_dtype,
 )
 
 __all__ = [
@@ -194,20 +195,33 @@ def contains_rows(code: CodeHandle, words) -> np.ndarray:
     Split each row z = (x|y), read the Hamming syndrome a of x, and demand
     that y lie in the extended coset with label perm(a): H' y = -(0|perm(a)).
     words is read by FieldContext.symbols, so a uint8 stack is not copied.
+
+    Both syndromes come from one product with the (N, 2r+1) check
+    [h_hamming^T 0; 0 h_extended^T], BATCH // N rows at a time (BLAS has no
+    integer path).  Every sum adds at most q**r terms below q**2, so it is
+    an integer of at most q**r (q-1)**2, and product_dtype of that bound
+    makes the product exact: float32 up to 2**24, float64 beyond, and the
+    bound is far below 2**53 as q**r <= MAX_POINTS.
     """
     zz = code.ctx.symbols(words)
-    if zz.shape[1] != code.length:
-        raise DimensionMismatch(f"codeword must have length {code.length}")
-    q, n = code.q, code.hp.n
-    powers = field_powers(q, code.r)
-    # einsum widens uint8 rows to int64 through a small buffer, where @
-    # would first cast the whole slice.
-    a = np.einsum("ij,kj->ik", zz[:, :n], code.hp.h_hamming) % q
-    ta = code.perm.images[a @ powers]
-    target = np.zeros((zz.shape[0], code.r + 1), dtype=DTYPE)
+    N = code.length
+    if zz.shape[1] != N:
+        raise DimensionMismatch(f"codeword must have length {N}")
+    q, r, n = code.q, code.r, code.hp.n
+    dtype = product_dtype(code.hp.points * (q - 1) ** 2)
+    check = np.zeros((N, 2 * r + 1), dtype=dtype)
+    check[:n, :r] = code.hp.h_hamming.T
+    check[n:, r:] = code.hp.h_extended.T
+    syndromes = np.empty((zz.shape[0], 2 * r + 1), dtype=dtype)
+    step = max(1, BATCH // N)
+    for start in range(0, zz.shape[0], step):
+        np.matmul(zz[start : start + step].astype(dtype), check, out=syndromes[start : start + step])
+    syndromes = syndromes.astype(DTYPE) % q
+    powers = field_powers(q, r)
+    ta = code.perm.images[syndromes[:, :r] @ powers]
+    target = np.zeros((zz.shape[0], r + 1), dtype=DTYPE)
     target[:, 1:] = ta[:, None] // powers % q
-    lhs = np.einsum("ij,kj->ik", zz[:, n:], code.hp.h_extended) % q
-    return np.all(lhs == (-target) % q, axis=1)
+    return np.all(syndromes[:, r:] == (-target) % q, axis=1)
 
 
 def contains(code: CodeHandle, z) -> bool:

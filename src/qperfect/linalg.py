@@ -27,6 +27,7 @@ __all__ = [
     "is_invertible",
     "is_prime",
     "nullspace_basis",
+    "product_dtype",
     "rank",
     "rref",
     "write_matrix",
@@ -230,6 +231,14 @@ def is_invertible(ctx: FieldContext, m) -> bool:
     if mm.shape[0] != mm.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {mm.shape}")
     return len(_eliminate(mm, ctx.q, reduced=False)) == mm.shape[0]
+
+
+def product_dtype(bound: int) -> type:
+    """The float dtype in which a product whose every partial sum is an
+    integer in 0..bound is exact: float32 while it holds every such integer
+    (bound <= 2**24), float64 beyond.  The rule is derived from the formats,
+    not tuned; each caller's bound is far below 2**53, where float64 stops."""
+    return np.float32 if bound <= 2 ** (np.finfo(np.float32).nmant + 1) else np.float64
 
 
 # -- matrix text format ------------------------------------------------

@@ -41,7 +41,7 @@ from .codes import (
     rank_closed_form,
 )
 from .hamming import HammingPair, build_hamming_pair, json_power
-from .linalg import DTYPE, DimensionMismatch, FieldContext, nullspace_basis, rank
+from .linalg import DTYPE, DimensionMismatch, FieldContext, nullspace_basis, product_dtype, rank
 
 __all__ = [
     "CHECKS",
@@ -475,22 +475,15 @@ def translation_certificate(code: CodeHandle, max_words: int = MAX_CERT_CODE) ->
     return PropelinearCertificate(words, sigma, pis)
 
 
-def _product_dtype(cells: int) -> type:
-    """The float dtype of the certificate's image encodings in a space of
-    cells words: float32 while it holds every integer up to cells exactly
-    (cells <= 2**24), float64 beyond."""
-    return np.float32 if cells <= 2 ** (np.finfo(np.float32).nmant + 1) else np.float64
-
-
 def _encoding_tables(q: int, cert: PropelinearCertificate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(table, positions, onehot), which give every image encoding of the
     certificate: enc(phi_i(v)) = sum_k table[i, k*q + v[k]], where that entry
     is pis_i[sigma_i[k]][v[k]] * q**sigma_i[k]; positions[j, k] is
     k*q + words[j, k], and onehot[positions[j], j] = 1, so table @ onehot
     holds the encodings of all M**2 images.  Both float tables are in
-    _product_dtype(q**N)."""
+    product_dtype(q**N)."""
     M, N = cert.words.shape
-    dtype = _product_dtype(q**N)
+    dtype = product_dtype(q**N)
     powers = q ** np.arange(N, dtype=DTYPE)
     moved = np.take_along_axis(cert.pis, cert.sigma[:, :, None], axis=1)
     table = (moved * powers[cert.sigma][:, :, None]).reshape(M, N * q).astype(dtype)

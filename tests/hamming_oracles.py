@@ -7,7 +7,9 @@ extended leaders that codeword_pairs writes inline), the words of a pair
 stream as plain blocks and plain blocks as pairs, the stacked-rank
 distension kept as the third route beside the two in qperfect.codes, the
 intersection with the permuted copy and the kernel route to the rank
-basis's completion kept as oracles for its pivot-column route, and the
+basis's completion kept as oracles for its pivot-column route, the int64
+syndrome products kept as the oracle for contains_rows' float product, and
+the
 exhaustive pair checks and a per-block product kept as oracles for the
 generator route of the group premises and for direct_product in
 qperfect.affine.  The oracles read a subgroup's matrices M_a off its
@@ -137,6 +139,21 @@ def kernel_completion(code: CodeHandle) -> np.ndarray:
     completion = np.zeros((kept.size, code.length), dtype=DTYPE)
     completion[:, hp.n :] = dbasis[kept]
     return completion
+
+
+def einsum_contains_rows(code: CodeHandle, words) -> np.ndarray:
+    """Membership of every row of words by two int64 einsum syndrome
+    products, exact at every size: the Hamming syndrome a of x, then
+    H' y = -(0|perm(a))."""
+    zz = code.ctx.symbols(words)
+    q, n = code.q, code.hp.n
+    powers = field_powers(q, code.r)
+    a = np.einsum("ij,kj->ik", zz[:, :n], code.hp.h_hamming) % q
+    ta = code.perm.images[a @ powers]
+    target = np.zeros((zz.shape[0], code.r + 1), dtype=DTYPE)
+    target[:, 1:] = ta[:, None] // powers % q
+    lhs = np.einsum("ij,kj->ik", zz[:, n:], code.hp.h_extended) % q
+    return np.all(lhs == (-target) % q, axis=1)
 
 
 def subgroup_matrices(G: RegularSubgroup) -> np.ndarray:

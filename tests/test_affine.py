@@ -320,6 +320,25 @@ def test_first_candidate_failures_return_results():
     assert isinstance(verify_automorphism(moved, tau), CheckResult)
 
 
+@pytest.mark.parametrize(
+    "q,r,indices,column,accepted",
+    [(2, 2, [1], [1, 1], []), (2, 3, [2, 3], [1, 2, 1], [1]), (7, 2, [1], [8, 16], [])],
+)
+def test_singular_generator_is_named(q, r, indices, column, accepted):
+    # the q = 2 and q = 7 cases of the q = 3 one above: the matrices at
+    # indices repeat a column, and every earlier candidate is accepted.  At
+    # (2, 3), M_2 = M_3 keeps closure at the generator 1 = e_0 intact, so the
+    # singular M_2 is met as the second candidate.  [8, 16] is [[1,2],[1,2]].
+    ctx = FieldContext(q)
+    cols = translation_group(ctx, r).cols.copy()
+    cols[indices] = column
+    G = RegularSubgroup(ctx, r, cols)
+    assert verify_regular_subgroup(G).detail == f"matrix at index {indices[0]} is singular"
+    assert G.generating_set[0] == accepted
+    assert not exhaustive_regular_subgroup(G).ok
+    assert not is_invertible(ctx, subgroup_matrices(G)[indices[0]])
+
+
 def test_generating_set_is_small():
     # each generator multiplies the reached subgroup by at least q
     ctx = FieldContext(3)
@@ -391,6 +410,40 @@ INSTANCES = list(_instances())
 @pytest.mark.parametrize("G,perm", [(G, p) for _, G, p in INSTANCES], ids=[n for n, _, _ in INSTANCES])
 def test_generator_route_matches_exhaustive(G, perm):
     assert _cross_check(G, perm)
+
+
+def _spy_left_rows(monkeypatch):
+    calls = []
+    true_left_rows = affine._left_rows
+
+    def spy(G, s):
+        calls.append(s)
+        return true_left_rows(G, s)
+
+    monkeypatch.setattr(affine, "_left_rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("G,perm", [(G, p) for _, G, p in INSTANCES], ids=[n for n, _, _ in INSTANCES])
+def test_automorphism_law_reads_the_generator_rows(monkeypatch, G, perm):
+    # every builtin permutation sends generators to generators
+    G.generating_set
+    calls = _spy_left_rows(monkeypatch)
+    assert verify_automorphism(G, perm).ok
+    assert calls == []
+
+
+def test_automorphism_law_builds_a_row_for_a_non_generator_image(monkeypatch):
+    # a -> [[1,1],[0,1]] a fixes the generator 1 = (1,0) and sends the
+    # generator 5 = (0,1) to (1,1), index 6, which is no generator
+    ctx = FieldContext(5)
+    G = translation_group(ctx, 2)
+    tau = linear_perm(ctx, [[1, 1], [0, 1]])
+    assert G.generating_set[0] == [1, 5]
+    calls = _spy_left_rows(monkeypatch)
+    assert verify_automorphism(G, tau).ok
+    assert calls == [6]
+    assert _cross_check(G, tau)
 
 
 def test_automorphism_law_is_tested_on_every_generator():

@@ -299,6 +299,14 @@ def test_verify_unknown_check_is_usage_error(capsys):
     assert "unknown checks" in err
 
 
+@pytest.mark.parametrize("checks,named", [("", "''"), ("perfect,", "''"), ("bogus,perfect", "'bogus'")])
+def test_verify_unknown_check_is_named(capsys, checks, named):
+    # an empty entry, as a trailing comma leaves, is named too
+    code, out, err = run(capsys, ["verify", "--q", "2", "--r", "2", "--checks", checks])
+    assert code == 2 and out == ""
+    assert err.strip().endswith(f"unknown checks: {named}")
+
+
 def test_verify_file_tau_skips_construction_checks(tmp_path, capsys):
     path = tmp_path / "tau.txt"
     write_perm(path, shear_swap_perm(FieldContext(3)))
@@ -343,6 +351,8 @@ VERIFY_STDOUT_SHA256 = [
      "10c478ba3ea4775572eed694da99183f043003598b89be566a71682b4638a2c2"),
     ("--q 2 --r 10 --checks group_premises",  # group premises on 2**10 points
      "2ca292da5abb0f2e1866d065e1820570b20f29aca2537362138f12a12ca6f30f"),
+    ("--q 3 --r 5 --tau builtin:series --i 2",  # a full ladder rung: audit, additivity, premises
+     "cef47d2d36ad4933690c703010b7dec9d81f2038519b7c9a193849c57302bbb3"),
 ]
 
 

@@ -29,11 +29,12 @@ from qperfect.codes import (
     rank_closed_form,
     write_codewords,
 )
-from qperfect.hamming import build_hamming_pair
-from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, _eliminate, nullspace_basis, rank, rref
+from qperfect.hamming import build_hamming_pair, field_powers
+from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, _eliminate, nullspace_basis, product_dtype, rank, rref
 
 from hamming_oracles import (
     codeword_count,
+    einsum_contains_rows,
     hamming_coset_rep,
     index_to_vec,
     intersection_basis,
@@ -416,6 +417,52 @@ def test_contains_rows_matches_membership_rule(q, r, source):
     assert got[: len(words)].all() and not got[len(words) : 2 * len(words)].any()
     with pytest.raises(DimensionMismatch):
         contains_rows(code, rows[:, 1:])
+
+
+def glued_words(code, x, rng):
+    """One codeword per row of x: a seeded y moved into the extended coset
+    of perm(a), for a the Hamming syndrome of x, by adding to y at the point
+    0 and at the unit points e_k, whose h_extended columns are (1|0) and
+    (1|e_k).  Built from the membership rule alone."""
+    q, r, hp = code.q, code.r, code.hp
+    powers = field_powers(q, r)
+    labels = code.perm.images[(x @ hp.h_hamming.T % q) @ powers]
+    want = np.zeros((len(x), r + 1), dtype=DTYPE)
+    want[:, 1:] = -(labels[:, None] // powers) % q
+    y = rng.integers(0, q, size=(len(x), hp.points))
+    delta = (want - y @ hp.h_extended.T) % q
+    y[:, powers] += delta[:, 1:]
+    y[:, 0] += delta[:, 0] - delta[:, 1:].sum(axis=1)
+    return np.hstack([x, y % q])
+
+
+CONTAINS_SIZES = [(2, 8, "random"), (7, 4, "series"), (127, 2, "random")]
+
+
+@pytest.mark.parametrize("batch", [None, "one row", "uneven"])
+@pytest.mark.parametrize("q,r,source", CONTAINS_SIZES, ids=[f"q{q}r{r}" for q, r, _ in CONTAINS_SIZES])
+def test_contains_rows_is_exact(monkeypatch, q, r, source, batch):
+    # the float product against the int64 einsum oracle: float32 at (2, 8)
+    # and (7, 4), float64 at (127, 2), where q**r (q-1)**2 is about 2.6e8.
+    # Rows of q-1 give the largest sums; the tiles hold one row each, or
+    # three rows and then one.
+    hp = make(q, r)
+    rng = np.random.default_rng(q * 100 + r)
+    tau = series_perm(hp.ctx, r, 2) if source == "series" else random_zero_fixing_perm(hp.ctx, r, rng)
+    code = build_code(hp, tau)
+    assert product_dtype(hp.points * (q - 1) ** 2) is (np.float64 if q == 127 else np.float32)
+    x = np.vstack([rng.integers(0, q, size=(11, hp.n)), np.full((1, hp.n), q - 1)])
+    members = glued_words(code, x, rng)
+    mutated = members.copy()
+    cols = rng.integers(0, code.length, size=len(mutated))
+    mutated[np.arange(len(mutated)), cols] += rng.integers(1, q, size=len(mutated))
+    rows = np.vstack([members, mutated % q, np.full((1, code.length), q - 1)]).astype(np.uint8)
+    assert len(rows) % 3 == 1
+    if batch is not None:
+        monkeypatch.setattr(codes, "BATCH", 1 if batch == "one row" else 3 * code.length)
+    got = contains_rows(code, rows)
+    assert np.array_equal(got, einsum_contains_rows(code, rows))
+    assert got[: len(members)].all() and not got[len(members) : 2 * len(members)].any()
 
 
 def test_enumeration_guard(tmp_path):

@@ -16,7 +16,7 @@ from qperfect import cli, codes, verify
 from qperfect.affine import PermTable, identity_perm, series_perm, shear_swap_perm
 from qperfect.codes import build_code, codeword_blocks, codeword_pairs, rank_basis
 from qperfect.hamming import build_hamming_pair
-from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, rank
+from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, product_dtype, rank
 from qperfect.verify import (
     PropelinearCertificate,
     VerifyReport,
@@ -760,9 +760,9 @@ def test_certificate_accepts_integer_valued_floats():
 def test_product_dtype_is_float32_up_to_2_to_the_24_cells():
     # every encoding is below the cell count, and float32 holds every
     # integer up to 2**24 exactly, but not 2**24 + 1
-    assert verify._product_dtype(2) is np.float32
-    assert verify._product_dtype(1 << 24) is np.float32
-    assert verify._product_dtype((1 << 24) + 1) is np.float64
+    assert product_dtype(2) is np.float32
+    assert product_dtype(1 << 24) is np.float32
+    assert product_dtype((1 << 24) + 1) is np.float64
     assert np.float32((1 << 24) + 1) == 1 << 24
 
 
