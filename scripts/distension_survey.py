@@ -1,16 +1,19 @@
 """Survey the distension statistics of random zero-fixing permutations and
 compare them with the structured ones (identity, linear, shear-swap).
+Every sample is checked against distension_oracle; the script exits 1 if
+any disagrees.
 
 Usage: python scripts/distension_survey.py [--q Q] [--r R] [--samples N] [--seed S]
 """
 
 import argparse
+import sys
 from collections import Counter
 
 import numpy as np
 
 from qperfect.affine import PermTable, identity_perm, linear_perm, shear_swap_perm
-from qperfect.codes import distension
+from qperfect.codes import distension, distension_oracle
 from qperfect.hamming import build_hamming_pair
 from qperfect.linalg import FieldContext
 
@@ -42,23 +45,30 @@ def main() -> int:
     hp = build_hamming_pair(ctx, cfg.r)
     rng = np.random.default_rng(cfg.seed)
 
+    disagreements = []
+
+    def survey(perm):
+        d = distension(hp, perm)
+        if distension_oracle(hp, perm) != d:
+            disagreements.append(perm)
+        return d
+
     print(f"# q={cfg.q} r={cfg.r} samples={cfg.samples} seed={cfg.seed}")
-    print("identity:", distension(hp, identity_perm(ctx, cfg.r)))
+    print("identity:", survey(identity_perm(ctx, cfg.r)))
     if cfg.r == 2 and cfg.q >= 3:
-        print("shear-swap:", distension(hp, shear_swap_perm(ctx)))
-    linear_hist = Counter(
-        distension(hp, random_invertible(ctx, cfg.r, rng)) for _ in range(20)
-    )
+        print("shear-swap:", survey(shear_swap_perm(ctx)))
+    linear_hist = Counter(survey(random_invertible(ctx, cfg.r, rng)) for _ in range(20))
     print("20 random linear permutations:", dict(sorted(linear_hist.items())))
 
-    hist = Counter(
-        distension(hp, random_zero_fixing(ctx, cfg.r, rng)) for _ in range(cfg.samples)
-    )
+    hist = Counter(survey(random_zero_fixing(ctx, cfg.r, rng)) for _ in range(cfg.samples))
     total = sum(hist.values())
     print("random zero-fixing permutations:")
     for value in sorted(hist):
         count = hist[value]
         print(f"  distension {value}: {count:6d}  ({100.0 * count / total:5.1f} %)")
+    if disagreements:
+        print(f"{len(disagreements)} samples disagree with distension_oracle", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -26,7 +26,6 @@ from .linalg import (
     DimensionMismatch,
     FieldContext,
     _eliminate,
-    nullspace_basis,
     product_dtype,
 )
 
@@ -97,15 +96,43 @@ def distension(hp: HammingPair, perm: PermTable) -> int:
     return len(_eliminate(residual, q, reduced=False))
 
 
+def _restricted_check(hp: HammingPair, check: np.ndarray) -> np.ndarray:
+    """The restricted check M = P B^T mod q, (r+1) x dim: the permuted check
+    P = check of some perm applied to the kernel basis B = hp.extended_basis.
+    M is a fresh int64 array, so it may be eliminated in place.
+
+    Columns: B is nullspace_basis(h_extended), so it is the identity on the
+    free columns of h_extended, whose pivot columns are 0 and q**k (the
+    affine basis named in distension()).  Hence
+    M = P[:, free] + P[:, pivots] B[:, pivots]^T mod q: (r+1)**2 products
+    per basis vector where P B^T takes (r+1) q**r.
+
+    Kernel: the rows of B are independent and span the extended component
+    D, so c B lies in the permuted copy perm(D) exactly when P (c B)^T =
+    M c^T = 0.  In coordinates over B the intersection D & perm(D) is ker M,
+    and by rank-nullity dim(D & perm(D)) = dim D - rank M: the distension,
+    dim D minus that intersection, is rank M.
+
+    Row 0 of M is zero: row 0 of P is the all-ones row of h_extended, which
+    vanishes on D.
+    """
+    q = hp.q
+    pivots = np.concatenate([[0], field_powers(q, hp.r)])
+    free = np.ones(hp.points, dtype=bool)
+    free[pivots] = False
+    return (check[:, free] + check[:, pivots] @ hp.extended_basis[:, pivots].T) % q
+
+
 def distension_oracle(hp: HammingPair, perm: PermTable) -> int:
-    """Distension straight from the definition: dim of the extended
-    component minus dim of its intersection with the permuted copy.
-    Independent of the residual route in distension(); only the fixed
-    kernel of h_extended is shared with the parity kit.  The intersection,
-    in coordinates over hp.extended_basis, is the kernel of the permuted
-    check applied to that basis."""
-    inter = nullspace_basis(hp.ctx, permuted_check(hp, perm) @ hp.extended_basis.T % hp.q)
-    return hp.extended_basis.shape[0] - inter.shape[0]
+    """Distension straight from the definition, dim D minus dim of the
+    intersection with the permuted copy: rank M of the restricted check
+    (_restricted_check states the argument), one elimination of its r
+    rows below the zero row 0.  Those rows are distension()'s residual on
+    the free columns (the residual is zero on the pivot columns), reached
+    here through the kit's kernel of h_extended instead of the affine
+    interpolant: the two routes share only the preimage table and the
+    elimination kernel."""
+    return len(_eliminate(_restricted_check(hp, permuted_check(hp, perm))[1:], hp.q, reduced=False))
 
 
 def canonical_coset_reps(hp: HammingPair) -> np.ndarray:
@@ -330,20 +357,13 @@ def rank_basis(code: CodeHandle) -> RankBasis:
     hamming_rows: (z | 0) for the Hamming kernel basis z;
     completion_rows: (0 | v) for the extended-kernel basis vectors v that a
     greedy scan in kernel-basis order adds to the intersection with the
-    permuted copy.  They are the pivot columns of M = permuted check times
-    the kernel basis transposed, (r+1) x dim.  In coordinates over the
-    basis (its rows are independent, so coordinates keep every linear
-    dependence) the intersection is ker M, and the scan keeps e_k exactly
+    permuted copy.  They are the pivot columns of the restricted check M,
+    (r+1) x dim (_restricted_check: the intersection is ker M in
+    coordinates over the kernel basis, whose rows are independent, so
+    coordinates keep every linear dependence).  The scan keeps e_k exactly
     when e_k is not in ker M + span{e_j : j < k}, that is, when M e_k is
     not in span{M e_j : j < k}: when k is a pivot column of M.  There are
     rank M = distension of them.
-
-    M is read off the systematic form of the kernel basis B =
-    extended_basis.  It is nullspace_basis(h_extended), so B is the
-    identity on the free columns of h_extended, whose pivot columns are 0
-    and q**k (the affine basis named in distension()).  With P the permuted
-    check, M = P[:, free] + P[:, pivots] B[:, pivots]^T mod q: (r+1)**2 x
-    dim products where P B^T takes (r+1) x q**r x dim.
     """
     q = code.q
     n = code.hp.n
@@ -360,15 +380,9 @@ def rank_basis(code: CodeHandle) -> RankBasis:
     hamming_rows = np.zeros((code.hamming_basis.shape[0], N), dtype=np.uint8)
     hamming_rows[:, :n] = code.hamming_basis
 
-    dbasis = code.extended_basis
-    check = code.permuted_check_matrix
-    pivots = np.concatenate([[0], field_powers(q, code.r)])
-    free = np.ones(points, dtype=bool)
-    free[pivots] = False
-    moved = (check[:, free] + check[:, pivots] @ dbasis[:, pivots].T) % q
-    kept = _eliminate(moved, q, reduced=False)
+    kept = _eliminate(_restricted_check(code.hp, code.permuted_check_matrix), q, reduced=False)
     completion = np.zeros((len(kept), N), dtype=np.uint8)
-    completion[:, n:] = dbasis[kept]
+    completion[:, n:] = code.extended_basis[kept]
     return RankBasis(coset, hamming_rows, completion)
 
 

@@ -443,3 +443,11 @@ def test_distension_survey_script(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "identity: 0" in lines
     assert "shear-swap: 2" in lines
+
+
+def test_distension_survey_script_exits_1_when_the_oracle_disagrees(monkeypatch, capsys):
+    argv = ["distension_survey.py", "--q", "3", "--r", "2", "--samples", "5", "--seed", "0"]
+    monkeypatch.setattr(sys, "argv", argv)
+    monkeypatch.setattr(survey, "distension_oracle", lambda hp, perm: -1)
+    assert survey.main() == 1
+    assert "disagree with distension_oracle" in capsys.readouterr().err

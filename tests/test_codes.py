@@ -270,7 +270,7 @@ def test_rank_basis_eliminates_one_r_plus_1_row_matrix(monkeypatch):
         return _eliminate(a, q, reduced)
 
     monkeypatch.setattr(codes, "_eliminate", checked)
-    monkeypatch.setattr(codes, "nullspace_basis", lambda ctx, m: pytest.fail("rank_basis cut a kernel"))
+    assert not hasattr(codes, "nullspace_basis")  # codes cuts no kernel
     for q, r, name in ((2, 3, "identity"), (3, 2, "shear"), (3, 4, "series2"), (5, 2, "random5021")):
         hp = make(q, r)
         matrices.clear()
@@ -297,12 +297,12 @@ def test_extended_basis_is_systematic_on_the_affine_basis(q, r):
 
 
 def test_component_kernels_belong_to_the_kit(monkeypatch):
-    # the kit computes each kernel once; codes and the oracle read it, and
-    # the oracle still cuts that kernel once per permutation
+    # the kit computes each kernel once and codes reads it; the oracle cuts
+    # no kernel and eliminates one r x dim matrix per permutation, the
+    # restricted check below its zero row
     calls = []
     counted = lambda ctx, m, dtype=DTYPE: calls.append(m.shape) or nullspace_basis(ctx, m, dtype)
     monkeypatch.setattr(hamming, "nullspace_basis", counted)
-    monkeypatch.setattr(codes, "nullspace_basis", counted)
     hp = make(3, 2)
     assert np.array_equal(hp.hamming_basis, nullspace_basis(hp.ctx, hp.h_hamming))
     assert np.array_equal(hp.extended_basis, nullspace_basis(hp.ctx, hp.h_extended))
@@ -313,15 +313,63 @@ def test_component_kernels_belong_to_the_kit(monkeypatch):
     assert len(calls) == 2  # one kernel per component
     calls.clear()  # the kit is warm
 
+    shapes = []
+    monkeypatch.setattr(codes, "_eliminate", lambda a, q, reduced: shapes.append(a.shape) or _eliminate(a, q, reduced))
+    assert not hasattr(codes, "nullspace_basis")  # codes cuts no kernel
     perms = [identity_perm(hp.ctx, 2), shear_swap_perm(hp.ctx)]
     assert [distension_oracle(hp, tau) for tau in perms] == [0, 2]
-    assert len(calls) == len(perms)
+    assert shapes == [(2, 6)] * len(perms)
+    assert not calls
     for tau in perms:
         code = build_code(hp, tau)
         assert code.extended_basis is hp.extended_basis
         assert code.hamming_basis is hp.hamming_basis
     rank_basis(code)
-    assert len(calls) == len(perms)  # rank_basis cuts no kernel
+    assert not calls  # rank_basis cuts no kernel
+
+
+RESTRICTED_CASES = [(2, 1), (3, 1), (2, 5), (3, 4), (5, 2), (7, 2), (251, 1)]
+
+
+@pytest.mark.parametrize("q,r", RESTRICTED_CASES)
+def test_restricted_check_is_the_product_read_off_the_systematic_form(q, r):
+    # premise: the kernel basis is the identity on the free columns of
+    # h_extended; value: the short form equals the full product P B^T,
+    # whose row 0 is zero and whose other rows are the residual on the free
+    # columns
+    hp = make(q, r)
+    free = np.ones(q**r, dtype=bool)
+    free[[0, *(q**k for k in range(r))]] = False
+    dim = q**r - r - 1
+    assert np.array_equal(hp.extended_basis[:, free], np.eye(dim, dtype=np.uint8))
+    rng = np.random.default_rng(q * 1000 + r)
+    perms = [identity_perm(hp.ctx, r)] + [random_zero_fixing_perm(hp.ctx, r, rng) for _ in range(5)]
+    for tau in perms:
+        check = permuted_check(hp, tau)
+        restricted = codes._restricted_check(hp, check)
+        assert restricted.dtype == DTYPE and restricted.shape == (r + 1, dim)
+        assert np.array_equal(restricted, check @ hp.extended_basis.T % q)
+        assert not restricted[0].any()
+        assert np.array_equal(restricted[1:], residual(hp, tau)[:, free])
+
+
+@pytest.mark.parametrize("q,r", RESTRICTED_CASES)
+def test_oracle_is_dim_minus_the_intersection(q, r):
+    # rank-nullity against the kernel of both checks stacked; at (2,1) the
+    # component is zero and the restricted check has no columns
+    hp = make(q, r)
+    dim = hp.extended_basis.shape[0]
+    rng = np.random.default_rng(q * 100 + r + 1)
+    for _ in range(10):
+        tau = random_zero_fixing_perm(hp.ctx, r, rng)
+        assert distension_oracle(hp, tau) == dim - intersection_basis(hp, tau).shape[0]
+
+
+def test_oracle_decides_past_the_old_product():
+    # the kernel route's product was 8 x 2187 x 2179 int64 here
+    hp = make(3, 7)
+    tau = series_perm(hp.ctx, 7, 3)
+    assert distension_oracle(hp, tau) == distension(hp, tau) == 6
 
 
 # -- coset representatives -------------------------------------------------
