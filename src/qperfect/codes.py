@@ -97,42 +97,41 @@ def distension(hp: HammingPair, perm: PermTable) -> int:
 
 
 def _restricted_check(hp: HammingPair, check: np.ndarray) -> np.ndarray:
-    """The restricted check M = P B^T mod q, (r+1) x dim: the permuted check
-    P = check of some perm applied to the kernel basis B = hp.extended_basis.
-    M is a fresh int64 array, so it may be eliminated in place.
+    """The restricted check M, r x dim: the permuted check P = check of some
+    perm applied to the kernel basis B = hp.extended_basis, P B^T mod q
+    without its row 0.  That row is always zero, as row 0 of P is the
+    all-ones row of h_extended, which vanishes on D, so M drops it.  M is a
+    fresh int64 array, so it may be eliminated in place.
 
     Columns: B is nullspace_basis(h_extended), so it is the identity on the
     free columns of h_extended, whose pivot columns are 0 and q**k (the
     affine basis named in distension()).  Hence
-    M = P[:, free] + P[:, pivots] B[:, pivots]^T mod q: (r+1)**2 products
-    per basis vector where P B^T takes (r+1) q**r.
+    M = P'[:, free] + P'[:, pivots] B[:, pivots]^T mod q, for P' the rows
+    of P below row 0: (r+1) r products per basis vector where P B^T takes
+    (r+1) q**r.
 
     Kernel: the rows of B are independent and span the extended component
     D, so c B lies in the permuted copy perm(D) exactly when P (c B)^T =
-    M c^T = 0.  In coordinates over B the intersection D & perm(D) is ker M,
-    and by rank-nullity dim(D & perm(D)) = dim D - rank M: the distension,
-    dim D minus that intersection, is rank M.
-
-    Row 0 of M is zero: row 0 of P is the all-ones row of h_extended, which
-    vanishes on D.
+    0, that is when M c^T = 0.  In coordinates over B the intersection
+    D & perm(D) is ker M, and by rank-nullity dim(D & perm(D)) = dim D -
+    rank M: the distension, dim D minus that intersection, is rank M.
     """
     q = hp.q
     pivots = np.concatenate([[0], field_powers(q, hp.r)])
     free = np.ones(hp.points, dtype=bool)
     free[pivots] = False
-    return (check[:, free] + check[:, pivots] @ hp.extended_basis[:, pivots].T) % q
+    return (check[1:, free] + check[1:, pivots] @ hp.extended_basis[:, pivots].T) % q
 
 
 def distension_oracle(hp: HammingPair, perm: PermTable) -> int:
     """Distension straight from the definition, dim D minus dim of the
     intersection with the permuted copy: rank M of the restricted check
     (_restricted_check states the argument), one elimination of its r
-    rows below the zero row 0.  Those rows are distension()'s residual on
-    the free columns (the residual is zero on the pivot columns), reached
-    here through the kit's kernel of h_extended instead of the affine
-    interpolant: the two routes share only the preimage table and the
-    elimination kernel."""
-    return len(_eliminate(_restricted_check(hp, permuted_check(hp, perm))[1:], hp.q, reduced=False))
+    rows.  They are distension()'s residual on the free columns (the
+    residual is zero on the pivot columns), reached here through the kit's
+    kernel of h_extended instead of the affine interpolant: the two routes
+    share only the preimage table and the elimination kernel."""
+    return len(_eliminate(_restricted_check(hp, permuted_check(hp, perm)), hp.q, reduced=False))
 
 
 def canonical_coset_reps(hp: HammingPair) -> np.ndarray:
@@ -201,6 +200,21 @@ class CodeHandle:
         return permuted_check(self.hp, self.perm)
 
     @cached_property
+    def syndrome_check(self) -> np.ndarray:
+        """The (N, 2r+1) check [h_hamming^T 0; 0 h_extended^T]: a word's
+        row times it is its Hamming syndrome, then its extended syndrome.
+        Every sum of such a product over words in 0..q-1 adds at most q**r
+        terms below q**2, so it is an integer of at most q**r (q-1)**2, and
+        product_dtype of that bound makes the product exact: float32 up to
+        2**24, float64 beyond, and the bound is far below 2**53 as q**r <=
+        MAX_POINTS.  Read-only, built on the first membership test."""
+        check = np.zeros((self.length, 2 * self.r + 1), dtype=product_dtype(self.hp.points * (self.q - 1) ** 2))
+        check[: self.hp.n, : self.r] = self.hp.h_hamming.T
+        check[self.hp.n :, self.r :] = self.hp.h_extended.T
+        check.setflags(write=False)
+        return check
+
+    @cached_property
     def distension(self) -> int:
         # the module function, looked up by name at call time, so a wrapper
         # on this module sees the call
@@ -216,39 +230,54 @@ def rank_closed_form(code: CodeHandle) -> int:
     return code.log_size + code.distension
 
 
+def _label_leaders(code: CodeHandle, labels: np.ndarray) -> np.ndarray:
+    """The gluing rule as words: row i is the np.uint8 leader (reps[a] |
+    e_0 - e_perm(a)) of the coset pair with label a = labels[i], whose
+    syndrome is _label_syndromes' row.  Its extended part is zero where
+    perm(a) = 0, that is at a = 0 alone, as perm is a bijection fixing 0."""
+    n, taus = code.hp.n, code.perm.images[labels]
+    leaders = np.zeros((len(labels), code.length), dtype=np.uint8)
+    leaders[:, :n] = code.rep_table[labels]
+    glued = np.flatnonzero(taus)
+    leaders[glued, n] = 1  # e_0 of the extended part
+    leaders[glued, n + taus[glued]] = code.q - 1  # -e_perm(a)
+    return leaders
+
+
+def _label_syndromes(code: CodeHandle, labels: np.ndarray) -> np.ndarray:
+    """The gluing rule as syndromes: row i is the int64 (a | h_extended[:, 0]
+    - h_extended[:, perm(a)]) mod q for a = labels[i], the 2r+1 syndromes
+    that syndrome_check gives every word of the coset pair with label a,
+    read off the kit's columns (column a of h_columns is a)."""
+    ext = code.hp.h_extended
+    glued = (ext[:, :1] - ext[:, code.perm.images[labels]]) % code.q
+    return np.vstack([ext[1:, labels], glued]).T
+
+
 def contains_rows(code: CodeHandle, words) -> np.ndarray:
     """Membership of every row of words, as a boolean array.
 
     Split each row z = (x|y), read the Hamming syndrome a of x, and demand
-    that y lie in the extended coset with label perm(a): H' y = -(0|perm(a)).
+    that z have the syndromes of the coset pair with label a:
+    _label_syndromes' row, whose extended part is H' y = -(0|perm(a)).
     words is read by FieldContext.symbols, so a uint8 stack is not copied.
 
-    Both syndromes come from one product with the (N, 2r+1) check
-    [h_hamming^T 0; 0 h_extended^T], BATCH // N rows at a time (BLAS has no
-    integer path).  Every sum adds at most q**r terms below q**2, so it is
-    an integer of at most q**r (q-1)**2, and product_dtype of that bound
-    makes the product exact: float32 up to 2**24, float64 beyond, and the
-    bound is far below 2**53 as q**r <= MAX_POINTS.
+    Both syndromes come from one product with code.syndrome_check, which
+    states why it is exact, BATCH // N rows at a time (BLAS has no integer
+    path).
     """
     zz = code.ctx.symbols(words)
     N = code.length
     if zz.shape[1] != N:
         raise DimensionMismatch(f"codeword must have length {N}")
-    q, r, n = code.q, code.r, code.hp.n
-    dtype = product_dtype(code.hp.points * (q - 1) ** 2)
-    check = np.zeros((N, 2 * r + 1), dtype=dtype)
-    check[:n, :r] = code.hp.h_hamming.T
-    check[n:, r:] = code.hp.h_extended.T
-    syndromes = np.empty((zz.shape[0], 2 * r + 1), dtype=dtype)
+    q, r, check = code.q, code.r, code.syndrome_check
+    syndromes = np.empty((zz.shape[0], 2 * r + 1), dtype=check.dtype)
     step = max(1, BATCH // N)
     for start in range(0, zz.shape[0], step):
-        np.matmul(zz[start : start + step].astype(dtype), check, out=syndromes[start : start + step])
+        np.matmul(zz[start : start + step].astype(check.dtype), check, out=syndromes[start : start + step])
     syndromes = syndromes.astype(DTYPE) % q
-    powers = field_powers(q, r)
-    ta = code.perm.images[syndromes[:, :r] @ powers]
-    target = np.zeros((zz.shape[0], r + 1), dtype=DTYPE)
-    target[:, 1:] = ta[:, None] // powers % q
-    return np.all(syndromes[:, r:] == (-target) % q, axis=1)
+    labels = syndromes[:, :r] @ field_powers(q, r)
+    return np.all(syndromes == _label_syndromes(code, labels), axis=1)
 
 
 def contains(code: CodeHandle, z) -> bool:
@@ -274,20 +303,12 @@ def codeword_pairs(code: CodeHandle, max_words: int = MAX_ENUMERATION) -> Iterat
 
 
 def _pairs(code: CodeHandle) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    q = code.q
+    q, n = code.q, code.hp.n
     # reversed basis rows as columns: index order is lexicographic message order
     cwords = span_table(q, code.hamming_basis[::-1].T).T.astype(np.uint8, order="C")
     dwords = span_table(q, code.extended_basis[::-1].T).T.astype(np.uint8, order="C")
-    reps = code.rep_table
-    images = code.perm.images
-    points = code.hp.points
-    for a_idx in range(points):
-        ya = np.zeros(points, dtype=np.uint8)
-        ta = int(images[a_idx])
-        if ta != 0:
-            ya[0] = 1
-            ya[ta] = q - 1
-        yield _coset(cwords, reps[a_idx], q), _coset(dwords, ya, q)
+    for leader in _label_leaders(code, np.arange(code.hp.points)):
+        yield _coset(cwords, leader[:n], q), _coset(dwords, leader[n:], q)
 
 
 def _coset(words: np.ndarray, leader: np.ndarray, q: int) -> np.ndarray:
@@ -353,34 +374,25 @@ class RankBasis:
 def rank_basis(code: CodeHandle) -> RankBasis:
     """Build the three-part spanning set whose size is N - r - 1 + distension.
 
-    coset_rows: (x_a | e_0 - e_perm(a)) for every a != 0;
+    coset_rows: the leader (x_a | e_0 - e_perm(a)) of every label a != 0;
     hamming_rows: (z | 0) for the Hamming kernel basis z;
     completion_rows: (0 | v) for the extended-kernel basis vectors v that a
     greedy scan in kernel-basis order adds to the intersection with the
     permuted copy.  They are the pivot columns of the restricted check M,
-    (r+1) x dim (_restricted_check: the intersection is ker M in
+    r x dim (_restricted_check: the intersection is ker M in
     coordinates over the kernel basis, whose rows are independent, so
     coordinates keep every linear dependence).  The scan keeps e_k exactly
     when e_k is not in ker M + span{e_j : j < k}, that is, when M e_k is
     not in span{M e_j : j < k}: when k is a pivot column of M.  There are
     rank M = distension of them.
     """
-    q = code.q
-    n = code.hp.n
-    points = code.hp.points
-    N = code.length
-    size = points - 1
-
-    coset = np.zeros((size, N), dtype=np.uint8)
-    coset[:, :n] = code.rep_table[1:]
-    coset[:, n] = 1  # e_0 of the extended part
-    targets = code.perm.images[1:]  # never 0: the permutation fixes 0
-    coset[np.arange(size), n + targets] = q - 1  # -e_perm(a)
+    n, N = code.hp.n, code.length
+    coset = _label_leaders(code, np.arange(1, code.hp.points))
 
     hamming_rows = np.zeros((code.hamming_basis.shape[0], N), dtype=np.uint8)
     hamming_rows[:, :n] = code.hamming_basis
 
-    kept = _eliminate(_restricted_check(code.hp, code.permuted_check_matrix), q, reduced=False)
+    kept = _eliminate(_restricted_check(code.hp, code.permuted_check_matrix), code.q, reduced=False)
     completion = np.zeros((len(kept), N), dtype=np.uint8)
     completion[:, n:] = code.extended_basis[kept]
     return RankBasis(coset, hamming_rows, completion)

@@ -3,7 +3,7 @@ messages in lexicographic order (built by division, not by the span table
 of qperfect.hamming), the exact codeword count, the
 permutation file writer, per-syndrome coset builders kept as oracles for
 the vectorised tables in qperfect.codes (canonical_coset_reps, and the
-extended leaders that codeword_pairs writes inline), the words of a pair
+extended halves of the label leaders of codes._label_leaders), the words of a pair
 stream as plain blocks and plain blocks as pairs, the stacked-rank
 distension kept as the third route beside the two in qperfect.codes, the
 intersection with the permuted copy and the kernel route to the rank

@@ -29,12 +29,13 @@ from qperfect.codes import (
     rank_closed_form,
     write_codewords,
 )
-from qperfect.hamming import build_hamming_pair, field_powers
+from qperfect.hamming import build_hamming_pair, field_powers, json_power
 from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, _eliminate, nullspace_basis, product_dtype, rank, rref
 
 from hamming_oracles import (
     codeword_count,
     einsum_contains_rows,
+    extended_coset_leader,
     hamming_coset_rep,
     index_to_vec,
     intersection_basis,
@@ -258,10 +259,11 @@ def test_distension_eliminates_the_reduced_r_row_residual(monkeypatch):
     assert shapes == [(2, 25)] * 10
 
 
-def test_rank_basis_eliminates_one_r_plus_1_row_matrix(monkeypatch):
-    # the completion is read off the pivot columns of one (r+1) x dim
+def test_rank_basis_eliminates_one_r_row_matrix(monkeypatch):
+    # the completion is read off the pivot columns of one r x dim
     # elimination, dim = q**r - r - 1; no kernel is cut, and the matrix is
-    # the full product of the permuted check with the kernel basis
+    # the full product of the permuted check with the kernel basis below
+    # its row 0, which is zero
     matrices = []
 
     def checked(a, q, reduced):
@@ -276,8 +278,10 @@ def test_rank_basis_eliminates_one_r_plus_1_row_matrix(monkeypatch):
         matrices.clear()
         code = build_code(hp, completion_perm(hp.ctx, r, name))
         rank_basis(code)
-        assert [m.shape for m in matrices] == [(r + 1, q**r - r - 1)]
-        assert np.array_equal(matrices[0], code.permuted_check_matrix @ hp.extended_basis.T % q)
+        assert [m.shape for m in matrices] == [(r, q**r - r - 1)]
+        product = code.permuted_check_matrix @ hp.extended_basis.T % q
+        assert np.array_equal(matrices[0], product[1:])
+        assert not product[0].any()
 
 
 @pytest.mark.parametrize("q,r", [(2, 1), (3, 1), (3, 2), (3, 4), (5, 3), (3, 5), (2, 8), (7, 4)])
@@ -334,8 +338,8 @@ RESTRICTED_CASES = [(2, 1), (3, 1), (2, 5), (3, 4), (5, 2), (7, 2), (251, 1)]
 @pytest.mark.parametrize("q,r", RESTRICTED_CASES)
 def test_restricted_check_is_the_product_read_off_the_systematic_form(q, r):
     # premise: the kernel basis is the identity on the free columns of
-    # h_extended; value: the short form equals the full product P B^T,
-    # whose row 0 is zero and whose other rows are the residual on the free
+    # h_extended; value: the short form equals the full product P B^T
+    # below its row 0, which is zero, and is the residual on the free
     # columns
     hp = make(q, r)
     free = np.ones(q**r, dtype=bool)
@@ -347,10 +351,11 @@ def test_restricted_check_is_the_product_read_off_the_systematic_form(q, r):
     for tau in perms:
         check = permuted_check(hp, tau)
         restricted = codes._restricted_check(hp, check)
-        assert restricted.dtype == DTYPE and restricted.shape == (r + 1, dim)
-        assert np.array_equal(restricted, check @ hp.extended_basis.T % q)
-        assert not restricted[0].any()
-        assert np.array_equal(restricted[1:], residual(hp, tau)[:, free])
+        assert restricted.dtype == DTYPE and restricted.shape == (r, dim)
+        product = check @ hp.extended_basis.T % q
+        assert np.array_equal(restricted, product[1:])
+        assert not product[0].any()
+        assert np.array_equal(restricted, residual(hp, tau)[:, free])
 
 
 @pytest.mark.parametrize("q,r", RESTRICTED_CASES)
@@ -668,6 +673,79 @@ def test_rank_basis_completion_matches_kernel_route(q, r, copies):
     completion = rank_basis(code).completion_rows
     assert completion.shape[0] == distension(hp, code.perm) == 2 * copies
     assert np.array_equal(completion, kernel_completion(code))
+
+
+# -- the gluing rule --------------------------------------------------------
+
+
+def enumerates(code):
+    return json_power(code.q, code.log_size, codes.MAX_ENUMERATION) is None
+
+
+def pair_word_set(code):
+    return {tuple(w) for block in pair_words(codeword_pairs(code)) for w in block}
+
+
+GLUING_CASES = [(2, 3, "identity"), (3, 2, "shear"), (5, 2, "random52"), (7, 1, "identity"), (3, 4, "series2")]
+
+
+@pytest.mark.parametrize("q,r,name", GLUING_CASES)
+def test_every_label_route_reads_one_gluing_rule(q, r, name):
+    # the leaders against the per-label oracles, their syndromes against
+    # the one cached check and the einsum membership, and the rank basis's
+    # coset rows against the leading words of the pairs
+    hp = make(q, r)
+    code = build_code(hp, completion_perm(hp.ctx, r, name))
+    labels = np.arange(hp.points)
+    leaders = codes._label_leaders(code, labels)
+    assert leaders.dtype == np.uint8 and leaders.shape == (hp.points, code.length)
+    for a in labels:
+        want = np.concatenate([
+            hamming_coset_rep(hp, index_to_vec(q, r, a)),
+            extended_coset_leader(hp, index_to_vec(q, r, int(code.perm.images[a]))),
+        ])
+        assert np.array_equal(leaders[a], want)
+    basis = rank_basis(code)
+    assert np.array_equal(basis.coset_rows, leaders[1:])
+    if enumerates(code):
+        for a, (left, right) in enumerate(codeword_pairs(code)):
+            assert np.array_equal(np.concatenate([left[0], right[0]]), leaders[a])
+    assert "syndrome_check" not in vars(code)  # neither route builds the check
+
+    syndromes = codes._label_syndromes(code, labels)
+    assert syndromes.dtype == DTYPE and syndromes.shape == (hp.points, 2 * r + 1)
+    assert contains_rows(code, leaders).all()
+    check = code.syndrome_check
+    blocks = [[hp.h_hamming.T, np.zeros((hp.n, r + 1))], [np.zeros((hp.points, r)), hp.h_extended.T]]
+    assert np.array_equal(check, np.block(blocks)) and not check.flags.writeable
+    assert np.array_equal(syndromes, leaders @ check % q)
+    assert einsum_contains_rows(code, leaders).all()
+    assert contains_rows(code, basis.stacked).all()
+    assert code.syndrome_check is check
+    # a step at e_0 moves only the coordinate sum, which the all-ones row reads
+    stepped = leaders.copy()
+    stepped[:, hp.n] = (stepped[:, hp.n] + 1) % q
+    assert not contains_rows(code, stepped).any()
+
+
+@pytest.mark.parametrize("q,r,name", [(2, 3, "random23"), (3, 2, "shear"), (7, 1, "identity"), (5, 2, "random52")])
+def test_swapped_images_move_the_glued_cosets(q, r, name):
+    # swapping the images of two nonzero labels reglues those two Hamming
+    # cosets: the mutant rejects the original leaders there and accepts
+    # its own, and its words differ as a set
+    hp = make(q, r)
+    code = build_code(hp, completion_perm(hp.ctx, r, name))
+    images = code.perm.images.copy()
+    a, b = 1, hp.points - 1
+    images[[a, b]] = images[[b, a]]
+    mutant = build_code(hp, PermTable(hp.ctx, r, images))
+    labels = np.array([a, b])
+    original, own = codes._label_leaders(code, labels), codes._label_leaders(mutant, labels)
+    assert contains_rows(code, original).all() and not contains_rows(code, own).any()
+    assert not contains_rows(mutant, original).any() and contains_rows(mutant, own).all()
+    assert not einsum_contains_rows(mutant, original).any()
+    if enumerates(code):
+        assert pair_word_set(code) != pair_word_set(mutant)
 
 
 # -- codeword files ---------------------------------------------------------
