@@ -87,28 +87,32 @@ def distension(hp: HammingPair, perm: PermTable) -> int:
     Always in [0, r]; equals 0 exactly when the permuted component is the
     original one.
     """
-    q, r = hp.q, hp.r
+    q = hp.q
     # np.take keeps the gathered rows C-contiguous for the row updates
     residual = np.take(hp.h_columns, _preimages(hp, perm), axis=1)
-    # C V has column b equal to C b: the span table of C's columns
-    residual -= span_table(q, residual[:, field_powers(q, r)])
+    # C V has column b equal to C b: the span table of C's columns, read at
+    # the unit vectors, the pivot columns past 0
+    residual -= span_table(q, residual[:, hp.pivot_columns[1:]])
     np.add(residual, q, out=residual, where=residual < 0)
     return len(_eliminate(residual, q, reduced=False))
 
 
-def _restricted_check(hp: HammingPair, check: np.ndarray) -> np.ndarray:
-    """The restricted check M, r x dim: the permuted check P = check of some
-    perm applied to the kernel basis B = hp.extended_basis, P B^T mod q
-    without its row 0.  That row is always zero, as row 0 of P is the
-    all-ones row of h_extended, which vanishes on D, so M drops it.  M is a
-    fresh int64 array, so it may be eliminated in place.
+def _restricted_check(hp: HammingPair, inv: np.ndarray) -> np.ndarray:
+    """The restricted check M, r x dim, for the permutation whose preimage
+    table is inv (_preimages): the permuted check P, whose column b is the
+    h_extended column at inv[b], applied to the kernel basis B =
+    hp.extended_basis, P B^T mod q without its row 0.  That row is always
+    zero, as row 0 of P is the all-ones row of h_extended, which vanishes
+    on D, so M drops it.  M is a fresh int64 array, so it may be
+    eliminated in place.
 
-    Columns: B is nullspace_basis(h_extended), so it is the identity on the
-    free columns of h_extended, whose pivot columns are 0 and q**k (the
-    affine basis named in distension()).  Hence
-    M = P'[:, free] + P'[:, pivots] B[:, pivots]^T mod q, for P' the rows
-    of P below row 0: (r+1) r products per basis vector where P B^T takes
-    (r+1) q**r.
+    Columns: B is the identity on the free columns of h_extended, whose
+    pivot columns are 0 and q**k (the affine basis named in distension()),
+    and hp.systematic_form holds both index sets and B at the pivots,
+    transposed.  Rows 1.. of P are h_columns read at inv, so
+    M = h_columns[:, inv[free]] + h_columns[:, inv[pivots]] B[:, pivots]^T
+    mod q is read off the preimage table: r (r+1) products per basis
+    vector where P B^T takes (r+1) q**r, and P itself is never formed.
 
     Kernel: the rows of B are independent and span the extended component
     D, so c B lies in the permuted copy perm(D) exactly when P (c B)^T =
@@ -116,11 +120,11 @@ def _restricted_check(hp: HammingPair, check: np.ndarray) -> np.ndarray:
     D & perm(D) is ker M, and by rank-nullity dim(D & perm(D)) = dim D -
     rank M: the distension, dim D minus that intersection, is rank M.
     """
-    q = hp.q
-    pivots = np.concatenate([[0], field_powers(q, hp.r)])
-    free = np.ones(hp.points, dtype=bool)
-    free[pivots] = False
-    return (check[1:, free] + check[1:, pivots] @ hp.extended_basis[:, pivots].T) % q
+    pivots, free, pivot_basis = hp.systematic_form
+    m = np.take(hp.h_columns, inv[free], axis=1)
+    m += np.take(hp.h_columns, inv[pivots], axis=1) @ pivot_basis
+    m %= hp.q
+    return m
 
 
 def distension_oracle(hp: HammingPair, perm: PermTable) -> int:
@@ -131,7 +135,7 @@ def distension_oracle(hp: HammingPair, perm: PermTable) -> int:
     residual is zero on the pivot columns), reached here through the kit's
     kernel of h_extended instead of the affine interpolant: the two routes
     share only the preimage table and the elimination kernel."""
-    return len(_eliminate(_restricted_check(hp, permuted_check(hp, perm)), hp.q, reduced=False))
+    return len(_eliminate(_restricted_check(hp, _preimages(hp, perm)), hp.q, reduced=False))
 
 
 def canonical_coset_reps(hp: HammingPair) -> np.ndarray:
@@ -197,6 +201,10 @@ class CodeHandle:
 
     @cached_property
     def permuted_check_matrix(self) -> np.ndarray:
+        """permuted_check of the handle, (r+1) x q**r.  No route in the
+        package reads it now: the restricted check is read off the preimage
+        table.  It stays because perfbench/workloads.py's construct and the
+        tests read it."""
         return permuted_check(self.hp, self.perm)
 
     @cached_property
@@ -392,7 +400,7 @@ def rank_basis(code: CodeHandle) -> RankBasis:
     hamming_rows = np.zeros((code.hamming_basis.shape[0], N), dtype=np.uint8)
     hamming_rows[:, :n] = code.hamming_basis
 
-    kept = _eliminate(_restricted_check(code.hp, code.permuted_check_matrix), code.q, reduced=False)
+    kept = _eliminate(_restricted_check(code.hp, _preimages(code.hp, code.perm)), code.q, reduced=False)
     completion = np.zeros((len(kept), N), dtype=np.uint8)
     completion[:, n:] = code.extended_basis[kept]
     return RankBasis(coset, hamming_rows, completion)

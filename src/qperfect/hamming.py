@@ -142,6 +142,30 @@ class HammingPair:
         basis.setflags(write=False)
         return basis
 
+    @cached_property
+    def pivot_columns(self) -> np.ndarray:
+        """The pivot columns of h_extended, np.intp [0, q**0, .., q**(r-1)]:
+        the points {0, e_1..e_r}, an affine basis.  Read-only, and apart
+        from systematic_form, so a reader of the pivots alone never cuts
+        the kernel."""
+        pivots = np.concatenate([[0], field_powers(self.q, self.r)]).astype(np.intp)
+        pivots.setflags(write=False)
+        return pivots
+
+    @cached_property
+    def systematic_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """h_extended's systematic form as (pivots, free, pivot_basis):
+        pivot_columns, the np.intp indices of every other column, and
+        extended_basis at the pivots, transposed to (r+1) x dim np.uint8.
+        extended_basis is the identity on the free columns, so pivot_basis
+        is all of it that is not.  Read-only, as every code on the kit
+        shares it."""
+        free = np.delete(np.arange(self.points, dtype=np.intp), self.pivot_columns)
+        pivot_basis = np.ascontiguousarray(self.extended_basis[:, self.pivot_columns].T)
+        for table in (free, pivot_basis):
+            table.setflags(write=False)
+        return self.pivot_columns, free, pivot_basis
+
 
 def build_hamming_pair(ctx: FieldContext, r: int) -> HammingPair:
     if r < 1:

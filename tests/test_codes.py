@@ -338,9 +338,9 @@ RESTRICTED_CASES = [(2, 1), (3, 1), (2, 5), (3, 4), (5, 2), (7, 2), (251, 1)]
 @pytest.mark.parametrize("q,r", RESTRICTED_CASES)
 def test_restricted_check_is_the_product_read_off_the_systematic_form(q, r):
     # premise: the kernel basis is the identity on the free columns of
-    # h_extended; value: the short form equals the full product P B^T
-    # below its row 0, which is zero, and is the residual on the free
-    # columns
+    # h_extended; value: the short form, read off the preimage table,
+    # equals the full product P B^T below its row 0, which is zero, and is
+    # the residual on the free columns
     hp = make(q, r)
     free = np.ones(q**r, dtype=bool)
     free[[0, *(q**k for k in range(r))]] = False
@@ -350,12 +350,55 @@ def test_restricted_check_is_the_product_read_off_the_systematic_form(q, r):
     perms = [identity_perm(hp.ctx, r)] + [random_zero_fixing_perm(hp.ctx, r, rng) for _ in range(5)]
     for tau in perms:
         check = permuted_check(hp, tau)
-        restricted = codes._restricted_check(hp, check)
+        restricted = codes._restricted_check(hp, perm_inverse(tau).images)
         assert restricted.dtype == DTYPE and restricted.shape == (r, dim)
         product = check @ hp.extended_basis.T % q
         assert np.array_equal(restricted, product[1:])
         assert not product[0].any()
         assert np.array_equal(restricted, residual(hp, tau)[:, free])
+
+
+def test_systematic_form_is_one_read_only_table_per_kit():
+    # each kit's own form, cached once: kits of every shape are read in one
+    # process, so a slice cached from another kit would show
+    for q, r in RESTRICTED_CASES + [(2, 2), (3, 2)]:
+        hp = make(q, r)
+        form = hp.systematic_form
+        assert hp.systematic_form is form and hp.pivot_columns is form[0]
+        pivots, free, pivot_basis = form
+        assert pivots.dtype == free.dtype == np.intp
+        assert pivots.tolist() == [0, *(q**k for k in range(r))]
+        assert np.array_equal(np.sort(np.concatenate([pivots, free])), np.arange(q**r))
+        assert pivot_basis.dtype == np.uint8 and pivot_basis.shape == (r + 1, q**r - r - 1)
+        assert np.array_equal(pivot_basis, hp.extended_basis[:, pivots].T)
+        for table in form:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[...] = 0
+
+
+def test_distension_never_cuts_the_kernel():
+    # the residual route reads the pivot indices alone: at the domain
+    # corners the kernel is a nullspace of a 21 x 2**20 check
+    hp = make(2, 10)
+    rng = np.random.default_rng(10)
+    assert distension(hp, random_zero_fixing_perm(hp.ctx, 10, rng)) == 10
+    assert "pivot_columns" in vars(hp)
+    assert "extended_basis" not in vars(hp) and "systematic_form" not in vars(hp)
+
+
+def test_restricted_check_forms_no_permuted_check(monkeypatch):
+    # both kernel routes read the preimage table, never the (r+1) x q**r check
+    calls = []
+    monkeypatch.setattr(codes, "permuted_check", lambda hp, perm: calls.append(perm) or permuted_check(hp, perm))
+    for q, r, name in ((3, 2, "shear"), (3, 4, "series2"), (5, 2, "random5021")):
+        hp = make(q, r)
+        tau = completion_perm(hp.ctx, r, name)
+        assert distension_oracle(hp, tau) == distension(hp, tau)
+        code = build_code(hp, tau)
+        assert rank_basis(code).completion_rows.shape[0] == code.distension
+        assert "permuted_check_matrix" not in vars(code)
+    assert not calls
 
 
 @pytest.mark.parametrize("q,r", RESTRICTED_CASES)

@@ -973,17 +973,26 @@ def test_certificate_rejects_mutated_symbol_table():
     assert rep.result == "fail" and rep.details["law"] == "code_stability"
 
 
-def code_automorphisms(code):
+def code_automorphisms(code, budget=1 << 14):
     """Helper: the nonidentity maps v -> scale * v[p] stabilizing the code,
     as (p, scale), scanning coordinate permutations p in lexicographic order
-    and each p's scales in increasing order (test scaffolding only)."""
+    and each p's scales in increasing order (test scaffolding only).
+
+    At most budget candidates (p, scale) are tried: every caller here finds
+    the maps it takes within 11,537 of them (the second map at (2,3)), and
+    a scan that runs past the budget raises AssertionError, so a code that
+    is broken fails instead of scanning N! permutations."""
     q = code.q
     words = np.vstack(list(codeword_blocks(code))).astype(DTYPE)
     powers = q ** np.arange(code.length)
     members = set((words @ powers).tolist())
     probe = words[:: max(1, len(words) // 16)]  # rejects most candidates cheaply
+    tried = 0
     for p in itertools.permutations(range(code.length)):
         for scale in range(1, q):
+            if tried == budget:
+                raise AssertionError(f"code automorphism scan exhausted its budget of {budget} candidates")
+            tried += 1
             if scale == 1 and p == tuple(range(code.length)):
                 continue
             if all(e in members for e in (scale * probe[:, p] % q @ powers).tolist()) and members.issuperset(
@@ -996,6 +1005,16 @@ def code_coordinate_automorphism(code):
     """Helper: the first nonidentity coordinate permutation stabilizing the
     code, found by scanning transposition products."""
     return next(p for p, scale in code_automorphisms(code) if scale == 1)
+
+
+def test_code_automorphism_scan_is_bounded():
+    # the first map at (2,3) is candidate 5,168: a budget below it raises,
+    # naming itself, where an unbounded scan would try 15! permutations
+    code = small_code(2, 3)
+    with pytest.raises(AssertionError, match="budget of 5000 candidates"):
+        next(code_automorphisms(code, budget=5000))
+    p, scale = next(code_automorphisms(code))
+    assert scale == 1 and sorted(p) == list(range(code.length))
 
 
 def twisted_certificate(code, twists):
