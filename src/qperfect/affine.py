@@ -70,14 +70,17 @@ def _index_table(values, copy: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PermTable:
-    """A permutation of the q**r point indices that fixes index 0."""
+    """A permutation of the q**r point indices that fixes index 0, as its
+    own read-only copy of the image table: a caller that writes to its
+    array after validation cannot turn it into a non-bijection."""
 
     ctx: FieldContext
     r: int
     images: np.ndarray
 
     def __post_init__(self):
-        images = _index_table(self.images, copy=False)
+        images = _index_table(self.images, copy=True)
+        images.setflags(write=False)
         object.__setattr__(self, "images", images)
         size = self.ctx.q**self.r
         if images.shape != (size,):

@@ -86,13 +86,31 @@ def distension(hp: HammingPair, perm: PermTable) -> int:
 
     Always in [0, r]; equals 0 exactly when the permuted component is the
     original one.
+
+    The residual is first formed on the points b < 2(r+1) alone, as W
+    there minus C times h_columns there, one r x r by r x 2(r+1) int64
+    product.  The rank of any set of its columns bounds the residual's
+    rank from below, and its r rows bound it from above, so when that
+    block has rank r the distension is r, and no q**r-wide table is built.
+    Most random tau are settled there.  The full residual is formed for a
+    tau of lower distension (identity, linear, series with fewer than r/2
+    blocks), and for a full-distension tau whose first points leave the
+    block short: the shear, every series with r/2 blocks, and a few
+    random tau.
     """
-    q = hp.q
+    q, r = hp.q, hp.r
+    inv = _preimages(hp, perm)
+    units = np.take(hp.h_columns, inv[hp.pivot_columns[1:]], axis=1)  # C
+    first = slice(2 * (r + 1))
+    prefix = np.take(hp.h_columns, inv[first], axis=1)
+    prefix -= units @ hp.h_columns[:, first]
+    prefix %= q
+    if len(_eliminate(prefix, q, reduced=False)) == r:
+        return r
     # np.take keeps the gathered rows C-contiguous for the row updates
-    residual = np.take(hp.h_columns, _preimages(hp, perm), axis=1)
-    # C V has column b equal to C b: the span table of C's columns, read at
-    # the unit vectors, the pivot columns past 0
-    residual -= span_table(q, residual[:, hp.pivot_columns[1:]])
+    residual = np.take(hp.h_columns, inv, axis=1)
+    # C V has column b equal to C b: the span table of C's columns
+    residual -= span_table(q, units)
     np.add(residual, q, out=residual, where=residual < 0)
     return len(_eliminate(residual, q, reduced=False))
 

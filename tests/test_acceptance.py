@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qperfect import cli
+from qperfect import cli, codes
 from qperfect.affine import (
     PermTable,
     RegularSubgroup,
@@ -37,8 +37,8 @@ from qperfect.codes import (
     permuted_check,
     rank_closed_form,
 )
-from qperfect.hamming import build_hamming_pair, field_powers, stacked_parity
-from qperfect.linalg import FieldContext, nullspace_basis
+from qperfect.hamming import build_hamming_pair, field_powers, span_table, stacked_parity
+from qperfect.linalg import FieldContext, _eliminate, nullspace_basis
 from qperfect.verify import (
     CHECKS,
     VERIFY_GUARD,
@@ -358,9 +358,10 @@ def test_criterion_12_group_premises_at_the_guard():
 
 def test_criterion_13_distension_survey_throughput():
     # both distension routes over 400 seeded random zero-fixing permutations
-    # at each of (3,4) and (7,2): the fast route eliminates the r-row
-    # residual (0.22-0.29 s on a shared 2-CPU machine, against 0.25-0.35 s
-    # in alternating runs of the (2r+2)-row stacked rank)
+    # at each of (3,4) and (7,2): the residual route settles most of them on
+    # the residual's first 2(r+1) points, and the oracle eliminates the
+    # r-row restricted check (0.08 s on a shared 2-CPU machine, against
+    # 0.09-0.10 s in alternating runs that built every r x q**r residual)
     with criterion("criterion 13, distension survey throughput", 0.6):
         counts = {}
         for q, r in ((3, 4), (7, 2)):
@@ -434,6 +435,26 @@ def test_criterion_17_streamed_rank_of_the_largest_default_enumeration(capsys):
     assert all(rep["result"] == "pass" for rep in reports)
     assert reports[0]["details"] == {"enumerated_rank": 26, "closed_form": 26}
     assert reports[1]["details"]["enumerated_rank"] == 26
+
+
+def test_criterion_18_distension_at_the_domain_corners(monkeypatch):
+    # a seeded random zero-fixing tau at each corner has distension r,
+    # certified on the residual's first 2(r+1) points, so no r x q**r
+    # residual is built: kit, permutation and distension took 0.20-0.37 s
+    # for all three on a shared 2-CPU machine, against 2.8-3.0 s in
+    # alternating runs that built it
+    shapes, spans = [], []
+    monkeypatch.setattr(codes, "_eliminate", lambda a, q, reduced: shapes.append(a.shape) or _eliminate(a, q, reduced))
+    monkeypatch.setattr(codes, "span_table", lambda q, columns: spans.append(columns.shape) or span_table(q, columns))
+    with criterion("criterion 18, distension at the domain corners", 1.0):
+        for q, r in ((2, 20), (3, 12), (7, 7)):
+            hp = build_hamming_pair(FieldContext(q), r)
+            rng = np.random.default_rng(18)
+            tau = PermTable(hp.ctx, r, np.concatenate([[0], 1 + rng.permutation(q**r - 1)]))
+            assert distension(hp, tau) == r
+            del hp, tau  # one kit at a time: the (2,20) one holds 168 MiB
+    assert shapes == [(20, 42), (12, 26), (7, 16)]
+    assert not spans
 
 
 def test_distension_survey_script(monkeypatch, capsys):

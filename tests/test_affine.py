@@ -26,7 +26,8 @@ from qperfect.affine import (
     verify_regular_subgroup,
 )
 from qperfect.cli import main
-from qperfect.hamming import field_powers
+from qperfect.codes import distension
+from qperfect.hamming import build_hamming_pair, field_powers
 from qperfect.linalg import FieldContext, ParseError, is_invertible
 
 from hamming_oracles import (
@@ -48,6 +49,21 @@ def test_perm_table_validation():
         PermTable(ctx, 1, np.array([1, 0, 2]))  # moves 0
     with pytest.raises(ValueError):
         PermTable(ctx, 1, np.array([0, 1]))  # wrong size
+
+
+def test_perm_table_takes_its_own_copy():
+    # a write to the caller's array after validation would leave the table
+    # [0, 0, 2, .., 8], no bijection, whose distension reads 1
+    ctx = FieldContext(3)
+    hp = build_hamming_pair(ctx, 2)
+    images = np.arange(9)
+    tau = PermTable(ctx, 2, images)
+    images[1] = 0
+    assert tau.images.tolist() == list(range(9))
+    assert distension(hp, tau) == 0
+    assert tau.images.flags.owndata and not tau.images.flags.writeable
+    with pytest.raises(ValueError):
+        tau.images[1] = 0
 
 
 @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])

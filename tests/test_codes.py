@@ -242,8 +242,10 @@ def test_residual_with_a_wrong_unit_column_disagrees(q, r):
 
 
 def test_distension_eliminates_the_reduced_r_row_residual(monkeypatch):
-    # one r x q**r elimination per permutation, on entries in 0..q-1 as
-    # linalg's kernel takes them
+    # one r x 2(r+1) elimination of the residual's first points per
+    # permutation, and the r x q**r one only where that block falls short
+    # of rank r (the fifth tau here), on entries in 0..q-1 as linalg's
+    # kernel takes them
     shapes = []
 
     def checked(a, q, reduced):
@@ -256,7 +258,86 @@ def test_distension_eliminates_the_reduced_r_row_residual(monkeypatch):
     rng = np.random.default_rng(5)
     for _ in range(10):
         distension(hp, random_zero_fixing_perm(hp.ctx, 2, rng))
-    assert shapes == [(2, 25)] * 10
+    assert shapes == [(2, 6)] * 5 + [(2, 25)] + [(2, 6)] * 5
+
+
+def spy_residual_routes(monkeypatch):
+    """Record a copy of every matrix codes eliminates and every span table
+    it builds."""
+    matrices, spans = [], []
+    monkeypatch.setattr(codes, "_eliminate", lambda a, q, reduced: matrices.append(a.copy()) or _eliminate(a, q, reduced))
+    monkeypatch.setattr(codes, "span_table", lambda q, columns: spans.append(columns.shape) or hamming.span_table(q, columns))
+    return matrices, spans
+
+
+PREFIX_CASES = [(2, 5), (3, 3), (3, 4), (5, 2), (7, 2), (251, 1)]
+
+
+@pytest.mark.parametrize("q,r", PREFIX_CASES)
+def test_full_distension_is_certified_on_the_first_points(monkeypatch, q, r):
+    # the residual on the points b < 2(r+1) has rank r for most random tau:
+    # distension r from one r x 2(r+1) elimination of exactly that block,
+    # and no span table; the rest take the full residual as well
+    hp = make(q, r)
+    width = min(2 * (r + 1), q**r)
+    matrices, spans = spy_residual_routes(monkeypatch)
+    rng = np.random.default_rng(q * 10 + r)
+    certified = 0
+    for _ in range(20):
+        tau = random_zero_fixing_perm(hp.ctx, r, rng)
+        matrices.clear()
+        spans.clear()
+        d = distension(hp, tau)
+        block = residual(hp, tau)[:, :width]
+        assert np.array_equal(matrices[0], block)
+        if rank(hp.ctx, block) == r:
+            certified += 1
+            assert d == r and len(matrices) == 1 and not spans
+        else:
+            assert [m.shape for m in matrices] == [(r, width), (r, q**r)] and spans == [(r, r)]
+        assert d == distension_oracle(hp, tau) == r
+    assert certified >= 10
+
+
+def fallback_perms(ctx, r, rng):
+    """Permutations whose first points leave the block below rank r: the
+    identity, linear ones and series with fewer than r/2 blocks have lower
+    distension, and the series with r/2 blocks (the shear at r = 2) full
+    distension."""
+    perms = [identity_perm(ctx, r)] + linear_perms(ctx, r, rng, 3)
+    if ctx.q > 2:
+        perms += [series_perm(ctx, r, copies) for copies in range(1, r // 2 + 1)]
+    return perms
+
+
+@pytest.mark.parametrize("q,r", [(2, 3), (3, 2), (5, 2), (7, 2), (3, 4), (3, 5), (5, 3)])
+def test_fallback_takes_the_full_residual(monkeypatch, q, r):
+    hp = make(q, r)
+    matrices, spans = spy_residual_routes(monkeypatch)
+    for tau in fallback_perms(hp.ctx, r, np.random.default_rng(q + r)):
+        matrices.clear()
+        spans.clear()
+        d = distension(hp, tau)
+        assert [m.shape for m in matrices] == [(r, min(2 * (r + 1), q**r)), (r, q**r)]
+        assert len(_eliminate(matrices[0], q, reduced=False)) < r
+        assert np.array_equal(matrices[1], residual(hp, tau))
+        assert spans == [(r, r)]
+        assert d == distension_oracle(hp, tau) == rank(hp.ctx, residual(hp, tau))
+
+
+@pytest.mark.parametrize("q,r", [(2, 3), (3, 2), (5, 2), (3, 4), (2, 5), (7, 2)])
+def test_oracle_eliminates_the_whole_restricted_check(monkeypatch, q, r):
+    # the plain definition: one r x (q**r - r - 1) elimination for every tau,
+    # certified by the residual route's first points or not
+    hp = make(q, r)
+    rng = np.random.default_rng(q * r)
+    perms = fallback_perms(hp.ctx, r, rng) + [random_zero_fixing_perm(hp.ctx, r, rng) for _ in range(10)]
+    matrices, spans = spy_residual_routes(monkeypatch)
+    for tau in perms:
+        matrices.clear()
+        distension_oracle(hp, tau)
+        assert [m.shape for m in matrices] == [(r, q**r - r - 1)]
+    assert not spans
 
 
 def test_rank_basis_eliminates_one_r_row_matrix(monkeypatch):
