@@ -21,7 +21,7 @@ whole group.  So the verdicts equal the ones over all pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "CheckResult",
     "PermTable",
     "RegularSubgroup",
+    "Series",
     "direct_product",
     "identity_perm",
     "iterate_perms",
@@ -207,39 +208,57 @@ def iterate_perms(t1: PermTable, t2: PermTable) -> PermTable:
     return PermTable(t1.ctx, t1.r + t2.r, images)
 
 
-def _check_series_args(r: int, copies: int) -> None:
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if not 0 <= copies <= r // 2:
-        raise ValueError(f"copies must lie in [0, {r // 2}], got {copies}")
+@dataclass(frozen=True)
+class Series:
+    """The paper's series on GF(q)**r, laid out as copies shear-swap blocks,
+    then the identity (translations, for the group) on the other r - 2*copies
+    coordinates.  Every builtin --tau is one: identity has 0 copies, shear 1."""
+
+    ctx: FieldContext
+    r: int
+    copies: int
+
+    def __post_init__(self):
+        if self.r < 1:
+            raise ValueError(f"r must be >= 1, got {self.r}")
+        if not 0 <= self.copies <= self.r // 2:
+            raise ValueError(f"copies must lie in [0, {self.r // 2}], got {self.copies}")
+
+    def _layout(self, block, tail, product):
+        parts = [block(self.ctx) for _ in range(self.copies)]
+        if self.r > 2 * self.copies:
+            parts.append(tail(self.ctx, self.r - 2 * self.copies))
+        return reduce(product, parts)
+
+    @cached_property
+    def perm(self) -> PermTable:
+        return self._layout(shear_swap_perm, identity_perm, iterate_perms)
+
+    @cached_property
+    def group(self) -> RegularSubgroup:
+        """The regular subgroup whose exponent-swap automorphisms induce perm."""
+        return self._layout(shear_group, translation_group, direct_product)
+
+    @property
+    def split(self) -> tuple[Series, Series] | None:
+        """Two series that combine blockwise into this one, for additivity:
+        the blocks and the tail, or else all blocks but the last and the last."""
+        ctx, r, copies = self.ctx, self.r, self.copies
+        if copies >= 1 and r > 2 * copies:
+            return Series(ctx, 2 * copies, copies), Series(ctx, r - 2 * copies, 0)
+        if copies >= 2 and r == 2 * copies:
+            return Series(ctx, 2 * (copies - 1), copies - 1), Series(ctx, 2, 1)
+        return None
 
 
 def series_perm(ctx: FieldContext, r: int, copies: int) -> PermTable:
-    """copies shear-swap blocks followed by the identity on r - 2*copies
-    coordinates; copies = 0 gives the identity permutation on GF(q)**r."""
-    _check_series_args(r, copies)
-    if copies == 0:
-        return identity_perm(ctx, r)
-    perm = shear_swap_perm(ctx)
-    for _ in range(copies - 1):
-        perm = iterate_perms(perm, shear_swap_perm(ctx))
-    if r > 2 * copies:
-        perm = iterate_perms(perm, identity_perm(ctx, r - 2 * copies))
-    return perm
+    """Series(ctx, r, copies).perm; copies = 0 gives the identity on GF(q)**r."""
+    return Series(ctx, r, copies).perm
 
 
 def series_group(ctx: FieldContext, r: int, copies: int) -> RegularSubgroup:
-    """The regular subgroup whose exponent-swap automorphisms induce
-    series_perm(ctx, r, copies): shear blocks times a translation tail."""
-    _check_series_args(r, copies)
-    if copies == 0:
-        return translation_group(ctx, r)
-    G = shear_group(ctx)
-    for _ in range(copies - 1):
-        G = direct_product(G, shear_group(ctx))
-    if r > 2 * copies:
-        G = direct_product(G, translation_group(ctx, r - 2 * copies))
-    return G
+    """Series(ctx, r, copies).group, which induces series_perm(ctx, r, copies)."""
+    return Series(ctx, r, copies).group
 
 
 def _left_rows(G: RegularSubgroup, s: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ import sys
 from functools import lru_cache
 from typing import Optional
 
-from .affine import PermTable, read_perm, series_perm
+from .affine import PermTable, Series, read_perm, series_perm
 from .codes import MAX_ENUMERATION, build_code, rank_closed_form, write_codewords
 from .hamming import build_hamming_pair, json_power, stacked_parity
 from .linalg import FieldContext, write_matrix
@@ -35,10 +35,10 @@ def _field(q: int) -> FieldContext:
 
 def _resolve_perm(
     ctx: FieldContext, r: int, source: str, copies: Optional[int]
-) -> tuple[PermTable, Optional[int]]:
-    """Map a --tau argument to a permutation and its shear copies.  Every
-    builtin is an instance of the series: identity has 0 copies, shear 1
-    and series --i.  A permutation file has no construction data (None)."""
+) -> tuple[PermTable, Optional[Series]]:
+    """Map a --tau argument to a permutation and its Series record.  Every
+    builtin is a series instance: identity has 0 copies, shear 1 and series
+    --i.  A permutation file has no construction data (None)."""
     if copies is not None and source != "builtin:series":
         raise UsageError("--i applies only to builtin:series")
     if source == "builtin:identity":
@@ -60,7 +60,8 @@ def _resolve_perm(
             )
         return perm, None
     try:
-        return series_perm(ctx, r, copies), copies
+        series = Series(ctx, r, copies)
+        return series.perm, series
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -105,11 +106,11 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     ctx = _field(args.q)
     hp = build_hamming_pair(ctx, args.r)
-    perm, copies = _resolve_perm(ctx, args.r, args.tau, args.i)
+    perm, series = _resolve_perm(ctx, args.r, args.tau, args.i)
     run = VerifyRun(
         build_code(hp, perm),
         args.tau,
-        copies,
+        series,
         args.max_space_cells,
         args.max_codewords,
         args.max_cert_codewords,

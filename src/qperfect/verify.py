@@ -22,10 +22,9 @@ import numpy as np
 from . import codes
 from .affine import (
     PermTable,
+    Series,
     _index_table,
     iterate_perms,
-    series_group,
-    series_perm,
     verify_automorphism,
     verify_regular_subgroup,
 )
@@ -101,17 +100,20 @@ def _skipped(check: str, params: dict, reason: str, **details) -> VerifyReport:
 
 @dataclass(frozen=True)
 class VerifyRun:
-    """Everything the registered checks read: the code, its --tau label,
-    the shear copies of the series instance it was built from (identity is
-    0, shear 1; None for a permutation file, which carries no construction
-    data) and the three budgets."""
+    """Everything the registered checks read: the code, its --tau label, the
+    Series that built its permutation (None for a permutation file; a Series
+    with another permutation raises ValueError) and the three budgets."""
 
     code: CodeHandle
     label: str = "custom"
-    copies: Optional[int] = None
+    series: Optional[Series] = None
     max_space_cells: int = MAX_SPACE_CELLS
     max_codewords: int = MAX_ENUMERATION
     max_cert_codewords: int = MAX_CERT_CODE
+
+    def __post_init__(self):
+        if self.series is not None and not np.array_equal(self.series.perm.images, self.code.perm.images):
+            raise ValueError("the series permutation is not the code's")
 
     @cached_property
     def enumerated_rank(self) -> Optional[int]:
@@ -379,32 +381,14 @@ def check_additivity(
     )
 
 
-def _series_split(ctx: FieldContext, r: int, copies: int):
-    """A left/right decomposition of the series permutation for the
-    additivity check, or None when there is nothing to split."""
-    if copies >= 1 and r > 2 * copies:
-        left_r, left_copies = 2 * copies, copies
-        right_r, right_copies = r - 2 * copies, 0
-    elif copies >= 2 and r == 2 * copies:
-        left_r, left_copies = 2 * (copies - 1), copies - 1
-        right_r, right_copies = 2, 1
-    else:
-        return None
-    return (
-        build_hamming_pair(ctx, left_r),
-        series_perm(ctx, left_r, left_copies),
-        build_hamming_pair(ctx, right_r),
-        series_perm(ctx, right_r, right_copies),
-    )
-
-
 def _run_additivity(run: VerifyRun) -> VerifyReport:
     code = run.code
-    split = None if run.copies is None else _series_split(code.ctx, code.r, run.copies)
+    split = None if run.series is None else run.series.split
     if split is None:
         reason = "no blockwise decomposition for this permutation"
         return _skipped("additivity", _params(code, run.label), reason)
-    return check_additivity(*split, code.hp, label=run.label)
+    left, right = [(build_hamming_pair(code.ctx, half.r), half.perm) for half in split]
+    return check_additivity(*left, *right, code.hp, label=run.label)
 
 
 def _run_group_premises(run: VerifyRun) -> VerifyReport:
@@ -413,12 +397,12 @@ def _run_group_premises(run: VerifyRun) -> VerifyReport:
     subgroup and decide the same as a check over all pairs.  The guard reads
     the subgroup's size q**r off the code, so a skip builds no subgroup."""
     params = _params(run.code, run.label)
-    if run.copies is None:
+    if run.series is None:
         return _skipped("group_premises", params, "no construction data for an external permutation")
     size = run.code.hp.points
     if size > VERIFY_GUARD:
         return _skipped("group_premises", params, "verification guard exceeded", size=size, budget=VERIFY_GUARD)
-    group = series_group(run.code.ctx, run.code.r, run.copies)
+    group = run.series.group
     sub = verify_regular_subgroup(group)
     aut = verify_automorphism(group, run.code.perm)
     details = {"regular_subgroup": sub.ok, "automorphism": aut.ok, "diagnostic": sub.detail or aut.detail}

@@ -19,6 +19,7 @@ from qperfect import cli, codes
 from qperfect.affine import (
     PermTable,
     RegularSubgroup,
+    Series,
     identity_perm,
     series_group,
     series_perm,
@@ -383,8 +384,8 @@ def test_criterion_14_group_premises_past_the_old_guard():
     with criterion("criterion 14, group premises past the old guard", 2.0):
         for q, r, copies in ((2, 14, 0), (3, 8, 4), (5, 6, 3), (7, 4, 2)):
             ctx = FieldContext(q)
-            code = build_code(build_hamming_pair(ctx, r), series_perm(ctx, r, copies))
-            run = VerifyRun(code, "series", copies)
+            series = Series(ctx, r, copies)
+            run = VerifyRun(build_code(build_hamming_pair(ctx, r), series.perm), "series", series)
             rep = CHECKS["group_premises"](run)
             assert q**r <= VERIFY_GUARD
             assert rep.result == "pass", rep.details

@@ -10,6 +10,7 @@ from qperfect.affine import (
     CheckResult,
     PermTable,
     RegularSubgroup,
+    Series,
     _generators,
     direct_product,
     identity_perm,
@@ -317,6 +318,39 @@ def test_series_group_matches_series_perm():
         tau = series_perm(ctx, r, copies)
         assert verify_regular_subgroup(G).ok
         assert verify_automorphism(G, tau).ok
+
+
+def _series_instances():
+    for q in (3, 5, 7):
+        for r in range(1, 7):
+            yield from ((q, r, copies) for copies in range(r // 2 + 1))
+    yield from ((2, r, 0) for r in range(1, 9))
+
+
+@pytest.mark.parametrize("q,r,copies", list(_series_instances()))
+def test_series_split_halves_compose_to_the_whole(q, r, copies):
+    # the blocks and the identity tail, or with no tail all blocks but the
+    # last and the last; each pair of halves combines into the series itself
+    series = Series(FieldContext(q), r, copies)
+    if copies >= 1 and r > 2 * copies:
+        shapes = [(2 * copies, copies), (r - 2 * copies, 0)]
+    elif copies >= 2 and r == 2 * copies:
+        shapes = [(2 * copies - 2, copies - 1), (2, 1)]
+    else:
+        assert series.split is None
+        return
+    left, right = series.split
+    assert [(left.r, left.copies), (right.r, right.copies)] == shapes
+    assert np.array_equal(iterate_perms(left.perm, right.perm).images, series.perm.images)
+    assert np.array_equal(direct_product(left.group, right.group).cols, series.group.cols)
+
+
+def test_series_record_builds_each_table_once():
+    ctx = FieldContext(3)
+    series = Series(ctx, 5, 2)
+    assert series.perm is series.perm and series.group is series.group
+    assert np.array_equal(series.perm.images, series_perm(ctx, 5, 2).images)
+    assert np.array_equal(series.group.cols, series_group(ctx, 5, 2).cols)
 
 
 def test_first_candidate_failures_return_results():

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import qperfect
-from qperfect import cli, codes, verify
-from qperfect.affine import series_perm, shear_swap_perm
+from qperfect import affine, cli, codes, verify
+from qperfect.affine import Series, series_perm, shear_swap_perm
 from qperfect.cli import main
 from qperfect.hamming import MAX_POINTS, json_power
 from qperfect.linalg import FieldContext
@@ -202,12 +202,14 @@ def test_builtin_is_its_series_instance(capsys, q, r, builtin, copies):
 
 
 def test_resolve_perm_returns_the_shear_copies(tmp_path):
+    # a builtin resolves to its Series record and that record's own perm
     ctx = FieldContext(3)
-    assert cli._resolve_perm(ctx, 4, "builtin:identity", None)[1] == 0
-    assert cli._resolve_perm(ctx, 2, "builtin:shear", None)[1] == 1
+    assert cli._resolve_perm(ctx, 4, "builtin:identity", None)[1] == Series(ctx, 4, 0)
+    assert cli._resolve_perm(ctx, 2, "builtin:shear", None)[1] == Series(ctx, 2, 1)
     for copies in range(3):
         perm, got = cli._resolve_perm(ctx, 4, "builtin:series", copies)
-        assert got == copies
+        assert got == Series(ctx, 4, copies)
+        assert perm is got.perm
         assert np.array_equal(perm.images, series_perm(ctx, 4, copies).images)
     path = tmp_path / "tau.txt"
     write_perm(path, shear_swap_perm(ctx))
@@ -217,9 +219,10 @@ def test_resolve_perm_returns_the_shear_copies(tmp_path):
 
 
 def test_subgroup_is_built_only_by_its_check(tmp_path, monkeypatch, capsys):
+    # the spy sits on the record's group, the one place that builds it
     calls = []
-    builder = verify.series_group
-    monkeypatch.setattr(verify, "series_group", lambda *a: calls.append(a) or builder(*a))
+    builder = affine.Series.group.func
+    monkeypatch.setattr(affine.Series, "group", property(lambda series: calls.append(series) or builder(series)))
     build = ["build", "--q", "3", "--r", "2", "--tau", "builtin:shear", "--out", str(tmp_path), "--max-codewords", "1"]
     assert run(capsys, build)[0] == 0
     code, out, _ = run(capsys, ["verify", "--q", "2", "--r", "15", "--checks", "group_premises"])
@@ -453,7 +456,7 @@ def test_domain_corners_are_the_largest_instances():
 @pytest.mark.parametrize("q,r,tau", CORNERS, ids=[f"q{q}r{r}-{tau[1][8:]}" for q, r, tau in CORNERS])
 def test_domain_corner_ends_with_a_report(tmp_path, command, q, r, tau):
     # every run the command line accepts ends with a report, within 30 s
-    # and 2 GiB; (2,20) verify took 0.66-0.95 s and 469 MiB on a 2-CPU machine
+    # and 2 GiB; (2,20) verify took 0.60-0.78 s and 476 MiB on a 2-CPU machine
     argv = [command, "--q", str(q), "--r", str(r), *tau]
     if command == "build":
         argv += ["--out", str(tmp_path)]

@@ -44,15 +44,51 @@ def test_package_reexports_are_module_exports():
     assert not stray
 
 
+def benchmark_reads():
+    """Every (module, name) that perfbench/*.py reads off the program: the
+    attribute chains qp.<module>.<name>, names read through a local alias of
+    qp.<module> (workloads.py's `codes, affine = self.qp.codes, ...`), and
+    `from qperfect.<module> import <name>`."""
+
+    def module_of(node):  # the <module> of an expression qp.<module> or x.qp.<module>, or None
+        qp = getattr(node, "value", None)
+        if isinstance(node, ast.Attribute) and (getattr(qp, "id", None) == "qp" or getattr(qp, "attr", None) == "qp"):
+            return node.attr if node.attr in MODULES else None
+
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+    for path in sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                pairs = [(node.targets[0], node.value)]
+                if isinstance(node.targets[0], ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(node.targets[0].elts, node.value.elts)
+                aliases.update({t.id: module_of(v) for t, v in pairs if isinstance(t, ast.Name) and module_of(v)})
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qperfect."):
+                read |= {(node.module.removeprefix("qperfect."), alias.name) for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                owner = module_of(node.value) or aliases.get(getattr(node.value, "id", None))
+                if owner:
+                    read.add((owner, node.attr))
+    return read
+
+
 def test_benchmark_tracer_names_resolve(monkeypatch):
     # perfbench/tracing.py getattrs these names on the modules when a traced
-    # run installs it; a rename in src/ would fail there, mid-benchmark
+    # run installs it, and the workloads read the rest; a rename in src/
+    # would fail there, mid-benchmark
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look themselves up here
     spec.loader.exec_module(tracing)
     wanted = list(tracing.WRAPPED) + [("codes", "codeword_blocks"), ("cli", "main"), ("affine", "PermTable")]
+    read = benchmark_reads()
+    assert {("affine", "series_group"), ("affine", "shear_group"), ("codes", "build_code"), ("linalg", "FieldContext")} <= read
+    wanted += sorted(read)
     missing = [
         f"{module}.{name}"
         for module, name in wanted

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qperfect import cli, codes, verify
-from qperfect.affine import PermTable, identity_perm, series_perm, shear_swap_perm
+from qperfect.affine import PermTable, Series, identity_perm, series_perm, shear_swap_perm
 from qperfect.codes import build_code, codeword_blocks, codeword_pairs, rank_basis
 from qperfect.hamming import build_hamming_pair
 from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, product_dtype, rank
@@ -682,8 +682,8 @@ def test_rank_equivalence_passes_and_skips():
 
 def test_checks_registry_on_a_library_run():
     ctx = FieldContext(3)
-    code = build_code(build_hamming_pair(ctx, 4), series_perm(ctx, 4, 2))
-    run = verify.VerifyRun(code, "series", copies=2)
+    series = Series(ctx, 4, 2)
+    run = verify.VerifyRun(build_code(build_hamming_pair(ctx, 4), series.perm), "series", series)
     results = {name: check(run).result for name, check in verify.CHECKS.items()}
     assert results == {
         "perfect": "skipped",
@@ -693,6 +693,18 @@ def test_checks_registry_on_a_library_run():
         "group_premises": "pass",
         "certificate": "skipped",
     }
+
+
+def test_run_refuses_a_series_that_is_not_its_code():
+    # a run reports on its code's own tau: the (3,4) i=2 record on its own
+    # code, and refused on the identity code, whose distension is 0
+    ctx = FieldContext(3)
+    hp, series = build_hamming_pair(ctx, 4), Series(ctx, 4, 2)
+    run = verify.VerifyRun(build_code(hp, series.perm), "series", series)
+    assert verify.CHECKS["additivity"](run).details == {"left": 2, "right": 2, "combined": 4}
+    for code in (build_code(hp, identity_perm(ctx, 4)), small_code(3, 3)):
+        with pytest.raises(ValueError, match="the series permutation is not the code's"):
+            verify.VerifyRun(code, "series", series)
 
 
 # -- isometries ----------------------------------------------------------------
