@@ -86,7 +86,13 @@ class PermTable:
         size = self.ctx.q**self.r
         if images.shape != (size,):
             raise ValueError(f"image table must have length {size}, got {images.shape}")
-        if not np.array_equal(np.sort(images), np.arange(size, dtype=DTYPE)):
+        # A negative entry reads as at least 2**63 through the unsigned view,
+        # so one max is the range test; size images in range then mark every
+        # point exactly when no two of them meet.
+        seen = np.zeros(size, dtype=bool)
+        if images.view(np.uint64).max() < size:
+            seen[images] = True
+        if not seen.all():
             raise ValueError("image table is not a bijection")
         if images[0] != 0:
             raise ValueError("permutation must fix index 0")

@@ -69,6 +69,26 @@ def permuted_check(hp: HammingPair, perm: PermTable) -> np.ndarray:
     return hp.h_extended[:, _preimages(hp, perm)]
 
 
+def _full_rank(hp: HammingPair, block: np.ndarray) -> bool:
+    """Whether the r-row int64 block, entries in 0..q-1, has rank r.
+
+    Its rows are independent exactly when u block != 0 mod q for every
+    nonzero u in GF(q)**r.  A nonzero multiple of u leaves the same zero
+    pattern, so one u per line through 0 is enough, and the columns of
+    hp.h_hamming, the normalized nonzero vectors, are exactly one u per
+    line.  So the block has rank r iff every column of block^T h_hamming is
+    nonzero mod q: one w x n int64 product, whose sums stay below r q**2.
+    A zero row is the line of a unit vector, and is tested first with no
+    product.  Past BATCH cells (n w > BATCH) the block is eliminated in
+    place instead.
+    """
+    if not block.any(axis=1).all():
+        return False
+    if hp.n * block.shape[1] > BATCH:
+        return len(_eliminate(block, hp.q, reduced=False)) == hp.r
+    return bool((block.T @ hp.h_hamming % hp.q).any(axis=0).all())
+
+
 def distension(hp: HammingPair, perm: PermTable) -> int:
     """Rank of the nonlinear residual of perm^(-1): r x q**r rows.
 
@@ -87,25 +107,28 @@ def distension(hp: HammingPair, perm: PermTable) -> int:
     Always in [0, r]; equals 0 exactly when the permuted component is the
     original one.
 
-    The residual is first formed on the points b < 2(r+1) alone, as W
-    there minus C times h_columns there, one r x r by r x 2(r+1) int64
-    product.  The rank of any set of its columns bounds the residual's
-    rank from below, and its r rows bound it from above, so when that
-    block has rank r the distension is r, and no q**r-wide table is built.
-    Most random tau are settled there.  The full residual is formed for a
-    tau of lower distension (identity, linear, series with fewer than r/2
-    blocks), and for a full-distension tau whose first points leave the
-    block short: the shear, every series with r/2 blocks, and a few
+    The residual is first formed on the kit's prefix_columns alone, the
+    first 2(r+1) points that are not pivots (the residual is zero at the
+    pivots), as W there minus C times h_columns there, one r x r by
+    r x 2(r+1) int64 product.  The rank of any set of its columns bounds
+    the residual's rank from below, and its r rows bound it from above, so
+    when that block has rank r (_full_rank) the distension is r, and no
+    q**r-wide table is built.  Most random tau are settled there, and
+    within the budget without an elimination.  The full residual is formed
+    and eliminated for a tau of lower distension (identity, linear, series
+    with fewer than r/2 blocks; most of them show a zero row), and for a
+    full-distension tau whose first free points leave the block short: the
+    shear for q >= 5, every series with r/2 blocks at r >= 4, and a few
     random tau.
     """
     q, r = hp.q, hp.r
     inv = _preimages(hp, perm)
     units = np.take(hp.h_columns, inv[hp.pivot_columns[1:]], axis=1)  # C
-    first = slice(2 * (r + 1))
-    prefix = np.take(hp.h_columns, inv[first], axis=1)
-    prefix -= units @ hp.h_columns[:, first]
+    points = hp.prefix_columns
+    prefix = np.take(hp.h_columns, inv[points], axis=1)
+    prefix -= units @ np.take(hp.h_columns, points, axis=1)
     prefix %= q
-    if len(_eliminate(prefix, q, reduced=False)) == r:
+    if _full_rank(hp, prefix):
         return r
     # np.take keeps the gathered rows C-contiguous for the row updates
     residual = np.take(hp.h_columns, inv, axis=1)

@@ -153,6 +153,20 @@ class HammingPair:
         return pivots
 
     @cached_property
+    def prefix_columns(self) -> np.ndarray:
+        """The first 2(r+1) free columns of h_extended, np.intp in index
+        order (all of them when there are fewer): the points at which
+        codes.distension forms its prefix block, as the residual is zero at
+        every pivot.  The first 3(r+1) indices hold at most r+1 pivots, so
+        they suffice.  Read-only, and built from the pivots alone, so the
+        kernel is not cut."""
+        free = np.ones(min(self.points, 3 * (self.r + 1)), dtype=bool)
+        free[self.pivot_columns[self.pivot_columns < len(free)]] = False
+        points = np.flatnonzero(free)[: 2 * (self.r + 1)]
+        points.setflags(write=False)
+        return points
+
+    @cached_property
     def systematic_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """h_extended's systematic form as (pivots, free, pivot_basis):
         pivot_columns, the np.intp indices of every other column, and

@@ -112,7 +112,11 @@ class VerifyRun:
     max_cert_codewords: int = MAX_CERT_CODE
 
     def __post_init__(self):
-        if self.series is not None and not np.array_equal(self.series.perm.images, self.code.perm.images):
+        # the CLI's runs share one PermTable, so the is test spares them a
+        # q**r comparison
+        if self.series is None or self.series.perm is self.code.perm:
+            return
+        if not np.array_equal(self.series.perm.images, self.code.perm.images):
             raise ValueError("the series permutation is not the code's")
 
     @cached_property

@@ -359,10 +359,11 @@ def test_criterion_12_group_premises_at_the_guard():
 
 def test_criterion_13_distension_survey_throughput():
     # both distension routes over 400 seeded random zero-fixing permutations
-    # at each of (3,4) and (7,2): the residual route settles most of them on
-    # the residual's first 2(r+1) points, and the oracle eliminates the
-    # r-row restricted check (0.08 s on a shared 2-CPU machine, against
-    # 0.09-0.10 s in alternating runs that built every r x q**r residual)
+    # at each of (3,4) and (7,2): the residual route settles all of them on
+    # the residual's first 2(r+1) free points, by one product with the
+    # kit's h_hamming and no elimination, and the oracle eliminates the
+    # r-row restricted check (0.05 s best of 5 on a shared 2-CPU machine,
+    # against 0.06 s in alternating runs that eliminated each block)
     with criterion("criterion 13, distension survey throughput", 0.6):
         counts = {}
         for q, r in ((3, 4), (7, 2)):
@@ -440,7 +441,7 @@ def test_criterion_17_streamed_rank_of_the_largest_default_enumeration(capsys):
 
 def test_criterion_18_distension_at_the_domain_corners(monkeypatch):
     # a seeded random zero-fixing tau at each corner has distension r,
-    # certified on the residual's first 2(r+1) points, so no r x q**r
+    # certified on the residual's first 2(r+1) free points, so no r x q**r
     # residual is built: kit, permutation and distension took 0.20-0.37 s
     # for all three on a shared 2-CPU machine, against 2.8-3.0 s in
     # alternating runs that built it

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qperfect import affine
 from qperfect.affine import (
@@ -50,6 +51,31 @@ def test_perm_table_validation():
         PermTable(ctx, 1, np.array([1, 0, 2]))  # moves 0
     with pytest.raises(ValueError):
         PermTable(ctx, 1, np.array([0, 1]))  # wrong size
+
+
+def test_perm_table_refuses_images_out_of_range():
+    # a scatter alone would wrap -1 to the last point, and [0, -1, 1] would
+    # then mark every point
+    ctx = FieldContext(3)
+    for images in ([0, -1, 1], [0, 3, 1], [0, 2, 2**40]):
+        with pytest.raises(ValueError, match="not a bijection"):
+            PermTable(ctx, 1, np.array(images))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.permutations(range(9)), st.integers(0, 8), st.integers(-2, 10))
+def test_perm_table_accepts_exactly_the_zero_fixing_bijections(perm, at, value):
+    # a permutation with one entry overwritten, against the sorted-table
+    # definition
+    ctx = FieldContext(3)
+    images = list(perm)
+    images[at] = value
+    table = np.array(images)
+    if np.array_equal(np.sort(table), np.arange(9)) and images[0] == 0:
+        assert PermTable(ctx, 2, table).images.tolist() == images
+    else:
+        with pytest.raises(ValueError):
+            PermTable(ctx, 2, table)
 
 
 def test_perm_table_takes_its_own_copy():

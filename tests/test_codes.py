@@ -16,6 +16,7 @@ from qperfect.affine import (
 )
 from qperfect import codes, hamming
 from qperfect.codes import (
+    _full_rank,
     build_code,
     canonical_coset_reps,
     codeword_blocks,
@@ -242,23 +243,30 @@ def test_residual_with_a_wrong_unit_column_disagrees(q, r):
 
 
 def test_distension_eliminates_the_reduced_r_row_residual(monkeypatch):
-    # one r x 2(r+1) elimination of the residual's first points per
-    # permutation, and the r x q**r one only where that block falls short
-    # of rank r (the fifth tau here), on entries in 0..q-1 as linalg's
-    # kernel takes them
-    shapes = []
+    # within the budget no prefix is eliminated: each permutation hands one
+    # r x 2(r+1) block to _full_rank, and the r x q**r residual is
+    # eliminated only where that block falls short of rank r (the identity
+    # here), on entries in 0..q-1 as linalg's kernel takes them
+    blocks, shapes = [], []
 
     def checked(a, q, reduced):
         shapes.append(a.shape)
         assert a.min() >= 0 and a.max() < q
         return _eliminate(a, q, reduced)
 
+    def full_rank(hp, block):
+        blocks.append(block.shape)
+        assert block.min() >= 0 and block.max() < hp.q
+        return _full_rank(hp, block)
+
     monkeypatch.setattr(codes, "_eliminate", checked)
+    monkeypatch.setattr(codes, "_full_rank", full_rank)
     hp = make(5, 2)
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        distension(hp, random_zero_fixing_perm(hp.ctx, 2, rng))
-    assert shapes == [(2, 6)] * 5 + [(2, 25)] + [(2, 6)] * 5
+    perms = [random_zero_fixing_perm(hp.ctx, 2, rng) for _ in range(10)] + [identity_perm(hp.ctx, 2)]
+    assert [distension(hp, tau) for tau in perms] == [2] * 10 + [0]
+    assert blocks == [(2, 6)] * 11
+    assert shapes == [(2, 25)]
 
 
 def spy_residual_routes(monkeypatch):
@@ -270,40 +278,77 @@ def spy_residual_routes(monkeypatch):
     return matrices, spans
 
 
+def spy_full_rank(monkeypatch):
+    """Record a copy of every block codes hands to _full_rank."""
+    blocks = []
+    monkeypatch.setattr(codes, "_full_rank", lambda hp, block: blocks.append(block.copy()) or _full_rank(hp, block))
+    return blocks
+
+
+def first_free_points(q, r):
+    """Oracle: the first 2(r+1) points that are not 0 or a unit vector q**k."""
+    pivots = {0, *(q**k for k in range(r))}
+    return [b for b in range(q**r) if b not in pivots][: 2 * (r + 1)]
+
+
 PREFIX_CASES = [(2, 5), (3, 3), (3, 4), (5, 2), (7, 2), (251, 1)]
 
 
 @pytest.mark.parametrize("q,r", PREFIX_CASES)
 def test_full_distension_is_certified_on_the_first_points(monkeypatch, q, r):
-    # the residual on the points b < 2(r+1) has rank r for most random tau:
-    # distension r from one r x 2(r+1) elimination of exactly that block,
-    # and no span table; the rest take the full residual as well
+    # the residual on the first 2(r+1) points that are not pivots has rank r
+    # for most random tau: distension r from that block alone, with no
+    # elimination and no span table; the rest take the full residual
     hp = make(q, r)
-    width = min(2 * (r + 1), q**r)
+    points = first_free_points(q, r)
+    assert hp.prefix_columns.tolist() == points
     matrices, spans = spy_residual_routes(monkeypatch)
+    blocks = spy_full_rank(monkeypatch)
     rng = np.random.default_rng(q * 10 + r)
     certified = 0
     for _ in range(20):
         tau = random_zero_fixing_perm(hp.ctx, r, rng)
-        matrices.clear()
-        spans.clear()
+        for spy in (matrices, blocks, spans):
+            spy.clear()
         d = distension(hp, tau)
-        block = residual(hp, tau)[:, :width]
-        assert np.array_equal(matrices[0], block)
+        block = residual(hp, tau)[:, points]
+        assert len(blocks) == 1 and np.array_equal(blocks[0], block)
         if rank(hp.ctx, block) == r:
             certified += 1
-            assert d == r and len(matrices) == 1 and not spans
+            assert d == r and not matrices and not spans
         else:
-            assert [m.shape for m in matrices] == [(r, width), (r, q**r)] and spans == [(r, r)]
+            assert [m.shape for m in matrices] == [(r, q**r)] and spans == [(r, r)]
         assert d == distension_oracle(hp, tau) == r
     assert certified >= 10
 
 
+@pytest.mark.parametrize("q,r", PREFIX_CASES)
+def test_past_the_budget_the_prefix_is_eliminated(monkeypatch, q, r):
+    # with no cells to spare, the same block is eliminated in place of the
+    # product, and the distension is unchanged
+    hp = make(q, r)
+    rng = np.random.default_rng(q * 10 + r)
+    perms = [random_zero_fixing_perm(hp.ctx, r, rng) for _ in range(5)] + fallback_perms(hp.ctx, r, rng)
+    expected = [distension(hp, tau) for tau in perms]
+    monkeypatch.setattr(codes, "BATCH", 0)
+    matrices, _ = spy_residual_routes(monkeypatch)
+    for tau, d in zip(perms, expected):
+        matrices.clear()
+        assert distension(hp, tau) == d
+        block = residual(hp, tau)[:, first_free_points(q, r)]
+        shapes = [m.shape for m in matrices]
+        if not block.any(axis=1).all():
+            assert shapes == [(r, q**r)]  # a zero row needs no elimination
+        else:
+            assert np.array_equal(matrices[0], block)
+            assert shapes == [block.shape] + ([] if rank(hp.ctx, block) == r else [(r, q**r)])
+
+
 def fallback_perms(ctx, r, rng):
-    """Permutations whose first points leave the block below rank r: the
-    identity, linear ones and series with fewer than r/2 blocks have lower
-    distension, and the series with r/2 blocks (the shear at r = 2) full
-    distension."""
+    """Permutations whose first free points leave the block below rank r:
+    the identity, linear ones and series with fewer than r/2 blocks have
+    lower distension, and the series with r/2 blocks (the shear at r = 2)
+    full distension, which a block short of every free point misses."""
     perms = [identity_perm(ctx, r)] + linear_perms(ctx, r, rng, 3)
     if ctx.q > 2:
         perms += [series_perm(ctx, r, copies) for copies in range(1, r // 2 + 1)]
@@ -312,17 +357,119 @@ def fallback_perms(ctx, r, rng):
 
 @pytest.mark.parametrize("q,r", [(2, 3), (3, 2), (5, 2), (7, 2), (3, 4), (3, 5), (5, 3)])
 def test_fallback_takes_the_full_residual(monkeypatch, q, r):
+    # where the block at the first free points falls short of rank r,
+    # _full_rank finds it with no elimination, and the one elimination is
+    # of the full residual
     hp = make(q, r)
+    points = first_free_points(q, r)
     matrices, spans = spy_residual_routes(monkeypatch)
+    blocks = spy_full_rank(monkeypatch)
     for tau in fallback_perms(hp.ctx, r, np.random.default_rng(q + r)):
-        matrices.clear()
-        spans.clear()
+        for spy in (matrices, blocks, spans):
+            spy.clear()
         d = distension(hp, tau)
-        assert [m.shape for m in matrices] == [(r, min(2 * (r + 1), q**r)), (r, q**r)]
-        assert len(_eliminate(matrices[0], q, reduced=False)) < r
-        assert np.array_equal(matrices[1], residual(hp, tau))
+        assert len(blocks) == 1 and np.array_equal(blocks[0], residual(hp, tau)[:, points])
+        if rank(hp.ctx, blocks[0]) == r:
+            # the shear at (3,2): the block holds every free point, so it
+            # is the whole residual up to its zero pivot columns
+            assert len(points) == q**r - r - 1 and d == r
+            assert not matrices and not spans
+            continue
+        assert len(matrices) == 1 and np.array_equal(matrices[0], residual(hp, tau))
         assert spans == [(r, r)]
         assert d == distension_oracle(hp, tau) == rank(hp.ctx, residual(hp, tau))
+
+
+FULL_RANK_CASES = [(2, 3), (2, 5), (3, 2), (3, 3), (5, 3), (7, 2)]
+
+
+def random_block(q, r, width, rng, inner=None):
+    """A random r x width int64 block over GF(q); with inner < r it is a
+    product through inner dimensions, so its rank is at most inner."""
+    if inner is None:
+        return rng.integers(0, q, size=(r, width))
+    return rng.integers(0, q, size=(r, inner)) @ rng.integers(0, q, size=(inner, width)) % q
+
+
+def full_rank_block(q, r, width, rng):
+    while True:
+        block = random_block(q, r, width, rng)
+        if rank(FieldContext(q), block) == r:
+            return block
+
+
+@pytest.mark.parametrize("budget", ["product", "elimination"])
+@pytest.mark.parametrize("q,r", FULL_RANK_CASES)
+def test_full_rank_agrees_with_elimination(monkeypatch, q, r, budget):
+    # both sides of the budget give rank == r, on blocks of full and of
+    # lower rank; the product side eliminates nothing, and past the budget
+    # only a block with no zero row is eliminated
+    hp = make(q, r)
+    if budget == "elimination":
+        monkeypatch.setattr(codes, "BATCH", 0)
+    matrices, _ = spy_residual_routes(monkeypatch)
+    rng = np.random.default_rng(q * 10 + r)
+    verdicts = []
+    for width in (r - 1, r, 2 * (r + 1)):
+        for inner in (None, None, *range(1, r)):
+            block = random_block(q, r, width, rng, inner)
+            matrices.clear()
+            verdicts.append(_full_rank(hp, block.copy()))
+            assert verdicts[-1] == (rank(hp.ctx, block) == r)
+            eliminated = budget == "elimination" and block.any(axis=1).all()
+            assert [m.shape for m in matrices] == ([block.shape] if eliminated else [])
+    assert True in verdicts and False in verdicts
+
+
+def deficient_mutants(block, q):
+    """Copies of a full-rank block with one row made dependent on the
+    others: a zero row, a row that is a nonzero multiple of another, and a
+    row that is the sum of two others, at every position."""
+    r = block.shape[0]
+    for k in range(r):
+        mutant = block.copy()
+        mutant[k] = 0
+        yield mutant
+    for i, j in itertools.permutations(range(r), 2):
+        for lam in range(1, q):
+            mutant = block.copy()
+            mutant[j] = lam * block[i] % q
+            yield mutant
+    for i, j, k in itertools.permutations(range(r), 3):
+        if i < j:
+            mutant = block.copy()
+            mutant[k] = (block[i] + block[j]) % q
+            yield mutant
+
+
+@pytest.mark.parametrize("budget", ["product", "elimination"])
+@pytest.mark.parametrize("q,r", FULL_RANK_CASES)
+def test_full_rank_refuses_rank_deficient_mutants(monkeypatch, q, r, budget):
+    hp = make(q, r)
+    if budget == "elimination":
+        monkeypatch.setattr(codes, "BATCH", 0)
+    rng = np.random.default_rng(q * 100 + r)
+    block = full_rank_block(q, r, 2 * (r + 1), rng)
+    assert _full_rank(hp, block.copy())
+    for mutant in deficient_mutants(block, q):
+        assert rank(hp.ctx, mutant) < r
+        assert not _full_rank(hp, mutant)
+
+
+@pytest.mark.parametrize("q,r", FULL_RANK_CASES)
+def test_full_rank_tries_every_line(q, r):
+    # the lemma: for each normalized u there is a block whose only
+    # dependency is u, so a product that skipped any column of h_hamming
+    # would pass that block
+    hp = make(q, r)
+    rng = np.random.default_rng(q + r)
+    for u in hp.h_hamming.T:
+        block = full_rank_block(q, r, 2 * (r + 1), rng)
+        p = int(np.flatnonzero(u)[0])  # u[p] = 1: row p is the rest's combination
+        block[p] = 0
+        block[p] = -(u @ block) % q
+        assert not (u @ block % q).any() and rank(hp.ctx, block) == r - 1
+        assert not _full_rank(hp, block)
 
 
 @pytest.mark.parametrize("q,r", [(2, 3), (3, 2), (5, 2), (3, 4), (2, 5), (7, 2)])
@@ -456,6 +603,20 @@ def test_systematic_form_is_one_read_only_table_per_kit():
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[...] = 0
+
+
+def test_prefix_columns_are_one_read_only_table_per_kit():
+    # the first 2(r+1) free points, all of them where there are fewer
+    # ((2,1) has none), built without the kernel
+    for q, r in RESTRICTED_CASES + [(2, 2), (3, 2), (2, 3), (2, 10)]:
+        hp = make(q, r)
+        points = hp.prefix_columns
+        assert hp.prefix_columns is points and points.dtype == np.intp
+        assert points.tolist() == first_free_points(q, r)
+        assert len(points) == min(2 * (r + 1), q**r - r - 1)
+        assert "extended_basis" not in vars(hp)
+        with pytest.raises(ValueError):
+            points[...] = 0
 
 
 def test_distension_never_cuts_the_kernel():

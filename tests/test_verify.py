@@ -707,6 +707,20 @@ def test_run_refuses_a_series_that_is_not_its_code():
             verify.VerifyRun(code, "series", series)
 
 
+def test_run_compares_only_a_series_table_it_does_not_share(monkeypatch):
+    # the CLI's runs hold one PermTable, which is accepted with no q**r
+    # comparison; an equal copy is compared, and accepted
+    ctx = FieldContext(3)
+    hp, series = build_hamming_pair(ctx, 4), Series(ctx, 4, 2)
+    code, copy = build_code(hp, series.perm), build_code(hp, PermTable(ctx, 4, series.perm.images))
+    compared, array_equal = [], np.array_equal
+    monkeypatch.setattr(verify.np, "array_equal", lambda a, b: compared.append(a.shape) or array_equal(a, b))
+    verify.VerifyRun(code, "series", series)
+    assert not compared
+    verify.VerifyRun(copy, "series", series)
+    assert compared == [(81,)]
+
+
 # -- isometries ----------------------------------------------------------------
 
 
