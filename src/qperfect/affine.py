@@ -26,7 +26,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .hamming import MAX_POINTS, field_powers, json_power, span_table
-from .linalg import DTYPE, DimensionMismatch, FieldContext, ParseError, is_invertible
+from .linalg import DTYPE, DimensionMismatch, FieldContext, ParseError, _in_range, _index_table, _permutes, is_invertible
 
 __all__ = [
     "CheckResult",
@@ -59,16 +59,6 @@ class CheckResult:
         return self.ok
 
 
-def _index_table(values, copy: bool) -> np.ndarray:
-    """values as a DTYPE table, refusing any entry whose value is not an
-    integer: the cast alone would truncate 1.7 to the valid index 1."""
-    raw = np.asarray(values)
-    table = raw.astype(DTYPE, copy=copy)
-    if raw.dtype.kind not in "iu" and (table != raw).any():
-        raise ValueError("index table entries must be integers")
-    return table
-
-
 @dataclass(frozen=True)
 class PermTable:
     """A permutation of the q**r point indices that fixes index 0, as its
@@ -80,19 +70,12 @@ class PermTable:
     images: np.ndarray
 
     def __post_init__(self):
-        images = _index_table(self.images, copy=True)
-        images.setflags(write=False)
+        images = _index_table(self.images)
         object.__setattr__(self, "images", images)
         size = self.ctx.q**self.r
         if images.shape != (size,):
             raise ValueError(f"image table must have length {size}, got {images.shape}")
-        # A negative entry reads as at least 2**63 through the unsigned view,
-        # so one max is the range test; size images in range then mark every
-        # point exactly when no two of them meet.
-        seen = np.zeros(size, dtype=bool)
-        if images.view(np.uint64).max() < size:
-            seen[images] = True
-        if not seen.all():
+        if not _permutes(images):
             raise ValueError("image table is not a bijection")
         if images[0] != 0:
             raise ValueError("permutation must fix index 0")
@@ -101,15 +84,20 @@ class PermTable:
     def size(self) -> int:
         return self.images.shape[0]
 
+    @property
+    def preimages(self) -> np.ndarray:
+        """The inverse permutation, one scatter into a fresh index table."""
+        inv = np.empty(self.size, dtype=DTYPE)
+        inv[self.images] = np.arange(self.size, dtype=DTYPE)
+        return inv
+
 
 def identity_perm(ctx: FieldContext, r: int) -> PermTable:
     return PermTable(ctx, r, np.arange(ctx.q**r, dtype=DTYPE))
 
 
 def perm_inverse(perm: PermTable) -> PermTable:
-    inv = np.empty(perm.size, dtype=DTYPE)
-    inv[perm.images] = np.arange(perm.size, dtype=DTYPE)
-    return PermTable(perm.ctx, perm.r, inv)
+    return PermTable(perm.ctx, perm.r, perm.preimages)
 
 
 def linear_perm(ctx: FieldContext, L) -> PermTable:
@@ -130,13 +118,12 @@ class RegularSubgroup:
     cols: np.ndarray
 
     def __post_init__(self):
-        cols = _index_table(self.cols, copy=True)
-        cols.setflags(write=False)
+        cols = _index_table(self.cols)
         object.__setattr__(self, "cols", cols)
         size = self.ctx.q**self.r
         if cols.shape != (size, self.r):
             raise ValueError(f"column-index table must have shape {(size, self.r)}, got {cols.shape}")
-        if ((cols < 0) | (cols >= size)).any():  # numpy would wrap a negative index
+        if not _in_range(cols, size):  # numpy would wrap a negative index
             raise ValueError(f"column indices must lie in [0, {size - 1}]")
 
     @property
@@ -145,9 +132,11 @@ class RegularSubgroup:
 
     @cached_property
     def generating_set(self) -> tuple[list[int], np.ndarray, str]:
-        """_generators of the table, built once and read by both premise
-        checks; the table is read-only, so it cannot go stale."""
-        return _generators(self)
+        """_generators of the table, built once with read-only rows and read
+        by both premise checks; the table is read-only, so it cannot go stale."""
+        gens, rows, detail = _generators(self)
+        rows.setflags(write=False)
+        return gens, rows, detail
 
 
 def translation_group(ctx: FieldContext, r: int) -> RegularSubgroup:
@@ -305,9 +294,7 @@ def _generators(G: RegularSubgroup) -> tuple[list[int], np.ndarray, str]:
     while not reached.all():
         s = int(np.argmin(reached))
         linear, row = _left_rows(G, s)
-        image = np.zeros(size, dtype=bool)
-        image[linear] = True
-        if not image.all():
+        if not _permutes(linear):
             return gens, table[: len(gens)], f"matrix at index {s} is singular"
         # one column at a time, so each comparison gathers q**r entries, not q**r x r
         bad = np.zeros(size, dtype=bool)

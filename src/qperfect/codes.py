@@ -54,13 +54,10 @@ BATCH = 1 << 15  # step of every batched loop, read at call time: words per bloc
 
 
 def _preimages(hp: HammingPair, perm: PermTable) -> np.ndarray:
-    """perm^(-1) as an index table; perm is a validated bijection, so the
-    inverse is one scatter."""
+    """perm.preimages, the index table of perm^(-1), once perm matches the kit."""
     if perm.ctx != hp.ctx or perm.r != hp.r:
         raise DimensionMismatch("permutation does not match the parity kit")
-    inv = np.empty(perm.size, dtype=DTYPE)
-    inv[perm.images] = np.arange(perm.size, dtype=DTYPE)
-    return inv
+    return perm.preimages
 
 
 def permuted_check(hp: HammingPair, perm: PermTable) -> np.ndarray:
@@ -197,7 +194,7 @@ def canonical_coset_reps(hp: HammingPair) -> np.ndarray:
 @dataclass(frozen=True)
 class CodeHandle:
     """A constructed code: parity kit and gluing permutation, with the
-    tables derived from them computed on first use."""
+    read-only tables derived from them computed on first use."""
 
     hp: HammingPair
     perm: PermTable
@@ -230,7 +227,9 @@ class CodeHandle:
 
     @cached_property
     def rep_table(self) -> np.ndarray:
-        return canonical_coset_reps(self.hp)
+        reps = canonical_coset_reps(self.hp)
+        reps.setflags(write=False)
+        return reps
 
     @property
     def hamming_basis(self) -> np.ndarray:
@@ -246,7 +245,9 @@ class CodeHandle:
         package reads it now: the restricted check is read off the preimage
         table.  It stays because perfbench/workloads.py's construct and the
         tests read it."""
-        return permuted_check(self.hp, self.perm)
+        check = permuted_check(self.hp, self.perm)
+        check.setflags(write=False)
+        return check
 
     @cached_property
     def syndrome_check(self) -> np.ndarray:

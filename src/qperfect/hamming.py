@@ -57,18 +57,18 @@ def field_powers(q: int, r: int) -> np.ndarray:
     return q ** np.arange(r, dtype=DTYPE)
 
 
-def _point_table(q: int, r: int, top: int = 0) -> np.ndarray:
-    """A (top + r) x q**r table whose last r rows hold every vector as a
-    column, column i being the vector with index i; the top rows are left
-    unset.  Coordinate k of index i is (i // q**k) % q, so its row is each
-    symbol repeated q**k times, tiled q**(r-k-1) times: no division."""
+def _point_table(q: int, r: int) -> np.ndarray:
+    """h_extended: an all-ones row over r rows holding every vector as a
+    column, column i the vector with index i.  Coordinate k of index i is
+    (i // q**k) % q, each symbol q**k times, tiled q**(r-k-1) times."""
     size = json_power(q, r, MAX_POINTS)
     if size is not None:
         raise ValueError(f"q**r = {size} exceeds the materialization guard {MAX_POINTS}")
-    table = np.empty((top + r, q**r), dtype=DTYPE)
+    table = np.empty((1 + r, q**r), dtype=DTYPE)
+    table[0] = 1
     symbols = np.arange(q, dtype=DTYPE)
     for k in range(r):
-        table[top + k] = np.tile(np.repeat(symbols, q**k), q ** (r - k - 1))
+        table[1 + k] = np.tile(np.repeat(symbols, q**k), q ** (r - k - 1))
     return table
 
 
@@ -185,14 +185,16 @@ def build_hamming_pair(ctx: FieldContext, r: int) -> HammingPair:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     q = ctx.q
-    h_extended = _point_table(q, r, top=1)
-    h_extended[0] = 1
+    h_extended = _point_table(q, r)
     # A normalized vector has first nonzero coordinate 1: with it at k, the
     # index is q**k plus a multiple of q**(k+1).
     normalized = np.zeros(q**r, dtype=bool)
     for k in range(r):
         normalized[q**k :: q ** (k + 1)] = True
-    return HammingPair(ctx, r, h_extended, np.flatnonzero(normalized))
+    col_index = np.flatnonzero(normalized)
+    for table in (h_extended, col_index):  # every code on the kit shares them
+        table.setflags(write=False)
+    return HammingPair(ctx, r, h_extended, col_index)
 
 
 def stacked_parity(hp: HammingPair) -> np.ndarray:

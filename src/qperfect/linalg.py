@@ -84,9 +84,7 @@ class FieldContext:
         The result is always a fresh array, which rank and rref eliminate in
         place; data already in 0..q-1 is copied without a `%`."""
         arr = np.array(values, dtype=DTYPE)
-        # A negative entry reads as at least 2**63 through the unsigned view,
-        # so one max finds every entry outside 0..q-1.
-        if arr.size and arr.view(np.uint64).max() >= self.q:
+        if not _in_range(arr, self.q):
             arr %= self.q
         return arr
 
@@ -97,7 +95,7 @@ class FieldContext:
         all lie below q is returned as it is, and the caller must not write
         to it.  Anything else, uint8 with an entry >= q included, goes
         through reduce and comes back as a fresh int64 array."""
-        if isinstance(rows, np.ndarray) and rows.dtype == np.uint8 and (not rows.size or rows.max() < self.q):
+        if isinstance(rows, np.ndarray) and rows.dtype == np.uint8 and _in_range(rows, self.q):
             return _require_matrix(rows)
         return self.matrix(rows)
 
@@ -109,6 +107,40 @@ class FieldContext:
 
     def matrix(self, rows) -> np.ndarray:
         return _require_matrix(self.reduce(rows))
+
+
+def _index_table(values) -> np.ndarray:
+    """values as an owned, read-only DTYPE copy, which no later write to the
+    caller's array can change, refusing any entry whose value is not an
+    integer: the cast alone would truncate 1.7 to the valid index 1."""
+    raw = np.asarray(values)
+    table = raw.astype(DTYPE)
+    if raw.dtype.kind not in "iu" and (table != raw).any():
+        raise ValueError("index table entries must be integers")
+    table.setflags(write=False)
+    return table
+
+
+def _in_range(table: np.ndarray, n: int) -> bool:
+    """Whether table is an integer table with every entry in 0..n-1: in the
+    unsigned view of its width a negative entry reads as at least 2**(bits-1),
+    past any other, so one max against n, capped there if signed, decides."""
+    if table.dtype.kind not in "iu":
+        return False
+    cap = 1 << (8 * table.itemsize - (table.dtype.kind == "i"))
+    return not table.size or int(table.view(table.dtype.str.replace("i", "u")).max()) < min(n, cap)
+
+
+def _permutes(table: np.ndarray) -> bool:
+    """Whether each row along the last axis permutes 0..n-1, n its length:
+    every entry is in range, and one scatter of them marks every value."""
+    seen = np.zeros(table.shape, dtype=bool)
+    if _in_range(table, table.shape[-1]):
+        if table.ndim == 1:  # every PermTable: plain indexing skips put_along_axis's index building
+            seen[table] = True
+        else:
+            np.put_along_axis(seen, table, True, axis=-1)
+    return np.count_nonzero(seen) == seen.size
 
 
 def _require_matrix(m: np.ndarray) -> np.ndarray:

@@ -20,14 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import codes
-from .affine import (
-    PermTable,
-    Series,
-    _index_table,
-    iterate_perms,
-    verify_automorphism,
-    verify_regular_subgroup,
-)
+from .affine import PermTable, Series, iterate_perms, verify_automorphism, verify_regular_subgroup
 from .codes import (
     MAX_ENUMERATION,
     CodeHandle,
@@ -41,6 +34,7 @@ from .codes import (
 )
 from .hamming import HammingPair, build_hamming_pair, json_power
 from .linalg import DTYPE, DimensionMismatch, FieldContext, nullspace_basis, product_dtype, rank
+from .linalg import _in_range, _index_table, _permutes
 
 __all__ = [
     "CHECKS",
@@ -66,6 +60,7 @@ MAX_SPACE_CELLS = 1 << 26  # q**N budget for the covering array and the certific
 MAX_BASIS_CELLS = 1 << 24  # rank x N budget for the basis audit's stack
 MAX_CERT_CODE = 1 << 12  # largest code a certificate check will enumerate
 MAX_FULL_TRIPLES = 1 << 24  # closure is checked on all triples below this
+CLOSURE_SAMPLES = 5000  # closure triples drawn above MAX_FULL_TRIPLES
 VERIFY_GUARD = 1 << 14  # group premise checks stop at q**r of this size
 MARK_STEP = 16  # covering axes with a step q**k below this are marked word by word (8 to 32 time alike)
 
@@ -164,9 +159,9 @@ def covering_occupancy(q: int, N: int, pairs: Iterable) -> tuple[int, int, int]:
     the true count mod 256, as it would be from one uint8 mark per word per
     ball cell; check_perfect's count of the rows sees a wrapped cell.
 
-    Each side must be a matrix with entries in 0..q-1, and the two widths
-    must sum to N (ValueError otherwise, and TypeError for an item that does
-    not unpack): a symbol out of range would encode as some other word.
+    Each side must be an integer matrix with entries in 0..q-1, and the two
+    widths must sum to N (ValueError otherwise, TypeError for an item that
+    does not unpack): a symbol out of range would encode as some other word.
     """
     cells = q**N
     occ = np.zeros(cells, dtype=np.uint8)
@@ -181,7 +176,7 @@ def covering_occupancy(q: int, N: int, pairs: Iterable) -> tuple[int, int, int]:
         left, right = np.asarray(left), np.asarray(right)
         if left.ndim != 2 or right.ndim != 2 or left.shape[1] + right.shape[1] != N:
             raise ValueError(f"expected blocks of width {N}, got shapes {left.shape} and {right.shape}")
-        if any(side.size and (side.min() < 0 or side.max() >= q) for side in (left, right)):
+        if not (_in_range(left, q) and _in_range(right, q)):
             raise ValueError(f"block entries must lie in 0..{q - 1}")
         rows += len(left) * len(right)
         if not (len(left) and len(right)):
@@ -416,40 +411,29 @@ def _run_group_premises(run: VerifyRun) -> VerifyReport:
 # -- propelinear certificates ----------------------------------------------
 
 
-def _rows_permute(table: np.ndarray) -> bool:
-    """Whether every row along the last axis, of length n, permutes 0..n-1:
-    all entries lie in range and one scatter of them marks every value."""
-    n = table.shape[-1]
-    if table.size and (table.min() < 0 or table.max() >= n):
-        return False
-    seen = np.zeros(table.shape, dtype=bool)
-    np.put_along_axis(seen, table, True, axis=-1)
-    return bool(seen.all())
-
-
 @dataclass(frozen=True)
 class PropelinearCertificate:
     """One isometry per codeword, claimed to form a regular group action,
     stacked as tables: isometry i is labelled by words[i] (M, N) and maps v
     to the w with w[sigma[i, k]] = pis[i, sigma[i, k], v[k]], for sigma
-    (M, N) and pis (M, N, q).  The tables are validated when the
-    certificate is built; an entry whose value is not an integer raises
-    ValueError, as the cast would truncate it."""
+    (M, N) and pis (M, N, q).  The tables are validated into read-only
+    copies of its own when the certificate is built; an entry whose value
+    is not an integer raises ValueError, as the cast would truncate it."""
 
     words: np.ndarray
     sigma: np.ndarray
     pis: np.ndarray
 
     def __post_init__(self):
-        words, sigma, pis = (_index_table(a, copy=False) for a in (self.words, self.sigma, self.pis))
+        words, sigma, pis = (_index_table(a) for a in (self.words, self.sigma, self.pis))
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "pis", pis)
         if words.ndim != 2 or sigma.shape != words.shape or pis.ndim != 3 or pis.shape[:2] != words.shape:
             raise DimensionMismatch("need one coordinate permutation and N symbol tables per codeword")
-        if not _rows_permute(sigma):
+        if not _permutes(sigma):
             raise ValueError("every sigma row must permute the coordinates")
-        if not _rows_permute(pis):
+        if not _permutes(pis):
             raise ValueError("every symbol table must permute 0..q-1")
 
 
@@ -494,7 +478,6 @@ def check_propelinear_certificate(
     code: CodeHandle,
     cert: PropelinearCertificate,
     max_full_triples: int = MAX_FULL_TRIPLES,
-    samples: int = 5000,
     seed: int = 0,
     label: str = "custom",
 ) -> VerifyReport:
@@ -543,7 +526,7 @@ def check_propelinear_certificate(
     # json_power(q, k, M - 1) is M iff q**k = M, for any M below 2**53 rows.
     if cert.words.shape[1] != N or json_power(q, code.log_size, M - 1) != M:
         raise ValueError(f"certificate domain must be the {json_power(q, code.log_size)} codewords")
-    if ((cert.words < 0) | (cert.words >= q)).any():
+    if not _in_range(cert.words, q):
         raise ValueError(f"certificate words must have symbols in 0..{q - 1}")
     if cert.pis.shape[2] != q:
         raise DimensionMismatch(f"every isometry must act on words over {q} symbols")
@@ -582,8 +565,8 @@ def check_propelinear_certificate(
     if M**3 <= max_full_triples:
         mode, triples, result = "full", M**3, "pass"
     else:
-        mode, triples, result = "sampled", samples, "probabilistic"
-        picks = np.random.default_rng(seed).integers(0, M, size=(samples, 3))
+        mode, triples, result = "sampled", CLOSURE_SAMPLES, "probabilistic"
+        picks = np.random.default_rng(seed).integers(0, M, size=(CLOSURE_SAMPLES, 3))
     step = max(1, codes.BATCH // N)  # each triple gathers N table entries per image
     for start in range(0, triples, step):
         if mode == "full":

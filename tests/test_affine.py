@@ -31,6 +31,7 @@ from qperfect.cli import main
 from qperfect.codes import distension
 from qperfect.hamming import build_hamming_pair, field_powers
 from qperfect.linalg import FieldContext, ParseError, is_invertible
+from qperfect.verify import PropelinearCertificate
 
 from hamming_oracles import (
     all_vectors,
@@ -105,6 +106,25 @@ def test_index_tables_refuse_non_integer_entries(as_array):
         RegularSubgroup(ctx, 1, table([[1], [1.5], [2]]))
     assert PermTable(ctx, 1, table([0.0, 2.0, 1.0])).images.tolist() == [0, 2, 1]
     assert RegularSubgroup(ctx, 1, table([[1.0], [1.0], [2.0]])).cols.tolist() == [[1], [1], [2]]
+    # the certificate takes its tables the same way: one word of length 2
+    # over GF(2), its coordinates fixed and its symbols swapped
+    with pytest.raises(ValueError, match="integers"):
+        PropelinearCertificate(table([[1, 1]]), table([[0, 1]]), table([[[1, 0], [1, 0.5]]]))
+    cert = PropelinearCertificate(table([[1.0, 1.0]]), table([[0.0, 1.0]]), table([[[1.0, 0.0], [1.0, 0.0]]]))
+    assert cert.pis.tolist() == [[[1, 0], [1, 0]]] and cert.words.tolist() == [[1, 1]]
+
+
+def test_preimages_invert_a_permutation_that_is_not_an_involution():
+    # the shear swap and every series permutation are involutions, whose
+    # images and preimages agree; a 3-cycle and a seeded random table do not
+    tau = PermTable(FieldContext(2), 2, np.array([0, 2, 3, 1]))
+    assert tau.preimages.tolist() == [0, 3, 1, 2]
+    assert perm_inverse(tau).images.tolist() == [0, 3, 1, 2]
+    images = np.concatenate([[0], 1 + np.random.default_rng(7).permutation(80)])
+    tau = PermTable(FieldContext(3), 4, images)
+    assert np.array_equal(tau.preimages, np.argsort(images))
+    assert np.array_equal(tau.preimages[tau.images], np.arange(81))
+    assert tau.preimages is not tau.preimages  # a fresh table on every read
 
 
 def test_perm_inverse_round_trip():

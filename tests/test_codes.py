@@ -86,6 +86,12 @@ def test_permuted_check_column_convention():
         assert np.array_equal(moved[:, tau.images[a]], hp.h_extended[:, a])
     # tau(1) = 3: the old column 1 lands at position 3
     assert np.array_equal(moved[:, 3], hp.h_extended[:, 1])
+    # a 3-cycle is no involution, unlike the shear swap: read through its
+    # images in place of its preimages, the columns would move the other way
+    tau = PermTable(hp.ctx, 2, np.array([0, 3, 1, 2, 4, 5, 6, 7, 8]))
+    moved = permuted_check(hp, tau)
+    for a in range(hp.points):
+        assert np.array_equal(moved[:, tau.images[a]], hp.h_extended[:, a])
 
 
 def test_permuted_check_identity_is_noop():

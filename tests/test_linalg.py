@@ -13,7 +13,10 @@ from qperfect.linalg import (
     DimensionMismatch,
     FieldContext,
     _eliminate,
+    _in_range,
+    _index_table,
     _inverse_table,
+    _permutes,
     is_invertible,
     is_prime,
     nullspace_basis,
@@ -443,3 +446,82 @@ def test_eliminate_refuses_a_narrow_table():
         with pytest.raises(TypeError):
             _eliminate(narrow, code.q, reduced=False)
     assert len(_eliminate(a.astype(np.int64), code.q, reduced=False)) == 120
+
+
+# -- index tables --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_in_range_refuses_negative_entries_of_every_width(dtype):
+    # through the unsigned view of its width -1 reads as 2**bits - 1 and
+    # the most negative entry as 2**(bits-1); an n past either must not let
+    # them through
+    bits = 8 * np.dtype(dtype).itemsize
+    for value in (-1, -(2 ** (bits - 1))):
+        table = np.array([0, value, 1], dtype=dtype)
+        for n in (2, 2 ** (bits - 1), 2 ** (bits - 1) + 1, 2**bits, 2**bits + 1, 2**70):
+            assert not _in_range(table, n), (value, n)
+            assert not _in_range(table.reshape(1, 3, 1), n), (value, n)
+    top = np.array([0, 2 ** (bits - 1) - 1], dtype=dtype)
+    assert _in_range(top, 2 ** (bits - 1)) and _in_range(top, 2**70)
+    assert not _in_range(top, 2 ** (bits - 1) - 1)
+
+
+def test_in_range_reads_uint8_up_to_its_bound():
+    for n in (1, 3, 255, 256):
+        assert _in_range(np.array([0, n - 1], dtype=np.uint8), n)
+        if n < 256:
+            assert not _in_range(np.array([0, n], dtype=np.uint8), n)
+    assert _in_range(np.array([255], dtype=np.uint8), 2**70)
+
+
+def test_index_table_helpers_on_empty_and_non_integer_tables():
+    for shape in ((0,), (3, 0), (0, 4), (2, 0, 5)):
+        assert _in_range(np.zeros(shape, dtype=np.int64), 0)
+        assert _permutes(np.zeros(shape, dtype=np.int64))
+    # a float or boolean table is no index table, whatever its values
+    assert not _in_range(np.array([0.0, 1.0]), 2)
+    assert not _in_range(np.array([-1.0]), 2)
+    assert not _in_range(np.array([True, False]), 2)
+    assert not _permutes(np.array([1.0, 0.0]))
+
+
+def test_permutes_tests_every_row_along_the_last_axis():
+    assert _permutes(np.array([2, 0, 1]))
+    rows = np.array([[0, 1, 2], [2, 1, 0]])
+    assert _permutes(rows)
+    assert _permutes(np.stack([rows, rows[::-1]]))
+    assert not _permutes(np.array([[0, 1, 2], [2, 2, 0]]))  # a repeated value
+    assert not _permutes(np.array([[[0, 1], [1, 0]], [[1, 0], [1, 1]]]))
+    assert not _permutes(np.array([0, 1, 3]))  # out of range, and no scatter is tried
+    assert not _permutes(np.array([[0, -1], [1, 0]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_index_table_helpers_match_their_definitions(data):
+    # rows that are mostly permutations, some with one entry overwritten by a
+    # value around the range, against the sorted-row and min/max definitions
+    dtype = data.draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8]))
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n = shape[-1]
+    rows = [data.draw(st.permutations(range(n))) for _ in range(int(np.prod(shape[:-1])))]
+    table = np.array(rows, dtype=np.int64).reshape(shape)
+    if data.draw(st.booleans()):
+        at = tuple(data.draw(st.integers(0, k - 1)) for k in shape)
+        low = 0 if dtype == np.uint8 else -128
+        table[at] = data.draw(st.integers(low, 127))
+    table = table.astype(dtype)
+    assert _permutes(table) == bool((np.sort(table, axis=-1) == np.arange(n)).all())
+    for bound in (n - 1, n, n + 1, 128, 2**64):
+        assert _in_range(table, bound) == bool(table.min() >= 0 and int(table.max()) < bound)
+
+
+def test_index_table_is_an_owned_read_only_int64_copy():
+    for values in ([0, 2, 1], np.array([0, 2, 1]), np.array([0, 2, 1], dtype=np.uint8), np.array([0.0, 2.0, 1.0])):
+        table = _index_table(values)
+        assert table.dtype == np.int64 and table.tolist() == [0, 2, 1]
+        assert table.flags.owndata and not table.flags.writeable
+        assert table is not values
+    with pytest.raises(ValueError, match="integers"):
+        _index_table([0, 1.5])

@@ -5,19 +5,25 @@ Every exported name also has a caller outside the tests, and the README's
 library example runs."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
 import pkgutil
 import re
 import sys
+from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qperfect
-from qperfect.affine import shear_swap_perm
+from qperfect.affine import Series, shear_swap_perm
 from qperfect.codes import build_code
 from qperfect.hamming import build_hamming_pair
 from qperfect.linalg import FieldContext
+from qperfect.verify import translation_certificate
 
 MODULES = [info.name for info in pkgutil.iter_modules(qperfect.__path__)]
 
@@ -169,3 +175,47 @@ def test_every_export_has_a_caller():
         if export not in used
     ]
     assert not unused
+
+
+def arrays_in(obj, path):
+    """(path, array) for every ndarray in obj: itself, the items of a tuple
+    or list, and, for a dataclass, every field and every cached_property,
+    which reading here builds, walked in turn."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, (tuple, list)):
+        for i, item in enumerate(obj):
+            yield from arrays_in(item, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(obj):
+        names = [field.name for field in dataclasses.fields(obj)]
+        names += [name for name, attr in vars(type(obj)).items() if isinstance(attr, cached_property)]
+        for name in names:
+            yield from arrays_in(getattr(obj, name), f"{path}.{name}")
+
+
+@pytest.mark.parametrize("q,r", [(2, 2), (3, 2)])
+def test_every_shared_table_is_read_only(q, r):
+    # A record's tables are shared by every reader of the record, and its
+    # cached tables are derived from its fields, so a write to any of them
+    # would leave the others stale or a validated table unvalidated.  The
+    # walk covers the kit, a PermTable, a RegularSubgroup with its
+    # generating set, a Series with both of its tables, a CodeHandle with
+    # every cached table, and a translation certificate (identity-glued
+    # codes only, so at q = 2).  RankBasis is the one record left out: each
+    # rank_basis call returns a fresh one that nothing shares.  So is
+    # PermTable.preimages, a plain property that builds a fresh table.
+    ctx = FieldContext(q)
+    hp = build_hamming_pair(ctx, r)
+    series = Series(ctx, r, 1 if q > 2 else 0)  # the shear needs q >= 3
+    records = {
+        "kit": hp,
+        "perm": series.perm,
+        "group": series.group,
+        "series": series,
+        "code": build_code(hp, series.perm),
+    }
+    if q == 2:
+        records["certificate"] = translation_certificate(records["code"])
+    found = [item for name, record in records.items() for item in arrays_in(record, name)]
+    assert len(found) >= 20
+    assert [path for path, array in found if array.flags.writeable] == []

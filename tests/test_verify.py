@@ -296,8 +296,9 @@ def test_covering_occupancy_on_mutated_pairs_matches_mark_scatter(monkeypatch, n
         np.zeros(7, dtype=np.uint8),  # one word, not a block
         np.full((2, 7), 2, dtype=np.uint8),  # symbol q
         np.array([[0, 0, 0, 0, 0, 0, -1]]),  # a negative symbol
+        np.array([[0, 0, 0, 0, 0, 0, -1.0]]),  # a negative float symbol
     ],
-    ids=["width", "vector", "symbol-q", "negative"],
+    ids=["width", "vector", "symbol-q", "negative", "negative-float"],
 )
 def test_covering_occupancy_refuses_malformed_blocks(block):
     # no gather would catch these: a symbol out of range encodes as some
@@ -759,6 +760,34 @@ def test_isometry_validation():
     pis[5, 2, 1] = -1
     with pytest.raises(ValueError, match="symbol table"):
         PropelinearCertificate(cert.words, cert.sigma, pis)
+
+
+def test_certificate_keeps_its_own_read_only_tables():
+    # constant symbol maps and a repeated coordinate are refused when the
+    # certificate is built; written into the caller's arrays afterwards,
+    # they must not reach the tables it validated and the checker reads.
+    # Isometry i mapping every symbol to words[i]'s keeps the zero images
+    # and sends the whole code to words[i], so every law would pass on it
+    code = small_code(2, 2)
+    words = np.vstack(list(codeword_blocks(code)))
+    M, N = words.shape
+    sigma = np.tile(np.arange(N, dtype=DTYPE), (M, 1))
+    pis = (words[:, :, None] + np.arange(2, dtype=DTYPE)) % 2
+    cert = PropelinearCertificate(words, sigma, pis)
+    valid = [getattr(cert, name).copy() for name in ("words", "sigma", "pis")]
+    pis[:] = words[:, :, None]
+    sigma[:, 1] = sigma[:, 0]
+    for name, table in zip(("words", "sigma", "pis"), valid):
+        assert np.array_equal(getattr(cert, name), table), name
+    assert check_propelinear_certificate(code, cert).result == "pass"
+    for name in ("words", "sigma", "pis"):
+        with pytest.raises(ValueError):
+            getattr(cert, name)[...] = 0
+    with pytest.raises(ValueError, match="sigma"):
+        PropelinearCertificate(words, sigma, pis)
+    sigma[:, 1] = 1
+    with pytest.raises(ValueError, match="symbol table"):
+        PropelinearCertificate(words, sigma, pis)
 
 
 @pytest.mark.parametrize("table", ["words", "sigma", "pis"])
