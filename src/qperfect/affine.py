@@ -385,13 +385,16 @@ def read_perm(path) -> PermTable:
     if len(toks) != size:
         raise ParseError(f"expected {size} image indices, got {len(toks)}", 2)
     try:
-        images = [int(t) for t in toks]
+        try:
+            images = np.array(toks, dtype=DTYPE)
+        except OverflowError:  # an entry past int64 is out of range, but a non-integer is named first
+            images = np.array([int(t) for t in toks], dtype=object)
     except ValueError:
         raise ParseError("image indices must be integers", 2) from None
-    if any(not 0 <= i < size for i in images):
+    if not _in_range(images, size):
         raise ParseError(f"image indices must lie in [0, {size - 1}]", 2)
     try:
-        perm = PermTable(ctx, r, np.array(images, dtype=DTYPE))
+        perm = PermTable(ctx, r, images)
     except ValueError as exc:
         raise ParseError(str(exc), 2) from None
     if extra is not None:

@@ -57,21 +57,6 @@ def field_powers(q: int, r: int) -> np.ndarray:
     return q ** np.arange(r, dtype=DTYPE)
 
 
-def _point_table(q: int, r: int) -> np.ndarray:
-    """h_extended: an all-ones row over r rows holding every vector as a
-    column, column i the vector with index i.  Coordinate k of index i is
-    (i // q**k) % q, each symbol q**k times, tiled q**(r-k-1) times."""
-    size = json_power(q, r, MAX_POINTS)
-    if size is not None:
-        raise ValueError(f"q**r = {size} exceeds the materialization guard {MAX_POINTS}")
-    table = np.empty((1 + r, q**r), dtype=DTYPE)
-    table[0] = 1
-    symbols = np.arange(q, dtype=DTYPE)
-    for k in range(r):
-        table[1 + k] = np.tile(np.repeat(symbols, q**k), q ** (r - k - 1))
-    return table
-
-
 def span_table(q: int, columns) -> np.ndarray:
     """For the r x k matrix M = columns, the uint16 r x q**k table whose column
     idx(b) is M b mod q.  It grows one column of M at a time, as index
@@ -92,15 +77,44 @@ def span_table(q: int, columns) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HammingPair:
-    """The parity-check matrices for one level; h_columns views h_extended,
-    and h_hamming is h_columns at hamming_col_index.  The kernel bases are
-    nullspace_basis's rows built directly as np.uint8, so a product that
-    reads them must keep an int64 operand."""
+    """The parity-check matrices for one level, each built from (q, r) on first
+    read; h_columns views h_extended, and h_hamming is h_columns at
+    hamming_col_index.  The kernel bases are nullspace_basis's rows built
+    directly as np.uint8, so a product that reads them must keep an int64 operand."""
 
     ctx: FieldContext
     r: int
-    h_extended: np.ndarray
-    hamming_col_index: np.ndarray  # position index of each h_hamming column; strictly increasing
+
+    def __post_init__(self):
+        if self.r < 1:
+            raise ValueError(f"r must be >= 1, got {self.r}")
+        if (size := json_power(self.q, self.r, MAX_POINTS)) is not None:
+            raise ValueError(f"q**r = {size} exceeds the materialization guard {MAX_POINTS}")
+
+    @cached_property
+    def h_extended(self) -> np.ndarray:
+        """An all-ones row over r rows holding every vector as a column, column i
+        the vector with index i: coordinate k of index i is (i // q**k) % q, each
+        symbol q**k times, tiled q**(r-k-1) times.  Read-only, like every table."""
+        q, r = self.q, self.r
+        table = np.empty((1 + r, q**r), dtype=DTYPE)
+        table[0] = 1
+        symbols = np.arange(q, dtype=DTYPE)
+        for k in range(r):
+            table[1 + k] = np.tile(np.repeat(symbols, q**k), q ** (r - k - 1))
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def hamming_col_index(self) -> np.ndarray:
+        """Index of each h_hamming column, increasing; a normalized vector's first
+        nonzero coordinate 1 lies at some k, so its index is q**k + j q**(k+1)."""
+        normalized = np.zeros(self.points, dtype=bool)
+        for k in range(self.r):
+            normalized[self.q**k :: self.q ** (k + 1)] = True
+        col_index = np.flatnonzero(normalized)
+        col_index.setflags(write=False)
+        return col_index
 
     @property
     def h_columns(self) -> np.ndarray:
@@ -118,7 +132,7 @@ class HammingPair:
     @property
     def points(self) -> int:
         """Length of the extended component, q**r."""
-        return self.h_columns.shape[1]
+        return self.q**self.r
 
     @cached_property
     def h_hamming(self) -> np.ndarray:
@@ -182,19 +196,7 @@ class HammingPair:
 
 
 def build_hamming_pair(ctx: FieldContext, r: int) -> HammingPair:
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    q = ctx.q
-    h_extended = _point_table(q, r)
-    # A normalized vector has first nonzero coordinate 1: with it at k, the
-    # index is q**k plus a multiple of q**(k+1).
-    normalized = np.zeros(q**r, dtype=bool)
-    for k in range(r):
-        normalized[q**k :: q ** (k + 1)] = True
-    col_index = np.flatnonzero(normalized)
-    for table in (h_extended, col_index):  # every code on the kit shares them
-        table.setflags(write=False)
-    return HammingPair(ctx, r, h_extended, col_index)
+    return HammingPair(ctx, r)
 
 
 def stacked_parity(hp: HammingPair) -> np.ndarray:

@@ -327,11 +327,14 @@ def audit_rank_basis(run: VerifyRun) -> VerifyReport:
     lie in the code, and their number matches the closed form.  Where the
     code is small enough to enumerate, also confirm they span it, against
     the run's enumerated rank.  The stack holds rank x N cells, so the audit
-    is skipped above MAX_BASIS_CELLS before the basis is built."""
+    is skipped above MAX_BASIS_CELLS before the basis is built; as the rank
+    is at least log_size, that bound is tested before the distension."""
     code = run.code
     params = _params(code, run.label)
-    expected = rank_closed_form(code)
-    cells = expected * code.length
+    cells = code.log_size * code.length
+    if cells <= MAX_BASIS_CELLS:
+        expected = rank_closed_form(code)
+        cells = expected * code.length
     if cells > MAX_BASIS_CELLS:
         return _skipped("basis_audit", params, "basis budget exceeded", cells=cells, budget=MAX_BASIS_CELLS)
     rb = rank_basis(code)

@@ -12,8 +12,8 @@ syndrome products kept as the oracle for contains_rows' float product, and
 the
 exhaustive pair checks and a per-block product kept as oracles for the
 generator route of the group premises and for direct_product in
-qperfect.affine.  The oracles read a subgroup's matrices M_a off its
-column-index table themselves."""
+qperfect.affine, and kits seeded with mutated tables.  The oracles read a
+subgroup's matrices M_a off its column-index table themselves."""
 
 import numpy as np
 
@@ -63,6 +63,15 @@ def pair_words(pairs) -> list:
 def as_pairs(blocks) -> list:
     """Each plain block as the pair (block, one row of width 0), whose words are its rows."""
     return [(block, np.zeros((1, 0), dtype=np.uint8)) for block in blocks]
+
+
+def seeded_kit(ctx, r: int, **tables) -> HammingPair:
+    """The kit of (q, r) with the given tables in its cache in place of the
+    ones it would build, for mutation tests: every table derived from them
+    on first read, h_hamming and the kernel bases included, follows them."""
+    kit = HammingPair(ctx, r)
+    vars(kit).update(tables)
+    return kit
 
 
 def write_perm(path, perm: PermTable) -> None:

@@ -649,6 +649,24 @@ def test_perm_parse_errors(tmp_path):
         read_perm(path)  # the first faulty line is named
 
 
+@pytest.mark.parametrize(
+    "images,message",
+    [
+        ("0 x 2", "image indices must be integers"),
+        ("0 -1 2", "image indices must lie in [0, 2]"),
+        ("0 99999999999999999999999 2", "image indices must lie in [0, 2]"),
+        ("0 99999999999999999999999 x", "image indices must be integers"),
+    ],
+)
+def test_perm_image_line_messages(tmp_path, images, message):
+    # an entry past int64 is out of range, but a token that is no integer
+    # is named first, wherever it stands on the line
+    path = tmp_path / "tau.txt"
+    path.write_text(f"3 1\n{images}\n")
+    with pytest.raises(ParseError, match=re.escape(f"line 2: {message}")):
+        read_perm(path)
+
+
 def test_perm_file_may_end_in_blank_lines(tmp_path):
     path = tmp_path / "tau.txt"
     for text in ["3 1\n0 2 1", "3 1\n0 2 1\n", "3 1\n0 2 1\n\n \t\n"]:

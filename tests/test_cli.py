@@ -456,7 +456,7 @@ def test_domain_corners_are_the_largest_instances():
 @pytest.mark.parametrize("q,r,tau", CORNERS, ids=[f"q{q}r{r}-{tau[1][8:]}" for q, r, tau in CORNERS])
 def test_domain_corner_ends_with_a_report(tmp_path, command, q, r, tau):
     # every run the command line accepts ends with a report, within 30 s
-    # and 2 GiB; (2,20) verify took 0.60-0.78 s and 476 MiB on a 2-CPU machine
+    # and 2 GiB; (2,20) verify took 0.25-0.27 s and 47 MiB on a 2-CPU machine
     argv = [command, "--q", str(q), "--r", str(r), *tau]
     if command == "build":
         argv += ["--out", str(tmp_path)]

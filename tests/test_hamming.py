@@ -1,5 +1,7 @@
 """Parity kits: indexing, matrix construction, coset representatives."""
 
+import dataclasses
+import re
 from itertools import product
 
 import numpy as np
@@ -205,6 +207,23 @@ def test_construction_guard():
     # a span table of 21 columns would have 2**21 of its own
     with pytest.raises(ValueError, match="materialization guard"):
         span_table(2, np.eye(21, dtype=np.int64))
+
+
+def test_kit_is_a_record_of_q_and_r():
+    # the kit holds its inputs alone and builds each table on first read,
+    # so two kits of one (q, r) are equal and the guards come first
+    assert [field.name for field in dataclasses.fields(HammingPair)] == ["ctx", "r"]
+    kit = HammingPair(FieldContext(3), 2)
+    twin = HammingPair(FieldContext(3), 2)
+    assert kit == twin and hash(kit) == hash(twin)
+    assert kit != HammingPair(FieldContext(3), 3) and kit != HammingPair(FieldContext(5), 2)
+    assert (kit.points, kit.n, kit.q) == (9, 4, 3)
+    assert set(vars(kit)) == {"ctx", "r"}
+    guard = "q**r = 2097152 exceeds the materialization guard 1048576"
+    with pytest.raises(ValueError, match=re.escape(guard)):
+        HammingPair(FieldContext(2), 21)
+    with pytest.raises(ValueError, match=re.escape("r must be >= 1, got 0")):
+        HammingPair(FieldContext(2), 0)
 
 
 def test_rep_and_leader_reject_bad_lengths():

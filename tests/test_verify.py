@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from qperfect import cli, codes, verify
 from qperfect.affine import PermTable, Series, identity_perm, series_perm, shear_swap_perm
 from qperfect.codes import build_code, codeword_blocks, codeword_pairs, rank_basis
-from qperfect.hamming import build_hamming_pair
+from qperfect.hamming import HammingPair, build_hamming_pair
 from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, product_dtype, rank
 from qperfect.verify import (
     PropelinearCertificate,
@@ -30,7 +30,7 @@ from qperfect.verify import (
     translation_certificate,
 )
 
-from hamming_oracles import as_pairs, codeword_count, intersection_basis, pair_words
+from hamming_oracles import as_pairs, codeword_count, intersection_basis, pair_words, seeded_kit
 
 
 def small_code(q, r):
@@ -551,6 +551,20 @@ def test_audit_rank_basis_skips_past_the_budget(monkeypatch, capsys):
     assert elapsed < 2.0
 
 
+def test_audit_rank_basis_skips_on_the_lower_bound_before_any_table(monkeypatch, capsys):
+    # (2,20) identity: log_size 2097130 x N 2097151 is past 2**24 cells, and
+    # the stack has at least log_size rows, so the skip forms no distension
+    # and reads no table of the kit
+    kits = []
+    monkeypatch.setattr(cli, "build_hamming_pair", lambda ctx, r: kits.append(build_hamming_pair(ctx, r)) or kits[0])
+    monkeypatch.setattr(codes, "distension", lambda hp, perm: pytest.fail("the distension was formed"))
+    assert cli.main(["verify", "--q", "2", "--r", "20", "--checks", "basis_audit"]) == 0
+    (report,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert report["result"] == "skipped"
+    assert report["details"] == {"reason": "basis budget exceeded", "cells": 2097130 * 2097151, "budget": 1 << 24}
+    assert set(vars(kits[0])) == {"ctx", "r"}
+
+
 def test_audit_rank_basis_holds_no_int64_copy_of_the_stack():
     # (2,10): rank 2036 x N 2047.  The uint8 stack is 4 MiB and one int64
     # copy of it 32 MiB; three int64 copies peaked at 107 MiB.  The kit
@@ -633,6 +647,30 @@ def test_audit_rank_basis_rejects_corrupted_basis(monkeypatch, how, broken):
     rep = audit_rank_basis(verify.VerifyRun(code, max_codewords=100))
     assert rep.result == "fail"
     assert broken(rep.details)
+
+
+def duplicated_hamming_column(ctx, r):
+    index = HammingPair(ctx, r).hamming_col_index.copy()
+    index[1] = index[0]
+    return seeded_kit(ctx, r, hamming_col_index=index)
+
+
+def copied_extended_column(ctx, r):
+    table = HammingPair(ctx, r).h_extended.copy()
+    table[:, 2] = table[:, 1]
+    return seeded_kit(ctx, r, h_extended=table)
+
+
+@pytest.mark.parametrize("mutant", [duplicated_hamming_column, copied_extended_column], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("q,r,copies,perfect", [(3, 2, 1, "fail"), (2, 3, 0, "fail"), (3, 4, 2, "skipped")])
+def test_checks_catch_a_mutated_kit(q, r, copies, perfect, mutant):
+    # a kit whose tables are not those of its (q, r) fails the audit, and
+    # perfect wherever the space is small enough to cover
+    ctx = FieldContext(q)
+    series = Series(ctx, r, copies)
+    run = verify.VerifyRun(build_code(mutant(ctx, r), series.perm), "builtin:series", series)
+    assert audit_rank_basis(run).result == "fail"
+    assert verify.CHECKS["perfect"](run).result == perfect
 
 
 # -- additivity ---------------------------------------------------------------
