@@ -14,7 +14,7 @@ of the original: rank = N - r - 1 + distension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -66,24 +66,60 @@ def permuted_check(hp: HammingPair, perm: PermTable) -> np.ndarray:
     return hp.h_extended[:, _preimages(hp, perm)]
 
 
-def _full_rank(hp: HammingPair, block: np.ndarray) -> bool:
-    """Whether the r-row int64 block, entries in 0..q-1, has rank r.
+def _rank(hp: HammingPair, block: np.ndarray) -> int:
+    """Rank of the r-row int64 block, entries in 0..q-1, by a count.
 
-    Its rows are independent exactly when u block != 0 mod q for every
-    nonzero u in GF(q)**r.  A nonzero multiple of u leaves the same zero
-    pattern, so one u per line through 0 is enough, and the columns of
+    Lemma: the left kernel {u : u^T block = 0 mod q} is a subspace of
+    GF(q)**r of dimension r - rank, so it has q**(r-rank) elements.  Its
+    nonzero elements fall into (q**(r-rank) - 1)/(q - 1) lines through 0,
+    a nonzero multiple of u has the same zero pattern, and the columns of
     hp.h_hamming, the normalized nonzero vectors, are exactly one u per
-    line.  So the block has rank r iff every column of block^T h_hamming is
-    nonzero mod q: one w x n int64 product, whose sums stay below r q**2.
-    A zero row is the line of a unit vector, and is tested first with no
-    product.  Past BATCH cells (n w > BATCH) the block is eliminated in
-    place instead.
+    line.  So if z of those columns are orthogonal to every column of the
+    block, q**(r-rank) = 1 + (q-1) z.  Full rank is z = 0.
+
+    z is counted in the first of three ways that fits, each tested before
+    it allocates.  While the n x q**r table fits in BATCH cells, the block
+    is read through its column indices: one boolean product of
+    _orthogonal_table with the points present marks every u that some
+    column is not orthogonal to.  Else, while n w <= BATCH, the w x n
+    int64 product block^T h_hamming (sums below r q**2) has a column that
+    is zero mod q for each orthogonal u.  Past both, the block is
+    eliminated in place.  No path calls BLAS.
     """
-    if not block.any(axis=1).all():
-        return False
-    if hp.n * block.shape[1] > BATCH:
-        return len(_eliminate(block, hp.q, reduced=False)) == hp.r
-    return bool((block.T @ hp.h_hamming % hp.q).any(axis=0).all())
+    q, n, points = hp.q, hp.n, hp.points
+    if n * points <= BATCH:
+        present = np.zeros(points, dtype=bool)
+        present[field_powers(q, hp.r) @ block] = True
+        z = n - np.count_nonzero(_orthogonal_table(hp) @ present)
+    elif n * block.shape[1] <= BATCH:
+        z = n - np.count_nonzero((block.T @ hp.h_hamming % q).any(axis=0))
+    else:
+        return len(_eliminate(block, q, reduced=False))
+    kernel, nullity = 1 + (q - 1) * z, 0
+    while kernel > 1:
+        kernel //= q
+        nullity += 1
+    return hp.r - nullity
+
+
+def _orthogonal_table(hp: HammingPair) -> np.ndarray:
+    """The read-only boolean n x q**r table whose row u, column idx(c) is
+    u c != 0 mod q, for u a column of h_hamming and c every point: the
+    span table of h_hamming^T, one per (q, r).  Its n q**r cells are tested
+    against BATCH on every read, so a read past the budget refuses before
+    any table exists, and the cache holds at most BATCH cells per (q, r)."""
+    if hp.n * hp.points > BATCH:
+        raise ValueError(f"{hp.n * hp.points} table cells exceed BATCH = {BATCH}")
+    return _orthogonal_points(hp.ctx, hp.r)
+
+
+@lru_cache(maxsize=None)
+def _orthogonal_points(ctx: FieldContext, r: int) -> np.ndarray:
+    # built from a fresh kit of (q, r), so no table cached here reads a
+    # caller's kit
+    table = span_table(ctx.q, HammingPair(ctx, r).h_hamming.T) != 0
+    table.setflags(write=False)
+    return table
 
 
 def distension(hp: HammingPair, perm: PermTable) -> int:
@@ -109,14 +145,14 @@ def distension(hp: HammingPair, perm: PermTable) -> int:
     pivots), as W there minus C times h_columns there, one r x r by
     r x 2(r+1) int64 product.  The rank of any set of its columns bounds
     the residual's rank from below, and its r rows bound it from above, so
-    when that block has rank r (_full_rank) the distension is r, and no
-    q**r-wide table is built.  Most random tau are settled there, and
-    within the budget without an elimination.  The full residual is formed
-    and eliminated for a tau of lower distension (identity, linear, series
-    with fewer than r/2 blocks; most of them show a zero row), and for a
+    when that block has no zero row and rank r (_rank) the distension is
+    r, and no q**r-wide table is built.  Most random tau are settled
+    there.  The full residual is formed, and its rank counted by _rank,
+    for a tau of lower distension (identity, linear, series with fewer
+    than r/2 blocks; most of them show a zero row), and for a
     full-distension tau whose first free points leave the block short: the
     shear for q >= 5, every series with r/2 blocks at r >= 4, and a few
-    random tau.
+    random tau.  Only past both of _rank's budgets is a block eliminated.
     """
     q, r = hp.q, hp.r
     inv = _preimages(hp, perm)
@@ -125,14 +161,14 @@ def distension(hp: HammingPair, perm: PermTable) -> int:
     prefix = np.take(hp.h_columns, inv[points], axis=1)
     prefix -= units @ np.take(hp.h_columns, points, axis=1)
     prefix %= q
-    if _full_rank(hp, prefix):
+    if prefix.any(axis=1).all() and _rank(hp, prefix) == r:
         return r
     # np.take keeps the gathered rows C-contiguous for the row updates
     residual = np.take(hp.h_columns, inv, axis=1)
     # C V has column b equal to C b: the span table of C's columns
     residual -= span_table(q, units)
     np.add(residual, q, out=residual, where=residual < 0)
-    return len(_eliminate(residual, q, reduced=False))
+    return _rank(hp, residual)
 
 
 def _restricted_check(hp: HammingPair, inv: np.ndarray) -> np.ndarray:
@@ -141,8 +177,8 @@ def _restricted_check(hp: HammingPair, inv: np.ndarray) -> np.ndarray:
     h_extended column at inv[b], applied to the kernel basis B =
     hp.extended_basis, P B^T mod q without its row 0.  That row is always
     zero, as row 0 of P is the all-ones row of h_extended, which vanishes
-    on D, so M drops it.  M is a fresh int64 array, so it may be
-    eliminated in place.
+    on D, so M drops it.  M is a fresh int64 array, so _rank and
+    rank_basis may eliminate it in place.
 
     Columns: B is the identity on the free columns of h_extended, whose
     pivot columns are 0 and q**k (the affine basis named in distension()),
@@ -168,12 +204,13 @@ def _restricted_check(hp: HammingPair, inv: np.ndarray) -> np.ndarray:
 def distension_oracle(hp: HammingPair, perm: PermTable) -> int:
     """Distension straight from the definition, dim D minus dim of the
     intersection with the permuted copy: rank M of the restricted check
-    (_restricted_check states the argument), one elimination of its r
-    rows.  They are distension()'s residual on the free columns (the
+    (_restricted_check states the argument), counted by _rank on all of
+    its r rows.  They are distension()'s residual on the free columns (the
     residual is zero on the pivot columns), reached here through the kit's
     kernel of h_extended instead of the affine interpolant: the two routes
-    share only the preimage table and the elimination kernel."""
-    return len(_eliminate(_restricted_check(hp, _preimages(hp, perm)), hp.q, reduced=False))
+    share only the preimage table and the rank kernel _rank, whose tests
+    hold it to linalg.rank."""
+    return _rank(hp, _restricted_check(hp, _preimages(hp, perm)))
 
 
 def canonical_coset_reps(hp: HammingPair) -> np.ndarray:

@@ -16,7 +16,9 @@ from qperfect.affine import (
 )
 from qperfect import codes, hamming
 from qperfect.codes import (
-    _full_rank,
+    _orthogonal_points,
+    _orthogonal_table,
+    _rank,
     build_code,
     canonical_coset_reps,
     codeword_blocks,
@@ -249,10 +251,11 @@ def test_residual_with_a_wrong_unit_column_disagrees(q, r):
 
 
 def test_distension_eliminates_the_reduced_r_row_residual(monkeypatch):
-    # within the budget no prefix is eliminated: each permutation hands one
-    # r x 2(r+1) block to _full_rank, and the r x q**r residual is
-    # eliminated only where that block falls short of rank r (the identity
-    # here), on entries in 0..q-1 as linalg's kernel takes them
+    # each permutation hands one r x 2(r+1) block to _rank, and the r x q**r
+    # residual only where that block falls short of rank r (the identity
+    # here, whose block is zero, so it is never counted), on entries in
+    # 0..q-1; within the budget _rank counts them with no elimination, and
+    # past it the same blocks are eliminated
     blocks, shapes = [], []
 
     def checked(a, q, reduced):
@@ -260,19 +263,26 @@ def test_distension_eliminates_the_reduced_r_row_residual(monkeypatch):
         assert a.min() >= 0 and a.max() < q
         return _eliminate(a, q, reduced)
 
-    def full_rank(hp, block):
-        blocks.append(block.shape)
+    def counted(hp, block):
         assert block.min() >= 0 and block.max() < hp.q
-        return _full_rank(hp, block)
+        want = rank(hp.ctx, block)
+        blocks.append((block.shape, want))
+        got = _rank(hp, block)
+        assert got == want
+        return got
 
     monkeypatch.setattr(codes, "_eliminate", checked)
-    monkeypatch.setattr(codes, "_full_rank", full_rank)
+    monkeypatch.setattr(codes, "_rank", counted)
     hp = make(5, 2)
     rng = np.random.default_rng(5)
     perms = [random_zero_fixing_perm(hp.ctx, 2, rng) for _ in range(10)] + [identity_perm(hp.ctx, 2)]
-    assert [distension(hp, tau) for tau in perms] == [2] * 10 + [0]
-    assert blocks == [(2, 6)] * 11
-    assert shapes == [(2, 25)]
+    for batch in (codes.BATCH, 0):
+        monkeypatch.setattr(codes, "BATCH", batch)
+        blocks.clear()
+        shapes.clear()
+        assert [distension(hp, tau) for tau in perms] == [2] * 10 + [0]
+        assert blocks == [((2, 6), 2)] * 10 + [((2, 25), 0)]
+        assert shapes == ([] if batch else [(2, 6)] * 10 + [(2, 25)])
 
 
 def spy_residual_routes(monkeypatch):
@@ -284,10 +294,14 @@ def spy_residual_routes(monkeypatch):
     return matrices, spans
 
 
-def spy_full_rank(monkeypatch):
-    """Record a copy of every block codes hands to _full_rank."""
+def spy_rank(monkeypatch, hp):
+    """Record a copy of every block codes hands to _rank, once the kit's
+    orthogonality table, where it fits, is built, so that its span table is
+    not among those spy_residual_routes records."""
+    if hp.n * hp.points <= codes.BATCH:
+        codes._orthogonal_table(hp)
     blocks = []
-    monkeypatch.setattr(codes, "_full_rank", lambda hp, block: blocks.append(block.copy()) or _full_rank(hp, block))
+    monkeypatch.setattr(codes, "_rank", lambda hp, block: blocks.append(block.copy()) or _rank(hp, block))
     return blocks
 
 
@@ -304,12 +318,13 @@ PREFIX_CASES = [(2, 5), (3, 3), (3, 4), (5, 2), (7, 2), (251, 1)]
 def test_full_distension_is_certified_on_the_first_points(monkeypatch, q, r):
     # the residual on the first 2(r+1) points that are not pivots has rank r
     # for most random tau: distension r from that block alone, with no
-    # elimination and no span table; the rest take the full residual
+    # span table; the rest count the full residual.  Within the budget
+    # nothing is eliminated
     hp = make(q, r)
     points = first_free_points(q, r)
     assert hp.prefix_columns.tolist() == points
+    blocks = spy_rank(monkeypatch, hp)
     matrices, spans = spy_residual_routes(monkeypatch)
-    blocks = spy_full_rank(monkeypatch)
     rng = np.random.default_rng(q * 10 + r)
     certified = 0
     for _ in range(20):
@@ -318,12 +333,14 @@ def test_full_distension_is_certified_on_the_first_points(monkeypatch, q, r):
             spy.clear()
         d = distension(hp, tau)
         block = residual(hp, tau)[:, points]
-        assert len(blocks) == 1 and np.array_equal(blocks[0], block)
+        assert np.array_equal(blocks[0], block)
         if rank(hp.ctx, block) == r:
             certified += 1
-            assert d == r and not matrices and not spans
+            assert d == r and len(blocks) == 1 and not spans
         else:
-            assert [m.shape for m in matrices] == [(r, q**r)] and spans == [(r, r)]
+            assert len(blocks) == 2 and np.array_equal(blocks[1], residual(hp, tau))
+            assert spans == [(r, r)]
+        assert not matrices
         assert d == distension_oracle(hp, tau) == r
     assert certified >= 10
 
@@ -363,30 +380,48 @@ def fallback_perms(ctx, r, rng):
 
 @pytest.mark.parametrize("q,r", [(2, 3), (3, 2), (5, 2), (7, 2), (3, 4), (3, 5), (5, 3)])
 def test_fallback_takes_the_full_residual(monkeypatch, q, r):
-    # where the block at the first free points falls short of rank r,
-    # _full_rank finds it with no elimination, and the one elimination is
-    # of the full residual
+    # where the block at the first free points falls short of rank r (a
+    # zero row shows it with no count), the last block _rank counts is the
+    # full residual; within the budget nothing is eliminated
     hp = make(q, r)
     points = first_free_points(q, r)
+    blocks = spy_rank(monkeypatch, hp)
     matrices, spans = spy_residual_routes(monkeypatch)
-    blocks = spy_full_rank(monkeypatch)
     for tau in fallback_perms(hp.ctx, r, np.random.default_rng(q + r)):
         for spy in (matrices, blocks, spans):
             spy.clear()
         d = distension(hp, tau)
-        assert len(blocks) == 1 and np.array_equal(blocks[0], residual(hp, tau)[:, points])
-        if rank(hp.ctx, blocks[0]) == r:
+        block = residual(hp, tau)[:, points]
+        counted = bool(block.any(axis=1).all())
+        if counted:
+            assert np.array_equal(blocks[0], block)
+        assert not matrices
+        if rank(hp.ctx, block) == r:
             # the shear at (3,2): the block holds every free point, so it
             # is the whole residual up to its zero pivot columns
             assert len(points) == q**r - r - 1 and d == r
-            assert not matrices and not spans
+            assert len(blocks) == 1 and not spans
             continue
-        assert len(matrices) == 1 and np.array_equal(matrices[0], residual(hp, tau))
+        assert len(blocks) == 1 + counted and np.array_equal(blocks[-1], residual(hp, tau))
         assert spans == [(r, r)]
         assert d == distension_oracle(hp, tau) == rank(hp.ctx, residual(hp, tau))
 
 
 FULL_RANK_CASES = [(2, 3), (2, 5), (3, 2), (3, 3), (5, 3), (7, 2)]
+
+# the BATCH at which _rank takes each of its three ways for a block narrower
+# than q**r: the whole table, one cell short of it (the product), and none
+BUDGETS = {
+    "table": lambda hp: hp.n * hp.points,
+    "product": lambda hp: hp.n * hp.points - 1,
+    "elimination": lambda hp: 0,
+}
+
+
+def block_width(q, r):
+    """2(r+1), the prefix's width, but below q**r, so that past the table
+    the product still takes the block ((2,3) has 2(r+1) = q**r)."""
+    return min(2 * (r + 1), q**r - 1)
 
 
 def random_block(q, r, width, rng, inner=None):
@@ -404,27 +439,48 @@ def full_rank_block(q, r, width, rng):
             return block
 
 
-@pytest.mark.parametrize("budget", ["product", "elimination"])
+def dependent_block(hp, u, rng):
+    """A block of rank r - 1 whose only dependency is u: u^T block = 0."""
+    q, r = hp.q, hp.r
+    block = full_rank_block(q, r, block_width(q, r), rng)
+    p = int(np.flatnonzero(u)[0])  # u[p] = 1: row p is the rest's combination
+    block[p] = 0
+    block[p] = -(u @ block) % q
+    assert not (u @ block % q).any() and rank(hp.ctx, block) == r - 1
+    return block
+
+
+def spy_tiers(monkeypatch):
+    """Record the way each count went: "table" for a read of the
+    orthogonality table, "elimination" for an elimination; a count that
+    records neither took the product."""
+    seen = []
+    monkeypatch.setattr(codes, "_orthogonal_table", lambda hp: seen.append("table") or _orthogonal_table(hp))
+    monkeypatch.setattr(codes, "_eliminate", lambda a, q, reduced: seen.append("elimination") or _eliminate(a, q, reduced))
+    return seen
+
+
+TIERS = {"table": ["table"], "product": [], "elimination": ["elimination"]}
+
+
+@pytest.mark.parametrize("budget", ["table", "product", "elimination"])
 @pytest.mark.parametrize("q,r", FULL_RANK_CASES)
 def test_full_rank_agrees_with_elimination(monkeypatch, q, r, budget):
-    # both sides of the budget give rank == r, on blocks of full and of
-    # lower rank; the product side eliminates nothing, and past the budget
-    # only a block with no zero row is eliminated
+    # each way gives linalg.rank, every rank 0..r, on zero, full and
+    # lower-rank blocks, and each budget picks its own way
     hp = make(q, r)
-    if budget == "elimination":
-        monkeypatch.setattr(codes, "BATCH", 0)
-    matrices, _ = spy_residual_routes(monkeypatch)
+    monkeypatch.setattr(codes, "BATCH", BUDGETS[budget](hp))
+    tiers = spy_tiers(monkeypatch)
     rng = np.random.default_rng(q * 10 + r)
-    verdicts = []
-    for width in (r - 1, r, 2 * (r + 1)):
-        for inner in (None, None, *range(1, r)):
+    ranks = []
+    for width in (r - 1, r, block_width(q, r)):
+        for inner in (0, None, None, *range(1, r)):
             block = random_block(q, r, width, rng, inner)
-            matrices.clear()
-            verdicts.append(_full_rank(hp, block.copy()))
-            assert verdicts[-1] == (rank(hp.ctx, block) == r)
-            eliminated = budget == "elimination" and block.any(axis=1).all()
-            assert [m.shape for m in matrices] == ([block.shape] if eliminated else [])
-    assert True in verdicts and False in verdicts
+            tiers.clear()
+            ranks.append(_rank(hp, block.copy()))
+            assert ranks[-1] == rank(hp.ctx, block)
+            assert tiers == TIERS[budget]
+    assert set(ranks) == set(range(r + 1))
 
 
 def deficient_mutants(block, q):
@@ -448,49 +504,172 @@ def deficient_mutants(block, q):
             yield mutant
 
 
-@pytest.mark.parametrize("budget", ["product", "elimination"])
+@pytest.mark.parametrize("budget", ["table", "product", "elimination"])
 @pytest.mark.parametrize("q,r", FULL_RANK_CASES)
 def test_full_rank_refuses_rank_deficient_mutants(monkeypatch, q, r, budget):
     hp = make(q, r)
-    if budget == "elimination":
-        monkeypatch.setattr(codes, "BATCH", 0)
+    monkeypatch.setattr(codes, "BATCH", BUDGETS[budget](hp))
+    tiers = spy_tiers(monkeypatch)
     rng = np.random.default_rng(q * 100 + r)
-    block = full_rank_block(q, r, 2 * (r + 1), rng)
-    assert _full_rank(hp, block.copy())
+    block = full_rank_block(q, r, block_width(q, r), rng)
+    assert _rank(hp, block.copy()) == r
     for mutant in deficient_mutants(block, q):
-        assert rank(hp.ctx, mutant) < r
-        assert not _full_rank(hp, mutant)
+        want = rank(hp.ctx, mutant)
+        assert want < r
+        tiers.clear()
+        assert _rank(hp, mutant) == want
+        assert tiers == TIERS[budget]
 
 
 @pytest.mark.parametrize("q,r", FULL_RANK_CASES)
-def test_full_rank_tries_every_line(q, r):
+def test_full_rank_tries_every_line(monkeypatch, q, r):
     # the lemma: for each normalized u there is a block whose only
-    # dependency is u, so a product that skipped any column of h_hamming
-    # would pass that block
+    # dependency is u, so a count that skipped any column of h_hamming, or
+    # any row of the table, would find rank r for that block
     hp = make(q, r)
     rng = np.random.default_rng(q + r)
     for u in hp.h_hamming.T:
-        block = full_rank_block(q, r, 2 * (r + 1), rng)
-        p = int(np.flatnonzero(u)[0])  # u[p] = 1: row p is the rest's combination
-        block[p] = 0
-        block[p] = -(u @ block) % q
-        assert not (u @ block % q).any() and rank(hp.ctx, block) == r - 1
-        assert not _full_rank(hp, block)
+        block = dependent_block(hp, u, rng)
+        for budget in BUDGETS.values():
+            monkeypatch.setattr(codes, "BATCH", budget(hp))
+            assert _rank(hp, block.copy()) == r - 1
+
+
+ORTHOGONAL_CASES = FULL_RANK_CASES + [(2, 1), (3, 1), (251, 1), (2, 7), (3, 4), (3, 5), (7, 3)]
+
+
+@pytest.mark.parametrize("q,r", ORTHOGONAL_CASES)
+def test_orthogonal_table_is_the_product_at_every_point(q, r):
+    # row u, column idx(c): u c != 0 mod q; one read-only table per (q, r),
+    # which a fresh kit of the same (q, r) reads too
+    hp = make(q, r)
+    assert hp.n * hp.points <= codes.BATCH
+    table = _orthogonal_table(hp)
+    assert table.dtype == bool and table.shape == (hp.n, q**r)
+    assert np.array_equal(table, (hp.h_hamming.T @ hp.h_columns) % q != 0)
+    assert _orthogonal_table(make(q, r)) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = True
+
+
+@pytest.mark.parametrize("q,r", FULL_RANK_CASES)
+def test_rank_reads_every_row_of_the_table(monkeypatch, q, r):
+    # for each u, the block whose only dependency is u has rank r - 1; one
+    # cell of row u flipped, at a column the block holds, leaves no
+    # orthogonal u and rank r, so the count reads every row
+    hp = make(q, r)
+    table = _orthogonal_table(hp)
+    rng = np.random.default_rng(q * r + 1)
+    for row, u in enumerate(hp.h_hamming.T):
+        block = dependent_block(hp, u, rng)
+        flipped = table.copy()
+        flipped[row, field_powers(q, r) @ block[:, -1]] ^= True
+        monkeypatch.setattr(codes, "_orthogonal_table", lambda hp: table)
+        assert _rank(hp, block) == r - 1
+        monkeypatch.setattr(codes, "_orthogonal_table", lambda hp: flipped)
+        assert _rank(hp, block) == r
+
+
+@pytest.mark.parametrize("q,r", FULL_RANK_CASES)
+def test_rank_reads_the_table_exactly_within_its_budget(monkeypatch, q, r):
+    # at BATCH = n q**r the count reads the table; one cell short, the
+    # restricted check's width takes the product and the residual's the
+    # elimination, and a read of the table refuses before it is built
+    hp = make(q, r)
+    cells = hp.n * hp.points
+    built = []
+    monkeypatch.setattr(codes, "_orthogonal_points", lambda ctx, r: built.append((ctx.q, r)) or _orthogonal_points(ctx, r))
+    tiers = spy_tiers(monkeypatch)
+    rng = np.random.default_rng(q * 1000 + r)
+    for batch, ways in ((cells, [["table"], ["table"]]), (cells - 1, [[], ["elimination"]])):
+        monkeypatch.setattr(codes, "BATCH", batch)
+        for width, way in zip((q**r - r - 1, q**r), ways):
+            block = random_block(q, r, width, rng)
+            tiers.clear()
+            assert _rank(hp, block.copy()) == rank(hp.ctx, block)
+            assert tiers == way
+    assert built == [(q, r)] * 2
+    with pytest.raises(ValueError, match="exceed BATCH"):
+        _orthogonal_table(hp)
+    assert built == [(q, r)] * 2
+
+
+def test_no_table_is_built_at_the_domain_corners(monkeypatch):
+    # criterion 18's corners: their tables would hold n q**r cells far past
+    # BATCH, so a read refuses, and distension eliminates its prefix
+    built = []
+    monkeypatch.setattr(codes, "_orthogonal_points", lambda ctx, r: built.append((ctx.q, r)))
+    for q, r in ((2, 20), (3, 12), (7, 7)):
+        hp = make(q, r)
+        with pytest.raises(ValueError, match="exceed BATCH"):
+            _orthogonal_table(hp)
+        rng = np.random.default_rng(18)
+        tau = PermTable(hp.ctx, r, np.concatenate([[0], 1 + rng.permutation(q**r - 1)]))
+        assert distension(hp, tau) == r
+        del hp, tau  # one kit at a time: the (2,20) one holds 168 MiB
+    assert not built
 
 
 @pytest.mark.parametrize("q,r", [(2, 3), (3, 2), (5, 2), (3, 4), (2, 5), (7, 2)])
 def test_oracle_eliminates_the_whole_restricted_check(monkeypatch, q, r):
-    # the plain definition: one r x (q**r - r - 1) elimination for every tau,
-    # certified by the residual route's first points or not
+    # the plain definition: _rank counts the whole r x (q**r - r - 1)
+    # restricted check for every tau, certified by the residual route's
+    # first points or not; within the budget it is not eliminated, and
+    # past it it is, whole
     hp = make(q, r)
     rng = np.random.default_rng(q * r)
     perms = fallback_perms(hp.ctx, r, rng) + [random_zero_fixing_perm(hp.ctx, r, rng) for _ in range(10)]
+    blocks = spy_rank(monkeypatch, hp)
     matrices, spans = spy_residual_routes(monkeypatch)
-    for tau in perms:
-        matrices.clear()
-        distension_oracle(hp, tau)
-        assert [m.shape for m in matrices] == [(r, q**r - r - 1)]
+    for batch in (codes.BATCH, 0):
+        monkeypatch.setattr(codes, "BATCH", batch)
+        for tau in perms:
+            for spy in (blocks, matrices):
+                spy.clear()
+            d = distension_oracle(hp, tau)
+            restricted = codes._restricted_check(hp, perm_inverse(tau).images)
+            assert len(blocks) == 1 and np.array_equal(blocks[0], restricted)
+            assert d == rank(hp.ctx, restricted)
+            assert [m.shape for m in matrices] == ([(r, q**r - r - 1)] if not batch else [])
     assert not spans
+
+
+ROUTE_CASES = [
+    (q, r, kind)
+    for q, r in [(2, 3), (3, 2), (5, 2), (7, 2), (3, 3), (3, 4), (2, 5), (5, 3)]
+    for kind in ["random", "linear", "series", "shear", "swapped"]
+    if not (kind == "series" and q == 2) and not (kind == "shear" and (q == 2 or r != 2))
+]
+
+
+def kind_perms(ctx, r, kind, rng):
+    """The test file's tau of one kind: random zero-fixing, random linear,
+    every series, the shear at r = 2, and linear with two images swapped."""
+    if kind == "random":
+        return [random_zero_fixing_perm(ctx, r, rng) for _ in range(10)]
+    if kind == "linear":
+        return linear_perms(ctx, r, rng, 3)
+    if kind == "series":
+        return [series_perm(ctx, r, copies) for copies in range(r // 2 + 1)]
+    if kind == "shear":
+        return [shear_swap_perm(ctx)]
+    swapped = []
+    for tau in linear_perms(ctx, r, rng, 3):
+        images = tau.images.copy()
+        images[[1, 1 + ctx.q]] = images[[1 + ctx.q, 1]]
+        swapped.append(PermTable(ctx, r, images))
+    return swapped
+
+
+@pytest.mark.parametrize("q,r,kind", ROUTE_CASES)
+def test_routes_agree_with_the_rank_of_the_full_residual(q, r, kind):
+    # the two routes now share _rank, so each is held to linalg.rank of the
+    # whole residual, which shares nothing with them but the kit
+    hp = make(q, r)
+    for tau in kind_perms(hp.ctx, r, kind, np.random.default_rng(q * 10 + r)):
+        want = rank(hp.ctx, residual(hp, tau))
+        assert distension(hp, tau) == distension_oracle(hp, tau) == want
 
 
 def test_rank_basis_eliminates_one_r_row_matrix(monkeypatch):
@@ -536,8 +715,8 @@ def test_extended_basis_is_systematic_on_the_affine_basis(q, r):
 
 def test_component_kernels_belong_to_the_kit(monkeypatch):
     # the kit computes each kernel once and codes reads it; the oracle cuts
-    # no kernel and eliminates one r x dim matrix per permutation, the
-    # restricted check below its zero row
+    # no kernel and counts the rank of one r x dim matrix per permutation,
+    # the restricted check below its zero row
     calls = []
     counted = lambda ctx, m, dtype=DTYPE: calls.append(m.shape) or nullspace_basis(ctx, m, dtype)
     monkeypatch.setattr(hamming, "nullspace_basis", counted)
@@ -552,7 +731,7 @@ def test_component_kernels_belong_to_the_kit(monkeypatch):
     calls.clear()  # the kit is warm
 
     shapes = []
-    monkeypatch.setattr(codes, "_eliminate", lambda a, q, reduced: shapes.append(a.shape) or _eliminate(a, q, reduced))
+    monkeypatch.setattr(codes, "_rank", lambda hp, block: shapes.append(block.shape) or _rank(hp, block))
     assert not hasattr(codes, "nullspace_basis")  # codes cuts no kernel
     perms = [identity_perm(hp.ctx, 2), shear_swap_perm(hp.ctx)]
     assert [distension_oracle(hp, tau) for tau in perms] == [0, 2]
