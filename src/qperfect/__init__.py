@@ -17,7 +17,6 @@ from .affine import (
     CheckResult,
     PermTable,
     RegularSubgroup,
-    direct_product,
     identity_perm,
     iterate_perms,
     linear_perm,
@@ -26,7 +25,6 @@ from .affine import (
     series_perm,
     shear_group,
     shear_swap_perm,
-    translation_group,
     verify_automorphism,
     verify_regular_subgroup,
 )

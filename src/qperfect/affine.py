@@ -9,23 +9,32 @@ permutation of the point labels via g_{perm(a)} = T(g_a); such permutations
 fix 0.
 
 Both premises are decided on a generating set S, at cost O(q**r |S| r): each
-generator's left multiplication b -> s + M_s b is built once, as a span
-table of M_s's r columns, and the automorphism law reads those rows again
-wherever perm sends a generator to a generator.  If M_0 = I, every M_s is
-invertible, closure holds for every s in S and every b, and S reaches every
-point from 0, then every element is a product of generators and the table
-is a regular subgroup; a homomorphism law that holds on S holds on the
-whole group.  So the verdicts equal the ones over all pairs.
+generator's left multiplication b -> s + M_s b is built once, from one span
+table of all the generators' columns, and the automorphism law reads those
+rows again wherever perm sends a generator to a generator.  If M_0 = I,
+every M_s is invertible, closure holds for every s in S and every b, and S
+reaches every point from 0, then every element is a product of generators
+and the table is a regular subgroup; a homomorphism law that holds on S
+holds on the whole group.  So the verdicts equal the ones over all pairs.
+
+The lemma holds for any such S, so S begins with the unit points
+e_k = q**k, accepted in one batched pass; they generate every series group,
+and on another table the search for the first point their orbit misses
+completes them.  That start changes no verdict.  On a regular subgroup
+every point passes both tests, so every unit point is accepted and the
+completed S passes; on any other table some test of the completed S fails,
+as the lemma says, whichever points S began with.  Only the diagnostic may
+name another failure, the first one in the order of S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
-from .hamming import MAX_POINTS, field_powers, json_power, span_table
+from .hamming import _guarded_points, field_powers, span_table
 from .linalg import DTYPE, DimensionMismatch, FieldContext, ParseError, _in_range, _index_table, _permutes, is_invertible
 
 __all__ = [
@@ -33,7 +42,6 @@ __all__ = [
     "PermTable",
     "RegularSubgroup",
     "Series",
-    "direct_product",
     "identity_perm",
     "iterate_perms",
     "linear_perm",
@@ -43,7 +51,6 @@ __all__ = [
     "series_perm",
     "shear_group",
     "shear_swap_perm",
-    "translation_group",
     "verify_automorphism",
     "verify_regular_subgroup",
 ]
@@ -139,59 +146,32 @@ class RegularSubgroup:
         return gens, rows, detail
 
 
-def translation_group(ctx: FieldContext, r: int) -> RegularSubgroup:
-    # every M_a = I, whose column j is e_j with index q**j; RegularSubgroup
-    # makes the one owned copy of this read-only view
-    return RegularSubgroup(ctx, r, np.broadcast_to(field_powers(ctx.q, r), (ctx.q**r, r)))
+def _shear_swap(q: int) -> np.ndarray:
+    """The images of the shear swap on GF(q)**2 as a plain index table.
 
-
-def _shear_translations(ctx: FieldContext) -> np.ndarray:
-    """Entry (i, j) is the index (i + j(j-1)) mod q + q j of the translation
-    part of g^i h^j in shear_group, which refuses q < 3 (see there)."""
-    q = ctx.q
-    if q < 3:
-        raise ValueError("the shear subgroup needs q >= 3")
-    i, j = np.ogrid[:q, :q]
-    return (i + j * (j - 1)) % q + q * j
+    The shear subgroup is generated by g = ((1,0), I) and h = ((0,1),
+    [[1,2],[0,1]]); g^i h^j translates by (i + j(j-1), j).  The exponent
+    swap g^i h^j -> g^j h^i is an automorphism (the group is isomorphic to
+    Z_q x Z_q), so on translation parts it sends (i + j(j-1), j) to
+    (j + i(i-1), i), an involution fixing 0.  Needs q >= 3, which Series
+    tests: over GF(2) the shear has order 2q, not q.
+    """
+    i, j = np.arange(q, dtype=DTYPE)[:, None], np.arange(q, dtype=DTYPE)
+    idx = (i + j * (j - 1)) % q + q * j
+    images = np.empty(q * q, dtype=DTYPE)
+    images[idx] = idx.T
+    return images
 
 
 def shear_group(ctx: FieldContext) -> RegularSubgroup:
-    """A regular subgroup of the planar affine group not made of translations.
-
-    Generated by g = ((1,0), I) and h = ((0,1), [[1,2],[0,1]]); the element
-    g^i h^j translates by (i + j(j-1), j) and carries the shear [[1,2j],[0,1]].
-    Needs q >= 3: over GF(2) the shear has order 2q, not q.
-    """
-    q = ctx.q
-    idx = _shear_translations(ctx)
-    assert np.unique(idx).size == q * q  # translation parts cover the plane
-    cols = np.empty((q * q, 2), dtype=DTYPE)
-    cols[idx, 0] = 1  # e_0
-    cols[idx, 1] = (2 * np.arange(q, dtype=DTYPE)) % q + q  # the column (2j, 1)
-    return RegularSubgroup(ctx, 2, cols)
+    """A regular subgroup of the planar affine group not made of translations:
+    g^i h^j (see _shear_swap) carries the shear [[1,2j],[0,1]].  Needs q >= 3."""
+    return Series(ctx, 2, 1).group
 
 
 def shear_swap_perm(ctx: FieldContext) -> PermTable:
-    """Permutation induced on the shear subgroup by swapping its generators.
-
-    The exponent swap g^i h^j -> g^j h^i is an automorphism (the group is
-    isomorphic to Z_q x Z_q); on translation parts it sends
-    (i + j(j-1), j) to (j + i(i-1), i).  It is an involution fixing 0.
-    """
-    idx = _shear_translations(ctx)
-    images = np.empty(ctx.q**2, dtype=DTYPE)
-    images[idx] = idx.T
-    return PermTable(ctx, 2, images)
-
-
-def direct_product(G1: RegularSubgroup, G2: RegularSubgroup) -> RegularSubgroup:
-    """Block-diagonal product acting on GF(q)**(r1+r2): the element
-    idx(a|b) = idx(a) + q**r1 idx(b) carries diag(M_a, M_b), so its columns
-    have the indices of M_a's and q**r1 times those of M_b's."""
-    if G1.ctx != G2.ctx:
-        raise DimensionMismatch("subgroups live over different fields")
-    cols = np.hstack([np.tile(G1.cols, (G2.size, 1)), np.repeat(G1.size * G2.cols, G1.size, axis=0)])
-    return RegularSubgroup(G1.ctx, G1.r + G2.r, cols)
+    """Permutation induced on the shear subgroup by swapping its generators."""
+    return Series(ctx, 2, 1).perm
 
 
 def iterate_perms(t1: PermTable, t2: PermTable) -> PermTable:
@@ -207,7 +187,11 @@ def iterate_perms(t1: PermTable, t2: PermTable) -> PermTable:
 class Series:
     """The paper's series on GF(q)**r, laid out as copies shear-swap blocks,
     then the identity (translations, for the group) on the other r - 2*copies
-    coordinates.  Every builtin --tau is one: identity has 0 copies, shear 1."""
+    coordinates.  Every builtin --tau is one: identity has 0 copies, shear 1.
+
+    Block b is the shear subgroup of _shear_swap on coordinates 2b and
+    2b+1.  perm and group are q**r tables, each built in one pass from the
+    block formulas and validated once, after the guard on q**r."""
 
     ctx: FieldContext
     r: int
@@ -218,21 +202,38 @@ class Series:
             raise ValueError(f"r must be >= 1, got {self.r}")
         if not 0 <= self.copies <= self.r // 2:
             raise ValueError(f"copies must lie in [0, {self.r // 2}], got {self.copies}")
-
-    def _layout(self, block, tail, product):
-        parts = [block(self.ctx) for _ in range(self.copies)]
-        if self.r > 2 * self.copies:
-            parts.append(tail(self.ctx, self.r - 2 * self.copies))
-        return reduce(product, parts)
+        if self.copies and self.ctx.q < 3:
+            raise ValueError("the shear subgroup needs q >= 3")
 
     @cached_property
     def perm(self) -> PermTable:
-        return self._layout(shear_swap_perm, identity_perm, iterate_perms)
+        """Each block's two digits go through _shear_swap and the tail's stay,
+        folded from the lowest block up."""
+        q, r, copies = self.ctx.q, self.r, self.copies
+        _guarded_points(q, r)
+        images = np.zeros(1, dtype=DTYPE)
+        swap = _shear_swap(q) if copies else None
+        for b in range(copies):
+            images = (images + q ** (2 * b) * swap[:, None]).ravel()
+        images = (images + q ** (2 * copies) * np.arange(q ** (r - 2 * copies), dtype=DTYPE)[:, None]).ravel()
+        return PermTable(self.ctx, r, images)
 
     @cached_property
     def group(self) -> RegularSubgroup:
-        """The regular subgroup whose exponent-swap automorphisms induce perm."""
-        return self._layout(shear_group, translation_group, direct_product)
+        """The regular subgroup whose exponent-swap automorphisms induce perm;
+        the unit points generate it.  Column k of every M_x is q**k,
+        the index of e_k, except column 2b+1 of a block: e_(2b+1) plus
+        2 x_(2b+1) e_(2b), the index q**(2b) ((2 x_(2b+1) mod q) + q), which
+        reads the one digit x_(2b+1)."""
+        q, r = self.ctx.q, self.r
+        size = _guarded_points(q, r)
+        cols = np.empty((size, r), dtype=DTYPE)
+        cols[:] = field_powers(q, r)
+        column = 2 * np.arange(q, dtype=DTYPE) % q + q
+        for b in range(self.copies):
+            # point x = lo + d q**(2b+1) + hi q**(2b+2) with d = x_(2b+1)
+            cols.reshape(-1, q, q ** (2 * b + 1), r)[:, :, :, 2 * b + 1] = q ** (2 * b) * column[:, None]
+        return RegularSubgroup(self.ctx, r, cols)
 
     @property
     def split(self) -> tuple[Series, Series] | None:
@@ -256,61 +257,117 @@ def series_group(ctx: FieldContext, r: int, copies: int) -> RegularSubgroup:
     return Series(ctx, r, copies).group
 
 
-def _left_rows(G: RegularSubgroup, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """idx(M_s b) and idx(s + M_s b) for every point b, from the span table
-    of M_s's columns; column j of M_s is the vector with index cols[s, j]."""
-    q = G.ctx.q
-    powers = field_powers(q, G.r)
-    images = span_table(q, G.cols[s] // powers[:, None] % q)  # column b holds M_s b
-    # einsum widens the uint16 table in a small buffer; @ would cast all of it
-    linear = np.einsum("i,ij->j", powers, images)
-    images += (s // powers % q).astype(np.uint16)[:, None]
-    np.minimum(images, images - q, out=images)
-    return linear, np.einsum("i,ij->j", powers, images)
+def _left_rows(G: RegularSubgroup, points) -> tuple[np.ndarray, np.ndarray]:
+    """(|points|, q**r) uint32 tables linear[i, b] = idx(M_s b) and rows[i, b]
+    = idx(s + M_s b) for s = points[i], from one span table of the stacked
+    matrices: row (i, c) of the stack is coordinate c of M_s's columns, and
+    column j of M_s is the vector with index cols[s, j].  uint32 holds every
+    index, as q**r <= MAX_POINTS.
+
+    The span runs in steps of whole blocks of q**m points, q**m the largest
+    with |points| r q**m <= codes.BATCH cells (one point at least), and as
+    many blocks per step as fit in that budget: the span of the low m
+    columns is built once, and a step adds M_s times each block's high
+    digits."""
+    from . import codes  # codes imports this module; BATCH is read at call time
+
+    q, r, size = G.ctx.q, G.r, G.size
+    powers = field_powers(q, r)
+    points = np.asarray(points, dtype=DTYPE)
+    k = len(points)
+    stack = (G.cols[points][:, None, :] // powers[:, None] % q).reshape(k * r, r)
+    shift = (points[:, None] // powers % q).astype(np.uint16)[:, :, None]
+    m = 0
+    while m < r and k * r * q ** (m + 1) <= codes.BATCH:
+        m += 1
+    low, blocks = span_table(q, stack[:, :m]), max(1, codes.BATCH // (k * r * q**m))
+    linear = np.empty((k, size), dtype=np.uint32)
+    rows = np.empty_like(linear)
+    for start in range(0, size, blocks * q**m):
+        block = low
+        if m < r:  # add M_s times each block's high digits
+            high = np.arange(start // q**m, min(start // q**m + blocks, size // q**m))
+            block = low[:, None, :] + (stack[:, m:] @ (high // powers[: r - m, None] % q) % q).astype(np.uint16)[:, :, None]
+            np.minimum(block, block - q, out=block)
+        block = block.reshape(k, r, -1)
+        stop = start + block.shape[2]
+        # einsum widens the uint16 block in a small buffer; @ would cast all of it
+        linear[:, start:stop] = np.einsum("c,icb->ib", powers, block)
+        block = block + shift
+        np.minimum(block, block - q, out=block)
+        rows[:, start:stop] = np.einsum("c,icb->ib", powers, block)
+    return linear, rows
+
+
+def _accept(G: RegularSubgroup, points: list[int]) -> tuple[np.ndarray, str]:
+    """The rows of the points that pass, in order, up to the first that fails,
+    and its failure ("" if none): M_s singular, read off its linear row as
+    b -> M_s b being no bijection of the points, or closure
+    M_{s + M_s b} = M_s M_b broken at some b, compared column by column as
+    point indices.  One span table, one _permutes and one closure gather
+    over points x all points x columns, codes.BATCH cells per step, decide
+    all of them, and the first failure in their order is the one a search
+    through them one by one would report."""
+    from . import codes  # codes imports this module; BATCH is read at call time
+
+    cols = G.cols
+    linear, rows = _left_rows(G, points)
+    singular = set() if _permutes(linear) else {i for i, row in enumerate(linear) if not _permutes(row)}
+
+    closure: dict[int, int] = {}  # point i -> the first b at which its closure breaks
+    step = max(1, codes.BATCH // (len(points) * G.r))
+    for start in range(0, G.size, step):  # M_{s + M_s b} against M_s M_b, both by column indices
+        stop = min(start + step, G.size)
+        failed = (np.take(cols, rows[:, start:stop], axis=0) != np.take(linear, cols[start:stop], axis=1)).any(axis=2)
+        for i in np.flatnonzero(failed.any(axis=1)).tolist():
+            closure.setdefault(i, start + int(failed[i].argmax()))
+    i = min(singular | closure.keys(), default=None)
+    if i is None:
+        return rows, ""
+    if i in singular:
+        return rows[:i], f"matrix at index {points[i]} is singular"
+    return rows[:i], f"closure fails at a=index {points[i]}, b=index {closure[i]}"
 
 
 def _generators(G: RegularSubgroup) -> tuple[list[int], np.ndarray, str]:
     """A generating set S, the (|S|, q**r) table of its left multiplications
     T_s[b] = idx(s + M_s b), and the first premise failure ("" if none).
 
-    Each candidate s is the first point that the orbit of 0 under the accepted
-    rows misses.  It is accepted when M_s is invertible, read off its row as
-    b -> M_s b being a bijection of the points, and closure
-    M_{T_s[b]} = M_s M_b holds for every b, compared column by column as
-    point indices.  The orbit then grows by a frontier search, one boolean
-    scatter per step.  Closure on every b makes <S> act freely on the q**r
-    table elements, so its order is a power of q, and the orbit of 0 is <S>.
-    Each generator lies outside that orbit, so |S| <= r even at a failing
-    table, and the rows fill one preallocated r x q**r table.
+    S begins with the unit points q**k, accepted in one batched pass by
+    _accept.  Only when their orbit of 0 misses a point does the search go
+    on: each candidate s is the first point that the orbit misses, accepted
+    by the same test.  The orbit grows in sweeps until it covers the points
+    or a sweep adds none: a sweep maps the reached points through each
+    accepted row T, then through T**2, T**4, .., so each generator of order
+    q moves them by every power in one sweep.  Closure on every b makes <S>
+    act freely on the q**r table elements, so its order is a power of q,
+    and the orbit of 0 is <S>.
+    Each searched generator lies outside that orbit, so the search adds at
+    most r of them, even at a failing table.
     """
-    q, r, size, cols = G.ctx.q, G.r, G.size, G.cols
+    q, r, size = G.ctx.q, G.r, G.size
+    rows = np.empty((0, size), dtype=np.uint32)
+    if not np.array_equal(G.cols[0], field_powers(q, r)):
+        return [], rows, "matrix at index 0 is not the identity"
     gens: list[int] = []
-    table = np.empty((r, size), dtype=DTYPE)
-    powers = field_powers(q, r)
-    if not np.array_equal(cols[0], powers):
-        return gens, table[:0], "matrix at index 0 is not the identity"
     reached = np.zeros(size, dtype=bool)
     reached[0] = True
-    while not reached.all():
-        s = int(np.argmin(reached))
-        linear, row = _left_rows(G, s)
-        if not _permutes(linear):
-            return gens, table[: len(gens)], f"matrix at index {s} is singular"
-        # one column at a time, so each comparison gathers q**r entries, not q**r x r
-        bad = np.zeros(size, dtype=bool)
-        for j in range(r):
-            bad |= cols[row, j] != linear[cols[:, j]]
-        if bad.any():
-            return gens, table[: len(gens)], f"closure fails at a=index {s}, b=index {int(np.argmax(bad))}"
-        table[len(gens)] = row
-        gens.append(s)
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            hit = np.zeros(size, dtype=bool)
-            hit[table[: len(gens), frontier]] = True
-            frontier = np.flatnonzero(hit & ~reached)
-            reached[frontier] = True
-    return gens, table[: len(gens)], ""
+    count, detail, candidates = 1, "", [q**k for k in range(r)]
+    squares = (q - 1).bit_length()  # 2**squares >= q
+    while count < size and not detail:
+        candidates = candidates or [int(np.argmin(reached))]
+        accepted, detail = _accept(G, candidates)
+        gens += candidates[: len(accepted)]
+        rows = np.concatenate([rows, accepted]) if len(rows) else accepted
+        candidates, before = [], 0
+        while before < count < size and not detail:
+            before = count
+            for row in rows:
+                for square in range(squares):  # T^j(reached) for every j < 2**squares
+                    reached[row[reached]] = True
+                    row = row[row] if square + 1 < squares else row
+            count = np.count_nonzero(reached)
+    return gens, rows, detail
 
 
 def verify_regular_subgroup(G: RegularSubgroup) -> CheckResult:
@@ -341,7 +398,7 @@ def verify_automorphism(G: RegularSubgroup, perm: PermTable) -> CheckResult:
     timg = perm.images
     for s, row in zip(gens, rows):
         t = int(timg[s])
-        image_row = stored[t] if t in stored else _left_rows(G, t)[1]
+        image_row = stored[t] if t in stored else _left_rows(G, [t])[1][0]
         bad = timg[row] != image_row[timg]
         if bad.any():
             return CheckResult(False, f"automorphism law fails at a=index {s}, b=index {int(np.argmax(bad))}")
@@ -373,15 +430,15 @@ def read_perm(path) -> PermTable:
             raise ParseError(str(exc), 1) from None
         if r < 1:
             raise ParseError(f"r must be >= 1, got {r}", 1)
-        size = json_power(q, r, MAX_POINTS)
-        if size is not None:
-            raise ParseError(f"q**r = {size} exceeds the materialization guard {MAX_POINTS}", 1)
+        try:
+            size = _guarded_points(q, r)
+        except ValueError as exc:
+            raise ParseError(str(exc), 1) from None
         line = fh.readline()
         extra = next((number for number, text in enumerate(fh, 3) if text.strip()), None)
     if not line:
         raise ParseError("missing image line", 2)
     toks = line.split()
-    size = q**r
     if len(toks) != size:
         raise ParseError(f"expected {size} image indices, got {len(toks)}", 2)
     try:

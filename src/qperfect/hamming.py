@@ -53,6 +53,14 @@ def json_power(q: int, k: int, budget: int = 0):
     return None if value <= budget else value
 
 
+def _guarded_points(q: int, r: int) -> int:
+    """q**r, tested against MAX_POINTS before any table of that many points
+    exists; past it, the guard's ValueError."""
+    if (size := json_power(q, r, MAX_POINTS)) is not None:
+        raise ValueError(f"q**r = {size} exceeds the materialization guard {MAX_POINTS}")
+    return q**r
+
+
 def field_powers(q: int, r: int) -> np.ndarray:
     return q ** np.arange(r, dtype=DTYPE)
 
@@ -88,8 +96,7 @@ class HammingPair:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
-        if (size := json_power(self.q, self.r, MAX_POINTS)) is not None:
-            raise ValueError(f"q**r = {size} exceeds the materialization guard {MAX_POINTS}")
+        _guarded_points(self.q, self.r)
 
     @cached_property
     def h_extended(self) -> np.ndarray:

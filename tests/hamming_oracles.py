@@ -11,13 +11,18 @@ basis's completion kept as oracles for its pivot-column route, the int64
 syndrome products kept as the oracle for contains_rows' float product, and
 the
 exhaustive pair checks and a per-block product kept as oracles for the
-generator route of the group premises and for direct_product in
-qperfect.affine, and kits seeded with mutated tables.  The oracles read a
+generator route of the group premises and for direct_product, the
+shear block built one element at a time and the direct_product and
+iterate_perms fold over such blocks kept as oracles for the tables of
+affine.Series, the translation group (the series with no shear block),
+the first-unreached search for a generating set one candidate at a time
+kept as the second route to the group premises' batched one, and kits
+seeded with mutated tables.  The oracles read a
 subgroup's matrices M_a off its column-index table themselves."""
 
 import numpy as np
 
-from qperfect.affine import CheckResult, PermTable, RegularSubgroup
+from qperfect.affine import CheckResult, PermTable, RegularSubgroup, Series, iterate_perms
 from qperfect.codes import CodeHandle, permuted_check
 from qperfect.hamming import HammingPair, field_powers
 from qperfect.linalg import DTYPE, DimensionMismatch, _eliminate, is_invertible, nullspace_basis, rank
@@ -182,6 +187,83 @@ def block_product_cols(G1: RegularSubgroup, G2: RegularSubgroup) -> np.ndarray:
             mats[ia + G1.size * ib, :r1, :r1] = m1[ia]
             mats[ia + G1.size * ib, r1:, r1:] = m2[ib]
     return mats.transpose(0, 2, 1) @ field_powers(q, r)
+
+
+def translation_group(ctx, r: int) -> RegularSubgroup:
+    """The subgroup of translations, every M_a = I: the series with no shear block."""
+    return Series(ctx, r, 0).group
+
+
+def shear_block(ctx) -> tuple[RegularSubgroup, PermTable]:
+    """The shear subgroup and its generator swap, one element at a time: g^i h^j
+    translates by (i + j(j-1), j) and carries [[1,2j],[0,1]], and the swap
+    sends it to g^j h^i.  Built apart from qperfect.affine, for q >= 3."""
+    q = ctx.q
+    cols = np.zeros((q * q, 2), dtype=DTYPE)
+    images = np.zeros(q * q, dtype=DTYPE)
+    for i in range(q):
+        for j in range(q):
+            a = vec_to_index(q, [i + j * (j - 1), j])
+            cols[a] = [1, vec_to_index(q, [2 * j, 1])]
+            images[a] = vec_to_index(q, [j + i * (i - 1), i])
+    return RegularSubgroup(ctx, 2, cols), PermTable(ctx, 2, images)
+
+
+def series_fold(ctx, r: int, copies: int) -> tuple[RegularSubgroup, PermTable]:
+    """The series as the fold of direct_product and affine.iterate_perms over
+    copies shear_block factors and a translation tail on the other r - 2 copies
+    coordinates, every intermediate table validated."""
+    q, tail = ctx.q, r - 2 * copies
+    parts = [shear_block(ctx) for _ in range(copies)]
+    if tail:
+        cols = np.tile(field_powers(q, tail), (q**tail, 1))
+        parts.append((RegularSubgroup(ctx, tail, cols), PermTable(ctx, tail, np.arange(q**tail))))
+    group, perm = parts[0]
+    for G, tau in parts[1:]:
+        group, perm = direct_product(group, G), iterate_perms(perm, tau)
+    return group, perm
+
+
+def direct_product(G1: RegularSubgroup, G2: RegularSubgroup) -> RegularSubgroup:
+    """Block-diagonal product acting on GF(q)**(r1+r2): the element
+    idx(a|b) = idx(a) + q**r1 idx(b) carries diag(M_a, M_b), so its columns
+    have the indices of M_a's and q**r1 times those of M_b's."""
+    if G1.ctx != G2.ctx:
+        raise DimensionMismatch("subgroups live over different fields")
+    cols = np.hstack([np.tile(G1.cols, (G2.size, 1)), np.repeat(G1.size * G2.cols, G1.size, axis=0)])
+    return RegularSubgroup(G1.ctx, G1.r + G2.r, cols)
+
+
+def searched_generators(G: RegularSubgroup) -> tuple[list[int], np.ndarray, str]:
+    """A generating set found one candidate at a time, with its left
+    multiplication rows T_s[b] = idx(s + M_s b) and the first premise failure
+    ("" if none): each candidate s is the lowest point that the accepted
+    generators do not reach from 0, rejected when M_s is singular or when
+    M_{s + M_s b} != M_s M_b at some b, compared as whole matrices."""
+    q, r, size = G.ctx.q, G.r, G.size
+    mats, vecs, powers = subgroup_matrices(G), all_vectors(q, r), field_powers(q, r)
+    gens, rows, detail = [], [], ""
+    if not np.array_equal(mats[0], np.eye(r, dtype=DTYPE)):
+        detail = "matrix at index 0 is not the identity"
+    reached = np.zeros(size, dtype=bool)
+    reached[0] = True
+    while not detail and not reached.all():
+        s = int(np.argmin(reached))
+        row = (vecs[s] + vecs @ mats[s].T) % q @ powers
+        broken = np.flatnonzero((mats[row] != mats[s] @ mats % q).any(axis=(1, 2)))
+        if not is_invertible(G.ctx, mats[s]):
+            detail = f"matrix at index {s} is singular"
+        elif broken.size:
+            detail = f"closure fails at a=index {s}, b=index {broken[0]}"
+        else:
+            gens.append(s)
+            rows.append(row)
+            frontier = np.flatnonzero(reached)
+            while frontier.size:  # the orbit of 0 under the accepted rows
+                step = np.unique(np.concatenate([T[frontier] for T in rows]))
+                frontier = step[~reached[step]]
+                reached[frontier] = True
+    return gens, np.array(rows, dtype=np.uint32).reshape(len(rows), size), detail
 
 
 def exhaustive_regular_subgroup(G: RegularSubgroup) -> CheckResult:

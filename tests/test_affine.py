@@ -1,19 +1,19 @@
 """Regular subgroups, induced permutations, their text formats."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qperfect import affine
+from qperfect import affine, codes
 from qperfect.affine import (
     CheckResult,
     PermTable,
     RegularSubgroup,
     Series,
     _generators,
-    direct_product,
     identity_perm,
     iterate_perms,
     linear_perm,
@@ -23,22 +23,25 @@ from qperfect.affine import (
     series_perm,
     shear_group,
     shear_swap_perm,
-    translation_group,
     verify_automorphism,
     verify_regular_subgroup,
 )
 from qperfect.cli import main
 from qperfect.codes import distension
-from qperfect.hamming import build_hamming_pair, field_powers
-from qperfect.linalg import FieldContext, ParseError, is_invertible
-from qperfect.verify import PropelinearCertificate
+from qperfect.hamming import build_hamming_pair, field_powers, span_table
+from qperfect.linalg import FieldContext, ParseError, is_invertible, is_prime
+from qperfect.verify import VERIFY_GUARD, PropelinearCertificate
 
 from hamming_oracles import (
     all_vectors,
     block_product_cols,
+    direct_product,
     exhaustive_automorphism,
     exhaustive_regular_subgroup,
+    searched_generators,
+    series_fold,
     subgroup_matrices,
+    translation_group,
     vec_to_index,
     write_perm,
 )
@@ -399,6 +402,163 @@ def test_series_record_builds_each_table_once():
     assert np.array_equal(series.group.cols, series_group(ctx, 5, 2).cols)
 
 
+def test_series_tables_refuse_past_the_guard_before_any_allocation():
+    # each q**r table tests q**r against the guard before it allocates;
+    # unguarded, (2,28) asks for a 2 GiB arange and a 2**28 x 28 int64 table
+    ctx = FieldContext(2)
+    series = Series(ctx, 40, 0)
+    message = re.escape("q**r = 1099511627776 exceeds the materialization guard 1048576")
+    tracemalloc.start()
+    try:
+        for table in ("perm", "group"):
+            with pytest.raises(ValueError, match=message):
+                getattr(series, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for table in ("perm", "group"):
+        with pytest.raises(ValueError, match=re.escape("q**r = 268435456 exceeds the materialization guard")):
+            getattr(Series(ctx, 28, 0), table)
+    with pytest.raises(ValueError, match=re.escape("the shear subgroup needs q >= 3")):
+        Series(ctx, 4, 1)
+
+
+def test_shear_translation_parts_cover_the_plane():
+    # g^i h^j translates by (i + j(j-1), j); for every prime q >= 3 these q**2
+    # parts are distinct, so the shear swap is a permutation of the plane
+    for q in (p for p in range(3, 256) if is_prime(p)):
+        i, j = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+        assert np.unique((i + j * (j - 1)) % q + q * j).size == q * q
+        assert np.array_equal(np.sort(affine._shear_swap(q)), np.arange(q * q))
+
+
+BUILTIN_INSTANCES = [
+    (q, r, copies)
+    for q, r, copies in [*_series_instances(), (2, 10, 0), (3, 6, 3), (2, 14, 0), (3, 8, 4), (5, 6, 3), (7, 4, 2)]
+    if q**r <= VERIFY_GUARD
+]
+
+
+@pytest.mark.parametrize("q,r,copies", BUILTIN_INSTANCES)
+def test_series_tables_are_the_block_fold(q, r, copies):
+    # one pass from the block formulas gives the tables that validating
+    # every intermediate direct_product and iterate_perms fold gave
+    series = Series(FieldContext(q), r, copies)
+    group, perm = series_fold(FieldContext(q), r, copies)
+    assert np.array_equal(series.group.cols, group.cols)
+    assert np.array_equal(series.perm.images, perm.images)
+
+
+@pytest.mark.parametrize("q,r,copies", BUILTIN_INSTANCES)
+def test_unit_points_are_the_searched_generators(q, r, copies):
+    # two routes that agree: the unit points, accepted in one batched pass,
+    # give the gens, rows and verdict of the search one candidate at a time;
+    # tau swaps the unit points of each block and fixes the tail's
+    series = Series(FieldContext(q), r, copies)
+    G, perm = series.group, series.perm
+    units = [q**k for k in range(r)]
+    gens, rows, detail = G.generating_set
+    searched = searched_generators(G)
+    assert gens == searched[0] == units
+    assert np.array_equal(rows, searched[1]) and detail == searched[2] == ""
+    swap = [k ^ 1 if k < 2 * copies else k for k in range(r)]
+    assert perm.images[units].tolist() == [units[k] for k in swap]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_search_completes_unit_points_that_miss_a_point(q):
+    # the shear subgroup carried through the linear map L with L^-1 e_0 =
+    # (0,1) and L^-1 e_1 = (2,2): its unit points are h and h**2 (see
+    # _shear_swap), which reach only <h>, so the search adds a generator
+    ctx = FieldContext(q)
+    G, perm = shear_group(ctx), shear_swap_perm(ctx)
+    vecs, powers, mats = all_vectors(q, 2), field_powers(q, 2), subgroup_matrices(G)
+    inverse = np.array([[0, 2], [1, 2]])
+    back = vecs @ inverse.T % q @ powers  # the point p comes from back[p]
+    forth = np.argsort(back)
+    cols = forth[(mats[back] @ inverse % q).transpose(0, 2, 1) @ powers]
+    H, tau = RegularSubgroup(ctx, 2, cols), PermTable(ctx, 2, forth[perm.images[back]])
+    gens, _, detail = H.generating_set
+    assert gens[:2] == [1, q] and len(gens) == 3 and detail == ""
+    assert _cross_check(H, tau)
+    assert len(searched_generators(H)[0]) == 2
+    cols[gens[2], 0] = (cols[gens[2], 0] + 1) % H.size
+    bad = RegularSubgroup(ctx, 2, cols)
+    assert not _cross_check(bad, tau)
+    assert verify_regular_subgroup(bad).detail == searched_generators(bad)[2]
+
+
+SERIES_BASES = [(3, 4, 1), (3, 4, 2), (5, 3, 1), (2, 5, 0)]
+
+
+@pytest.mark.parametrize("q,r,copies", SERIES_BASES)
+def test_mutations_of_a_series_table_meet_the_exhaustive_oracles(q, r, copies):
+    series = Series(FieldContext(q), r, copies)
+    G, perm = series.group, series.perm
+    units, size = [q**k for k in range(r)], G.size
+    rng = np.random.default_rng(100 * q + 10 * r + copies)
+    others = np.setdiff1d(np.arange(1, size), units)
+    for _ in range(6):  # a wrong column at a non-generator point breaks closure
+        a, j = int(rng.choice(others)), int(rng.integers(r))
+        cols = G.cols.copy()
+        cols[a, j] = (cols[a, j] + rng.integers(1, size)) % size
+        bad = RegularSubgroup(G.ctx, r, cols)
+        assert not _cross_check(bad, perm)
+        assert verify_regular_subgroup(bad).detail.startswith("closure fails at a=index ")
+    for k, s in enumerate(units):  # a unit point whose matrix repeats a column
+        cols = G.cols.copy()
+        cols[s, 1] = cols[s, 0]
+        bad = RegularSubgroup(G.ctx, r, cols)
+        assert not _cross_check(bad, perm)
+        detail = verify_regular_subgroup(bad).detail
+        assert detail == searched_generators(bad)[2]
+        if k == 0:  # later unit points meet the changed matrix in their closure
+            assert detail == f"matrix at index {s} is singular"
+    for _ in range(6):  # two images swapped: no automorphism moves only two points
+        a, b = rng.choice(np.arange(1, size), size=2, replace=False)
+        images = perm.images.copy()
+        images[[a, b]] = images[[b, a]]
+        assert not _cross_check(G, PermTable(G.ctx, r, images))
+
+
+@pytest.mark.parametrize("batch", [1, 5, 40, 300])
+@pytest.mark.parametrize("q,r,copies", [(3, 4, 2), (5, 3, 1), (2, 6, 0)])
+def test_batched_pass_is_the_same_in_every_step(monkeypatch, batch, q, r, copies):
+    # each step of the span holds at most codes.BATCH cells (one point at
+    # least), and the tables, generating sets and first failures do not
+    # depend on the step; the mutants are a wrong column at the last point
+    # and a tau with the images of 1 and the last point swapped
+    series = Series(FieldContext(q), r, copies)
+    G, perm = series.group, series.perm
+    cols = G.cols.copy()
+    cols[-1, 0] = (cols[-1, 0] + 1) % G.size
+    images = perm.images.copy()
+    images[[1, -1]] = images[[-1, 1]]
+    tau = PermTable(G.ctx, r, images)
+
+    def outcome():
+        mutant = RegularSubgroup(G.ctx, r, cols)
+        fresh = RegularSubgroup(G.ctx, r, G.cols)
+        return (
+            affine._left_rows(fresh, [q**k for k in range(r)]),
+            fresh.generating_set,
+            verify_regular_subgroup(mutant).detail,
+            verify_automorphism(fresh, tau).detail,
+        )
+
+    whole = outcome()
+    spans = []
+    monkeypatch.setattr(affine, "span_table", lambda q, columns: spans.append(columns.shape) or span_table(q, columns))
+    monkeypatch.setattr(codes, "BATCH", batch)
+    stepped = outcome()
+    assert spans and all(rows * q**m <= batch or m == 0 for rows, m in spans)
+    for before, after in zip(whole[0] + whole[1][1:2], stepped[0] + stepped[1][1:2]):
+        assert np.array_equal(before, after)
+    assert whole[1][::2] == stepped[1][::2] and whole[2:] == stepped[2:]
+    assert whole[2].startswith("closure fails") and whole[3].startswith("automorphism law fails")
+
+
 def test_first_candidate_failures_return_results():
     # M_1 is the first candidate generator; M_0 != I leaves no candidate at all
     ctx = FieldContext(3)
@@ -512,9 +672,9 @@ def _spy_left_rows(monkeypatch):
     calls = []
     true_left_rows = affine._left_rows
 
-    def spy(G, s):
-        calls.append(s)
-        return true_left_rows(G, s)
+    def spy(G, points):
+        calls.append(list(points))
+        return true_left_rows(G, points)
 
     monkeypatch.setattr(affine, "_left_rows", spy)
     return calls
@@ -538,7 +698,7 @@ def test_automorphism_law_builds_a_row_for_a_non_generator_image(monkeypatch):
     assert G.generating_set[0] == [1, 5]
     calls = _spy_left_rows(monkeypatch)
     assert verify_automorphism(G, tau).ok
-    assert calls == [6]
+    assert calls == [[6]]
     assert _cross_check(G, tau)
 
 
