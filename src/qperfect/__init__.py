@@ -36,13 +36,13 @@ from .codes import (
     contains_rows,
     distension,
     distension_oracle,
-    permuted_check,
     rank_basis,
     rank_closed_form,
 )
 from .verify import (
     PropelinearCertificate,
     VerifyReport,
+    VerifyRun,
     audit_rank_basis,
     check_additivity,
     check_perfect,

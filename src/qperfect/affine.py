@@ -224,10 +224,12 @@ class Series:
         the unit points generate it.  Column k of every M_x is q**k,
         the index of e_k, except column 2b+1 of a block: e_(2b+1) plus
         2 x_(2b+1) e_(2b), the index q**(2b) ((2 x_(2b+1) mod q) + q), which
-        reads the one digit x_(2b+1)."""
+        reads the one digit x_(2b+1).  cols is uint32, which holds every
+        index below q**r <= MAX_POINTS, as RegularSubgroup keeps its own
+        int64 copy."""
         q, r = self.ctx.q, self.r
         size = _guarded_points(q, r)
-        cols = np.empty((size, r), dtype=DTYPE)
+        cols = np.empty((size, r), dtype=np.uint32)
         cols[:] = field_powers(q, r)
         column = 2 * np.arange(q, dtype=DTYPE) % q + q
         for b in range(self.copies):

@@ -43,7 +43,6 @@ __all__ = [
     "distension",
     "distension_oracle",
     "pair_tiles",
-    "permuted_check",
     "rank_basis",
     "rank_closed_form",
     "write_codewords",
@@ -58,12 +57,6 @@ def _preimages(hp: HammingPair, perm: PermTable) -> np.ndarray:
     if perm.ctx != hp.ctx or perm.r != hp.r:
         raise DimensionMismatch("permutation does not match the parity kit")
     return perm.preimages
-
-
-def permuted_check(hp: HammingPair, perm: PermTable) -> np.ndarray:
-    """Parity check of the permuted extended component: column b is the
-    h_extended column at perm^(-1)(b), so its kernel is the permuted code."""
-    return hp.h_extended[:, _preimages(hp, perm)]
 
 
 def _rank(hp: HammingPair, block: np.ndarray) -> int:
@@ -278,11 +271,12 @@ class CodeHandle:
 
     @cached_property
     def permuted_check_matrix(self) -> np.ndarray:
-        """permuted_check of the handle, (r+1) x q**r.  No route in the
-        package reads it now: the restricted check is read off the preimage
-        table.  It stays because perfbench/workloads.py's construct and the
-        tests read it."""
-        check = permuted_check(self.hp, self.perm)
+        """Parity check of the permuted extended component, (r+1) x q**r:
+        column b is the h_extended column at perm^(-1)(b), so its kernel is
+        the permuted code.  No route in the package reads it: the restricted
+        check is read off the preimage table.  It stays because
+        perfbench/workloads.py's construct and the tests read it."""
+        check = self.hp.h_extended[:, self.perm.preimages]
         check.setflags(write=False)
         return check
 

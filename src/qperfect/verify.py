@@ -7,7 +7,8 @@ mathematical failure, only on contract violations (bad shapes, budgets are
 reported as skipped).
 
 CHECKS lists the checks of `qperfect verify` in their output order; each
-entry takes a VerifyRun and holds that check's skip rules and budgets.
+entry calls a function of one VerifyRun alone, which holds that check's
+skip rules and reads its budgets off the run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import codes
-from .affine import PermTable, Series, iterate_perms, verify_automorphism, verify_regular_subgroup
+from .affine import Series, verify_automorphism, verify_regular_subgroup
 from .codes import (
     MAX_ENUMERATION,
     CodeHandle,
@@ -32,7 +33,7 @@ from .codes import (
     rank_basis,
     rank_closed_form,
 )
-from .hamming import HammingPair, build_hamming_pair, json_power
+from .hamming import build_hamming_pair, json_power
 from .linalg import DTYPE, DimensionMismatch, FieldContext, nullspace_basis, product_dtype, rank
 from .linalg import _in_range, _index_table, _permutes
 
@@ -213,11 +214,10 @@ def covering_occupancy(q: int, N: int, pairs: Iterable) -> tuple[int, int, int]:
     return rows, int(np.count_nonzero(occ)), uncovered
 
 
-def check_perfect(
-    code: CodeHandle, max_cells: int = MAX_SPACE_CELLS, label: str = "custom"
-) -> VerifyReport:
+def check_perfect(run: VerifyRun) -> VerifyReport:
     """Exhaustive perfection check: radius-1 balls around the codewords
-    tile the whole space, with the sphere-packing count as a cross-check.
+    tile the whole space, with the sphere-packing count as a cross-check;
+    skipped when the space has more than run.max_space_cells cells.
 
     The count is of the rows actually streamed, so it also bounds the
     true counts.  Let t(c) be the number of streamed words within distance
@@ -226,11 +226,12 @@ def check_perfect(
     so every t(c) is at least 1; with cells terms summing to cells, each is
     exactly 1, and no cell can hide 257 behind a wrapped uint8.
     """
+    code = run.code
     q, N = code.q, code.length
-    params = _params(code, label)
-    over = json_power(q, N, max_cells)
+    params = _params(code, run.label)
+    over = json_power(q, N, run.max_space_cells)
     if over is not None:
-        return _skipped("perfect", params, "state budget exceeded", cells=over, budget=max_cells)
+        return _skipped("perfect", params, "state budget exceeded", cells=over, budget=run.max_space_cells)
     streamed, overlapped, uncovered = covering_occupancy(q, N, codeword_pairs(code))
     ball = 1 + N * (q - 1)
     cells = q**N
@@ -360,37 +361,25 @@ def audit_rank_basis(run: VerifyRun) -> VerifyReport:
     return VerifyReport("basis_audit", params, "pass" if ok else "fail", details)
 
 
-def check_additivity(
-    hp1: HammingPair,
-    perm1: PermTable,
-    hp2: HammingPair,
-    perm2: PermTable,
-    hp12: HammingPair,
-    label: str = "custom",
-) -> VerifyReport:
-    """Distension of the blockwise permutation equals the sum of the
-    blocks' distensions, every term computed by the residual route."""
-    combined = iterate_perms(perm1, perm2)
-    if hp12.r != combined.r or hp12.ctx != combined.ctx:
-        raise DimensionMismatch("combined parity kit does not match the permutations")
-    left = distension(hp1, perm1)
-    right = distension(hp2, perm2)
-    both = distension(hp12, combined)
-    params = {"q": hp12.q, "r": hp12.r, "tau": label}
-    details = {"left": left, "right": right, "combined": both}
-    return VerifyReport(
-        "additivity", params, "pass" if both == left + right else "fail", details
-    )
+def check_additivity(run: VerifyRun) -> VerifyReport:
+    """The distension of the run's series equals the sum of its halves'
+    distensions, each half measured on its own kit by the residual route.
 
-
-def _run_additivity(run: VerifyRun) -> VerifyReport:
+    The whole is the run's cached code.distension, which basis_audit has
+    already formed.  It is the distension of the halves' blockwise product:
+    VerifyRun refuses a series whose permutation is not the code's, and
+    Series.split's halves compose to the series
+    (test_series_split_halves_compose_to_the_whole).  So a split whose
+    halves are not those of the series fails here."""
     code = run.code
+    params = _params(code, run.label)
     split = None if run.series is None else run.series.split
     if split is None:
-        reason = "no blockwise decomposition for this permutation"
-        return _skipped("additivity", _params(code, run.label), reason)
-    left, right = [(build_hamming_pair(code.ctx, half.r), half.perm) for half in split]
-    return check_additivity(*left, *right, code.hp, label=run.label)
+        return _skipped("additivity", params, "no blockwise decomposition for this permutation")
+    left, right = (distension(build_hamming_pair(code.ctx, half.r), half.perm) for half in split)
+    both = code.distension
+    details = {"left": left, "right": right, "combined": both}
+    return VerifyReport("additivity", params, "pass" if both == left + right else "fail", details)
 
 
 def _run_group_premises(run: VerifyRun) -> VerifyReport:
@@ -606,14 +595,14 @@ def _run_certificate(run: VerifyRun) -> VerifyReport:
     return check_propelinear_certificate(code, cert, label=run.label)
 
 
-# The public checks are looked up by name at call time, so a wrapper that
-# replaces one of them on this module (a tracer, a test's monkeypatch) is
-# the one that runs.
+# Every check takes the run alone.  The public checks are looked up by
+# name at call time, so a wrapper that replaces one of them on this module
+# (a tracer, a test's monkeypatch) is the one that runs.
 CHECKS = {
-    "perfect": lambda run: check_perfect(run.code, max_cells=run.max_space_cells, label=run.label),
+    "perfect": lambda run: check_perfect(run),
     "rank_equivalence": lambda run: check_rank_equivalence(run),
     "basis_audit": lambda run: audit_rank_basis(run),
-    "additivity": _run_additivity,
+    "additivity": lambda run: check_additivity(run),
     "group_premises": _run_group_premises,
     "certificate": _run_certificate,
 }

@@ -3,7 +3,8 @@ messages in lexicographic order (built by division, not by the span table
 of qperfect.hamming), the exact codeword count, the
 permutation file writer, per-syndrome coset builders kept as oracles for
 the vectorised tables in qperfect.codes (canonical_coset_reps, and the
-extended halves of the label leaders of codes._label_leaders), the words of a pair
+extended halves of the label leaders of codes._label_leaders), the
+(r+1) x q**r permuted check that no route in qperfect.codes forms, the words of a pair
 stream as plain blocks and plain blocks as pairs, the stacked-rank
 distension kept as the third route beside the two in qperfect.codes, the
 intersection with the permuted copy and the kernel route to the rank
@@ -23,7 +24,7 @@ subgroup's matrices M_a off its column-index table themselves."""
 import numpy as np
 
 from qperfect.affine import CheckResult, PermTable, RegularSubgroup, Series, iterate_perms
-from qperfect.codes import CodeHandle, permuted_check
+from qperfect.codes import CodeHandle, _preimages
 from qperfect.hamming import HammingPair, field_powers
 from qperfect.linalg import DTYPE, DimensionMismatch, _eliminate, is_invertible, nullspace_basis, rank
 
@@ -120,6 +121,12 @@ def extended_coset_leader(hp: HammingPair, a) -> np.ndarray:
         y[0] = 1
         y[k] = hp.q - 1
     return y
+
+
+def permuted_check(hp: HammingPair, perm: PermTable) -> np.ndarray:
+    """Parity check of the permuted extended component: column b is the
+    h_extended column at perm^(-1)(b), so its kernel is the permuted code."""
+    return hp.h_extended[:, _preimages(hp, perm)]
 
 
 def stacked_distension(hp: HammingPair, perm: PermTable) -> int:

@@ -21,6 +21,7 @@ from qperfect.affine import (
     RegularSubgroup,
     Series,
     identity_perm,
+    iterate_perms,
     series_group,
     series_perm,
     shear_group,
@@ -34,7 +35,6 @@ from qperfect.codes import (
     codeword_blocks,
     distension,
     distension_oracle,
-    permuted_check,
     rank_closed_form,
 )
 from qperfect.hamming import build_hamming_pair, field_powers, span_table, stacked_parity
@@ -60,6 +60,7 @@ from hamming_oracles import (
     extended_coset_leader,
     index_to_vec,
     lex_messages,
+    permuted_check,
     translation_group,
 )
 
@@ -94,7 +95,7 @@ def test_criterion_1_hamming_recovery():
         assert words == linear
         assert len(words) == 16 == codeword_count(code)
         assert rank_by_elimination(ctx, as_pairs(codeword_blocks(code))) == 4 == rank_closed_form(code)
-        assert check_perfect(code).result == "pass"
+        assert check_perfect(VerifyRun(code)).result == "pass"
 
 
 def test_criterion_2_shear_distension():
@@ -120,7 +121,7 @@ def test_criterion_3_ternary_length_13():
         assert codeword_count(code) == 3**10 == 59049
         total = sum(block.shape[0] for block in codeword_blocks(code))
         assert total == 59049
-        rep = check_perfect(code)
+        rep = check_perfect(VerifyRun(code))
         assert rep.result == "pass"
         assert rep.details["cells"] == 3**13 == 1594323
         assert rep.details["overlapped_cells"] == 0
@@ -130,25 +131,20 @@ def test_criterion_3_ternary_length_13():
 
 
 def test_criterion_4_distension_additivity():
-    # blockwise distensions add: 2+2, 2+0, 0+0
+    # blockwise distensions add: 2+2 and 2+0 as the series runs (3,4) i=2
+    # and (3,3) i=1, and 0+0 for two identity blocks, which no series splits
+    # into
     with criterion("criterion 4, distension additivity", 1.0):
         ctx = FieldContext(3)
-        hp1 = build_hamming_pair(ctx, 1)
-        hp2 = build_hamming_pair(ctx, 2)
-        hp3 = build_hamming_pair(ctx, 3)
-        hp4 = build_hamming_pair(ctx, 4)
-        tau = shear_swap_perm(ctx)
-        id1 = identity_perm(ctx, 1)
+        for r, copies, combined in ((4, 2, 4), (3, 1, 2)):
+            series = Series(ctx, r, copies)
+            run = VerifyRun(build_code(build_hamming_pair(ctx, r), series.perm), "series", series)
+            rep = check_additivity(run)
+            assert rep.result == "pass" and rep.details["combined"] == combined
+
         id2 = identity_perm(ctx, 2)
-
-        rep = check_additivity(hp2, tau, hp2, tau, hp4)
-        assert rep.result == "pass" and rep.details["combined"] == 4
-
-        rep = check_additivity(hp2, tau, hp1, id1, hp3)
-        assert rep.result == "pass" and rep.details["combined"] == 2
-
-        rep = check_additivity(hp2, id2, hp2, id2, hp4)
-        assert rep.result == "pass" and rep.details["combined"] == 0
+        assert distension(build_hamming_pair(ctx, 2), id2) == 0
+        assert distension(build_hamming_pair(ctx, 4), iterate_perms(id2, id2)) == 0
 
 
 def test_criterion_5_series_ranks():
@@ -330,7 +326,7 @@ def test_criterion_11_enumerate_checks():
     with criterion("criterion 11, enumerate-scale checks", 1.5):
         ctx7 = FieldContext(7)
         code = build_code(build_hamming_pair(ctx7, 1), identity_perm(ctx7, 1))
-        rep = check_perfect(code)
+        rep = check_perfect(VerifyRun(code))
         assert rep.result == "pass"
         assert rep.details["cells"] == 7**8 and rep.details["codewords"] == 7**6
 

@@ -424,6 +424,20 @@ def test_series_tables_refuse_past_the_guard_before_any_allocation():
         Series(ctx, 4, 1)
 
 
+@pytest.mark.parametrize("q,r,copies", [(2, 14, 0), (3, 8, 2)])
+def test_series_group_holds_one_int64_table(q, r, copies):
+    # cols is built in uint32 and RegularSubgroup keeps its own int64 copy,
+    # 4 + 8 bytes per cell at the peak; an int64 cols held 8 + 8
+    tracemalloc.start()
+    try:
+        group = Series(FieldContext(q), r, copies).group
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.cols.dtype == np.int64 and not group.cols.flags.writeable
+    assert peak < 13 * q**r * r
+
+
 def test_shear_translation_parts_cover_the_plane():
     # g^i h^j translates by (i + j(j-1), j); for every prime q >= 3 these q**2
     # parts are distinct, so the shear swap is a permutation of the plane

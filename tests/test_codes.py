@@ -27,7 +27,6 @@ from qperfect.codes import (
     contains_rows,
     distension,
     distension_oracle,
-    permuted_check,
     rank_basis,
     rank_closed_form,
     write_codewords,
@@ -45,6 +44,7 @@ from hamming_oracles import (
     kernel_completion,
     lex_messages,
     pair_words,
+    permuted_check,
     stacked_distension,
     vec_to_index,
 )
@@ -814,18 +814,43 @@ def test_distension_never_cuts_the_kernel():
     assert "extended_basis" not in vars(hp) and "systematic_form" not in vars(hp)
 
 
-def test_restricted_check_forms_no_permuted_check(monkeypatch):
-    # both kernel routes read the preimage table, never the (r+1) x q**r check
-    calls = []
-    monkeypatch.setattr(codes, "permuted_check", lambda hp, perm: calls.append(perm) or permuted_check(hp, perm))
+class ColumnGatherSpy(np.ndarray):
+    """An h_extended view that records every read of its columns: an index
+    that is not a plain row slice, or a numpy function such as np.take
+    called on the whole (r+1)-row table.  Its views, such as the row slice
+    h_extended[1:] that h_columns reads, record nothing."""
+
+    gathers = None  # a list on the spied table itself
+
+    def __getitem__(self, key):
+        if self.gathers is not None and not isinstance(key, slice):
+            self.gathers.append(key)
+        return super().__getitem__(key)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if self.gathers is not None and any(arg is self for arg in args):
+            self.gathers.append(func)
+        return super().__array_function__(func, types, args, kwargs)
+
+
+def test_restricted_check_forms_no_permuted_check():
+    # both kernel routes read the preimage table, never the (r+1) x q**r
+    # check: no column of h_extended is gathered once the kit is warm
     for q, r, name in ((3, 2, "shear"), (3, 4, "series2"), (5, 2, "random5021")):
         hp = make(q, r)
         tau = completion_perm(hp.ctx, r, name)
         assert distension_oracle(hp, tau) == distension(hp, tau)
+        rank_basis(build_code(hp, tau))
+        spy = hp.h_extended.view(ColumnGatherSpy)
+        spy.gathers = []
+        vars(hp)["h_extended"] = spy
+        assert distension_oracle(hp, tau) == distension(hp, tau)
         code = build_code(hp, tau)
         assert rank_basis(code).completion_rows.shape[0] == code.distension
         assert "permuted_check_matrix" not in vars(code)
-    assert not calls
+        assert spy.gathers == []
+        code.permuted_check_matrix  # the spy sees the one route that forms it
+        assert len(spy.gathers) == 1
 
 
 @pytest.mark.parametrize("q,r", RESTRICTED_CASES)

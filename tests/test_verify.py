@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qperfect import cli, codes, verify
-from qperfect.affine import PermTable, Series, identity_perm, series_perm, shear_swap_perm
-from qperfect.codes import build_code, codeword_blocks, codeword_pairs, rank_basis
+from qperfect import affine, cli, codes, verify
+from qperfect.affine import PermTable, Series, identity_perm, iterate_perms, series_perm, shear_swap_perm
+from qperfect.codes import build_code, codeword_blocks, codeword_pairs, distension, rank_basis
 from qperfect.hamming import HammingPair, build_hamming_pair
 from qperfect.linalg import DTYPE, DimensionMismatch, FieldContext, product_dtype, rank
 from qperfect.verify import (
@@ -319,7 +319,7 @@ def test_covering_occupancy_refuses_malformed_blocks(block):
 def test_check_perfect_passes(q, r, tau_builder):
     ctx = FieldContext(q)
     code = build_code(build_hamming_pair(ctx, r), tau_builder(ctx, r))
-    rep = check_perfect(code, label="t")
+    rep = check_perfect(verify.VerifyRun(code, "t"))
     assert rep.result == "pass"
     assert rep.details["sphere_packing"] is True
     assert rep.details["overlapped_cells"] == 0
@@ -336,7 +336,7 @@ def test_check_perfect_counts_the_streamed_rows(monkeypatch):
     stream = pairs + [(np.repeat(left[:1], 256, axis=0), right[:1])]
     monkeypatch.setattr(verify, "codeword_pairs", lambda c: iter(stream))
     assert covering_occupancy(2, 7, stream) == (16 + 256, 0, 0)
-    rep = check_perfect(code)
+    rep = check_perfect(verify.VerifyRun(code))
     assert rep.result == "fail"
     assert rep.details["codewords"] == 16 + 256
     assert rep.details["sphere_packing"] is False
@@ -344,7 +344,7 @@ def test_check_perfect_counts_the_streamed_rows(monkeypatch):
 
 def test_check_perfect_budget_skip():
     code = small_code(5, 2)  # 5**31 cells
-    rep = check_perfect(code)
+    rep = check_perfect(verify.VerifyRun(code))
     assert rep.result == "skipped"
     assert rep.details["reason"] == "state budget exceeded"
     assert bool(rep)
@@ -676,34 +676,64 @@ def test_checks_catch_a_mutated_kit(q, r, copies, perfect, mutant):
 # -- additivity ---------------------------------------------------------------
 
 
-def test_check_additivity_frozen_triples():
-    ctx = FieldContext(3)
-    hp2 = build_hamming_pair(ctx, 2)
-    hp3 = build_hamming_pair(ctx, 3)
-    hp4 = build_hamming_pair(ctx, 4)
-    tau = shear_swap_perm(ctx)
-    id1 = identity_perm(ctx, 1)
-    id2 = identity_perm(ctx, 2)
+def series_run(q, r, copies):
+    ctx = FieldContext(q)
+    series = Series(ctx, r, copies)
+    return verify.VerifyRun(build_code(build_hamming_pair(ctx, r), series.perm), "series", series)
 
-    rep = check_additivity(hp2, tau, hp2, tau, hp4)
+
+def test_check_additivity_frozen_triples():
+    rep = check_additivity(series_run(3, 4, 2))
     assert rep.result == "pass"
     assert rep.details == {"left": 2, "right": 2, "combined": 4}
 
-    rep = check_additivity(hp2, tau, build_hamming_pair(ctx, 1), id1, hp3)
+    rep = check_additivity(series_run(3, 3, 1))
     assert rep.result == "pass"
     assert rep.details == {"left": 2, "right": 0, "combined": 2}
 
-    rep = check_additivity(hp2, id2, hp2, id2, hp4)
-    assert rep.result == "pass"
-    assert rep.details == {"left": 0, "right": 0, "combined": 0}
-
-
-def test_check_additivity_dimension_mismatch():
+    # no series splits into two identities: read the triple off the halves
+    # and their blockwise product
     ctx = FieldContext(3)
-    hp2 = build_hamming_pair(ctx, 2)
-    tau = shear_swap_perm(ctx)
-    with pytest.raises(DimensionMismatch):
-        check_additivity(hp2, tau, hp2, tau, build_hamming_pair(ctx, 3))
+    hp2, id2 = build_hamming_pair(ctx, 2), identity_perm(ctx, 2)
+    combined = distension(build_hamming_pair(ctx, 4), iterate_perms(id2, id2))
+    assert (distension(hp2, id2), distension(hp2, id2), combined) == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "r,halves,result,details",
+    [
+        (4, [(2, 0), (2, 1)], "fail", {"left": 0, "right": 2, "combined": 4}),
+        (5, [(2, 1), (3, 0)], "fail", {"left": 2, "right": 0, "combined": 4}),
+        # the same blocks in the other order still sum to the whole
+        (5, [(1, 0), (4, 2)], "pass", {"left": 0, "right": 4, "combined": 4}),
+    ],
+    ids=["identity-block", "dropped-block", "swapped"],
+)
+def test_additivity_measures_the_split_against_the_run(monkeypatch, r, halves, result, details):
+    # the whole is the run's own distension, not the product of the halves
+    # it is given, so a split that is not the series' fails
+    run = series_run(3, r, 2)
+    ctx = run.code.ctx
+    monkeypatch.setattr(Series, "split", property(lambda self: tuple(Series(ctx, *half) for half in halves)))
+    rep = verify.CHECKS["additivity"](run)
+    assert (rep.result, rep.details) == (result, details)
+
+
+def test_additivity_builds_no_table_of_the_run_size(monkeypatch):
+    # with the run's distension warm, the check builds only the halves'
+    # permutations, of 81 and 3 points, and never combines them
+    run = series_run(3, 5, 2)
+    assert run.code.distension == 4
+    built, post_init = [], PermTable.__post_init__
+    monkeypatch.setattr(PermTable, "__post_init__", lambda perm: built.append(perm.size) or post_init(perm))
+    calls, combine = [], affine.iterate_perms
+    for module in (affine, verify):  # every module that holds the name
+        if hasattr(module, "iterate_perms"):
+            monkeypatch.setattr(module, "iterate_perms", lambda *perms: calls.append(perms) or combine(*perms))
+    rep = verify.CHECKS["additivity"](run)
+    assert rep.details == {"left": 4, "right": 0, "combined": 4}
+    assert not calls
+    assert sorted(built) == [3, 81]
 
 
 # -- the check registry -----------------------------------------------------
