@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DTYPE, FieldContext, nullspace_basis
+from .linalg import DTYPE, FieldContext, kernel_from_rref, nullspace_basis
 
 __all__ = [
     "MAX_POINTS",
@@ -87,8 +87,9 @@ def span_table(q: int, columns) -> np.ndarray:
 class HammingPair:
     """The parity-check matrices for one level, each built from (q, r) on first
     read; h_columns views h_extended, and h_hamming is h_columns at
-    hamming_col_index.  The kernel bases are nullspace_basis's rows built
-    directly as np.uint8, so a product that reads them must keep an int64 operand."""
+    hamming_col_index.  The kernel bases are nullspace_basis's rows, read
+    off an rref the kit writes itself, built directly as np.uint8, so a
+    product that reads them must keep an int64 operand."""
 
     ctx: FieldContext
     r: int
@@ -151,17 +152,19 @@ class HammingPair:
 
     @cached_property
     def hamming_basis(self) -> np.ndarray:
-        """Kernel basis of h_hamming; read-only, as every code on the kit shares it."""
-        basis = nullspace_basis(self.ctx, self.h_hamming, np.uint8)
-        basis.setflags(write=False)
-        return basis
+        """Kernel basis of h_hamming; read-only, as every code on the kit shares it.
+        Row k is zero before its unit column q**k, at (q**k - 1)//(q - 1), so
+        h_hamming is its own rref at those pivots, which _kernel_basis checks."""
+        pivots = (field_powers(self.q, self.r) - 1) // (self.q - 1)
+        return _kernel_basis(self.ctx, self.h_hamming, self.h_hamming, pivots)
 
     @cached_property
     def extended_basis(self) -> np.ndarray:
-        """Kernel basis of h_extended; read-only, as every code on the kit shares it."""
-        basis = nullspace_basis(self.ctx, self.h_extended, np.uint8)
-        basis.setflags(write=False)
-        return basis
+        """Kernel basis of h_extended; read-only, as every code on the kit shares it.
+        The pivot block [1 1..1; 0 I] at pivot_columns has inverse [1 -1..-1; 0 I],
+        so row 0 less the coordinate rows gives the rref, which _kernel_basis checks."""
+        echelon = np.vstack([(self.h_extended[0] - self.h_columns.sum(axis=0)) % self.q, self.h_columns])
+        return _kernel_basis(self.ctx, self.h_extended, echelon, self.pivot_columns)
 
     @cached_property
     def pivot_columns(self) -> np.ndarray:
@@ -200,6 +203,20 @@ class HammingPair:
         for table in (free, pivot_basis):
             table.setflags(write=False)
         return self.pivot_columns, free, pivot_basis
+
+
+def _kernel_basis(ctx: FieldContext, table: np.ndarray, echelon: np.ndarray, pivots) -> np.ndarray:
+    """nullspace_basis(ctx, table, np.uint8), read-only.  echelon is table after
+    an invertible row operation, so when each row leads at its pivot and the
+    pivot columns are the identity it is table's rref, which is unique, and the
+    basis is read off it; any other table, as only a seeded kit holds, is eliminated."""
+    leads = (echelon != 0).argmax(axis=1)
+    if np.array_equal(leads, pivots) and np.array_equal(echelon[:, pivots], np.eye(len(pivots))):
+        basis = kernel_from_rref(ctx, echelon, pivots, np.uint8)
+    else:
+        basis = nullspace_basis(ctx, table, np.uint8)
+    basis.setflags(write=False)
+    return basis
 
 
 def build_hamming_pair(ctx: FieldContext, r: int) -> HammingPair:

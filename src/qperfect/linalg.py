@@ -26,6 +26,7 @@ __all__ = [
     "ParseError",
     "is_invertible",
     "is_prime",
+    "kernel_from_rref",
     "nullspace_basis",
     "product_dtype",
     "rank",
@@ -207,10 +208,11 @@ def rank(ctx: FieldContext, m) -> int:
     the rows has coefficient 0 on every row of S, since every other row is
     zero at that row's owned column.  This holds for every matrix over a
     field and uses nothing about where the matrix came from.  Each round
-    drops the owners, and in the same gather the columns with fewer than two
-    nonzeros (which are zero once the owners are gone), until no singleton
-    column is left; the core is then eliminated.  The rank basis stacks
-    mostly peel away; a dense matrix leaves after one count.
+    drops the owners, then the columns with fewer than two nonzeros (which
+    are zero once the owners are gone), until no singleton column is left;
+    the core is then eliminated.  The rank basis stacks mostly peel away; a
+    dense matrix leaves after one count, summed over the mask's bytes in a
+    dtype it cannot wrap; the owners test then reuses the mask in place.
 
     m is read by FieldContext.symbols, so a uint8 stack is peeled in uint8
     and only the core it leaves is widened to int64 for the elimination.
@@ -219,12 +221,13 @@ def rank(ctx: FieldContext, m) -> int:
     peeled = 0
     while True:
         nonzero = work != 0
-        counts = np.count_nonzero(nonzero, axis=0)
-        owners = (nonzero & (counts == 1)).any(axis=1)
+        counts = nonzero.view(np.uint8).sum(axis=0, dtype=np.uint16 if len(work) < 1 << 16 else np.int64)
+        owners = np.logical_and(nonzero, counts == 1, out=nonzero).any(axis=1)
+        del nonzero
         if not owners.any():
             break
         peeled += int(np.count_nonzero(owners))
-        work = work[np.ix_(~owners, counts >= 2)]
+        work = work[~owners][:, counts >= 2]
     # _eliminate works in place.  A uint8 core may still be m itself, and
     # widening it makes the copy; an int64 core is already rank's own.
     return peeled + len(_eliminate(work.astype(DTYPE, copy=False), ctx.q, reduced=False))
@@ -238,7 +241,13 @@ def rref(ctx: FieldContext, m) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def nullspace_basis(ctx: FieldContext, m, dtype=DTYPE) -> np.ndarray:
-    """Basis of the right kernel of m, one row per free column.
+    """Basis of the right kernel of m, one row per free column, read off its rref."""
+    return kernel_from_rref(ctx, *rref(ctx, m), dtype)
+
+
+def kernel_from_rref(ctx: FieldContext, red: np.ndarray, pivots, dtype=DTYPE) -> np.ndarray:
+    """Basis of the right kernel of the matrix whose reduced row echelon form
+    is red, a DTYPE array with pivot columns pivots, one row per free column.
 
     Rows are ordered by free column index; row k has a 1 at its free column
     and zeros at every other free column, so the ordering is reproducible.
@@ -246,14 +255,13 @@ def nullspace_basis(ctx: FieldContext, m, dtype=DTYPE) -> np.ndarray:
     and (-red[:, free]).T mod q on the pivots, so a uint8 basis has no
     int64 copy.
     """
-    red, pivots = rref(ctx, m)
-    n = red.shape[1]
+    n, pivots = red.shape[1], np.asarray(pivots, dtype=np.intp)
     is_free = np.ones(n, dtype=bool)
-    is_free[list(pivots)] = False
+    is_free[pivots] = False
     free = is_free.nonzero()[0]
     basis = np.zeros((free.size, n), dtype=dtype)
     basis[np.arange(free.size), free] = 1
-    basis[:, list(pivots)] = (-red[: len(pivots), free].T) % ctx.q
+    basis[:, pivots] = (-red[: len(pivots), free].T) % ctx.q
     return basis
 
 

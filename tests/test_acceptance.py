@@ -399,13 +399,15 @@ def test_criterion_14_group_premises_past_the_old_guard():
 
 def test_criterion_15_basis_audit_independence_peels():
     # the independence test peels singleton columns before it eliminates
-    # the 2036 x 2047 and 2796 x 2801 stacks: both instances, code builds
-    # included, took 0.75-0.89 s in three runs on a shared 2-CPU machine,
-    # against 3.7 s when rank eliminated the whole stack
+    # the 2036 x 2047, 2796 x 2801, 3278 x 3280 and 3904 x 3906 stacks: all
+    # four instances, code builds included, took 0.11-0.16 s in three runs
+    # on a shared 2-CPU machine, against 0.16-0.20 s when the owners test
+    # built a second mask and one np.ix_ gather dropped rows and columns,
+    # and 3.7 s for the first two alone when rank eliminated the whole stack
     with criterion("criterion 15, basis audit independence peels", 2.0):
-        for q, r, vectors in ((2, 10, 2036), (7, 4, 2796)):
+        for q, r, copies, vectors in ((2, 10, 0, 2036), (7, 4, 0, 2796), (3, 7, 3, 3278), (5, 5, 2, 3904)):
             ctx = FieldContext(q)
-            code = build_code(build_hamming_pair(ctx, r), identity_perm(ctx, r))
+            code = build_code(build_hamming_pair(ctx, r), series_perm(ctx, r, copies))
             rep = audit_rank_basis(VerifyRun(code))
             assert rep.result == "pass"
             assert rep.details["vectors"] == rep.details["expected"] == vectors

@@ -14,7 +14,7 @@ from qperfect.affine import (
     series_perm,
     shear_swap_perm,
 )
-from qperfect import codes, hamming
+from qperfect import codes, hamming, linalg
 from qperfect.codes import (
     _orthogonal_points,
     _orthogonal_table,
@@ -697,12 +697,20 @@ def test_rank_basis_eliminates_one_r_row_matrix(monkeypatch):
         assert not product[0].any()
 
 
-@pytest.mark.parametrize("q,r", [(2, 1), (3, 1), (3, 2), (3, 4), (5, 3), (3, 5), (2, 8), (7, 4)])
+KIT_CASES = [(q, r) for q in (2, 3, 5, 7, 13, 251) for r in range(1, 13) if q**r <= 4096]
+
+
+@pytest.mark.parametrize("q,r", KIT_CASES)
 def test_extended_basis_is_systematic_on_the_affine_basis(q, r):
     # rank_basis reads its completion matrix off this form: h_extended
     # pivots on 0 and q**k, and the kernel basis is the identity on every
-    # other column (small cases, the four ladder rungs, then (7,4))
+    # other column (every q**r <= 4096 over six fields, (7,4) included).  The
+    # kit reads both bases off an rref it writes itself; they are
+    # nullspace_basis's exactly, values, dtype and row order
     hp = make(q, r)
+    for basis, check in ((hp.hamming_basis, hp.h_hamming), (hp.extended_basis, hp.h_extended)):
+        want = nullspace_basis(hp.ctx, check, np.uint8)
+        assert basis.dtype == want.dtype and np.array_equal(basis, want)
     _, pivots = rref(hp.ctx, hp.h_extended)
     assert pivots == (0, *(q**k for k in range(r)))
     free = np.ones(q**r, dtype=bool)
@@ -714,21 +722,25 @@ def test_extended_basis_is_systematic_on_the_affine_basis(q, r):
 
 
 def test_component_kernels_belong_to_the_kit(monkeypatch):
-    # the kit computes each kernel once and codes reads it; the oracle cuts
-    # no kernel and counts the rank of one r x dim matrix per permutation,
-    # the restricted check below its zero row
-    calls = []
+    # a fresh standard kit reads each kernel off its own rref, with no
+    # elimination, once, and codes reads it; the oracle cuts no kernel and
+    # counts the rank of one r x dim matrix per permutation, the restricted
+    # check below its zero row
+    calls, eliminations = [], []
     counted = lambda ctx, m, dtype=DTYPE: calls.append(m.shape) or nullspace_basis(ctx, m, dtype)
     monkeypatch.setattr(hamming, "nullspace_basis", counted)
+    monkeypatch.setattr(linalg, "_eliminate", lambda a, q, reduced: eliminations.append(a.shape) or _eliminate(a, q, reduced))
     hp = make(3, 2)
+    bases = (hp.hamming_basis, hp.extended_basis)
+    hp.systematic_form
+    assert not eliminations and not calls
+    assert hp.hamming_basis is bases[0] and hp.extended_basis is bases[1]
     assert np.array_equal(hp.hamming_basis, nullspace_basis(hp.ctx, hp.h_hamming))
     assert np.array_equal(hp.extended_basis, nullspace_basis(hp.ctx, hp.h_extended))
-    for basis in (hp.hamming_basis, hp.extended_basis):
+    for basis in bases:
         # one byte per symbol; readers keep an int64 operand in products
         assert not basis.flags.writeable
         assert basis.dtype == np.uint8 and (basis < hp.q).all()
-    assert len(calls) == 2  # one kernel per component
-    calls.clear()  # the kit is warm
 
     shapes = []
     monkeypatch.setattr(codes, "_rank", lambda hp, block: shapes.append(block.shape) or _rank(hp, block))

@@ -22,6 +22,7 @@ from hamming_oracles import (
     hamming_coset_rep,
     index_to_vec,
     lex_messages,
+    seeded_kit,
     vec_to_index,
 )
 
@@ -137,6 +138,42 @@ def test_kernel_bases_are_the_nullspace_rows_in_uint8(q, r):
     for basis, check in ((hp.hamming_basis, hp.h_hamming), (hp.extended_basis, hp.h_extended)):
         assert basis.dtype == np.uint8 and not basis.flags.writeable
         assert np.array_equal(basis, nullspace_basis(hp.ctx, check))
+
+
+def seeded_table(kit, how):
+    """One of kit's tables, mutated, by name.  pivot and hamming_pivot break
+    the identity at a pivot column of the kit's written rref, lead and
+    hamming_lead put a nonzero left of the last row's pivot and keep that
+    identity, and ones zeroes a free entry of the all-ones row, after which
+    the written rref is still one."""
+    q, r = kit.q, kit.r
+    if how.startswith("hamming"):
+        table = kit.h_hamming.copy()
+        if how == "hamming_pivot":
+            table[:, 1] = table[:, 0]
+        else:
+            table[r - 1, (q ** (r - 1) - 1) // (q - 1) - 1] = 1
+        return {"h_hamming": table}
+    table = kit.h_extended.copy()
+    if how == "pivot":
+        table[:, q] = table[:, q + 1]
+    elif how == "lead":
+        table[r, q ** (r - 1) - 1] = 1
+    else:
+        table[0, -1] = 0
+    return {"h_extended": table}
+
+
+@pytest.mark.parametrize("how", ["pivot", "lead", "ones", "hamming_pivot", "hamming_lead"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_kernel_bases_follow_a_seeded_table(q, how):
+    # whether or not the kit's written form is an rref of the tables it
+    # holds, each basis is nullspace_basis's of its table, in the same order
+    ctx = FieldContext(q)
+    kit = seeded_kit(ctx, 3, **seeded_table(HammingPair(ctx, 3), how))
+    for basis, check in ((kit.hamming_basis, kit.h_hamming), (kit.extended_basis, kit.h_extended)):
+        want = nullspace_basis(ctx, check, np.uint8)
+        assert basis.dtype == want.dtype and np.array_equal(basis, want)
 
 
 def test_stacked_parity_binary_all_columns():

@@ -1,5 +1,6 @@
 """Field arithmetic and dense elimination over GF(q)."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -394,6 +395,33 @@ def test_rank_peels_the_audit_stacks():
         # its row updates cannot wrap
         want = len(full_width_eliminate(a.astype(np.int64), code.q, reduced=False))
         assert rank(code.ctx, a) == want == a.shape[0]
+
+
+@pytest.mark.parametrize("rows", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+def test_rank_counts_columns_past_two_to_the_sixteen_rows(rows):
+    # an all-ones column and a column with one nonzero: a uint16 count that
+    # wraps reads the first as empty at 2**16 rows, a rank of 1, and as a
+    # singleton every row owns at 2**16 + 1, a rank of 2**16 + 1
+    a = np.zeros((rows, 2), dtype=np.uint8)
+    a[:, 0] = 1
+    a[rows // 2, 1] = 1
+    assert rank(FieldContext(2), a) == 2
+
+
+def test_rank_peaks_at_one_byte_per_cell_of_the_audit_stack():
+    # (2,10): the uint8 stack is 2036 x 2047.  The nonzero mask is the
+    # largest table rank allocates, as the owners test reuses it and it is
+    # freed before the gathers, so the traced peak is 1.0 bytes per cell,
+    # against 2.0 with a second mask for the owners test
+    ctx = FieldContext(2)
+    a = rank_basis(build_code(build_hamming_pair(ctx, 10), series_perm(ctx, 10, 0))).stacked
+    tracemalloc.start()
+    try:
+        assert rank(ctx, a) == a.shape[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * a.size, peak / a.size
 
 
 # -- the read rule for uint8 symbol tables -------------------------------------
